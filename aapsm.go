@@ -39,13 +39,9 @@
 // the conflict clusters whose geometric neighborhood changed are re-solved,
 // with results bit-identical to a from-scratch detection — so small edits on
 // large layouts re-check an order of magnitude faster than a full Detect.
-//
-// The package-level one-shot functions (Detect, Correct, AssignPhases, …)
-// predate the Engine/Session API and remain as thin wrappers.
 package aapsm
 
 import (
-	"context"
 	"io"
 
 	"repro/internal/core"
@@ -142,7 +138,8 @@ const (
 	LawlerReduction
 )
 
-// DetectOptions configures Detect.
+// DetectOptions is an engine's detection configuration (see
+// Engine.DetectOptions).
 type DetectOptions struct {
 	// Graph selects PCG (default) or the FG baseline.
 	Graph GraphKind
@@ -180,26 +177,6 @@ func (r *Result) Conflicts() []Conflict { return r.Detection.FinalConflicts }
 // Assignable reports whether the layout needed no repairs.
 func (r *Result) Assignable() bool { return len(r.Detection.FinalConflicts) == 0 }
 
-// engineFor builds a throwaway Engine matching the legacy one-shot options.
-func engineFor(rules Rules, opt DetectOptions) *Engine {
-	return NewEngine(
-		WithRules(rules),
-		WithGraph(opt.Graph),
-		WithTJoinMethod(opt.Method),
-		WithImprovedRecheck(opt.ImprovedRecheck),
-	)
-}
-
-// Detect synthesizes shifters for l, builds the conflict graph, and runs
-// the full detection flow of the paper's §3.
-//
-// Deprecated: use NewEngine(...).NewSession(l).Detect(ctx), which memoizes
-// the result for later stages and honors cancellation.
-func Detect(l *Layout, rules Rules, opt DetectOptions) (*Result, error) {
-	//aapsmvet:allow ctxflow deprecated one-shot wrapper has no ctx parameter; callers migrate to Session.Detect(ctx)
-	return engineFor(rules, opt).Detect(context.Background(), l)
-}
-
 // DetectGreedy runs the greedy-bipartization baseline (Table 1 column GB).
 func DetectGreedy(l *Layout, rules Rules, kind GraphKind) (*Result, error) {
 	cg, err := core.BuildGraph(l, rules, kind)
@@ -215,41 +192,18 @@ func Assignable(l *Layout, rules Rules) (bool, error) {
 	return core.IsPhaseAssignable(l, rules)
 }
 
-// AssignPhases extracts 0°/180° shifter phases after detection; conflicts
-// are waived pending correction.
-//
-// Deprecated: use Session.Assignment, which reuses the session's detection
-// and verifies the assignment.
-func AssignPhases(r *Result) (*Assignment, error) {
-	return core.AssignPhases(r.Detection)
-}
-
 // VerifyAssignment checks an assignment against all (non-waived)
 // constraints.
 func VerifyAssignment(a *Assignment, r *Result) []Violation {
 	return a.Verify(r.Graph)
 }
 
-// Correction is the output of Correct.
+// Correction is the output of Session.Correction.
 type Correction struct {
 	Plan   *Plan
 	Layout *Layout // the modified, phase-assignable layout
 	Stats  correct.Stats
 }
-
-// Correct plans and applies end-to-end spaces fixing every correctable
-// conflict in r (paper §3.2). The input layout is not modified.
-//
-// Deprecated: use Session.Correction (or Session.CorrectedLayout for a typed
-// ErrUnfixable), which reuses the session's detection.
-func Correct(l *Layout, rules Rules, r *Result) (*Correction, error) {
-	return buildCorrection(l, rules, r)
-}
-
-// CheckDRC runs the design-rule checks.
-//
-// Deprecated: use Session.DRC, which memoizes the result per layout.
-func CheckDRC(l *Layout, rules Rules) []DRCViolation { return drc.Check(l, rules) }
 
 // ReadLayoutText parses the plain-text layout interchange format.
 func ReadLayoutText(r io.Reader) (*Layout, error) { return layout.ReadText(r) }

@@ -2,9 +2,13 @@ package aapsm
 
 import (
 	"bytes"
+	"context"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
+
+	"repro/internal/drc"
 )
 
 func TestPublicQuickstartFlow(t *testing.T) {
@@ -19,21 +23,24 @@ func TestPublicQuickstartFlow(t *testing.T) {
 	if ok {
 		t.Fatal("dense pair must conflict")
 	}
-	res, err := Detect(l, rules, DetectOptions{})
+	ctx := context.Background()
+	eng := NewEngine(WithRules(rules))
+	s := eng.NewSession(l)
+	res, err := s.Detect(ctx)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if res.Assignable() || len(res.Conflicts()) == 0 {
 		t.Fatal("expected conflicts")
 	}
-	a, err := AssignPhases(res)
+	a, err := s.Assignment(ctx)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if v := VerifyAssignment(a, res); len(v) != 0 {
 		t.Fatalf("violations: %v", v)
 	}
-	cor, err := Correct(l, rules, res)
+	cor, err := s.Correction(ctx)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -44,7 +51,7 @@ func TestPublicQuickstartFlow(t *testing.T) {
 	if err != nil || !ok {
 		t.Fatalf("corrected layout assignable=%v err=%v", ok, err)
 	}
-	if vs := CheckDRC(cor.Layout, rules); len(vs) != 0 {
+	if vs := eng.NewSession(cor.Layout).DRC(); len(vs) != 0 {
 		t.Fatalf("DRC: %v", vs)
 	}
 	if cor.Stats.AreaIncrease <= 0 {
@@ -53,15 +60,10 @@ func TestPublicQuickstartFlow(t *testing.T) {
 }
 
 func TestDetectOptionsVariantsAgree(t *testing.T) {
-	rules := Default90nmRules()
 	l := GenerateBenchmark("v", DefaultBenchmarkParams(3, 2, 90))
 	var weights []int64
-	for _, opt := range []DetectOptions{
-		{Method: GeneralizedGadgets},
-		{Method: OptimizedGadgets},
-		{Method: LawlerReduction},
-	} {
-		res, err := Detect(l, rules, opt)
+	for _, m := range []TJoinMethod{GeneralizedGadgets, OptimizedGadgets, LawlerReduction} {
+		res, err := NewEngine(WithTJoinMethod(m)).Detect(context.Background(), l)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -77,14 +79,14 @@ func TestDetectOptionsVariantsAgree(t *testing.T) {
 }
 
 func TestImprovedRecheckNeverWorse(t *testing.T) {
-	rules := Default90nmRules()
+	ctx := context.Background()
 	for seed := int64(0); seed < 6; seed++ {
 		l := GenerateBenchmark("r", DefaultBenchmarkParams(seed, 2, 80))
-		base, err := Detect(l, rules, DetectOptions{})
+		base, err := NewEngine().Detect(ctx, l)
 		if err != nil {
 			t.Fatal(err)
 		}
-		imp, err := Detect(l, rules, DetectOptions{ImprovedRecheck: true})
+		imp, err := NewEngine(WithImprovedRecheck(true)).Detect(ctx, l)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -99,7 +101,7 @@ func TestGreedyBaselineNeverBetterOnWeight(t *testing.T) {
 	rules := Default90nmRules()
 	for seed := int64(0); seed < 5; seed++ {
 		l := GenerateBenchmark("g", DefaultBenchmarkParams(seed+50, 2, 70))
-		opt, err := Detect(l, rules, DetectOptions{})
+		opt, err := NewEngine(WithRules(rules)).Detect(context.Background(), l)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -132,11 +134,7 @@ func TestFigureFixturesPublic(t *testing.T) {
 	if ok, _ := Assignable(Figure5Layout(), rules); ok {
 		t.Error("figure 5 assignable")
 	}
-	res, err := Detect(Figure5Layout(), rules, DetectOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	cor, err := Correct(Figure5Layout(), rules, res)
+	cor, err := NewEngine(WithRules(rules)).NewSession(Figure5Layout()).Correction(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -174,27 +172,25 @@ func TestGDSPublicRoundTrip(t *testing.T) {
 // TestCorrectionIdempotent re-detects after correction: a second pass must
 // find nothing new to fix.
 func TestCorrectionIdempotent(t *testing.T) {
-	rules := Default90nmRules()
+	ctx := context.Background()
+	eng := NewEngine()
 	l := GenerateBenchmark("idem", DefaultBenchmarkParams(13, 3, 100))
-	res, err := Detect(l, rules, DetectOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	cor, err := Correct(l, rules, res)
+	cor, err := eng.NewSession(l).Correction(ctx)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(cor.Plan.Unfixable) != 0 {
 		t.Skipf("layout has %d unfixable conflicts", len(cor.Plan.Unfixable))
 	}
-	res2, err := Detect(cor.Layout, rules, DetectOptions{})
+	s2 := eng.NewSession(cor.Layout)
+	res2, err := s2.Detect(ctx)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(res2.Conflicts()) != 0 {
 		t.Fatalf("second pass found %d conflicts", len(res2.Conflicts()))
 	}
-	cor2, err := Correct(cor.Layout, rules, res2)
+	cor2, err := s2.Correction(ctx)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -206,15 +202,11 @@ func TestCorrectionIdempotent(t *testing.T) {
 // TestCorrectionMonotonicProperty: correction never shrinks any pairwise
 // feature separation.
 func TestCorrectionMonotonicProperty(t *testing.T) {
-	rules := Default90nmRules()
+	eng := NewEngine()
 	rng := rand.New(rand.NewSource(31))
 	f := func() bool {
 		l := GenerateBenchmark("mono", DefaultBenchmarkParams(rng.Int63n(1000), 1, 60))
-		res, err := Detect(l, rules, DetectOptions{})
-		if err != nil {
-			return false
-		}
-		cor, err := Correct(l, rules, res)
+		cor, err := eng.NewSession(l).Correction(context.Background())
 		if err != nil {
 			return false
 		}
@@ -228,5 +220,31 @@ func TestCorrectionMonotonicProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 12}); err != nil {
 		t.Error(err)
+	}
+}
+
+// TestDRCWithRulesIncrementalRejects: rules whose DRC minima are valid but
+// which the incremental engine rejects (here FeatureConflictWeight does not
+// dominate MinShifterSpacing) must still get real DRC violations, while
+// detection reports the rule error.
+func TestDRCWithRulesIncrementalRejects(t *testing.T) {
+	rules := Default90nmRules()
+	rules.FeatureConflictWeight = rules.MinShifterSpacing
+	if rules.Validate() == nil {
+		t.Fatal("rules unexpectedly validate")
+	}
+	l := NewLayout("tight")
+	l.Add(R(0, 0, 100, 1000))
+	l.Add(R(100+rules.MinFeatureSpacing/2, 0, 200+rules.MinFeatureSpacing/2, 1000))
+	want := drc.Check(l, rules)
+	if len(want) == 0 {
+		t.Fatal("fixture has no spacing violation")
+	}
+	s := NewEngine(WithRules(rules)).NewSession(l)
+	if got := s.DRC(); !slices.Equal(got, want) {
+		t.Fatalf("DRC = %v, want %v", got, want)
+	}
+	if _, err := s.Detect(context.Background()); err == nil {
+		t.Fatal("Detect accepted rules the incremental engine rejects")
 	}
 }

@@ -364,10 +364,7 @@ func BenchmarkEditRedetect(b *testing.B) {
 		eng := aapsm.NewEngine(aapsm.WithParallelism(1))
 		s := eng.NewSession(mk())
 		mid := len(s.Layout().Features) / 2
-		// Arm the edit engine, then establish the cluster cache.
-		if err := s.EnableEdits(); err != nil {
-			b.Fatal(err)
-		}
+		// Establish the cluster cache.
 		if _, err := s.Detect(ctx); err != nil {
 			b.Fatal(err)
 		}
@@ -442,9 +439,6 @@ func BenchmarkEditRepipeline(b *testing.B) {
 		eng := aapsm.NewEngine(aapsm.WithParallelism(1))
 		s := eng.NewSession(mk())
 		mid := len(s.Layout().Features) / 2
-		if err := s.EnableEdits(); err != nil {
-			b.Fatal(err)
-		}
 		runPipeline(ctx, b, s)
 		b.ReportAllocs()
 		b.ResetTimer()

@@ -289,10 +289,6 @@ func run(ctx context.Context, eng *aapsm.Engine, s *aapsm.Session, cmd, out, scr
 		if script == "" {
 			fatalf("edit needs -script")
 		}
-		// Arm the incremental engine before the first detect so even a
-		// script that detects before its first mutation builds the
-		// per-cluster cache and later re-detects reuse it.
-		check(s.EnableEdits())
 		check(replayEdits(ctx, s, script, verbose))
 		res, err := s.Detect(ctx)
 		check(err)

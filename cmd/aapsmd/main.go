@@ -10,7 +10,7 @@
 //	aapsmd [-addr :8080] [-parallelism N] [-detect-workers N]
 //	       [-store-capacity N] [-session-ttl 30m] [-request-timeout 60s]
 //	       [-max-body 33554432] [-graph pcg|fg] [-method gen|opt|lawler]
-//	       [-improved-recheck] [-no-incremental] [-drain-timeout 15s]
+//	       [-improved-recheck] [-drain-timeout 15s]
 //	       [-store-dir DIR] [-flush-interval 30s]
 //	       [-max-inflight N] [-max-session-inflight N] [-queue-wait 1s]
 //	       [-batch-max N] [-batch-wait 2ms]
@@ -78,7 +78,6 @@ func main() {
 		graph    = flag.String("graph", "pcg", "graph representation: pcg | fg")
 		method   = flag.String("method", "gen", "T-join reduction: gen | opt | lawler")
 		imp      = flag.Bool("improved-recheck", false, "use parity-based crossing recheck")
-		noInc    = flag.Bool("no-incremental", false, "do not arm sessions for incremental edit-and-re-detect")
 		drainTO  = flag.Duration("drain-timeout", 15*time.Second, "max wait for in-flight requests on shutdown")
 		storeDir = flag.String("store-dir", "", "persistence root: snapshots + GDS blobs survive restarts (empty = in-memory only)")
 		flushInt = flag.Duration("flush-interval", 30*time.Second, "period of the background snapshot flush (negative = eviction/shutdown only)")
@@ -131,7 +130,6 @@ func main() {
 		RequestTimeout:     *reqTO,
 		DetectWorkers:      *workers,
 		MaxBodyBytes:       *maxBody,
-		IncrementalOff:     *noInc,
 		FlushInterval:      *flushInt,
 		MaxInflight:        *maxInfl,
 		MaxSessionInflight: *maxSess,

@@ -351,10 +351,7 @@ func measureEditRedetect(d bench.Design, rules aapsm.Rules, workers int) (bestNS
 	eng := aapsm.NewEngine(aapsm.WithRules(rules), aapsm.WithParallelism(workers))
 	s := eng.NewSession(bench.Generate(d.Name, d.Params))
 	mid := len(s.Layout().Features) / 2
-	// Arm the incremental engine, then establish the cluster cache.
-	if err := s.EnableEdits(); err != nil {
-		return 0, 0, err
-	}
+	// Establish the cluster cache.
 	if _, err := s.Detect(ctx); err != nil {
 		return 0, 0, err
 	}
@@ -433,9 +430,6 @@ func measureEditRepipeline(d bench.Design, rules aapsm.Rules, workers int) (repi
 
 	s := eng.NewSession(bench.Generate(d.Name, d.Params))
 	mid := len(s.Layout().Features) / 2
-	if err := s.EnableEdits(); err != nil {
-		return out, err
-	}
 	if err := runPipeline(ctx, s); err != nil {
 		return out, err
 	}
@@ -479,9 +473,6 @@ func measureRestore(d bench.Design, rules aapsm.Rules, workers int) (snapBytes i
 	ctx := context.Background()
 	eng := aapsm.NewEngine(aapsm.WithRules(rules), aapsm.WithParallelism(workers))
 	s := eng.NewSession(bench.Generate(d.Name, d.Params))
-	if err := s.EnableEdits(); err != nil {
-		return 0, 0, err
-	}
 	if err := runPipeline(ctx, s); err != nil {
 		return 0, 0, err
 	}

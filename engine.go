@@ -95,15 +95,15 @@ func (e *Engine) Profile() string { return e.profile }
 // returned by every stage of every session the engine creates.
 func (e *Engine) Err() error { return e.err }
 
-// DetectOptions returns the engine's detection configuration in the legacy
-// one-shot form.
+// DetectOptions returns the engine's detection configuration.
 func (e *Engine) DetectOptions() DetectOptions { return e.opts }
 
 // Parallelism returns the DetectBatch worker bound.
 func (e *Engine) Parallelism() int { return e.workers }
 
-// NewSession starts a pipeline session on one layout. The layout must not be
-// mutated while the session is in use.
+// NewSession starts a pipeline session on one layout. The session works on a
+// private copy of l from its first detect, DRC, snapshot or edit onward; l
+// must not be mutated before then.
 func (e *Engine) NewSession(l *Layout) *Session {
 	return &Session{engine: e, layout: l, verifyCleanGen: -1, maskCleanGen: -1}
 }

@@ -226,8 +226,9 @@ func TestTypedErrors(t *testing.T) {
 	}
 }
 
-// TestEngineOptionAccessors: the engine exposes its configuration and the
-// legacy wrappers agree with an equivalently configured engine.
+// TestEngineOptionAccessors: the engine exposes its configuration, and an
+// engine's detection agrees with the reference chain under the same
+// configuration.
 func TestEngineOptionAccessors(t *testing.T) {
 	eng := NewEngine(
 		WithGraph(FG),
@@ -244,18 +245,12 @@ func TestEngineOptionAccessors(t *testing.T) {
 	}
 
 	l := GenerateBenchmark("wrap", DefaultBenchmarkParams(3, 2, 60))
-	legacy, err := Detect(l, Default90nmRules(), DetectOptions{ImprovedRecheck: true})
+	ctx := context.Background()
+	res, err := eng.Detect(ctx, l)
 	if err != nil {
 		t.Fatal(err)
 	}
-	viaEngine, err := NewEngine(WithImprovedRecheck(true)).Detect(context.Background(), l)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(legacy.Conflicts()) != len(viaEngine.Conflicts()) {
-		t.Fatalf("legacy wrapper found %d conflicts, engine %d",
-			len(legacy.Conflicts()), len(viaEngine.Conflicts()))
-	}
+	assertSameDetection(t, "engine", res, referencePipeline(ctx, eng, l).res)
 }
 
 // TestParallelismEquivalence: the engine's worker bound also drives the
@@ -300,9 +295,6 @@ func TestRenderConcurrentWithEdits(t *testing.T) {
 		l.Add(R(i*560, 0, i*560+100, 1000))
 	}
 	s := NewEngine().NewSession(l)
-	if err := s.EnableEdits(); err != nil {
-		t.Fatal(err)
-	}
 	ctx := context.Background()
 	var wg sync.WaitGroup
 	stop := make(chan struct{})

@@ -2,6 +2,7 @@ package aapsm
 
 import (
 	"bytes"
+	"context"
 	"strings"
 	"testing"
 )
@@ -23,7 +24,7 @@ func TestJunctionAnalysisPublic(t *testing.T) {
 	if len(js) != 1 || js[0].Kind != JunctionTee {
 		t.Fatalf("junctions = %v", js)
 	}
-	res, err := Detect(l, Default90nmRules(), DetectOptions{})
+	res, err := NewEngine().Detect(context.Background(), l)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -40,13 +41,16 @@ func TestJunctionAnalysisPublic(t *testing.T) {
 }
 
 func TestWideningPublicFlow(t *testing.T) {
+	ctx := context.Background()
 	rules := Default90nmRules()
+	eng := NewEngine(WithRules(rules))
 	l := tJunctionLayout()
-	res, err := Detect(l, rules, DetectOptions{})
+	s := eng.NewSession(l)
+	res, err := s.Detect(ctx)
 	if err != nil {
 		t.Fatal(err)
 	}
-	cor, err := Correct(l, rules, res)
+	cor, err := s.Correction(ctx)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -65,11 +69,12 @@ func TestWideningPublicFlow(t *testing.T) {
 	stage1 := cor.Layout
 	// Re-plan the widening against the spaced layout (feature indices are
 	// preserved by Apply).
-	res1, err := Detect(stage1, rules, DetectOptions{})
+	s1 := eng.NewSession(stage1)
+	res1, err := s1.Detect(ctx)
 	if err != nil {
 		t.Fatal(err)
 	}
-	cor1, err := Correct(stage1, rules, res1)
+	cor1, err := s1.Correction(ctx)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -87,19 +92,21 @@ func TestWideningPublicFlow(t *testing.T) {
 			t.Fatal("spaced + widened layout must be phase-assignable")
 		}
 	}
-	if vs := CheckDRC(stage2, rules); len(vs) != 0 {
+	if vs := eng.NewSession(stage2).DRC(); len(vs) != 0 {
 		t.Fatalf("widening broke DRC: %v", vs)
 	}
 }
 
 func TestMaskPublicFlow(t *testing.T) {
+	ctx := context.Background()
 	rules := Default90nmRules()
 	l := Figure1Layout()
-	res, err := Detect(l, rules, DetectOptions{})
+	s := NewEngine(WithRules(rules)).NewSession(l)
+	res, err := s.Detect(ctx)
 	if err != nil {
 		t.Fatal(err)
 	}
-	a, err := AssignPhases(res)
+	a, err := s.Assignment(ctx)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -130,17 +137,18 @@ func TestMaskPublicFlow(t *testing.T) {
 }
 
 func TestRenderSVGPublic(t *testing.T) {
-	rules := Default90nmRules()
+	ctx := context.Background()
 	l := Figure5Layout()
-	res, err := Detect(l, rules, DetectOptions{})
+	s := NewEngine().NewSession(l)
+	res, err := s.Detect(ctx)
 	if err != nil {
 		t.Fatal(err)
 	}
-	a, err := AssignPhases(res)
+	a, err := s.Assignment(ctx)
 	if err != nil {
 		t.Fatal(err)
 	}
-	cor, err := Correct(l, rules, res)
+	cor, err := s.Correction(ctx)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -162,7 +170,7 @@ func TestCorrectRestrictedPublic(t *testing.T) {
 	l := NewLayout("cr")
 	l.Add(R(0, 0, 100, 1000))
 	l.Add(R(350, 0, 450, 1000))
-	res, err := Detect(l, rules, DetectOptions{})
+	res, err := NewEngine(WithRules(rules)).Detect(context.Background(), l)
 	if err != nil {
 		t.Fatal(err)
 	}

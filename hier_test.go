@@ -1,12 +1,8 @@
 package aapsm
 
 import (
-	"bytes"
 	"context"
-	"errors"
 	"fmt"
-	"maps"
-	"reflect"
 	"slices"
 	"testing"
 
@@ -57,7 +53,8 @@ func hierTestLibrary() *gds.Library {
 }
 
 // flattenPair expands a library twice: once with the instance-provenance
-// sidecar (the hierarchy-aware path) and once fully flat (the oracle).
+// sidecar (the hierarchy-aware path) and once fully flat (the reference
+// chain's input).
 // Feature streams are required to be identical up front; everything
 // downstream of them is what the differential compares.
 func flattenPair(t *testing.T, lib *gds.Library) (hier, flat *Layout) {
@@ -82,82 +79,6 @@ func flattenPair(t *testing.T, lib *gds.Library) (hier, flat *Layout) {
 	return hier, flat
 }
 
-// assertStagesIdentical drives both sessions through every pipeline stage and
-// requires bit-identical results: conflicts, bipartization, assignment,
-// correction, mask, DRC and the rendered SVG.
-func assertStagesIdentical(t *testing.T, ctx context.Context, label string, s, o *Session) {
-	t.Helper()
-	gr, gerr := s.Detect(ctx)
-	wr, werr := o.Detect(ctx)
-	if (gerr == nil) != (werr == nil) {
-		t.Fatalf("%s: Detect errors diverged: %v vs %v", label, gerr, werr)
-	}
-	if gerr == nil {
-		if !reflect.DeepEqual(gr.Detection.FinalConflicts, wr.Detection.FinalConflicts) {
-			t.Fatalf("%s: conflicts diverged:\n hier %v\n flat %v", label, gr.Detection.FinalConflicts, wr.Detection.FinalConflicts)
-		}
-		if !reflect.DeepEqual(gr.Detection.BipartizationEdges, wr.Detection.BipartizationEdges) {
-			t.Fatalf("%s: bipartization diverged:\n hier %v\n flat %v", label, gr.Detection.BipartizationEdges, wr.Detection.BipartizationEdges)
-		}
-	}
-
-	ga, gerr := s.Assignment(ctx)
-	wa, werr := o.Assignment(ctx)
-	if (gerr == nil) != (werr == nil) {
-		t.Fatalf("%s: Assignment errors diverged: %v vs %v", label, gerr, werr)
-	}
-	if gerr == nil {
-		if !slices.Equal(ga.Phases, wa.Phases) {
-			t.Fatalf("%s: phases diverged", label)
-		}
-		if !maps.Equal(ga.Waived, wa.Waived) || !maps.Equal(ga.WaivedFeatures, wa.WaivedFeatures) {
-			t.Fatalf("%s: waived sets diverged", label)
-		}
-	}
-
-	gc, gerr := s.Correction(ctx)
-	wc, werr := o.Correction(ctx)
-	if (gerr == nil) != (werr == nil) {
-		t.Fatalf("%s: Correction errors diverged: %v vs %v", label, gerr, werr)
-	}
-	if gerr == nil {
-		if !reflect.DeepEqual(gc.Plan.Cuts, wc.Plan.Cuts) || !slices.Equal(gc.Plan.Unfixable, wc.Plan.Unfixable) {
-			t.Fatalf("%s: correction plans diverged", label)
-		}
-		if layoutText(t, gc.Layout) != layoutText(t, wc.Layout) {
-			t.Fatalf("%s: corrected layouts diverged", label)
-		}
-	}
-
-	gm, gerr := s.Mask(ctx)
-	wm, werr := o.Mask(ctx)
-	if (gerr == nil) != (werr == nil) {
-		t.Fatalf("%s: Mask errors diverged: %v vs %v", label, gerr, werr)
-	}
-	if gerr != nil {
-		if errors.Is(gerr, ErrMaskInconsistent) != errors.Is(werr, ErrMaskInconsistent) {
-			t.Fatalf("%s: mask error classes diverged: %v vs %v", label, gerr, werr)
-		}
-	} else if layoutText(t, gm) != layoutText(t, wm) {
-		t.Fatalf("%s: mask views diverged", label)
-	}
-
-	if gv, wv := s.DRC(), o.DRC(); !slices.Equal(gv, wv) {
-		t.Fatalf("%s: DRC diverged", label)
-	}
-
-	var gs, ws bytes.Buffer
-	if err := s.RenderSVG(ctx, &gs); err != nil {
-		t.Fatalf("%s: hier SVG: %v", label, err)
-	}
-	if err := o.RenderSVG(ctx, &ws); err != nil {
-		t.Fatalf("%s: flat SVG: %v", label, err)
-	}
-	if !bytes.Equal(gs.Bytes(), ws.Bytes()) {
-		t.Fatalf("%s: SVG renders diverged (%d vs %d bytes)", label, gs.Len(), ws.Len())
-	}
-}
-
 // TestHierDifferential is the tentpole acceptance test: the instance-aware
 // fast path must be bit-identical to flat solving at every pipeline stage,
 // for both rules profiles and across worker counts, while actually reusing
@@ -170,8 +91,8 @@ func TestHierDifferential(t *testing.T) {
 			t.Run(fmt.Sprintf("%s/w%d", profile, workers), func(t *testing.T) {
 				hl, fl := flattenPair(t, lib)
 				eng := NewEngine(WithProfile(profile), WithParallelism(workers))
-				s, o := eng.NewSession(hl), eng.NewSession(fl)
-				assertStagesIdentical(t, ctx, t.Name(), s, o)
+				s, ref := eng.NewSession(hl), referencePipeline(ctx, eng, fl)
+				assertSamePipeline(t, t.Name(), ctx, s, ref)
 
 				gr, err := s.Detect(ctx)
 				if err != nil {
@@ -186,12 +107,8 @@ func TestHierDifferential(t *testing.T) {
 					t.Fatalf("expected reuse to dominate on a repeated-cell layout: reused %d solved %d",
 						st.HierReusedShards, st.HierSolvedShards)
 				}
-				wr, err := o.Detect(ctx)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if wst := wr.Detection.Stats; wst.HierReusedShards != 0 || wst.HierSolvedShards != 0 {
-					t.Fatalf("flat oracle engaged the fast path: %+v", wst)
+				if wst := ref.res.Detection.Stats; wst.HierReusedShards != 0 || wst.HierSolvedShards != 0 {
+					t.Fatalf("flat reference engaged the fast path: %+v", wst)
 				}
 			})
 		}
@@ -219,8 +136,8 @@ func TestHierFallbackDifferential(t *testing.T) {
 	}}
 	hl, fl := flattenPair(t, lib)
 	eng := NewEngine(WithParallelism(2))
-	s, o := eng.NewSession(hl), eng.NewSession(fl)
-	assertStagesIdentical(t, ctx, "fallback", s, o)
+	s := eng.NewSession(hl)
+	assertSamePipeline(t, "fallback", ctx, s, referencePipeline(ctx, eng, fl))
 	r, err := s.Detect(ctx)
 	if err != nil {
 		t.Fatal(err)
@@ -234,27 +151,20 @@ func TestHierFallbackDifferential(t *testing.T) {
 	}
 }
 
-// TestHierEditDifferential arms an edit session on a hierarchical layout and
-// checks that after each mutation the incremental pipeline matches a
-// from-scratch session on the same features with no hierarchy at all:
-// editing must never let stale per-cell results leak into the result.
+// TestHierEditDifferential edits a session on a hierarchical layout and
+// checks that after each mutation the incremental pipeline matches the
+// reference chain on the same features with no hierarchy at all: editing
+// must never let stale per-cell results leak into the result.
 func TestHierEditDifferential(t *testing.T) {
 	ctx := context.Background()
 	hl, _ := flattenPair(t, hierTestLibrary())
-	eng := NewEngine(WithParallelism(2))
-	oracle := NewEngine(WithParallelism(2))
-	s := eng.NewSession(hl)
-	if err := s.EnableEdits(); err != nil {
-		t.Fatal(err)
-	}
+	s := NewEngine(WithParallelism(2)).NewSession(hl)
 	if _, err := s.Detect(ctx); err != nil {
 		t.Fatal(err)
 	}
 	check := func(step string) {
 		t.Helper()
-		flat := s.Layout().Clone()
-		flat.Hier = nil
-		assertStagesIdentical(t, ctx, step, s, oracle.NewSession(flat))
+		assertSamePipeline(t, step, ctx, s, referenceOf(ctx, s))
 	}
 	check("pre-edit")
 
@@ -286,9 +196,6 @@ func TestHierSnapshotRoundTrip(t *testing.T) {
 	hl, _ := flattenPair(t, hierTestLibrary())
 	eng := NewEngine(WithParallelism(2))
 	s := eng.NewSession(hl)
-	if err := s.EnableEdits(); err != nil {
-		t.Fatal(err)
-	}
 	if _, err := s.Detect(ctx); err != nil {
 		t.Fatal(err)
 	}
@@ -309,7 +216,7 @@ func TestHierSnapshotRoundTrip(t *testing.T) {
 		!slices.Equal(got.Hier.FeatureInstance, hl.Hier.FeatureInstance) {
 		t.Fatal("sidecar changed across snapshot/restore")
 	}
-	assertStagesIdentical(t, ctx, "restored", r, s)
+	assertSamePipeline(t, "restored", ctx, r, referenceOf(ctx, s))
 }
 
 // TestPolygonGroupStability pins the sub-rect→feature uid contract: the
@@ -350,9 +257,6 @@ func TestPolygonGroupStability(t *testing.T) {
 	}
 
 	s := NewEngine().NewSession(l)
-	if err := s.EnableEdits(); err != nil {
-		t.Fatal(err)
-	}
 	// Delete the plain rect between the two polygons: indices shift, groups
 	// must not.
 	loneIdx := -1

@@ -236,8 +236,14 @@ func (inc *Incremental) reach() int64 {
 // read-only and mutate only through the edit methods.
 func (inc *Incremental) Layout() *layout.Layout { return inc.lay }
 
-// Stats returns the cumulative work counters.
-func (inc *Incremental) Stats() IncStats { return inc.stats }
+// Stats returns the cumulative work counters. A nil engine has done no work
+// and reports zero counters.
+func (inc *Incremental) Stats() IncStats {
+	if inc == nil {
+		return IncStats{}
+	}
+	return inc.stats
+}
 
 // SetWorkers bounds the worker pool used to re-solve dirty clusters.
 func (inc *Incremental) SetWorkers(n int) { inc.opt.Workers = n }

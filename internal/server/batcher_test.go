@@ -345,9 +345,6 @@ func TestStreamDifferential(t *testing.T) {
 		BatchWait:     -1,
 	})
 	oracle := eng.NewSessionWithParallelism(l.Clone(), 1)
-	if err := oracle.EnableEdits(); err != nil {
-		t.Fatal(err)
-	}
 	var created createResponse
 	if err := json.Unmarshal(tc.must("POST", "/v1/sessions", layoutText(t, l), 200), &created); err != nil {
 		t.Fatal(err)

@@ -179,16 +179,7 @@ func (s *Server) handleCreate(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 	ent, reused, err := s.store.getOrCreate(r.Context(), hash, func() (*aapsm.Session, error) {
-		sess := eng.NewSessionWithParallelism(l, s.cfg.DetectWorkers)
-		if !s.cfg.IncrementalOff {
-			// Arm incremental edits up front so this session's first
-			// detection seeds the per-cluster cache and post-edit re-detects
-			// stay cheap for its whole store lifetime.
-			if err := sess.EnableEdits(); err != nil {
-				return nil, err
-			}
-		}
-		return sess, nil
+		return eng.NewSessionWithParallelism(l, s.cfg.DetectWorkers), nil
 	})
 	if err != nil {
 		s.flowError(w, err)

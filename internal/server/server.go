@@ -58,10 +58,6 @@ type Config struct {
 	DetectWorkers int
 	// MaxBodyBytes caps uploaded layout bodies. Default 32 MiB.
 	MaxBodyBytes int64
-	// Incremental arms every new session for incremental edit-and-re-detect
-	// (Session.EnableEdits) so the first detection seeds the per-cluster
-	// cache. Default on; set Off to true to disable.
-	IncrementalOff bool
 
 	// Snapshots, when set, persists sessions across process restarts:
 	// sessions are snapshotted on LRU/TTL eviction, on the periodic flush,

@@ -117,10 +117,6 @@ func TestServeLoadOracle(t *testing.T) {
 
 			// Oracle: the same engine config driven in-process.
 			oracle := eng.NewSessionWithParallelism(l.Clone(), 1)
-			if err := oracle.EnableEdits(); err != nil {
-				t.Error(err)
-				return
-			}
 
 			var created createResponse
 			if err := json.Unmarshal(tc.must("POST", "/v1/sessions", body, 200), &created); err != nil {

@@ -34,16 +34,9 @@ func (s *Session) Snapshot() ([]byte, error) {
 	if err := s.engine.err; err != nil {
 		return nil, flowErr(StagePersist, s.layout.Name, err)
 	}
-	inc := s.inc
-	if inc == nil {
-		// Session never armed for edits: build a throwaway incremental
-		// engine just to export the layout in snapshot form. NewIncremental
-		// copies the layout, so the session is not mutated.
-		var err error
-		inc, err = core.NewIncremental(s.layout, s.engine.rules, s.engine.opts.Graph, s.engine.opts.coreOptions())
-		if err != nil {
-			return nil, flowErr(StagePersist, s.layout.Name, fmt.Errorf("snapshot: %w", err))
-		}
+	inc, err := s.incLocked()
+	if err != nil {
+		return nil, flowErr(StagePersist, s.layout.Name, fmt.Errorf("snapshot: %w", err))
 	}
 	st := &persist.SessionState{
 		Rules:          s.engine.rules,

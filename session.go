@@ -66,19 +66,20 @@ func scopedCheck[T any](s *Session, cleanGen *int,
 // cancellation down to the matching solver's inner loop; a cancelled attempt
 // is NOT memoized, so the stage can be retried with a live context.
 //
-// A Session also supports in-place layout edits: AddFeature, MoveFeature,
-// DeleteFeature, and the batched Edit. The first edit switches the session
-// onto a private copy of the layout (the caller's layout is never mutated)
-// backed by an incremental detection engine: every edit invalidates the
-// memoized stages, and the next Detect re-solves only the conflict clusters
-// whose geometric neighborhood the edits touched, reusing cached per-cluster
-// results for the rest. Results are bit-identical to a from-scratch
-// detection of the edited layout. Edits also clear memoized stage errors, so
-// a layout that was ErrNotAssignable can be fixed and re-checked on the same
-// session.
+// Every stage runs through one incremental engine, armed the first time the
+// session detects, checks DRC, snapshots or is edited. Arming switches the
+// session onto a private copy of the layout (the caller's layout is never
+// mutated). A Session also supports in-place layout edits: AddFeature,
+// MoveFeature, DeleteFeature, and the batched Edit. Every edit invalidates
+// the memoized stages, and the next Detect re-solves only the conflict
+// clusters whose geometric neighborhood the edits touched, reusing cached
+// per-cluster results for the rest. Results are bit-identical to a
+// from-scratch detection of the edited layout. Edits also clear memoized
+// stage errors, so a layout that was ErrNotAssignable can be fixed and
+// re-checked on the same session.
 //
-// The input layout must not be mutated by the caller while the session is in
-// use.
+// The input layout must not be mutated by the caller until the session has
+// armed.
 type Session struct {
 	engine *Engine
 	layout *Layout
@@ -96,12 +97,13 @@ type Session struct {
 	// response caches and to tag streamed stage results. Guarded by mu
 	// (read via Generation).
 	gen int64
-	// inc is the incremental edit-and-re-detect engine, armed by the first
-	// mutation; once set, s.layout aliases inc.Layout() and detection routes
-	// through it. Every downstream stage then reuses along the same conflict
-	// clusters: assignment re-colors, verification re-checks, correction
-	// re-derives intervals and mask validation re-validates only for dirty
-	// clusters; DRC re-probes only edited neighborhoods. Guarded by mu.
+	// inc is the incremental engine every stage runs through, armed by
+	// incLocked on the session's first detect, DRC, snapshot or edit; once
+	// set, s.layout aliases inc.Layout(). Every downstream stage reuses
+	// along the same conflict clusters: assignment re-colors, verification
+	// re-checks, correction re-derives intervals and mask validation
+	// re-validates only for dirty clusters; DRC re-probes only edited
+	// neighborhoods. Guarded by mu.
 	inc *core.Incremental
 	// verifyCleanGen / maskCleanGen record the last detection generation at
 	// which assignment verification / mask validation completed with zero
@@ -174,8 +176,8 @@ func (s *Session) SnapshotLayout() *Layout {
 }
 
 // Layout returns the session's current layout: the input layout until the
-// first edit, the session's private edited copy afterwards. Callers must
-// treat it as read-only; mutate through the edit methods.
+// session arms, its private copy from the first stage or edit onward.
+// Callers must treat it as read-only; mutate through the edit methods.
 func (s *Session) Layout() *Layout {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -208,7 +210,8 @@ type SessionStats struct {
 	// Edits counts accepted layout mutations.
 	Edits int
 	// Incremental reports the incremental engine's cumulative work profile
-	// (shards reused vs re-solved); zero until the session's first edit.
+	// (shards reused vs re-solved); zero until the session's first detect or
+	// edit.
 	Incremental IncrementalStats
 }
 
@@ -226,26 +229,21 @@ func (s *Session) Generation() int64 {
 func (s *Session) Stats() SessionStats {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	st := SessionStats{DetectRuns: s.detectRuns, Edits: s.edits}
-	if s.inc != nil {
-		st.Incremental = s.inc.Stats()
-	}
-	return st
+	return SessionStats{DetectRuns: s.detectRuns, Edits: s.edits, Incremental: s.inc.Stats()}
 }
 
-// ensureEditableLocked arms the incremental engine on the first mutation,
-// switching the session onto its own copy of the layout.
-func (s *Session) ensureEditableLocked() error {
-	if s.inc != nil {
-		return nil
+// incLocked returns the session's incremental engine, arming it on first use:
+// the engine takes a private copy of the layout, which the session works on
+// from then on. Arming fails only on rules that do not validate.
+func (s *Session) incLocked() (*core.Incremental, error) {
+	if s.inc == nil {
+		inc, err := core.NewIncremental(s.layout, s.engine.rules, s.engine.opts.Graph, s.engine.opts.coreOptions())
+		if err != nil {
+			return nil, err
+		}
+		s.inc, s.layout = inc, inc.Layout()
 	}
-	inc, err := core.NewIncremental(s.layout, s.engine.rules, s.engine.opts.Graph, s.engine.opts.coreOptions())
-	if err != nil {
-		return err
-	}
-	s.inc = inc
-	s.layout = inc.Layout()
-	return nil
+	return s.inc, nil
 }
 
 // invalidateLocked drops every memoized stage value and error after a
@@ -261,27 +259,11 @@ func (s *Session) invalidateLocked() {
 	s.junctions = stage[[]Junction]{}
 }
 
-// EnableEdits arms the incremental edit engine without mutating the layout.
-// Call it before the first Detect of a session that will be edited: that
-// detection then populates the per-cluster cache, so the first real edit
-// re-detects incrementally instead of from scratch. Without it the engine is
-// armed by the first mutation, and a detection memoized before that point
-// cannot seed the cache (its per-cluster results were already discarded), so
-// the first post-edit Detect runs full. Idempotent; safe at any time.
-func (s *Session) EnableEdits() error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.inc != nil {
-		return nil
-	}
-	if err := s.ensureEditableLocked(); err != nil {
-		return flowErr(StageEdit, s.layout.Name, err)
-	}
-	// A detection memoized before arming did not populate the incremental
-	// cache; drop it so the next Detect does.
-	s.invalidateLocked()
-	return nil
-}
+// EnableEdits does nothing and returns nil.
+//
+// Deprecated: every session is incremental; its first detection already
+// seeds the per-cluster cache that later edits reuse.
+func (s *Session) EnableEdits() error { return nil }
 
 // AddFeature appends a feature rectangle on layer 0 and returns its index.
 func (s *Session) AddFeature(r Rect) (int, error) {
@@ -293,10 +275,11 @@ func (s *Session) AddFeature(r Rect) (int, error) {
 func (s *Session) AddFeatureOnLayer(r Rect, layer int) (int, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if err := s.ensureEditableLocked(); err != nil {
+	inc, err := s.incLocked()
+	if err != nil {
 		return 0, flowErr(StageEdit, s.layout.Name, err)
 	}
-	i := s.inc.AddFeature(r, layer)
+	i := inc.AddFeature(r, layer)
 	s.edits++
 	s.invalidateLocked()
 	return i, nil
@@ -306,10 +289,11 @@ func (s *Session) AddFeatureOnLayer(r Rect, layer int) (int, error) {
 func (s *Session) MoveFeature(i int, r Rect) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if err := s.ensureEditableLocked(); err != nil {
+	inc, err := s.incLocked()
+	if err != nil {
 		return flowErr(StageEdit, s.layout.Name, err)
 	}
-	if err := s.inc.MoveFeature(i, r); err != nil {
+	if err := inc.MoveFeature(i, r); err != nil {
 		return flowErr(StageEdit, s.layout.Name, err)
 	}
 	s.edits++
@@ -322,10 +306,11 @@ func (s *Session) MoveFeature(i int, r Rect) error {
 func (s *Session) DeleteFeature(i int) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if err := s.ensureEditableLocked(); err != nil {
+	inc, err := s.incLocked()
+	if err != nil {
 		return flowErr(StageEdit, s.layout.Name, err)
 	}
-	if err := s.inc.DeleteFeature(i); err != nil {
+	if err := inc.DeleteFeature(i); err != nil {
 		return flowErr(StageEdit, s.layout.Name, err)
 	}
 	s.edits++
@@ -405,7 +390,7 @@ func (ed *LayoutEditor) Feature(i int) Feature { return ed.s.layout.Features[i] 
 func (s *Session) Edit(fn func(*LayoutEditor)) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if err := s.ensureEditableLocked(); err != nil {
+	if _, err := s.incLocked(); err != nil {
 		return flowErr(StageEdit, s.layout.Name, err)
 	}
 	// Invalidate via defer: ops apply as fn runs, so even a panicking
@@ -431,31 +416,22 @@ func (s *Session) Detect(ctx context.Context) (*Result, error) {
 func (s *Session) detectLocked(ctx context.Context) (*Result, error) {
 	return memoLocked(s, &s.detect, ctx, StageDetect, func(ctx context.Context) (*Result, error) {
 		s.detectRuns++
+		inc, err := s.incLocked()
+		if err != nil {
+			return nil, err
+		}
 		workers := s.engine.workers
 		if s.detectWorkers > 0 {
 			workers = s.detectWorkers
 		}
-		if s.inc != nil {
-			// Edited session: incremental re-detect, reusing every cluster
-			// result the edits did not touch.
-			s.inc.SetWorkers(workers)
-			det, err := s.inc.Detect(ctx)
-			if err != nil {
-				return nil, err
-			}
-			return &Result{Graph: det.Graph, Detection: det}, nil
-		}
-		cg, err := core.BuildGraph(s.layout, s.engine.rules, s.engine.opts.Graph)
+		// The first detection solves every cluster; later ones reuse every
+		// cluster result the edits since did not touch.
+		inc.SetWorkers(workers)
+		det, err := inc.Detect(ctx)
 		if err != nil {
 			return nil, err
 		}
-		copts := s.engine.opts.coreOptions()
-		copts.Workers = workers
-		det, err := core.DetectContext(ctx, cg, copts)
-		if err != nil {
-			return nil, err
-		}
-		return &Result{Graph: cg, Detection: det}, nil
+		return &Result{Graph: det.Graph, Detection: det}, nil
 	})
 }
 
@@ -489,14 +465,9 @@ func (s *Session) assignmentLocked(ctx context.Context) (*Assignment, error) {
 		if err != nil {
 			return nil, err
 		}
-		var a *Assignment
-		if s.inc != nil {
-			// Incremental session: clean clusters keep their cached
-			// two-coloring; only dirty clusters are re-colored.
-			a, err = s.inc.AssignPhases()
-		} else {
-			a, err = core.AssignPhases(res.Detection)
-		}
+		// Clean clusters keep their cached two-coloring; only dirty clusters
+		// are re-colored.
+		a, err := s.inc.AssignPhases()
 		if err != nil {
 			return nil, fmt.Errorf("%w: %v", ErrNotAssignable, err)
 		}
@@ -508,14 +479,10 @@ func (s *Session) assignmentLocked(ctx context.Context) (*Assignment, error) {
 }
 
 // verifyAssignmentLocked checks the assignment against the layout's
-// constraints. On an incremental session whose previous generation verified
-// clean, only the constraints inside dirty conflict clusters are re-checked:
-// clean clusters kept their phases bit-for-bit, so their constraints cannot
-// have regressed.
+// constraints. When the previous generation verified clean, only the
+// constraints inside dirty conflict clusters are re-checked: clean clusters
+// kept their phases bit-for-bit, so their constraints cannot have regressed.
 func (s *Session) verifyAssignmentLocked(res *Result, a *Assignment) []Violation {
-	if s.inc == nil {
-		return a.Verify(res.Graph)
-	}
 	return scopedCheck(s, &s.verifyCleanGen,
 		func() []Violation { return a.Verify(res.Graph) },
 		func(fDirty, oDirty func(int) bool) []Violation {
@@ -543,21 +510,18 @@ func (s *Session) correctionLocked(ctx context.Context) (*Correction, error) {
 		if err != nil {
 			return nil, err
 		}
-		if s.inc != nil {
-			return s.buildCorrectionIncremental(res)
-		}
-		return buildCorrection(s.layout, s.engine.rules, res)
+		return s.planCorrectionLocked(res)
 	})
 }
 
-// buildCorrectionIncremental is buildCorrection for an incremental session:
-// per-conflict correction intervals are cached under the conflict's stable
-// overlap-pair uid (valid exactly while both features are untouched), and cut
-// legality is answered from the span indexes the engine maintains across
-// edits instead of a fresh per-plan feature scan. The resulting plan is
-// bit-identical to the from-scratch one — both paths share every decision
-// procedure in correct.BuildPlanIntervals.
-func (s *Session) buildCorrectionIncremental(res *Result) (*Correction, error) {
+// planCorrectionLocked plans and applies the correction of res. Per-conflict
+// correction intervals are cached under the conflict's stable overlap-pair
+// uid (valid exactly while both features are untouched), and cut legality is
+// answered from the span indexes the engine maintains across edits instead
+// of a fresh per-plan feature scan. The resulting plan is bit-identical to
+// correct.BuildPlan's: both share every decision procedure in
+// correct.BuildPlanIntervals.
+func (s *Session) planCorrectionLocked(res *Result) (*Correction, error) {
 	conflicts := res.Detection.FinalConflicts
 	ivsets := make([]correct.Intervals, len(conflicts))
 	newCache := make(map[int32]correct.Intervals, len(conflicts))
@@ -632,15 +596,11 @@ func (s *Session) Mask(ctx context.Context) (*Layout, error) {
 	})
 }
 
-// validateMaskLocked checks the mask view's phase consistency. On an
-// incremental session whose previous generation validated clean, only the
-// features and overlaps in dirty conflict clusters are re-checked — phases
-// and waivers in clean clusters are unchanged, so a clean verdict there
-// still stands.
+// validateMaskLocked checks the mask view's phase consistency. When the
+// previous generation validated clean, only the features and overlaps in
+// dirty conflict clusters are re-checked — phases and waivers in clean
+// clusters are unchanged, so a clean verdict there still stands.
 func (s *Session) validateMaskLocked(res *Result, a *Assignment) []string {
-	if s.inc == nil {
-		return mask.Validate(s.layout, res.Graph.Set, a.Phases, a.Waived, s.engine.rules)
-	}
 	return scopedCheck(s, &s.maskCleanGen,
 		func() []string {
 			return mask.Validate(s.layout, res.Graph.Set, a.Phases, a.Waived, s.engine.rules)
@@ -654,17 +614,18 @@ func (s *Session) validateMaskLocked(res *Result, a *Assignment) []string {
 }
 
 // DRC runs the design-rule checks on the session's current layout
-// (memoized). On an incremental session the violating spacing pairs are
-// cached across edits and only edited neighborhoods are re-probed; the
-// result is bit-identical to a from-scratch drc.Check.
+// (memoized). The violating spacing pairs are cached across edits and only
+// edited neighborhoods are re-probed; the result is bit-identical to a
+// from-scratch drc.Check. Rules that the incremental engine rejects are
+// still checked, by drc.Check itself.
 func (s *Session) DRC() []DRCViolation {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if !s.drcResult.done {
-		if s.inc != nil {
-			s.drcResult.val = s.inc.DRC()
-		} else {
+		if inc, err := s.incLocked(); err != nil {
 			s.drcResult.val = drc.Check(s.layout, s.engine.rules)
+		} else {
+			s.drcResult.val = inc.DRC()
 		}
 		s.drcResult.done = true
 	}
@@ -714,15 +675,4 @@ func (s *Session) RenderSVG(ctx context.Context, w io.Writer) error {
 		return flowErr(StageRender, lay.Name, err)
 	}
 	return nil
-}
-
-// buildCorrection is the shared correction step used by Session.Correction
-// and the deprecated top-level Correct.
-func buildCorrection(l *Layout, rules Rules, r *Result) (*Correction, error) {
-	plan, err := correct.BuildPlan(l, rules, r.Graph.Set, r.Detection.FinalConflicts)
-	if err != nil {
-		return nil, err
-	}
-	mod := correct.Apply(l, plan)
-	return &Correction{Plan: plan, Layout: mod, Stats: correct.Summarize(l, plan, mod)}, nil
 }

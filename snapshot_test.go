@@ -31,8 +31,8 @@ func zeroDurations(st core.Stats) core.Stats {
 }
 
 // assertSessionsIdentical requires live and restored sessions to be
-// indistinguishable: same layout bytes, same stage results (or error
-// classes), same SVG, same work counters and incremental reuse stats.
+// indistinguishable: same layout bytes, same stage results (or errors), same
+// SVG, same work counters and incremental reuse stats.
 func assertSessionsIdentical(t *testing.T, ctx context.Context, step string, live, restored *Session) {
 	t.Helper()
 	if lt, rt := layoutText(t, live.SnapshotLayout()), layoutText(t, restored.SnapshotLayout()); lt != rt {
@@ -90,8 +90,8 @@ func assertSessionsIdentical(t *testing.T, ctx context.Context, step string, liv
 		t.Fatalf("%s: Mask errors diverged: %v vs %v", step, lerr, rerr)
 	}
 	if lerr != nil {
-		if errors.Is(lerr, ErrMaskInconsistent) != errors.Is(rerr, ErrMaskInconsistent) {
-			t.Fatalf("%s: mask error classes diverged: %v vs %v", step, lerr, rerr)
+		if lerr.Error() != rerr.Error() {
+			t.Fatalf("%s: mask errors diverged: %v vs %v", step, lerr, rerr)
 		}
 	} else if layoutText(t, lm) != layoutText(t, rm) {
 		t.Fatalf("%s: mask views diverged", step)
@@ -140,12 +140,8 @@ func runSnapshotScript(t *testing.T, seed int64, workers int) {
 	}
 	eng := NewEngine(opts...)
 	restartEng := NewEngine(opts...)
-	oracle := NewEngine(opts...)
 
 	s := eng.NewSession(l)
-	if err := s.EnableEdits(); err != nil {
-		t.Fatal(err)
-	}
 	if _, err := s.Detect(ctx); err != nil {
 		t.Fatal(err)
 	}
@@ -184,22 +180,13 @@ func runSnapshotScript(t *testing.T, seed int64, workers int) {
 
 	// Continue both sessions with identical edit streams: the restored
 	// incremental caches must reuse exactly like the originals, and both
-	// must keep matching the from-scratch oracle.
+	// must keep matching the from-scratch reference chain.
 	contRng, contRng2 := rand.New(rand.NewSource(seed*31+7)), rand.New(rand.NewSource(seed*31+7))
 	for step := 0; step < 3; step++ {
 		applyRandomEdit(t, contRng, s)
 		applyRandomEdit(t, contRng2, r)
 		label := fmt.Sprintf("seed %d cont %d", seed, step)
-		got, err := r.Detect(ctx)
-		if err != nil {
-			t.Fatalf("%s: restored detect: %v", label, err)
-		}
-		want, err := oracle.Detect(ctx, r.Layout().Clone())
-		if err != nil {
-			t.Fatalf("%s: oracle detect: %v", label, err)
-		}
-		assertSameDetection(t, label, got, want)
-		assertSamePipeline(t, label, ctx, r, oracle)
+		assertSamePipeline(t, label, ctx, r, referenceOf(ctx, r))
 		assertSessionsIdentical(t, ctx, label, s, r)
 	}
 
@@ -216,17 +203,7 @@ func runSnapshotScript(t *testing.T, seed int64, workers int) {
 	if err != nil {
 		t.Fatalf("seed %d: dirty restore: %v", seed, err)
 	}
-	label := fmt.Sprintf("seed %d dirty", seed)
-	got, err := r2.Detect(ctx)
-	if err != nil {
-		t.Fatalf("%s: detect: %v", label, err)
-	}
-	want, err := oracle.Detect(ctx, s.Layout().Clone())
-	if err != nil {
-		t.Fatalf("%s: oracle detect: %v", label, err)
-	}
-	assertSameDetection(t, label, got, want)
-	assertSamePipeline(t, label, ctx, r2, oracle)
+	assertSamePipeline(t, fmt.Sprintf("seed %d dirty", seed), ctx, r2, referenceOf(ctx, s))
 }
 
 // TestSnapshotDifferential samples the seeded script family and checks the
@@ -246,17 +223,14 @@ func TestSnapshotDifferential(t *testing.T) {
 	}
 }
 
-// TestSnapshotUnarmedSession: a session that never enabled edits (no
-// incremental engine) still snapshots; the restored session is armed and
-// serves identical results.
-func TestSnapshotUnarmedSession(t *testing.T) {
+// TestSnapshotBeforeFirstEdit: a session that detected but was never edited
+// snapshots its warm detection; the restored session serves identical
+// results and counters, and its first edit re-detects incrementally.
+func TestSnapshotBeforeFirstEdit(t *testing.T) {
 	ctx := context.Background()
-	l := GenerateBenchmark("unarmed", DefaultBenchmarkParams(3, 1, 14))
+	l := GenerateBenchmark("unedited", DefaultBenchmarkParams(3, 1, 14))
 	eng := NewEngine(WithParallelism(2))
 	s := eng.NewSession(l)
-	if _, err := s.Detect(ctx); err != nil {
-		t.Fatal(err)
-	}
 	if _, err := s.Assignment(ctx); err != nil {
 		t.Fatal(err)
 	}
@@ -268,14 +242,15 @@ func TestSnapshotUnarmedSession(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ld, _ := s.Detect(ctx)
-	rd, err := r.Detect(ctx)
-	if err != nil {
+	assertSessionsIdentical(t, ctx, "restored", s, r)
+
+	mid := r.NumFeatures() / 2
+	if err := r.MoveFeature(mid, r.Layout().Features[mid].Rect.Translate(Point{X: 10})); err != nil {
 		t.Fatal(err)
 	}
-	assertSameDetection(t, "unarmed", rd, ld)
-	if ls, rs := s.Stats(), r.Stats(); ls.DetectRuns != rs.DetectRuns || ls.Edits != rs.Edits {
-		t.Fatalf("counters diverged: %+v vs %+v", ls, rs)
+	assertSamePipeline(t, "after move", ctx, r, referenceOf(ctx, r))
+	if st := r.Stats().Incremental; st.FullDetects != 1 || st.ShardsReused == 0 {
+		t.Fatalf("restored session re-solved from scratch after its first edit: %+v", st)
 	}
 }
 
@@ -285,9 +260,6 @@ func TestRestoreRejectsMismatchedEngine(t *testing.T) {
 	ctx := context.Background()
 	l := GenerateBenchmark("mismatch", DefaultBenchmarkParams(5, 1, 12))
 	s := NewEngine().NewSession(l)
-	if err := s.EnableEdits(); err != nil {
-		t.Fatal(err)
-	}
 	if _, err := s.Detect(ctx); err != nil {
 		t.Fatal(err)
 	}
@@ -319,9 +291,6 @@ func TestRestoreRejectsCorruptSnapshot(t *testing.T) {
 	ctx := context.Background()
 	l := GenerateBenchmark("corrupt", DefaultBenchmarkParams(6, 1, 10))
 	s := NewEngine().NewSession(l)
-	if err := s.EnableEdits(); err != nil {
-		t.Fatal(err)
-	}
 	if _, err := s.Detect(ctx); err != nil {
 		t.Fatal(err)
 	}
