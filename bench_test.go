@@ -34,6 +34,7 @@ import (
 	"repro/internal/graph"
 	"repro/internal/layout"
 	"repro/internal/planar"
+	"repro/internal/shifter"
 	"repro/internal/tjoin"
 	"repro/internal/tshape"
 )
@@ -334,6 +335,37 @@ func BenchmarkDetectParallel(b *testing.B) {
 			b.ReportMetric(float64(shards), "shards")
 		})
 	}
+}
+
+// --- serial pair sweeps (flow steps 1 and 1b) ---
+
+// BenchmarkShifterGenerate_d5 times shifter synthesis with its Condition-2
+// overlap sweep on d5 (≈18 K polygons).
+func BenchmarkShifterGenerate_d5(b *testing.B) {
+	l := suiteLayout(b, 4)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := shifter.Generate(l, benchRules()); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkCrossings_d5 times the full crossing sweep over d5's drawn
+// phase conflict graph; the graph is built once outside the timer.
+func BenchmarkCrossings_d5(b *testing.B) {
+	cg, err := core.BuildGraph(suiteLayout(b, 4), benchRules(), core.PCG)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	var pairs int
+	for i := 0; i < b.N; i++ {
+		pairs = len(cg.Drawing.Crossings())
+	}
+	b.ReportMetric(float64(pairs), "crossings")
 }
 
 // --- incremental edit-and-re-detect ---

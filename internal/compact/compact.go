@@ -173,11 +173,11 @@ func expandAxis(l *layout.Layout, rules layout.Rules, reqs []Requirement, axis A
 	}
 	var edges []edge
 	// Neighbor preservation within interaction reach.
-	g := geom.NewGrid(reach * 2)
-	for i := 0; i < n; i++ {
-		g.Insert(int32(i), l.Features[i].Rect.Expand(reach))
+	boxes := make([]geom.Rect, n)
+	for i := range boxes {
+		boxes[i] = l.Features[i].Rect.Expand(reach)
 	}
-	g.ForEachPair(func(a, b int32) {
+	geom.ForEachPair(boxes, reach*2, func(a, b int32) {
 		i, j := int(a), int(b)
 		pi, pj := perp(i), perp(j)
 		if !pi.Intersects(geom.Interval{Lo: pj.Lo - reach, Hi: pj.Hi + reach}) {

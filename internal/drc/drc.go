@@ -87,12 +87,12 @@ func ForEachSpacingViolation(l *layout.Layout, r layout.Rules, fn func(i, j int3
 	if cell < 64 {
 		cell = 64
 	}
-	g := geom.NewGrid(cell)
+	boxes := make([]geom.Rect, len(l.Features))
 	for i, f := range l.Features {
-		g.Insert(int32(i), f.Rect.Expand(r.MinFeatureSpacing))
+		boxes[i] = f.Rect.Expand(r.MinFeatureSpacing)
 	}
 	checked := 0
-	g.ForEachPair(func(i, j int32) {
+	geom.ForEachPair(boxes, cell, func(i, j int32) {
 		checked++
 		if v, bad := SpacingViolation(int(i), int(j), l.Features[i].Rect, l.Features[j].Rect, r); bad {
 			fn(i, j, v)

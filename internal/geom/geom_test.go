@@ -242,12 +242,8 @@ func TestGridPairsMatchBruteForce(t *testing.T) {
 		x, y := int64(rng.Intn(2000)-1000), int64(rng.Intn(2000)-1000)
 		rects[i] = R(x, y, x+int64(rng.Intn(300)+1), y+int64(rng.Intn(300)+1))
 	}
-	g := NewGrid(128)
-	for i, r := range rects {
-		g.Insert(int32(i), r)
-	}
 	got := map[[2]int32]bool{}
-	g.ForEachPair(func(i, j int32) {
+	ForEachPair(rects, 128, func(i, j int32) {
 		if rects[i].Intersects(rects[j]) {
 			got[[2]int32{i, j}] = true
 		}

@@ -5,22 +5,22 @@ import (
 	"sort"
 )
 
-// Grid is a uniform spatial hash over int64 space used to prune candidate
-// pairs for rectangle-proximity and segment-crossing queries. Items are
-// referenced by dense integer ids supplied by the caller.
+// Grid is a uniform spatial hash over int64 space that the incremental
+// detection engine keeps alive across edits to find the items near a changed
+// feature. Items are referenced by dense integer ids supplied by the caller.
+// One-shot sweeps that enumerate every candidate pair use ForEachPair
+// instead.
 //
 // The entry set is kept as a sorted (cell, id) base array plus pending
 // insert/remove logs; the first query after a mutation sorts only the
-// pending logs and folds them into the base in one merge pass. One-shot
-// build-then-sweep callers (insert everything, enumerate pairs) pay a single
-// sort exactly as before, while long-lived callers — the incremental
-// detection engine keeps a feature grid alive across edits — pay
-// O(k log k + n) per batch of k edits instead of re-sorting the whole log.
+// pending logs and folds them into the base in one merge pass. A bulk load
+// (insert everything, then query) therefore pays a single sort at the first
+// query, and a batch of k edits costs O(k log k + n) instead of a re-sort of
+// the whole log.
 //
 // The zero Grid is not usable; construct with NewGrid. Cell size should be
-// on the order of the query distance (rect proximity) or the median segment
-// length (crossing detection); a poor choice affects only performance, never
-// correctness.
+// on the order of the query distance; a poor choice affects only
+// performance, never correctness.
 type Grid struct {
 	cell int64
 	base []gridEntry // sorted by (key, id)
@@ -76,29 +76,24 @@ func (g *Grid) Remove(id int32, r Rect) {
 }
 
 // compactMinPending is the pending-log size below which mutations never
-// trigger a compaction, so one-shot build-then-sweep callers still pay a
-// single sort at the first query.
+// trigger a compaction.
 const compactMinPending = 1 << 10
 
 // maybeCompact folds the pending logs into the base once they grow past a
-// threshold. Without it a long-lived grid mutated in Insert/Remove cycles
-// that are never interleaved with queries — exactly what an idle session's
-// edit stream looks like — accumulates an unbounded log: cancelled pairs are
-// only discarded by build. Folding when the log reaches a fraction of the
-// base keeps memory proportional to the live entry count and amortizes the
-// O(base) merge over the edits that filled the log.
+// threshold while removes are pending. Without it a long-lived grid mutated
+// in Insert/Remove cycles that are never interleaved with queries — exactly
+// what an idle session's edit stream looks like — accumulates an unbounded
+// log: cancelled pairs are only discarded by build. Folding when the log
+// reaches a fraction of the base keeps memory proportional to the live entry
+// count and amortizes the O(base) merge over the edits that filled the log.
+// A log of inserts alone holds only live entries, so it is left for the
+// first query to sort once; folding it early would re-merge the base again
+// and again during a bulk load.
 func (g *Grid) maybeCompact() {
 	pending := len(g.adds) + len(g.dels)
-	if pending >= compactMinPending && pending >= len(g.base)/4 {
+	if len(g.dels) > 0 && pending >= compactMinPending && pending >= len(g.base)/4 {
 		g.build()
 	}
-}
-
-// Len returns the number of live entries (cell registrations) after folding
-// pending mutations.
-func (g *Grid) Len() int {
-	g.build()
-	return len(g.base)
 }
 
 func entryLess(a, b gridEntry) int {
@@ -204,54 +199,6 @@ func (g *Grid) Query(r Rect, seen []bool, fn func(id int32)) {
 	}
 	for _, id := range touched {
 		seen[id] = false
-	}
-}
-
-// ForEachPair calls fn for every unordered candidate pair (i < j) that share
-// at least one grid cell. Pairs are deduplicated (collected, sorted and
-// uniqued, so memory is proportional to the candidate count).
-func (g *Grid) ForEachPair(fn func(i, j int32)) {
-	g.build()
-	nPairs := 0
-	for lo := 0; lo < len(g.base); {
-		hi := lo + 1
-		for hi < len(g.base) && g.base[hi].key == g.base[lo].key {
-			hi++
-		}
-		n := hi - lo
-		nPairs += n * (n - 1) / 2
-		lo = hi
-	}
-	pairs := make([]uint64, 0, nPairs)
-	for lo := 0; lo < len(g.base); {
-		hi := lo + 1
-		key := g.base[lo].key
-		for hi < len(g.base) && g.base[hi].key == key {
-			hi++
-		}
-		run := g.base[lo:hi]
-		for a := 0; a < len(run); a++ {
-			for b := a + 1; b < len(run); b++ {
-				i, j := run[a].id, run[b].id
-				if i == j {
-					continue
-				}
-				if i > j {
-					i, j = j, i
-				}
-				pairs = append(pairs, uint64(i)<<32|uint64(uint32(j)))
-			}
-		}
-		lo = hi
-	}
-	slices.Sort(pairs)
-	var prev uint64
-	for k, p := range pairs {
-		if k > 0 && p == prev {
-			continue
-		}
-		prev = p
-		fn(int32(p>>32), int32(uint32(p)))
 	}
 }
 

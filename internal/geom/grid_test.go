@@ -2,26 +2,15 @@ package geom
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 )
 
-// collectPairs snapshots ForEachPair output for comparison.
-func collectPairs(g *Grid) [][2]int32 {
-	var out [][2]int32
-	g.ForEachPair(func(i, j int32) { out = append(out, [2]int32{i, j}) })
-	return out
-}
-
-func pairsEqual(a, b [][2]int32) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
+// liveEntries folds pending mutations and returns the number of live cell
+// registrations.
+func liveEntries(g *Grid) int {
+	g.build()
+	return len(g.base)
 }
 
 // TestGridRemove: removing an entry with the rect it was inserted with must
@@ -58,11 +47,11 @@ func TestGridRemove(t *testing.T) {
 		for _, it := range live {
 			ref.Insert(it.id, it.r)
 		}
-		if g.Len() != ref.Len() {
-			t.Fatalf("round %d: %d entries, want %d", round, g.Len(), ref.Len())
+		if liveEntries(g) != liveEntries(ref) {
+			t.Fatalf("round %d: %d entries, want %d", round, liveEntries(g), liveEntries(ref))
 		}
-		if !pairsEqual(collectPairs(g), collectPairs(ref)) {
-			t.Fatalf("round %d: pair enumeration diverged from rebuild", round)
+		if !slices.Equal(g.base, ref.base) {
+			t.Fatalf("round %d: folded entries diverged from rebuild", round)
 		}
 		// Query equivalence on a random window.
 		q := R(rng.Int63n(2000)-1000, rng.Int63n(2000)-1000, rng.Int63n(2000), rng.Int63n(2000))
@@ -89,8 +78,8 @@ func TestGridRemoveUnmatched(t *testing.T) {
 	g.Insert(2, R(5, 5, 20, 20))
 	g.Remove(3, R(0, 0, 10, 10))           // never inserted
 	g.Remove(1, R(1000, 1000, 1010, 1010)) // wrong rect: no matching cells
-	if g.Len() != 2 {
-		t.Fatalf("unmatched removes changed the grid: %d entries", g.Len())
+	if liveEntries(g) != 2 {
+		t.Fatalf("unmatched removes changed the grid: %d entries", liveEntries(g))
 	}
 	g.Remove(1, R(0, 0, 10, 10))
 	found := false
@@ -140,7 +129,7 @@ func TestGridBoundedPendingLog(t *testing.T) {
 	}
 	// Cell registrations, not ids: rects straddling a cell border occupy two
 	// cells.
-	baseline := g.Len()
+	baseline := liveEntries(g)
 	// 10k edit cycles: move one feature back and forth (Remove + Insert),
 	// never querying.
 	for c := 0; c < 10000; c++ {
@@ -157,8 +146,8 @@ func TestGridBoundedPendingLog(t *testing.T) {
 	}
 	// The live set is unchanged, so after folding the base must hold exactly
 	// the original registrations.
-	if got := g.Len(); got != baseline {
-		t.Fatalf("Len = %d after balanced edit cycles, want %d", got, baseline)
+	if got := liveEntries(g); got != baseline {
+		t.Fatalf("live entries = %d after balanced edit cycles, want %d", got, baseline)
 	}
 	for i := 0; i < live; i++ {
 		found := false
@@ -197,7 +186,61 @@ func TestGridCompactionPreservesSemantics(t *testing.T) {
 	if seen {
 		t.Fatal("id 1 present after matched removes")
 	}
-	if g.Len() != 0 {
-		t.Fatalf("Len = %d, want 0", g.Len())
+	if liveEntries(g) != 0 {
+		t.Fatalf("live entries = %d, want 0", liveEntries(g))
+	}
+}
+
+// TestGridBulkLoadDefersBuild: a bulk load with no removes must leave every
+// entry in the pending log, unsorted, until the first query folds it in one
+// sort — not re-merge the base each time the log passes the compaction
+// threshold.
+func TestGridBulkLoadDefersBuild(t *testing.T) {
+	g := NewGrid(100)
+	const n = 100_000
+	for i := 0; i < n; i++ {
+		x := int64(i%400) * 100
+		y := int64(i/400) * 100
+		g.Insert(int32(i), R(x+10, y+10, x+60, y+60))
+	}
+	if len(g.base) != 0 || len(g.adds) != n {
+		t.Fatalf("after %d inserts: base %d entries, pending adds %d; want 0 and %d", n, len(g.base), len(g.adds), n)
+	}
+	hits := 0
+	g.Query(R(0, 0, 250, 250), nil, func(int32) { hits++ })
+	if len(g.base) != n || len(g.adds) != 0 {
+		t.Fatalf("after first query: base %d entries, pending adds %d; want %d and 0", len(g.base), len(g.adds), n)
+	}
+	if hits != 9 {
+		t.Fatalf("query hit %d ids, want 9", hits)
+	}
+}
+
+// TestGridChurnBoundedByLive: Remove/Insert churn with no queries, starting
+// straight after an unqueried bulk load, must keep the pending log within a
+// constant factor of the live entry count.
+func TestGridChurnBoundedByLive(t *testing.T) {
+	g := NewGrid(100)
+	const live = 8192
+	rect := func(i int32, dx int64) Rect {
+		x := int64(i%128)*100 + dx
+		y := int64(i/128) * 100
+		return R(x+10, y+10, x+60, y+60)
+	}
+	for i := int32(0); i < live; i++ {
+		g.Insert(i, rect(i, 0))
+	}
+	for c := 0; c < 50_000; c++ {
+		id := int32(c % live)
+		g.Remove(id, rect(id, 0))
+		g.Insert(id, rect(id, 5))
+		g.Remove(id, rect(id, 5))
+		g.Insert(id, rect(id, 0))
+		if pending := len(g.adds) + len(g.dels); pending > live/2+compactMinPending {
+			t.Fatalf("cycle %d: pending log grew to %d entries for %d live", c, pending, live)
+		}
+	}
+	if got := liveEntries(g); got != live {
+		t.Fatalf("live entries = %d after balanced churn, want %d", got, live)
 	}
 }

@@ -72,10 +72,12 @@ func (d *Drawing) EdgesCross(e1, e2 int) bool {
 
 func (d *Drawing) segmentsConflict(e1, e2 int, segs1, segs2 []geom.Segment) bool {
 	a, b := d.G.Edge(e1), d.G.Edge(e2)
-	var sharedPos []geom.Point
-	for _, u := range []int{a.U, a.V} {
+	var shared [2]geom.Point
+	nShared := 0
+	for _, u := range [2]int{a.U, a.V} {
 		if u == b.U || u == b.V {
-			sharedPos = append(sharedPos, d.Pos[u])
+			shared[nShared] = d.Pos[u]
+			nShared++
 		}
 	}
 	for _, s := range segs1 {
@@ -90,7 +92,7 @@ func (d *Drawing) segmentsConflict(e1, e2 int, segs1, segs2 []geom.Segment) bool
 			// graph node's position (then that position lies on both
 			// segments and is the unique contact).
 			allowed := false
-			for _, q := range sharedPos {
+			for _, q := range shared[:nShared] {
 				if geom.PointOnSegment(q, s) && geom.PointOnSegment(q, t) {
 					allowed = true
 					break
@@ -116,6 +118,41 @@ func (d *Drawing) EdgeBounds(e int) geom.Rect {
 	return bb
 }
 
+// sweepSegments returns the drawn segments and the bounding box of each
+// listed edge, plus the summed width+height of all their segment bounds and
+// the segment count, which size the crossing sweep's grid cell. A straight
+// edge's one segment is a window into a shared array, so an edge without
+// bends allocates nothing of its own.
+func (d *Drawing) sweepSegments(edges []int) (segs [][]geom.Segment, boxes []geom.Rect, extent int64, nseg int) {
+	segs = make([][]geom.Segment, len(edges))
+	boxes = make([]geom.Rect, len(edges))
+	straight := make([]geom.Segment, len(edges))
+	for i, e := range edges {
+		if len(d.Bends[e]) == 0 {
+			ed := d.G.Edge(e)
+			straight[i] = geom.Seg(d.Pos[ed.U], d.Pos[ed.V])
+			segs[i] = straight[i : i+1 : i+1]
+		} else {
+			segs[i] = d.Segments(e)
+		}
+		bb := geom.Rect{}
+		for _, s := range segs[i] {
+			b := s.Bounds()
+			extent += b.Width() + b.Height()
+			bb = bb.Union(b)
+		}
+		boxes[i] = bb
+		nseg += len(segs[i])
+	}
+	return segs, boxes, extent, nseg
+}
+
+// crossingCell is the crossing sweep's grid cell for the given summed
+// segment extent over n items: half the mean extent, at least 16 nm.
+func crossingCell(extent int64, n int) int64 {
+	return max(extent/int64(2*n)+1, 16)
+}
+
 // CrossingsAmong is Crossings restricted to the given edge subset: it
 // returns, sorted ascending, every conflicting unordered pair drawn from
 // edges whose members include at least one marked edge (marked is indexed by
@@ -128,42 +165,18 @@ func (d *Drawing) CrossingsAmong(edges []int, marked []bool) [][2]int {
 	if len(edges) == 0 {
 		return nil
 	}
-	segs := make(map[int][]geom.Segment, len(edges))
-	var sum int64
-	var nseg int
-	for _, e := range edges {
-		ss := d.Segments(e)
-		segs[e] = ss
-		for _, s := range ss {
-			b := s.Bounds()
-			sum += b.Width() + b.Height()
-			nseg++
-		}
-	}
-	cell := sum/int64(2*nseg) + 1
-	if cell < 16 {
-		cell = 16
-	}
-	g := geom.NewGrid(cell)
-	local := make([]int, len(edges)) // grid id -> global edge
-	for i, e := range edges {
-		bb := geom.Rect{}
-		for _, s := range segs[e] {
-			bb = bb.Union(s.Bounds())
-		}
-		g.Insert(int32(i), bb)
-		local[i] = e
-	}
+	segs, boxes, extent, nseg := d.sweepSegments(edges)
 	var out [][2]int
-	g.ForEachPair(func(i, j int32) {
-		e1, e2 := local[i], local[j]
+	geom.ForEachPair(boxes, crossingCell(extent, nseg), func(i, j int32) {
+		e1, e2 := edges[i], edges[j]
 		if !marked[e1] && !marked[e2] {
 			return
 		}
+		s1, s2 := segs[i], segs[j]
 		if e1 > e2 {
-			e1, e2 = e2, e1
+			e1, e2, s1, s2 = e2, e1, s2, s1
 		}
-		if d.segmentsConflict(e1, e2, segs[e1], segs[e2]) {
+		if d.segmentsConflict(e1, e2, s1, s2) {
 			out = append(out, [2]int{e1, e2})
 		}
 	})
@@ -177,47 +190,23 @@ func (d *Drawing) CrossingsAmong(edges []int, marked []bool) [][2]int {
 }
 
 // Crossings returns all unordered pairs of edges that conflict in the
-// drawing, using a uniform grid over segment bounding boxes to prune
-// candidates.
+// drawing, in ascending order, using a uniform-grid pair sweep over edge
+// bounding boxes to prune candidates.
 func (d *Drawing) Crossings() [][2]int {
 	m := d.G.M()
 	if m == 0 {
 		return nil
 	}
-	// Precompute segment lists once; candidate pruning via a uniform grid
-	// with cells near the average edge bbox extent.
-	segs := make([][]geom.Segment, m)
-	var sum int64
-	for e := 0; e < m; e++ {
-		segs[e] = d.Segments(e)
-		for _, s := range segs[e] {
-			b := s.Bounds()
-			sum += b.Width() + b.Height()
-		}
+	all := make([]int, m)
+	for e := range all {
+		all[e] = e
 	}
-	cell := sum/int64(2*m) + 1
-	if cell < 16 {
-		cell = 16
-	}
-	g := geom.NewGrid(cell)
-	for e := 0; e < m; e++ {
-		bb := geom.Rect{}
-		for _, s := range segs[e] {
-			bb = bb.Union(s.Bounds())
-		}
-		g.Insert(int32(e), bb)
-	}
+	segs, boxes, extent, _ := d.sweepSegments(all)
 	var out [][2]int
-	g.ForEachPair(func(i, j int32) {
+	geom.ForEachPair(boxes, crossingCell(extent, m), func(i, j int32) {
 		if d.segmentsConflict(int(i), int(j), segs[i], segs[j]) {
 			out = append(out, [2]int{int(i), int(j)})
 		}
-	})
-	sort.Slice(out, func(a, b int) bool {
-		if out[a][0] != out[b][0] {
-			return out[a][0] < out[b][0]
-		}
-		return out[a][1] < out[b][1]
 	})
 	return out
 }

@@ -6,7 +6,6 @@ package shifter
 
 import (
 	"fmt"
-	"sort"
 
 	"repro/internal/geom"
 	"repro/internal/layout"
@@ -101,21 +100,17 @@ func OverlapDeficit(a, b geom.Rect, r layout.Rules) (int64, bool) {
 	return r.MinShifterSpacing - sep, true
 }
 
-// findOverlaps fills s.Overlaps with every pair of shifters whose
-// rectilinear separation is below the minimum shifter spacing, excluding the
-// two flanks of the same feature (those are kept apart by the feature itself
-// and are governed by Condition 1 instead). A uniform grid prunes candidate
-// pairs.
+// findOverlaps fills s.Overlaps, in ascending (A, B) order, with every pair
+// of shifters whose rectilinear separation is below the minimum shifter
+// spacing, excluding the two flanks of the same feature (those are kept
+// apart by the feature itself and are governed by Condition 1 instead). A
+// uniform-grid pair sweep prunes candidate pairs.
 func (s *Set) findOverlaps(r layout.Rules) {
-	if len(s.Shifters) == 0 {
-		return
-	}
-	cell := r.MinShifterSpacing + r.ShifterWidth
-	g := geom.NewGrid(cell)
+	boxes := make([]geom.Rect, len(s.Shifters))
 	for i, sh := range s.Shifters {
-		g.Insert(int32(i), sh.Rect.Expand(r.MinShifterSpacing/2))
+		boxes[i] = sh.Rect.Expand(r.MinShifterSpacing / 2)
 	}
-	g.ForEachPair(func(i, j int32) {
+	geom.ForEachPair(boxes, r.MinShifterSpacing+r.ShifterWidth, func(i, j int32) {
 		a, b := s.Shifters[i], s.Shifters[j]
 		if a.Feature == b.Feature {
 			return
@@ -125,17 +120,6 @@ func (s *Set) findOverlaps(r layout.Rules) {
 			return
 		}
 		s.Overlaps = append(s.Overlaps, Overlap{A: int(i), B: int(j), Deficit: deficit})
-	})
-	// Deterministic order for downstream graph construction.
-	sortOverlaps(s.Overlaps)
-}
-
-func sortOverlaps(o []Overlap) {
-	sort.Slice(o, func(i, j int) bool {
-		if o[i].A != o[j].A {
-			return o[i].A < o[j].A
-		}
-		return o[i].B < o[j].B
 	})
 }
 

@@ -10,7 +10,6 @@ package tshape
 
 import (
 	"fmt"
-	"sort"
 
 	"repro/internal/core"
 	"repro/internal/geom"
@@ -62,25 +61,18 @@ func Find(l *layout.Layout) []Junction {
 	if n < 2 {
 		return nil
 	}
-	// Grid prune on touching bounding boxes.
-	cell := int64(1024)
-	g := geom.NewGrid(cell)
+	// Grid prune on touching bounding boxes; pairs arrive in (A, B) order.
+	boxes := make([]geom.Rect, n)
 	for i, f := range l.Features {
-		g.Insert(int32(i), f.Rect)
+		boxes[i] = f.Rect
 	}
 	var out []Junction
-	g.ForEachPair(func(i, j int32) {
-		a, b := l.Features[i].Rect, l.Features[j].Rect
+	geom.ForEachPair(boxes, 1024, func(i, j int32) {
+		a, b := boxes[i], boxes[j]
 		if !a.Intersects(b) {
 			return
 		}
 		out = append(out, classify(int(i), int(j), a, b))
-	})
-	sort.Slice(out, func(x, y int) bool {
-		if out[x].A != out[y].A {
-			return out[x].A < out[y].A
-		}
-		return out[x].B < out[y].B
 	})
 	return out
 }
