@@ -1,4 +1,4 @@
-// Package lint is the repo's static-analysis suite: five analyzers that
+// Package lint is the repo's static-analysis suite: four analyzers that
 // enforce the determinism, concurrency, and error-contract invariants the
 // differential test harnesses otherwise only catch dynamically. The suite
 // runs three ways: as the cmd/aapsmvet binary over ./..., inside
@@ -96,7 +96,6 @@ func All() []*Analyzer {
 		GuardedByAnalyzer,
 		CtxflowAnalyzer,
 		FlowErrorAnalyzer,
-		MetricsNameAnalyzer,
 	}
 }
 

@@ -10,8 +10,8 @@ import (
 
 // goldenCases maps each testdata/src package to the synthetic import path it
 // is loaded under. The paths place each package in the scope its analyzer
-// targets: pipeline packages for determinism/ctxflow, the module root for
-// the flowerror API-boundary rules, internal/server for metricsname.
+// targets: pipeline packages for determinism/ctxflow and the module root for
+// the flowerror API-boundary rules.
 var goldenCases = []struct {
 	dir  string
 	path string
@@ -20,7 +20,6 @@ var goldenCases = []struct {
 	{"guard", "repro/internal/guard"},
 	{"ctx", "repro/internal/core"},
 	{"flowapi", "repro"},
-	{"metrics", "repro/internal/server"},
 }
 
 // TestGolden runs the full suite over each golden package and matches the

@@ -3,6 +3,7 @@ package server
 import (
 	"bytes"
 	"context"
+	"errors"
 	"fmt"
 	"net/http"
 	"sync"
@@ -83,17 +84,17 @@ type editBatcher struct {
 	notify chan struct{}
 
 	// Read single-flight: identical read-stage requests at one session
-	// generation share a single computation + encoding. Only the newest
-	// generation is cached; readGen tracks it. Both guarded by mu.
-	readGen   int64                 // guarded by mu
-	readCalls map[readKey]*readCall // guarded by mu
+	// generation share a single computation + encoding. Successful reads of
+	// the newest generation, readGen, stay kept in reads until the
+	// generation advances.
+	readGen int64 // guarded by mu
+	reads   flight[readKey, *captureWriter]
 }
 
 func newEditBatcher() *editBatcher {
 	return &editBatcher{
-		kick:      make(chan struct{}, 1),
-		notify:    make(chan struct{}),
-		readCalls: make(map[readKey]*readCall),
+		kick:   make(chan struct{}, 1),
+		notify: make(chan struct{}),
 	}
 }
 
@@ -366,19 +367,15 @@ type readKey struct {
 	gen     int64
 }
 
-// readCall is one in-flight (or completed) read computation other identical
-// requests wait on and replay.
-type readCall struct {
-	done  chan struct{}
-	code  int
-	ctype string
-	body  []byte
-}
+// errReadNotOK marks a read that did not answer 200: its bytes go to the
+// leader and current followers but are never kept, so a transient answer is
+// not replayed (errors are memoized inside the session where applicable, so
+// recomputing is cheap).
+var errReadNotOK = errors.New("read answered non-200")
 
 // coalesced wraps a read-stage handler in the per-stage single-flight:
 // identical requests at the same session generation run the handler (and its
-// JSON/SVG encoding) once and share the bytes. Extends the create
-// single-flight philosophy to every read stage.
+// JSON/SVG encoding) once and share the bytes.
 func (s *Server) coalesced(stage string, h func(http.ResponseWriter, *http.Request, *sessionEntry)) func(http.ResponseWriter, *http.Request, *sessionEntry) {
 	return func(w http.ResponseWriter, r *http.Request, ent *sessionEntry) {
 		code, ctype, body, ok := s.readCoalesced(r, ent, stage, r.URL.RawQuery, h)
@@ -400,52 +397,39 @@ func (s *Server) coalesced(stage string, h func(http.ResponseWriter, *http.Reque
 // identical leader was computing.
 func (s *Server) readCoalesced(r *http.Request, ent *sessionEntry, stage, variant string,
 	h func(http.ResponseWriter, *http.Request, *sessionEntry)) (code int, ctype string, body []byte, ok bool) {
-	b := ent.batch
-	gen := ent.Sess.Generation()
-	key := readKey{stage: stage, variant: variant, gen: gen}
-	b.mu.Lock()
-	if gen > b.readGen {
-		// A new edit generation obsoletes every cached read; only the
-		// current generation is worth keeping (bounded: stages × variants).
-		b.readGen = gen
-		b.readCalls = make(map[readKey]*readCall)
-	} else if gen < b.readGen {
-		// A reader that raced an edit: compute directly, don't cache under a
-		// generation that is already stale.
-		b.mu.Unlock()
+	run := func() (*captureWriter, error) {
 		rec := newCaptureWriter()
 		h(rec, r, ent)
+		if rec.code != http.StatusOK {
+			return rec, errReadNotOK
+		}
+		return rec, nil
+	}
+	b := ent.batch
+	gen := ent.Sess.Generation()
+	b.mu.Lock()
+	if gen > b.readGen {
+		// A new edit generation obsoletes every kept read; only the current
+		// generation is worth keeping (bounded: stages × variants).
+		b.readGen = gen
+		b.reads.reset()
+	}
+	current := gen == b.readGen
+	b.mu.Unlock()
+	if !current {
+		// A reader that raced an edit: compute directly, don't keep a read
+		// under a generation that is already stale.
+		rec, _ := run()
 		return rec.code, rec.h.Get("Content-Type"), rec.buf.Bytes(), true
 	}
-	if call, inflight := b.readCalls[key]; inflight {
-		b.mu.Unlock()
+	rec, shared, err := b.reads.do(r.Context(), readKey{stage: stage, variant: variant, gen: gen}, true, run)
+	if shared {
 		s.metrics.readsCoalesced.Add(1)
-		select {
-		case <-call.done:
-			return call.code, call.ctype, call.body, true
-		case <-r.Context().Done():
-			return 0, "", nil, false
-		}
 	}
-	call := &readCall{done: make(chan struct{})}
-	b.readCalls[key] = call
-	b.mu.Unlock()
-
-	rec := newCaptureWriter()
-	h(rec, r, ent)
-	call.code, call.ctype, call.body = rec.code, rec.h.Get("Content-Type"), rec.buf.Bytes()
-	close(call.done)
-	if call.code != http.StatusOK {
-		// Errors are memoized inside the session where applicable, so
-		// recomputing is cheap; keep the byte cache success-only so a
-		// transient (timeout/cancel) answer is never replayed.
-		b.mu.Lock()
-		if b.readCalls[key] == call {
-			delete(b.readCalls, key)
-		}
-		b.mu.Unlock()
+	if err != nil && !errors.Is(err, errReadNotOK) {
+		return 0, "", nil, false
 	}
-	return call.code, call.ctype, call.body, true
+	return rec.code, rec.h.Get("Content-Type"), rec.buf.Bytes(), true
 }
 
 // captureWriter buffers a handler's response so the single-flight can store

@@ -3,12 +3,15 @@ package server
 import (
 	"bufio"
 	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
 	"net/http"
+	"net/http/httptest"
 	"sort"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -293,6 +296,79 @@ func TestReadSingleFlight(t *testing.T) {
 	asGDS := tc.must("GET", "/v1/sessions/"+created.ID+"/layout?format=gds", nil, 200)
 	if bytes.Equal(asText, asGDS) {
 		t.Fatal("distinct variants served identical bytes — variant missing from the single-flight key")
+	}
+}
+
+// parkProbeCtx reports, by closing parked, the first time anyone asks for
+// its Done channel. A read follower first consults Done when it parks on
+// an identical in-flight call, so the probe tells the test exactly when the
+// follower is waiting — no sleeps.
+type parkProbeCtx struct {
+	context.Context
+	once   sync.Once
+	parked chan struct{}
+}
+
+func (c *parkProbeCtx) Done() <-chan struct{} {
+	c.once.Do(func() { close(c.parked) })
+	return c.Context.Done()
+}
+
+// TestReadFollowerOutlivesCancelledLeader: when the leader of a read flight
+// is cancelled, a follower whose own context is still live must not be
+// handed the leader's 503 — it retries and computes the read itself.
+func TestReadFollowerOutlivesCancelledLeader(t *testing.T) {
+	srv := New(Config{Engine: aapsm.NewEngine()})
+	t.Cleanup(srv.Close)
+	ent, _, err := srv.store.getOrCreate(t.Context(), testHash(1), mkSession)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.store.release(ent)
+
+	var calls atomic.Int32
+	leaderIn := make(chan struct{})
+	h := func(w http.ResponseWriter, r *http.Request, _ *sessionEntry) {
+		if calls.Add(1) == 1 {
+			close(leaderIn)
+			<-r.Context().Done()
+			writeFlowError(w, r.Context().Err())
+			return
+		}
+		w.Write([]byte("fresh"))
+	}
+
+	leaderCtx, cancel := context.WithCancel(t.Context())
+	leaderCode := make(chan int, 1)
+	go func() {
+		code, _, _, _ := srv.readCoalesced(httptest.NewRequest("GET", "/", nil).WithContext(leaderCtx), ent, "detect", "", h)
+		leaderCode <- code
+	}()
+	<-leaderIn
+
+	probe := &parkProbeCtx{Context: t.Context(), parked: make(chan struct{})}
+	type result struct {
+		code int
+		body []byte
+		ok   bool
+	}
+	follower := make(chan result, 1)
+	go func() {
+		code, _, body, ok := srv.readCoalesced(httptest.NewRequest("GET", "/", nil).WithContext(probe), ent, "detect", "", h)
+		follower <- result{code, body, ok}
+	}()
+	<-probe.parked
+	cancel()
+
+	if code := <-leaderCode; code != http.StatusServiceUnavailable {
+		t.Fatalf("cancelled leader answered %d, want 503", code)
+	}
+	got := <-follower
+	if !got.ok || got.code != http.StatusOK || string(got.body) != "fresh" {
+		t.Fatalf("live follower got ok=%v %d %q, want a fresh 200 computed after the leader was cancelled", got.ok, got.code, got.body)
+	}
+	if n := calls.Load(); n != 2 {
+		t.Fatalf("handler ran %d times, want 2 (cancelled leader, then the follower)", n)
 	}
 }
 

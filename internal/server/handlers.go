@@ -680,6 +680,6 @@ func (s *Server) handleReadyz(w http.ResponseWriter, _ *http.Request) {
 func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
 	var buf bytes.Buffer
-	s.metrics.write(&buf, s.store.len(), s.store.pinnedCount(), s.pendingRetries(), s.Ready(), s.cfg.now())
+	s.exposition.write(&buf)
 	io.Copy(w, &buf)
 }

@@ -3,7 +3,9 @@ package server
 import (
 	"fmt"
 	"io"
+	"regexp"
 	"sort"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -11,9 +13,9 @@ import (
 	aapsm "repro"
 )
 
-// metrics is a minimal Prometheus-text-format registry: a fixed set of
-// counters and gauges the handlers bump with atomics, plus one labelled
-// request counter under a mutex. No external client library — the text
+// metrics holds the daemon's counters: atomics the handlers bump, plus the
+// per-route request counts and latencies under a mutex. The registry below
+// declares how each one is exposed; no external client library — the text
 // exposition format is stable and trivial to emit.
 type metrics struct {
 	start time.Time
@@ -245,106 +247,187 @@ func (m *metrics) evicted(why evictReason) {
 	}
 }
 
-// write emits the registry in Prometheus text exposition format.
-func (m *metrics) write(w io.Writer, sessionsLive, sessionsPinned, retriesPending int, ready bool, now time.Time) {
-	fmt.Fprintf(w, "# HELP aapsmd_up Whether the daemon is serving (0 while draining).\n# TYPE aapsmd_up gauge\n")
-	up := 1
-	if m.draining.Load() {
-		up = 0
-	}
-	fmt.Fprintf(w, "aapsmd_up %d\n", up)
-	fmt.Fprintf(w, "# HELP aapsmd_uptime_seconds Time since the server started.\n# TYPE aapsmd_uptime_seconds gauge\n")
-	fmt.Fprintf(w, "aapsmd_uptime_seconds %.3f\n", now.Sub(m.start).Seconds())
-	fmt.Fprintf(w, "# HELP aapsmd_sessions_live Sessions currently held in the store.\n# TYPE aapsmd_sessions_live gauge\n")
-	fmt.Fprintf(w, "aapsmd_sessions_live %d\n", sessionsLive)
-	fmt.Fprintf(w, "# HELP aapsmd_sessions_created_total Sessions built from uploaded layouts.\n# TYPE aapsmd_sessions_created_total counter\n")
-	fmt.Fprintf(w, "aapsmd_sessions_created_total %d\n", m.sessionsCreated.Load())
-	fmt.Fprintf(w, "# HELP aapsmd_sessions_reused_total Create requests coalesced onto a stored session by layout hash.\n# TYPE aapsmd_sessions_reused_total counter\n")
-	fmt.Fprintf(w, "aapsmd_sessions_reused_total %d\n", m.sessionsReused.Load())
-	fmt.Fprintf(w, "# HELP aapsmd_sessions_evicted_total Sessions removed from the store.\n# TYPE aapsmd_sessions_evicted_total counter\n")
-	fmt.Fprintf(w, "aapsmd_sessions_evicted_total{reason=\"lru\"} %d\n", m.sessionsEvicted.lru.Load())
-	fmt.Fprintf(w, "aapsmd_sessions_evicted_total{reason=\"ttl\"} %d\n", m.sessionsEvicted.ttl.Load())
-	fmt.Fprintf(w, "aapsmd_sessions_evicted_total{reason=\"delete\"} %d\n", m.sessionsEvicted.del.Load())
-	fmt.Fprintf(w, "# HELP aapsmd_detects_total Detect stage requests served.\n# TYPE aapsmd_detects_total counter\n")
-	fmt.Fprintf(w, "aapsmd_detects_total %d\n", m.detects.Load())
-	fmt.Fprintf(w, "# HELP aapsmd_edits_total Edit operations applied to sessions.\n# TYPE aapsmd_edits_total counter\n")
-	fmt.Fprintf(w, "aapsmd_edits_total %d\n", m.edits.Load())
-	fmt.Fprintf(w, "# HELP aapsmd_inflight_requests Requests currently being served.\n# TYPE aapsmd_inflight_requests gauge\n")
-	fmt.Fprintf(w, "aapsmd_inflight_requests %d\n", m.inflight.Load())
-	fmt.Fprintf(w, "# HELP aapsmd_snapshot_write_total Session snapshots written to the persistence store.\n# TYPE aapsmd_snapshot_write_total counter\n")
-	fmt.Fprintf(w, "aapsmd_snapshot_write_total %d\n", m.snapshotWrites.Load())
-	fmt.Fprintf(w, "# HELP aapsmd_snapshot_restore_total Sessions rehydrated from snapshots.\n# TYPE aapsmd_snapshot_restore_total counter\n")
-	fmt.Fprintf(w, "aapsmd_snapshot_restore_total %d\n", m.snapshotRestores.Load())
-	fmt.Fprintf(w, "# HELP aapsmd_snapshot_corrupt_total Snapshots rejected as corrupt, version-skewed, or configuration-mismatched.\n# TYPE aapsmd_snapshot_corrupt_total counter\n")
-	fmt.Fprintf(w, "aapsmd_snapshot_corrupt_total %d\n", m.snapshotCorrupt.Load())
-	fmt.Fprintf(w, "# HELP aapsmd_snapshot_restore_seconds Snapshot restore latency.\n# TYPE aapsmd_snapshot_restore_seconds summary\n")
-	fmt.Fprintf(w, "aapsmd_snapshot_restore_seconds_sum %.6f\n", float64(m.restoreNanos.Load())/1e9)
-	fmt.Fprintf(w, "aapsmd_snapshot_restore_seconds_count %d\n", m.snapshotRestores.Load())
-	fmt.Fprintf(w, "# HELP aapsmd_ready Whether the readiness probe would pass (serving and persistence healthy).\n# TYPE aapsmd_ready gauge\n")
-	rdy := 0
-	if ready {
-		rdy = 1
-	}
-	fmt.Fprintf(w, "aapsmd_ready %d\n", rdy)
-	fmt.Fprintf(w, "# HELP aapsmd_sessions_pinned Sessions pinned in memory because their snapshot could not be persisted.\n# TYPE aapsmd_sessions_pinned gauge\n")
-	fmt.Fprintf(w, "aapsmd_sessions_pinned %d\n", sessionsPinned)
-	fmt.Fprintf(w, "# HELP aapsmd_snapshot_retries_pending Snapshot writes queued for asynchronous retry.\n# TYPE aapsmd_snapshot_retries_pending gauge\n")
-	fmt.Fprintf(w, "aapsmd_snapshot_retries_pending %d\n", retriesPending)
-	fmt.Fprintf(w, "# HELP aapsmd_snapshot_write_errors_total Snapshot writes that failed against the persistence store.\n# TYPE aapsmd_snapshot_write_errors_total counter\n")
-	fmt.Fprintf(w, "aapsmd_snapshot_write_errors_total %d\n", m.snapshotWriteErrors.Load())
-	fmt.Fprintf(w, "# HELP aapsmd_snapshot_write_retries_total Asynchronous snapshot write retry attempts.\n# TYPE aapsmd_snapshot_write_retries_total counter\n")
-	fmt.Fprintf(w, "aapsmd_snapshot_write_retries_total %d\n", m.snapshotRetries.Load())
-	fmt.Fprintf(w, "# HELP aapsmd_blob_write_retries_total Blob write retry attempts during session creation.\n# TYPE aapsmd_blob_write_retries_total counter\n")
-	fmt.Fprintf(w, "aapsmd_blob_write_retries_total %d\n", m.blobRetries.Load())
-	fmt.Fprintf(w, "# HELP aapsmd_requests_shed_total Requests rejected by admission control with 429 (client_gone = the client disconnected while queued; not an overload signal).\n# TYPE aapsmd_requests_shed_total counter\n")
-	fmt.Fprintf(w, "aapsmd_requests_shed_total{scope=\"global\"} %d\n", m.shedGlobal.Load())
-	fmt.Fprintf(w, "aapsmd_requests_shed_total{scope=\"session\"} %d\n", m.shedSession.Load())
-	fmt.Fprintf(w, "aapsmd_requests_shed_total{scope=\"client_gone\"} %d\n", m.shedClientGone.Load())
-	fmt.Fprintf(w, "# HELP aapsmd_retry_after_seconds Retry-After currently advertised on shed responses (EWMA of observed queue waits, rounded up, capped).\n# TYPE aapsmd_retry_after_seconds gauge\n")
-	fmt.Fprintf(w, "aapsmd_retry_after_seconds %d\n", m.retryAfterSecs())
-	fmt.Fprintf(w, "# HELP aapsmd_edit_batches_total Merged edit batches committed by the per-session coalescer.\n# TYPE aapsmd_edit_batches_total counter\n")
-	fmt.Fprintf(w, "aapsmd_edit_batches_total %d\n", m.editBatches.Load())
-	fmt.Fprintf(w, "# HELP aapsmd_edit_batch_items_total Edit requests that rode in merged batches.\n# TYPE aapsmd_edit_batch_items_total counter\n")
-	fmt.Fprintf(w, "aapsmd_edit_batch_items_total %d\n", m.editBatchItems.Load())
-	fmt.Fprintf(w, "# HELP aapsmd_edits_coalesced_total Edit requests that shared their batch (and its single re-pipeline) with at least one other request.\n# TYPE aapsmd_edits_coalesced_total counter\n")
-	fmt.Fprintf(w, "aapsmd_edits_coalesced_total %d\n", m.editsCoalesced.Load())
-	fmt.Fprintf(w, "# HELP aapsmd_edit_batch_queue_seconds Per-item wait between arrival and batch collection (includes the coalescing linger).\n# TYPE aapsmd_edit_batch_queue_seconds summary\n")
-	fmt.Fprintf(w, "aapsmd_edit_batch_queue_seconds_sum %.6f\n", float64(m.batchQueueNanos.Load())/1e9)
-	fmt.Fprintf(w, "aapsmd_edit_batch_queue_seconds_count %d\n", m.batchQueueCount.Load())
-	fmt.Fprintf(w, "# HELP aapsmd_edit_batch_solve_seconds Merged batch apply + shared re-pipeline time, per batch.\n# TYPE aapsmd_edit_batch_solve_seconds summary\n")
-	fmt.Fprintf(w, "aapsmd_edit_batch_solve_seconds_sum %.6f\n", float64(m.batchSolveNanos.Load())/1e9)
-	fmt.Fprintf(w, "aapsmd_edit_batch_solve_seconds_count %d\n", m.editBatches.Load())
-	fmt.Fprintf(w, "# HELP aapsmd_reads_coalesced_total Read-stage requests served by an identical in-flight or cached computation at the same session generation.\n# TYPE aapsmd_reads_coalesced_total counter\n")
-	fmt.Fprintf(w, "aapsmd_reads_coalesced_total %d\n", m.readsCoalesced.Load())
-	fmt.Fprintf(w, "# HELP aapsmd_streams_active Streaming connections currently open.\n# TYPE aapsmd_streams_active gauge\n")
-	fmt.Fprintf(w, "aapsmd_streams_active %d\n", m.streamsActive.Load())
-	fmt.Fprintf(w, "# HELP aapsmd_streams_total Streaming connections accepted.\n# TYPE aapsmd_streams_total counter\n")
-	fmt.Fprintf(w, "aapsmd_streams_total %d\n", m.streamsTotal.Load())
-	fmt.Fprintf(w, "# HELP aapsmd_streams_rejected_total Streaming connections shed at the MaxStreams bound.\n# TYPE aapsmd_streams_rejected_total counter\n")
-	fmt.Fprintf(w, "aapsmd_streams_rejected_total %d\n", m.streamsRejected.Load())
-	fmt.Fprintf(w, "# HELP aapsmd_stream_events_total Events pushed over streaming connections.\n# TYPE aapsmd_stream_events_total counter\n")
-	fmt.Fprintf(w, "aapsmd_stream_events_total %d\n", m.streamEvents.Load())
-	fmt.Fprintf(w, "# HELP aapsmd_panics_total Panics recovered without killing the daemon.\n# TYPE aapsmd_panics_total counter\n")
-	fmt.Fprintf(w, "aapsmd_panics_total{scope=\"handler\"} %d\n", m.panicsHandler.Load())
-	fmt.Fprintf(w, "aapsmd_panics_total{scope=\"shard\"} %d\n", m.panicsShard.Load())
-	fmt.Fprintf(w, "# HELP aapsmd_queue_wait_seconds Time admitted requests spent queued for an admission slot.\n# TYPE aapsmd_queue_wait_seconds summary\n")
-	fmt.Fprintf(w, "aapsmd_queue_wait_seconds_sum %.6f\n", float64(m.queueWaitNanos.Load())/1e9)
-	fmt.Fprintf(w, "aapsmd_queue_wait_seconds_count %d\n", m.queueWaitCount.Load())
-	fmt.Fprintf(w, "# HELP aapsmd_incremental_reused_total Pipeline work units served from session cluster caches, by stage.\n# TYPE aapsmd_incremental_reused_total counter\n")
-	for i, name := range stageNames {
-		fmt.Fprintf(w, "aapsmd_incremental_reused_total{stage=%q} %d\n", name, m.reuse[i].reused.Load())
-	}
-	fmt.Fprintf(w, "# HELP aapsmd_incremental_solved_total Pipeline work units actually computed, by stage.\n# TYPE aapsmd_incremental_solved_total counter\n")
-	for i, name := range stageNames {
-		fmt.Fprintf(w, "aapsmd_incremental_solved_total{stage=%q} %d\n", name, m.reuse[i].solved.Load())
-	}
-	fmt.Fprintf(w, "# HELP aapsmd_hier_clusters_reused_total Conflict clusters whose detection result was spliced from an identical sibling placement by the instance-aware fast path.\n# TYPE aapsmd_hier_clusters_reused_total counter\n")
-	fmt.Fprintf(w, "aapsmd_hier_clusters_reused_total %d\n", m.hierReused.Load())
-	fmt.Fprintf(w, "# HELP aapsmd_hier_clusters_solved_total Distinct representative clusters solved for instance-pure cluster groups.\n# TYPE aapsmd_hier_clusters_solved_total counter\n")
-	fmt.Fprintf(w, "aapsmd_hier_clusters_solved_total %d\n", m.hierSolved.Load())
-	fmt.Fprintf(w, "# HELP aapsmd_hier_clusters_fallback_total Instance-touching clusters solved flat because they cross instance boundaries.\n# TYPE aapsmd_hier_clusters_fallback_total counter\n")
-	fmt.Fprintf(w, "aapsmd_hier_clusters_fallback_total %d\n", m.hierFallback.Load())
+// metricKind is a Prometheus metric type: only the kinds the daemon emits.
+type metricKind string
 
+const (
+	kindCounter metricKind = "counter"
+	kindGauge   metricKind = "gauge"
+	kindSummary metricKind = "summary"
+)
+
+// series is one sample of a metric family. Counters and gauges report n (a
+// float gauge reports f); a summary reports f as its _sum and n as its
+// _count.
+type series struct {
+	labels string // rendered `{key="value",...}`; "" when unlabelled
+	n      int64
+	f      float64
+}
+
+// family is one declared metric: its exposition header and the source of
+// its samples.
+type family struct {
+	name, help string
+	kind       metricKind
+	float      bool // a gauge whose value is f, written to millisecond precision
+	series     func() []series
+}
+
+// labelValue is one fixed label value of a family and its counter.
+type labelValue struct {
+	value string
+	load  func() int64
+}
+
+var metricNameRE = regexp.MustCompile(`^[a-z][a-z0-9]*(_[a-z0-9]+)*$`)
+
+// registry is the /metrics exposition: every family is declared once and
+// written in declaration order. Declaration enforces the naming rules, so a
+// bad name fails the first server construction (and every test) instead of
+// reaching a scrape.
+type registry struct {
+	families []family
+	names    map[string]bool
+}
+
+// add declares one family. It panics on a name without the aapsmd_ prefix,
+// one that is not snake_case, a duplicate, or a _total suffix on anything
+// but a counter (and a counter without one).
+func (r *registry) add(f family) {
+	switch {
+	case !strings.HasPrefix(f.name, "aapsmd_"):
+		panic(fmt.Sprintf("metric %s lacks the aapsmd_ prefix", f.name))
+	case !metricNameRE.MatchString(f.name):
+		panic(fmt.Sprintf("metric %s is not snake_case", f.name))
+	case r.names[f.name]:
+		panic(fmt.Sprintf("metric %s registered twice", f.name))
+	case strings.HasSuffix(f.name, "_total") != (f.kind == kindCounter):
+		panic(fmt.Sprintf("metric %s is a %s: _total is required on counters and reserved for them", f.name, f.kind))
+	}
+	if r.names == nil {
+		r.names = make(map[string]bool)
+	}
+	r.names[f.name] = true
+	r.families = append(r.families, f)
+}
+
+func (r *registry) counter(name, help string, load func() int64) {
+	r.add(family{name: name, help: help, kind: kindCounter, series: func() []series { return []series{{n: load()}} }})
+}
+
+func (r *registry) gauge(name, help string, load func() int64) {
+	r.add(family{name: name, help: help, kind: kindGauge, series: func() []series { return []series{{n: load()}} }})
+}
+
+// counters declares a counter family with one series per fixed value of a
+// single label.
+func (r *registry) counters(name, help, key string, values ...labelValue) {
+	r.add(family{name: name, help: help, kind: kindCounter, series: func() []series {
+		out := make([]series, len(values))
+		for i, v := range values {
+			out[i] = series{labels: fmt.Sprintf("{%s=%q}", key, v.value), n: v.load()}
+		}
+		return out
+	}})
+}
+
+// summary declares an unlabelled summary over a nanosecond sum and a count.
+func (r *registry) summary(name, help string, nanos, count *atomic.Int64) {
+	r.add(family{name: name, help: help, kind: kindSummary, series: func() []series {
+		return []series{{n: count.Load(), f: float64(nanos.Load()) / 1e9}}
+	}})
+}
+
+// write emits every family in Prometheus text exposition format.
+func (r *registry) write(w io.Writer) {
+	for _, f := range r.families {
+		fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s %s\n", f.name, f.help, f.name, f.kind)
+		for _, s := range f.series() {
+			switch {
+			case f.kind == kindSummary:
+				fmt.Fprintf(w, "%s_sum%s %.6f\n%s_count%s %d\n", f.name, s.labels, s.f, f.name, s.labels, s.n)
+			case f.float:
+				fmt.Fprintf(w, "%s%s %.3f\n", f.name, s.labels, s.f)
+			default:
+				fmt.Fprintf(w, "%s%s %d\n", f.name, s.labels, s.n)
+			}
+		}
+	}
+}
+
+// b2i is 1 for true, 0 for false.
+func b2i(b bool) int64 {
+	if b {
+		return 1
+	}
+	return 0
+}
+
+// declareMetrics is the daemon's one metric declaration list, in exposition
+// order.
+func (s *Server) declareMetrics() *registry {
+	m := s.metrics
+	r := &registry{}
+	r.gauge("aapsmd_up", "Whether the daemon is serving (0 while draining).", func() int64 { return b2i(!m.draining.Load()) })
+	r.add(family{name: "aapsmd_uptime_seconds", help: "Time since the server started.", kind: kindGauge, float: true,
+		series: func() []series { return []series{{f: s.cfg.now().Sub(m.start).Seconds()}} }})
+	r.gauge("aapsmd_sessions_live", "Sessions currently held in the store.", func() int64 { return int64(s.store.len()) })
+	r.counter("aapsmd_sessions_created_total", "Sessions built from uploaded layouts.", m.sessionsCreated.Load)
+	r.counter("aapsmd_sessions_reused_total", "Create requests coalesced onto a stored session by layout hash.", m.sessionsReused.Load)
+	r.counters("aapsmd_sessions_evicted_total", "Sessions removed from the store.", "reason",
+		labelValue{string(evictLRU), m.sessionsEvicted.lru.Load},
+		labelValue{string(evictTTL), m.sessionsEvicted.ttl.Load},
+		labelValue{string(evictExplicit), m.sessionsEvicted.del.Load})
+	r.counter("aapsmd_detects_total", "Detect stage requests served.", m.detects.Load)
+	r.counter("aapsmd_edits_total", "Edit operations applied to sessions.", m.edits.Load)
+	r.gauge("aapsmd_inflight_requests", "Requests currently being served.", m.inflight.Load)
+	r.counter("aapsmd_snapshot_write_total", "Session snapshots written to the persistence store.", m.snapshotWrites.Load)
+	r.counter("aapsmd_snapshot_restore_total", "Sessions rehydrated from snapshots.", m.snapshotRestores.Load)
+	r.counter("aapsmd_snapshot_corrupt_total", "Snapshots rejected as corrupt, version-skewed, or configuration-mismatched.", m.snapshotCorrupt.Load)
+	r.summary("aapsmd_snapshot_restore_seconds", "Snapshot restore latency.", &m.restoreNanos, &m.snapshotRestores)
+	r.gauge("aapsmd_ready", "Whether the readiness probe would pass (serving and persistence healthy).", func() int64 { return b2i(s.Ready()) })
+	r.gauge("aapsmd_sessions_pinned", "Sessions pinned in memory because their snapshot could not be persisted.", func() int64 { return int64(s.store.pinnedCount()) })
+	r.gauge("aapsmd_snapshot_retries_pending", "Snapshot writes queued for asynchronous retry.", func() int64 { return int64(s.pendingRetries()) })
+	r.counter("aapsmd_snapshot_write_errors_total", "Snapshot writes that failed against the persistence store.", m.snapshotWriteErrors.Load)
+	r.counter("aapsmd_snapshot_write_retries_total", "Asynchronous snapshot write retry attempts.", m.snapshotRetries.Load)
+	r.counter("aapsmd_blob_write_retries_total", "Blob write retry attempts during session creation.", m.blobRetries.Load)
+	r.counters("aapsmd_requests_shed_total", "Requests rejected by admission control with 429 (client_gone = the client disconnected while queued; not an overload signal).", "scope",
+		labelValue{"global", m.shedGlobal.Load},
+		labelValue{"session", m.shedSession.Load},
+		labelValue{"client_gone", m.shedClientGone.Load})
+	r.gauge("aapsmd_retry_after_seconds", "Retry-After currently advertised on shed responses (EWMA of observed queue waits, rounded up, capped).", func() int64 { return int64(m.retryAfterSecs()) })
+	r.counter("aapsmd_edit_batches_total", "Merged edit batches committed by the per-session coalescer.", m.editBatches.Load)
+	r.counter("aapsmd_edit_batch_items_total", "Edit requests that rode in merged batches.", m.editBatchItems.Load)
+	r.counter("aapsmd_edits_coalesced_total", "Edit requests that shared their batch (and its single re-pipeline) with at least one other request.", m.editsCoalesced.Load)
+	r.summary("aapsmd_edit_batch_queue_seconds", "Per-item wait between arrival and batch collection (includes the coalescing linger).", &m.batchQueueNanos, &m.batchQueueCount)
+	r.summary("aapsmd_edit_batch_solve_seconds", "Merged batch apply + shared re-pipeline time, per batch.", &m.batchSolveNanos, &m.editBatches)
+	r.counter("aapsmd_reads_coalesced_total", "Read-stage requests served by an identical in-flight or cached computation at the same session generation.", m.readsCoalesced.Load)
+	r.gauge("aapsmd_streams_active", "Streaming connections currently open.", m.streamsActive.Load)
+	r.counter("aapsmd_streams_total", "Streaming connections accepted.", m.streamsTotal.Load)
+	r.counter("aapsmd_streams_rejected_total", "Streaming connections shed at the MaxStreams bound.", m.streamsRejected.Load)
+	r.counter("aapsmd_stream_events_total", "Events pushed over streaming connections.", m.streamEvents.Load)
+	r.counters("aapsmd_panics_total", "Panics recovered without killing the daemon.", "scope",
+		labelValue{"handler", m.panicsHandler.Load},
+		labelValue{"shard", m.panicsShard.Load})
+	r.summary("aapsmd_queue_wait_seconds", "Time admitted requests spent queued for an admission slot.", &m.queueWaitNanos, &m.queueWaitCount)
+	var reused, solved []labelValue
+	for i, name := range stageNames {
+		reused = append(reused, labelValue{name, m.reuse[i].reused.Load})
+		solved = append(solved, labelValue{name, m.reuse[i].solved.Load})
+	}
+	r.counters("aapsmd_incremental_reused_total", "Pipeline work units served from session cluster caches, by stage.", "stage", reused...)
+	r.counters("aapsmd_incremental_solved_total", "Pipeline work units actually computed, by stage.", "stage", solved...)
+	r.counter("aapsmd_hier_clusters_reused_total", "Conflict clusters whose detection result was spliced from an identical sibling placement by the instance-aware fast path.", m.hierReused.Load)
+	r.counter("aapsmd_hier_clusters_solved_total", "Distinct representative clusters solved for instance-pure cluster groups.", m.hierSolved.Load)
+	r.counter("aapsmd_hier_clusters_fallback_total", "Instance-touching clusters solved flat because they cross instance boundaries.", m.hierFallback.Load)
+	r.add(family{name: "aapsmd_requests_total", help: "Finished HTTP requests.", kind: kindCounter, series: m.requestSeries})
+	r.add(family{name: "aapsmd_request_seconds", help: "Request latency.", kind: kindSummary, series: m.latencySeries})
+	return r
+}
+
+// requestSeries lists the finished-request counts by route and code.
+func (m *metrics) requestSeries() []series {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	keys := make([]requestKey, 0, len(m.requests))
@@ -357,19 +440,26 @@ func (m *metrics) write(w io.Writer, sessionsLive, sessionsPinned, retriesPendin
 		}
 		return keys[i].code < keys[j].code
 	})
-	fmt.Fprintf(w, "# HELP aapsmd_requests_total Finished HTTP requests.\n# TYPE aapsmd_requests_total counter\n")
-	for _, k := range keys {
-		fmt.Fprintf(w, "aapsmd_requests_total{route=%q,code=\"%d\"} %d\n", k.route, k.code, m.requests[k])
+	out := make([]series, len(keys))
+	for i, k := range keys {
+		out[i] = series{labels: fmt.Sprintf("{route=%q,code=\"%d\"}", k.route, k.code), n: m.requests[k]}
 	}
+	return out
+}
+
+// latencySeries lists the request latency summaries by route.
+func (m *metrics) latencySeries() []series {
+	m.mu.Lock()
+	defer m.mu.Unlock()
 	routes := make([]string, 0, len(m.seconds))
 	for r := range m.seconds {
 		routes = append(routes, r)
 	}
 	sort.Strings(routes)
-	fmt.Fprintf(w, "# HELP aapsmd_request_seconds Request latency.\n# TYPE aapsmd_request_seconds summary\n")
-	for _, r := range routes {
+	out := make([]series, len(routes))
+	for i, r := range routes {
 		l := m.seconds[r]
-		fmt.Fprintf(w, "aapsmd_request_seconds_sum{route=%q} %.6f\n", r, l.sum)
-		fmt.Fprintf(w, "aapsmd_request_seconds_count{route=%q} %d\n", r, l.count)
+		out[i] = series{labels: fmt.Sprintf("{route=%q}", r), n: l.count, f: l.sum}
 	}
+	return out
 }

@@ -27,6 +27,7 @@ package server
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"net/http"
 	"strconv"
@@ -224,11 +225,12 @@ func (c Config) withDefaults() Config {
 // Create with New, mount Handler on an http.Server, and call BeginDrain
 // before http.Server.Shutdown, then FlushAll and Close once drained.
 type Server struct {
-	cfg     Config
-	store   *sessionStore
-	metrics *metrics
-	mux     *http.ServeMux
-	stop    chan struct{}
+	cfg        Config
+	store      *sessionStore
+	metrics    *metrics
+	exposition *registry // the /metrics families over metrics and live state
+	mux        *http.ServeMux
+	stop       chan struct{}
 
 	// Admission semaphore (nil when admission control is disabled), the
 	// concurrent-stream bound, the bounded async snapshot-retry queue, and
@@ -245,7 +247,7 @@ type Server struct {
 	snapMu      sync.Mutex
 	snapByID    map[string]persist.Ref
 	snapByHash  map[string]persist.Ref
-	rehydrating map[string]*rehydrateCall
+	rehydrating flight[string, *sessionEntry]
 
 	// Per-profile engine cache: sessions created with ?profile= run under an
 	// engine configured from the named registry profile but sharing every
@@ -254,22 +256,17 @@ type Server struct {
 	engines map[string]*aapsm.Engine
 }
 
-// rehydrateCall is one in-flight snapshot restore other requests for the
-// same session wait on.
-type rehydrateCall struct{ done chan struct{} }
-
 // New builds a Server from the config.
 func New(cfg Config) *Server {
 	cfg = cfg.withDefaults()
 	s := &Server{
-		cfg:         cfg,
-		metrics:     newMetrics(cfg.now()),
-		mux:         http.NewServeMux(),
-		stop:        make(chan struct{}),
-		snapByID:    make(map[string]persist.Ref),
-		snapByHash:  make(map[string]persist.Ref),
-		rehydrating: make(map[string]*rehydrateCall),
-		engines:     make(map[string]*aapsm.Engine),
+		cfg:        cfg,
+		metrics:    newMetrics(cfg.now()),
+		mux:        http.NewServeMux(),
+		stop:       make(chan struct{}),
+		snapByID:   make(map[string]persist.Ref),
+		snapByHash: make(map[string]persist.Ref),
+		engines:    make(map[string]*aapsm.Engine),
 	}
 	s.retry.pending = make(map[string]int)
 	if cfg.MaxInflight > 0 {
@@ -280,6 +277,7 @@ func New(cfg Config) *Server {
 	}
 	s.store = newSessionStore(cfg.StoreCapacity, cfg.SessionTTL, cfg.now, s.onEvict)
 	s.store.slotCap = cfg.MaxSessionInflight
+	s.exposition = s.declareMetrics()
 	if cfg.Snapshots != nil {
 		if refs, err := cfg.Snapshots.List(); err == nil {
 			for _, ref := range refs {
@@ -464,36 +462,20 @@ func (s *Server) rehydrate(ctx context.Context, id string) (*sessionEntry, bool)
 		return nil, false
 	}
 	for {
-		s.snapMu.Lock()
-		ref, ok := s.snapByID[id]
-		if !ok {
-			s.snapMu.Unlock()
+		ent, shared, err := s.rehydrating.do(ctx, id, false, func() (*sessionEntry, error) {
+			return s.rehydrateLeader(ctx, id)
+		})
+		if err != nil {
 			return nil, false
 		}
-		if call, inflight := s.rehydrating[id]; inflight {
-			s.snapMu.Unlock()
-			select {
-			case <-call.done:
-			case <-ctx.Done():
-				return nil, false
-			}
-			// The leader adopted (or dropped) the snapshot; a live lookup
-			// resolves the former, a fresh spin of the loop the latter.
-			if ent, ok := s.store.get(id); ok {
-				return ent, true
-			}
-			continue
+		if !shared {
+			return ent, true
 		}
-		call := &rehydrateCall{done: make(chan struct{})}
-		s.rehydrating[id] = call
-		s.snapMu.Unlock()
-
-		ent, ok := s.rehydrateLeader(ctx, id, ref)
-		s.snapMu.Lock()
-		delete(s.rehydrating, id)
-		s.snapMu.Unlock()
-		close(call.done)
-		return ent, ok
+		// The leader adopted the session; a live lookup acquires it for
+		// this caller, and a miss (evicted again since) tries once more.
+		if ent, ok := s.store.get(id); ok {
+			return ent, true
+		}
 	}
 }
 
@@ -527,32 +509,42 @@ func (s *Server) engineFor(profile string) (*aapsm.Engine, error) {
 	return e, nil
 }
 
+// errNoSnapshot answers a rehydration of an ID the snapshot index does not
+// hold.
+var errNoSnapshot = errors.New("no snapshot for session")
+
 // rehydrateLeader is the winning flight's restore: read the snapshot bytes,
 // rebuild the session, adopt it under its original ID. The snapshot names
 // the rules profile it was taken under, so the restore routes to the
 // matching per-profile engine.
-func (s *Server) rehydrateLeader(ctx context.Context, id string, ref persist.Ref) (*sessionEntry, bool) {
+func (s *Server) rehydrateLeader(ctx context.Context, id string) (*sessionEntry, error) {
 	// A concurrent request may have adopted the session between this
 	// request's store miss and winning the flight.
 	if ent, ok := s.store.get(id); ok {
-		return ent, true
+		return ent, nil
+	}
+	s.snapMu.Lock()
+	ref, ok := s.snapByID[id]
+	s.snapMu.Unlock()
+	if !ok {
+		return nil, errNoSnapshot
 	}
 	data, err := s.cfg.Snapshots.Get(ref)
 	if err != nil {
 		s.dropSnapshot(ref)
-		return nil, false
+		return nil, err
 	}
 	profile, err := aapsm.SnapshotProfile(data)
 	if err != nil {
 		s.dropSnapshot(ref)
-		return nil, false
+		return nil, err
 	}
 	eng, err := s.engineFor(profile)
 	if err != nil {
 		// The snapshot names a profile this build's registry does not have;
 		// it can never restore here.
 		s.dropSnapshot(ref)
-		return nil, false
+		return nil, err
 	}
 	start := time.Now()
 	sess, err := eng.RestoreSessionWithParallelism(ctx, data, s.cfg.DetectWorkers)
@@ -562,12 +554,12 @@ func (s *Server) rehydrateLeader(ctx context.Context, id string, ref persist.Ref
 		if ctx.Err() == nil {
 			s.dropSnapshot(ref)
 		}
-		return nil, false
+		return nil, err
 	}
 	s.metrics.snapshotRestores.Add(1)
 	s.metrics.observeRestore(time.Since(start))
 	ent, _ := s.store.adopt(ref.ID, ref.Hash, ref.Edited, sess)
-	return ent, true
+	return ent, nil
 }
 
 func (s *Server) routes() {

@@ -93,21 +93,14 @@ type sessionStore struct {
 	slotCap int
 	now     func() time.Time
 	// The session indexes and counters: all guarded by mu.
-	byID     map[string]*sessionEntry // guarded by mu
-	byHash   map[string]*sessionEntry // pristine sessions only; guarded by mu
-	lru      *list.List               // front = most recently used; values are *sessionEntry; guarded by mu
-	seq      int64                    // guarded by mu
-	pinnedN  int                      // entries currently pinned (persistence degraded); guarded by mu
-	creating map[string]*createCall   // guarded by mu
-	onEvict  func(*sessionEntry, evictReason)
-}
-
-// createCall is one in-flight session construction other creators of the
-// same hash wait on.
-type createCall struct {
-	done chan struct{}
-	ent  *sessionEntry
-	err  error
+	byID    map[string]*sessionEntry // guarded by mu
+	byHash  map[string]*sessionEntry // pristine sessions only; guarded by mu
+	lru     *list.List               // front = most recently used; values are *sessionEntry; guarded by mu
+	seq     int64                    // guarded by mu
+	pinnedN int                      // entries currently pinned (persistence degraded); guarded by mu
+	onEvict func(*sessionEntry, evictReason)
+	// creating single-flights session construction per content hash.
+	creating flight[string, *sessionEntry]
 }
 
 func newSessionStore(capacity int, ttl time.Duration, now func() time.Time, onEvict func(*sessionEntry, evictReason)) *sessionStore {
@@ -127,7 +120,6 @@ func newSessionStore(capacity int, ttl time.Duration, now func() time.Time, onEv
 		byID:     make(map[string]*sessionEntry),
 		byHash:   make(map[string]*sessionEntry),
 		lru:      list.New(),
-		creating: make(map[string]*createCall),
 		onEvict:  onEvict,
 	}
 }
@@ -141,67 +133,48 @@ func newSessionStore(capacity int, ttl time.Duration, now func() time.Time, onEv
 // later creator). reused reports whether an existing session was returned.
 // The returned entry is acquired; the caller must release it.
 func (st *sessionStore) getOrCreate(ctx context.Context, hash string, mk func() (*aapsm.Session, error)) (ent *sessionEntry, reused bool, err error) {
-	var call *createCall
-	for call == nil {
+	for {
 		if err := ctx.Err(); err != nil {
 			return nil, false, err
 		}
-		st.mu.Lock()
-		if e, ok := st.byHash[hash]; ok && !st.expiredLocked(e) {
-			st.touchLocked(e)
-			e.refs++
-			st.mu.Unlock()
+		if e := st.pristine(hash); e != nil {
 			return e, true, nil
 		}
-		if inflight, ok := st.creating[hash]; ok {
+		e, shared, err := st.creating.do(ctx, hash, false, func() (*sessionEntry, error) {
+			// A leader that finished between this caller's miss above and
+			// its win of the flight has already stored the session.
+			if e := st.pristine(hash); e != nil {
+				reused = true
+				return e, nil
+			}
+			sess, err := mk()
+			if err != nil {
+				return nil, err
+			}
+			st.mu.Lock()
+			st.seq++
+			e := st.newEntryLocked(fmt.Sprintf("%s-%d", hash[:12], st.seq), hash, sess)
+			fire := st.insertLocked(e)
 			st.mu.Unlock()
-			select {
-			case <-inflight.done:
-			case <-ctx.Done():
-				return nil, false, ctx.Err()
-			}
-			if inflight.err == nil {
-				// The leader's entry may already have been evicted (or
-				// expired) between its insertion and this wake-up; re-check
-				// liveness under the lock and fall back to a fresh attempt.
-				e := inflight.ent
-				st.mu.Lock()
-				if !e.gone && !st.expiredLocked(e) {
-					st.touchLocked(e)
-					e.refs++
-					st.mu.Unlock()
-					return e, true, nil
-				}
-				st.mu.Unlock()
-			}
-			continue // retry as a new leader
+			st.fire(fire)
+			return e, nil
+		})
+		if err != nil {
+			return nil, false, err
 		}
-		call = &createCall{done: make(chan struct{})}
-		st.creating[hash] = call
+		if !shared {
+			return e, reused, nil
+		}
+		// The leader's entry may already have been evicted (or expired)
+		// between its insertion and this wake-up; re-check liveness under
+		// the lock and fall back to a fresh attempt.
+		st.mu.Lock()
+		e = st.acquireLocked(e)
 		st.mu.Unlock()
+		if e != nil {
+			return e, true, nil
+		}
 	}
-	sess, err := mk()
-	st.mu.Lock()
-	delete(st.creating, hash)
-	if err != nil {
-		call.err = err
-		st.mu.Unlock()
-		close(call.done)
-		return nil, false, err
-	}
-	st.seq++
-	ent = st.newEntryLocked(fmt.Sprintf("%s-%d", hash[:12], st.seq), hash, sess)
-	st.byID[ent.ID] = ent
-	st.byHash[hash] = ent
-	ent.elem = st.lru.PushFront(ent)
-	ent.expires = st.now().Add(st.ttl)
-	ent.refs++
-	fire := st.evictOverflowLocked()
-	call.ent = ent
-	st.mu.Unlock()
-	close(call.done)
-	st.fire(fire)
-	return ent, false, nil
 }
 
 // adopt inserts a session rehydrated from a snapshot under its original ID,
@@ -211,9 +184,7 @@ func (st *sessionStore) getOrCreate(ctx context.Context, hash string, mk func() 
 // must release it.
 func (st *sessionStore) adopt(id, hash string, edited bool, sess *aapsm.Session) (ent *sessionEntry, adopted bool) {
 	st.mu.Lock()
-	if e, ok := st.byID[id]; ok && !st.expiredLocked(e) {
-		st.touchLocked(e)
-		e.refs++
+	if e := st.acquireLocked(st.byID[id]); e != nil {
 		st.mu.Unlock()
 		return e, false
 	}
@@ -226,14 +197,7 @@ func (st *sessionStore) adopt(id, hash string, edited bool, sess *aapsm.Session)
 	}
 	ent = st.newEntryLocked(id, hash, sess)
 	ent.edited = edited
-	st.byID[id] = ent
-	if !edited && st.byHash[hash] == nil {
-		st.byHash[hash] = ent
-	}
-	ent.elem = st.lru.PushFront(ent)
-	ent.expires = st.now().Add(st.ttl)
-	ent.refs++
-	fire := st.evictOverflowLocked()
+	fire := st.insertLocked(ent)
 	st.mu.Unlock()
 	st.fire(fire)
 	return ent, true
@@ -347,6 +311,41 @@ func (st *sessionStore) newEntryLocked(id, hash string, sess *aapsm.Session) *se
 	if st.slotCap > 0 {
 		e.slots = make(chan struct{}, st.slotCap)
 	}
+	return e
+}
+
+// insertLocked indexes a fresh entry — by hash too when it is pristine and
+// no live entry holds the hash — acquired for the caller, and returns the
+// entries whose eviction callback the overflow made due. The store mutex
+// must be held.
+func (st *sessionStore) insertLocked(e *sessionEntry) []*sessionEntry {
+	st.byID[e.ID] = e
+	if cur := st.byHash[e.Hash]; !e.edited && (cur == nil || st.expiredLocked(cur)) {
+		st.byHash[e.Hash] = e
+	}
+	e.elem = st.lru.PushFront(e)
+	e.expires = st.now().Add(st.ttl)
+	e.refs++
+	return st.evictOverflowLocked()
+}
+
+// pristine returns the live pristine session stored for hash, acquired, or
+// nil.
+func (st *sessionStore) pristine(hash string) *sessionEntry {
+	st.mu.Lock()
+	defer st.mu.Unlock()
+	return st.acquireLocked(st.byHash[hash])
+}
+
+// acquireLocked takes a reference on e, refreshing its TTL and LRU
+// position, when e is non-nil and still live; otherwise it returns nil. The
+// store mutex must be held.
+func (st *sessionStore) acquireLocked(e *sessionEntry) *sessionEntry {
+	if e == nil || e.gone || st.expiredLocked(e) {
+		return nil
+	}
+	st.touchLocked(e)
+	e.refs++
 	return e
 }
 

@@ -312,3 +312,27 @@ func TestStoreAdopt(t *testing.T) {
 	st.release(e5)
 	st.release(edited)
 }
+
+// TestStoreCreateReplacesExpiredHashEntry: an expired but not yet swept
+// session does not shadow its replacement in the hash index, so the next
+// create of the same content reuses the replacement.
+func TestStoreCreateReplacesExpiredHashEntry(t *testing.T) {
+	clk := newFakeClock()
+	st := newSessionStore(16, time.Minute, clk.Now, nil)
+	old, _, err := st.getOrCreate(t.Context(), testHash(1), mkSession)
+	if err != nil {
+		t.Fatal(err)
+	}
+	st.release(old)
+	clk.Advance(2 * time.Minute)
+	fresh, reused, err := st.getOrCreate(t.Context(), testHash(1), mkSession)
+	if err != nil || reused || fresh == old {
+		t.Fatalf("create after expiry: reused=%v same=%v err=%v, want a new session", reused, fresh == old, err)
+	}
+	st.release(fresh)
+	again, reused, err := st.getOrCreate(t.Context(), testHash(1), mkSession)
+	if err != nil || !reused || again != fresh {
+		t.Fatalf("create of the same content: reused=%v same=%v err=%v, want the replacement", reused, again == fresh, err)
+	}
+	st.release(again)
+}
