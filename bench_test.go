@@ -81,7 +81,7 @@ func BenchmarkTable1DetectPCG_d3(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		if _, err := core.Detect(cg, core.Options{}); err != nil {
+		if _, err := core.DetectContext(context.Background(), cg, core.Options{}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -97,7 +97,7 @@ func BenchmarkTable1DetectFG_d3(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		if _, err := core.Detect(cg, core.Options{}); err != nil {
+		if _, err := core.DetectContext(context.Background(), cg, core.Options{}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -278,7 +278,7 @@ func BenchmarkRecheckModes(b *testing.B) {
 				if err != nil {
 					b.Fatal(err)
 				}
-				det, err := core.Detect(cg, core.Options{Recheck: mode.m})
+				det, err := core.DetectContext(context.Background(), cg, core.Options{Recheck: mode.m})
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -326,13 +326,44 @@ func BenchmarkDetectParallel(b *testing.B) {
 			b.ReportAllocs()
 			var shards int
 			for i := 0; i < b.N; i++ {
-				det, err := core.Detect(cg, core.Options{Workers: w})
+				det, err := core.DetectContext(context.Background(), cg, core.Options{Workers: w})
 				if err != nil {
 					b.Fatal(err)
 				}
 				shards = det.Stats.Shards
 			}
 			b.ReportMetric(float64(shards), "shards")
+		})
+	}
+}
+
+// BenchmarkEngineDetect_d5 times the one-shot library detection,
+// Engine.Detect at WithParallelism(1), on d5 (≈18 K polygons): layout copy,
+// shifter synthesis, graph build, crossing sweep and the serial cluster
+// solve. hier-toplevel attaches a hierarchy sidecar whose features are all
+// top-level, which walks the instance-aware classification of every cluster
+// and then solves flat.
+func BenchmarkEngineDetect_d5(b *testing.B) {
+	ctx := context.Background()
+	flat := suiteLayout(b, 4)
+	hier := suiteLayout(b, 4)
+	hier.Hier = &layout.Hierarchy{FeatureInstance: make([]int32, len(hier.Features))}
+	for i := range hier.Hier.FeatureInstance {
+		hier.Hier.FeatureInstance[i] = -1
+	}
+	for _, bc := range []struct {
+		name string
+		l    *layout.Layout
+	}{{"flat", flat}, {"hier-toplevel", hier}} {
+		b.Run(bc.name, func(b *testing.B) {
+			eng := aapsm.NewEngine(aapsm.WithParallelism(1))
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := eng.Detect(ctx, bc.l); err != nil {
+					b.Fatal(err)
+				}
+			}
 		})
 	}
 }

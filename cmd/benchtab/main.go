@@ -246,7 +246,7 @@ func writeDetectJSON(path string, suite []bench.Design, rules aapsm.Rules, worke
 			return nil, fmt.Errorf("%s: %w", d.Name, err)
 		}
 		buildNS := time.Since(tBuild).Nanoseconds()
-		det, err := core.Detect(cg, core.Options{Workers: workers})
+		det, err := core.DetectContext(context.Background(), cg, core.Options{Workers: workers})
 		if err != nil {
 			return nil, fmt.Errorf("%s: %w", d.Name, err)
 		}
@@ -571,7 +571,7 @@ func measureHierDetect(d bench.Design, rules aapsm.Rules, workers int) (bestNS i
 			return 0, 0, err
 		}
 		t0 := time.Now()
-		det, err := core.Detect(cg, core.Options{Workers: workers})
+		det, err := core.DetectContext(context.Background(), cg, core.Options{Workers: workers})
 		if err != nil {
 			return 0, 0, err
 		}

@@ -1,6 +1,8 @@
 package compact
 
 import (
+	"context"
+
 	"testing"
 
 	"repro/internal/core"
@@ -17,7 +19,7 @@ func detect(t *testing.T, l *layout.Layout) (*core.ConflictGraph, *core.Detectio
 	if err != nil {
 		t.Fatal(err)
 	}
-	det, err := core.Detect(cg, core.Options{})
+	det, err := core.DetectContext(context.Background(), cg, core.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,6 +1,8 @@
 package core
 
 import (
+	"context"
+
 	"math/rand"
 	"testing"
 
@@ -47,7 +49,7 @@ func TestChainOfWiresAssignable(t *testing.T) {
 		t.Fatalf("ok=%v err=%v", ok, err)
 	}
 	cg, _ := BuildGraph(l, rules(), PCG)
-	det, err := Detect(cg, Options{})
+	det, err := DetectContext(context.Background(), cg, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -84,7 +86,7 @@ func TestDensePairConflict(t *testing.T) {
 		t.Fatal("dense pair should not be phase-assignable")
 	}
 	cg, _ := BuildGraph(l, rules(), PCG)
-	det, err := Detect(cg, Options{})
+	det, err := DetectContext(context.Background(), cg, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -129,7 +131,7 @@ func TestTripleWireFigure1(t *testing.T) {
 		t.Fatal("triple should conflict")
 	}
 	cg, _ := BuildGraph(l, rules(), PCG)
-	det, err := Detect(cg, Options{})
+	det, err := DetectContext(context.Background(), cg, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -176,17 +178,17 @@ func TestDetectMethodsAgreeOnWeight(t *testing.T) {
 	l := wireLayout("methods", 0, 350, 700, 1050, 1500)
 	for _, kind := range []GraphKind{PCG, FG} {
 		cg1, _ := BuildGraph(l, rules(), kind)
-		d1, err := Detect(cg1, Options{TJoin: tjoin.Options{Method: tjoin.MethodGeneralizedGadget}})
+		d1, err := DetectContext(context.Background(), cg1, Options{TJoin: tjoin.Options{Method: tjoin.MethodGeneralizedGadget}})
 		if err != nil {
 			t.Fatal(err)
 		}
 		cg2, _ := BuildGraph(l, rules(), kind)
-		d2, err := Detect(cg2, Options{TJoin: tjoin.Options{Method: tjoin.MethodOptimizedGadget}})
+		d2, err := DetectContext(context.Background(), cg2, Options{TJoin: tjoin.Options{Method: tjoin.MethodOptimizedGadget}})
 		if err != nil {
 			t.Fatal(err)
 		}
 		cg3, _ := BuildGraph(l, rules(), kind)
-		d3, err := Detect(cg3, Options{TJoin: tjoin.Options{Method: tjoin.MethodLawler}})
+		d3, err := DetectContext(context.Background(), cg3, Options{TJoin: tjoin.Options{Method: tjoin.MethodLawler}})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -267,7 +269,7 @@ func TestTheorem1Property(t *testing.T) {
 			t.Fatalf("trial %d: bipartite=%v assignable=%v", trial, got, want)
 		}
 		// The full flow must also produce a verified assignment.
-		det, err := Detect(cg, Options{})
+		det, err := DetectContext(context.Background(), cg, Options{})
 		if err != nil {
 			t.Fatalf("trial %d: %v", trial, err)
 		}
@@ -287,7 +289,7 @@ func TestTheorem1Property(t *testing.T) {
 func TestDetectStatsPopulated(t *testing.T) {
 	l := wireLayout("stats", 0, 350, 700)
 	cg, _ := BuildGraph(l, rules(), PCG)
-	det, err := Detect(cg, Options{})
+	det, err := DetectContext(context.Background(), cg, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

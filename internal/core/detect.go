@@ -63,7 +63,7 @@ type Stats struct {
 	// (clusters with at least one edge).
 	Shards int
 	// ReusedShards counts clusters whose cached result was reused instead of
-	// re-solved (always 0 for a from-scratch Detect; see Incremental).
+	// re-solved (always 0 for DetectContext; see Incremental).
 	ReusedShards int
 	// HierReusedShards / HierSolvedShards tally the instance-aware fast
 	// path: instance-pure clusters whose result was spliced from an
@@ -114,7 +114,7 @@ type Options struct {
 	Workers int
 }
 
-// Detect runs the complete flow of §3 on a prebuilt conflict graph:
+// DetectContext runs the complete flow of §3 on a prebuilt conflict graph:
 //
 //  1. planarize the drawing, collecting removed crossing edges P;
 //  2. optimally bipartize the embedded planar remainder via the dual
@@ -128,102 +128,152 @@ type Options struct {
 // planarization and the matching solve are superlinear, k clusters of size
 // n/k beat one monolithic solve of size n even sequentially, and clusters
 // are independent so Options.Workers of them run concurrently.
-func Detect(cg *ConflictGraph, opt Options) (*Detection, error) {
-	//aapsmvet:allow ctxflow compatibility wrapper for non-cancellable callers; DetectContext is the ctx-aware entry point
-	return DetectContext(context.Background(), cg, opt)
+//
+// ctx is polled between flow steps and threaded into every shard's T-join
+// matching hot loop, so a cancelled detection returns ctx.Err() promptly
+// instead of finishing a potentially large matching instance.
+func DetectContext(ctx context.Context, cg *ConflictGraph, opt Options) (*Detection, error) {
+	det, _, err := detect(ctx, cg, nil, nil, opt)
+	return det, err
 }
 
-// DetectContext is Detect with cooperative cancellation: ctx is polled
-// between flow steps and threaded into every shard's T-join matching hot
-// loop, so a cancelled detection returns ctx.Err() promptly instead of
-// finishing a potentially large matching instance.
-func DetectContext(ctx context.Context, cg *ConflictGraph, opt Options) (*Detection, error) {
+// clusterRun is the per-cluster state of one detection run — what an
+// Incremental engine commits as the reuse baseline of its next Detect.
+type clusterRun struct {
+	crossPairs  [][2]int
+	labels      []int   // cluster per node
+	edgeCluster []int32 // cluster per edge
+	nShards     int
+	results     []*shardResult // per cluster; nil for edge-less parts
+	// solved marks the clusters this run solved (or spliced from a solved
+	// hierarchy representative) rather than took from the cache.
+	solved []bool
+}
+
+// partition splits g into conflict clusters over the run's crossing pairs.
+func (run *clusterRun) partition(g *graph.Graph) {
+	run.labels, run.nShards = conflictClusters(g, run.crossPairs)
+	run.edgeCluster = make([]int32, g.M())
+	for e := range run.edgeCluster {
+		run.edgeCluster[e] = int32(run.labels[g.Edge(e).U])
+	}
+}
+
+// detect is the one detection routine behind DetectContext and every
+// Incremental Detect. cross supplies the crossing-pair list (nil sweeps the
+// whole drawing); cached, when non-nil, is asked for the reusable result of
+// every cluster once the partition is known and returns one entry per
+// cluster, nil where the cluster must be solved. Only the clusters without a
+// cached result are induced as standalone drawings and solved; the
+// instance-aware dedup runs only when nothing is cached, so its job list is
+// complete. Results are merged in cluster order, so the Detection does not
+// depend on the worker count or on which clusters came from the cache.
+func detect(ctx context.Context, cg *ConflictGraph, cross func() [][2]int, cached func(edgeCluster []int32, nShards int) []*shardResult, opt Options) (*Detection, *clusterRun, error) {
 	start := time.Now() //aapsmvet:allow determinism stage-timing telemetry only; durations land in Stats, never in results
 	det := &Detection{Graph: cg}
 	det.Stats.GraphNodes = cg.Nodes()
 	det.Stats.GraphEdges = cg.Edges()
-
 	if err := ctx.Err(); err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 
-	// Step 1a: one global geometric sweep finds all crossing pairs; the
-	// greedy removal itself happens per shard on this precomputed list.
+	// Step 1a: one crossing-pair list for the whole drawing; the greedy
+	// removal itself happens per shard on it.
+	if cross == nil {
+		cross = cg.Drawing.Crossings
+	}
 	tCross := time.Now() //aapsmvet:allow determinism stage-timing telemetry only; durations land in Stats, never in results
-	crossPairs := cg.Drawing.Crossings()
+	run := &clusterRun{crossPairs: cross()}
 	det.Stats.CrossTime = time.Since(tCross)
-	det.Stats.CrossingPairs = len(crossPairs)
+	det.Stats.CrossingPairs = len(run.crossPairs)
+	if err := ctx.Err(); err != nil {
+		return nil, nil, err
+	}
 
 	g := cg.Drawing.G
-	labels, nShards := conflictClusters(g, crossPairs)
-	shards := cg.Drawing.InducedComponents(labels, nShards)
-
-	// Distribute the crossing pairs into shard-local edge index space. A
-	// crossing pair is always intra-cluster: clusters are closed under the
-	// crossing relation by construction.
-	localEdge := make([]int32, g.M())
-	for _, sh := range shards {
-		for newE, oldE := range sh.EdgeOf {
-			localEdge[oldE] = int32(newE)
+	m := g.M()
+	run.partition(g)
+	nShards := run.nShards
+	size := make([]int, nShards)
+	for _, c := range run.edgeCluster {
+		size[c]++
+	}
+	var reuse []*shardResult
+	if cached != nil {
+		reuse = cached(run.edgeCluster, nShards)
+	}
+	run.solved = make([]bool, nShards)
+	for c, n := range size {
+		run.solved[c] = reuse == nil || (reuse[c] == nil && n > 0)
+		if n > 0 {
+			det.Stats.Shards++
+			det.Stats.LargestShardEdges = max(det.Stats.LargestShardEdges, n)
 		}
 	}
-	pairsByShard := make([][][2]int, nShards)
-	for _, p := range crossPairs {
-		c := labels[g.Edge(p[0]).U]
-		pairsByShard[c] = append(pairsByShard[c], [2]int{int(localEdge[p[0]]), int(localEdge[p[1]])})
-	}
 
-	for _, sh := range shards {
-		if m := sh.D.G.M(); m > 0 {
-			det.Stats.Shards++
-			if m > det.Stats.LargestShardEdges {
-				det.Stats.LargestShardEdges = m
+	// Induce the clusters to solve and distribute the crossing pairs into
+	// their local edge index space. A crossing pair is always intra-cluster:
+	// clusters are closed under the crossing relation by construction.
+	shards := cg.Drawing.InducedComponentsSubset(run.labels, nShards, run.solved)
+	localEdge := make([]int32, m)
+	for c, sh := range shards {
+		if run.solved[c] {
+			for le, ge := range sh.EdgeOf {
+				localEdge[ge] = int32(le)
 			}
 		}
 	}
-
-	// Run the per-shard flow on a bounded worker pool. Shard results are
-	// deterministic and merged in shard order, so any worker count produces
-	// the same Detection.
+	pairsByShard := make([][][2]int, nShards)
+	for _, p := range run.crossPairs {
+		if c := run.edgeCluster[p[0]]; run.solved[c] {
+			pairsByShard[c] = append(pairsByShard[c], [2]int{int(localEdge[p[0]]), int(localEdge[p[1]])})
+		}
+	}
 	jobs := make([]shardJob, nShards)
-	for i, sh := range shards {
-		if sh.D.G.M() > 0 {
-			jobs[i] = shardJob{d: sh.D, pairs: pairsByShard[i]}
+	for c, sh := range shards {
+		if run.solved[c] && size[c] > 0 {
+			jobs[c] = shardJob{d: sh.D, pairs: pairsByShard[c]}
 		}
 	}
 
 	// Instance-aware fast path: solve each distinct instance-pure cluster
 	// shape once and splice the result into every other placement.
-	var fresh []bool
-	plan := hierDedupPlan(cg, labels, nShards, jobs)
-	if plan != nil {
-		plan.blankDuplicates(jobs)
-		fresh = make([]bool, nShards)
-		for i := range fresh {
-			fresh[i] = true
+	var plan *hierPlan
+	if reuse == nil {
+		if plan = hierDedupPlan(cg, run.labels, nShards, jobs); plan != nil {
+			plan.blankDuplicates(jobs)
 		}
 	}
-	results := make([]*shardResult, nShards)
-	if err := runShards(ctx, jobs, results, opt.Workers, opt); err != nil {
-		return nil, err
+	run.results = make([]*shardResult, nShards)
+	if err := runShards(ctx, jobs, run.results, opt.Workers, opt); err != nil {
+		return nil, nil, err
 	}
+
+	// fresh marks the clusters whose solve this run performed, so merge-time
+	// duration accounting counts each solve once.
+	fresh := append([]bool(nil), run.solved...)
 	if plan != nil {
-		plan.spliceResults(results, fresh)
+		plan.spliceResults(run.results, fresh)
 		det.Stats.HierReusedShards = plan.reused
 		det.Stats.HierSolvedShards = plan.solved
 		det.Stats.HierFallbackShards = plan.fallback
 	}
-
-	// Merge shard results back through the edge index maps.
-	edgeOf := make([][]int, nShards)
-	for i := range shards {
-		edgeOf[i] = shards[i].EdgeOf
+	for c, r := range reuse {
+		if r != nil {
+			run.results[c] = r
+			det.Stats.ReusedShards++
+		}
 	}
-	if err := mergeShards(det, cg, edgeOf, results, fresh); err != nil {
-		return nil, err
+
+	edgeOf := make([][]int, nShards)
+	for c := range shards {
+		edgeOf[c] = shards[c].EdgeOf
+	}
+	if err := mergeShards(det, cg, edgeOf, run.results, fresh); err != nil {
+		return nil, nil, err
 	}
 	det.Stats.TotalTime = time.Since(start)
-	return det, nil
+	return det, run, nil
 }
 
 // shardJob couples one cluster's standalone drawing with its crossing pairs
@@ -366,8 +416,8 @@ func runShards(ctx context.Context, jobs []shardJob, results []*shardResult, wor
 // mergeShards folds per-cluster results into det through the edge index
 // maps, in cluster order: edgeOf[i] maps cluster i's local edge indices to
 // global ones. Size counters are summed over every result; stage durations
-// are summed only over clusters marked in fresh (nil means all), so a
-// caller reusing cached results reports only the work this run performed.
+// are summed only over clusters marked in fresh, so a run reusing cached or
+// spliced results reports only the work it performed.
 // It finishes with the bipartiteness self-check on the merged conflict set.
 func mergeShards(det *Detection, cg *ConflictGraph, edgeOf [][]int, results []*shardResult, fresh []bool) error {
 	finalSet := make(map[int]bool)
@@ -390,7 +440,7 @@ func mergeShards(det *Detection, cg *ConflictGraph, edgeOf [][]int, results []*s
 		det.Stats.OddFaces += r.oddFaces
 		det.Stats.GadgetNodes += r.gadgetNodes
 		det.Stats.GadgetEdges += r.gadgetEdges
-		if fresh == nil || fresh[i] {
+		if fresh[i] {
 			det.Stats.PlanarTime += r.planarTime
 			det.Stats.EmbedTime += r.embedTime
 			det.Stats.MatchTime += r.matchTime

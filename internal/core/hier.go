@@ -46,25 +46,30 @@ func hierDedupPlan(cg *ConflictGraph, labels []int, nShards int, jobs []shardJob
 	if h == nil || nShards == 0 {
 		return nil
 	}
-	// Fold each feature's placement tag into its cluster: -2 = no features
-	// seen yet, -1 = mixed instances or top-level geometry, >= 0 = every
-	// feature so far belongs to that one placement. The fold is commutative,
-	// so iterating the PairOf map in arbitrary order is deterministic.
+	// Fold each feature's placement tag into its cluster, over the shifters
+	// in index order (both flanks of a feature share its feature edge, hence
+	// its cluster): -2 = no features seen yet, -1 = mixed instances or
+	// top-level geometry, >= 0 = every feature so far belongs to that one
+	// placement. placed records whether any feature of the cluster carries a
+	// placement tag, which separates a genuine instance-boundary fallback
+	// from purely top-level geometry.
 	inst := make([]int32, nShards)
 	for c := range inst {
 		inst[c] = -2
 	}
-	for fi, pair := range cg.Set.PairOf {
-		c := labels[cg.ShifterNode[pair[0]]]
+	placed := make([]bool, nShards)
+	for i, sh := range cg.Set.Shifters {
+		c := labels[cg.ShifterNode[i]]
 		tag := int32(-1)
-		if fi < len(h.FeatureInstance) {
-			tag = h.FeatureInstance[fi]
+		if sh.Feature < len(h.FeatureInstance) {
+			tag = h.FeatureInstance[sh.Feature]
 		}
+		placed[c] = placed[c] || tag >= 0
 		switch {
 		case inst[c] == -2:
-			inst[c] = tag //aapsmvet:allow determinism commutative fold: first-write then equality check reaches the same fixpoint in any iteration order
+			inst[c] = tag
 		case inst[c] != tag:
-			inst[c] = -1 //aapsmvet:allow determinism commutative fold: any disagreeing tag pins the cluster to -1 regardless of order
+			inst[c] = -1
 		}
 	}
 	plan := &hierPlan{rep: make([]int32, nShards)}
@@ -78,7 +83,7 @@ func hierDedupPlan(cg *ConflictGraph, labels []int, nShards int, jobs []shardJob
 			continue
 		}
 		if inst[c] < 0 {
-			if inst[c] == -1 && clusterTouchesInstance(cg, labels, c, h.FeatureInstance) {
+			if placed[c] {
 				plan.fallback++
 			}
 			continue
@@ -99,21 +104,6 @@ func hierDedupPlan(cg *ConflictGraph, labels []int, nShards int, jobs []shardJob
 	return plan
 }
 
-// clusterTouchesInstance reports whether any feature of cluster c carries a
-// placement tag >= 0 — distinguishing a genuine instance-boundary fallback
-// from a cluster made purely of top-level geometry.
-func clusterTouchesInstance(cg *ConflictGraph, labels []int, c int, featInst []int32) bool {
-	for fi, pair := range cg.Set.PairOf {
-		if labels[cg.ShifterNode[pair[0]]] != c {
-			continue
-		}
-		if fi < len(featInst) && featInst[fi] >= 0 {
-			return true
-		}
-	}
-	return false
-}
-
 // blankDuplicates clears the jobs of clusters that will reuse a
 // representative's result, so runShards skips them.
 func (p *hierPlan) blankDuplicates(jobs []shardJob) {
@@ -131,9 +121,7 @@ func (p *hierPlan) spliceResults(results []*shardResult, fresh []bool) {
 	for c, r := range p.rep {
 		if r >= 0 {
 			results[c] = results[r]
-			if fresh != nil {
-				fresh[c] = false
-			}
+			fresh[c] = false
 		}
 	}
 }

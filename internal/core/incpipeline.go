@@ -57,7 +57,7 @@ func (inc *Incremental) AssignPhases() (*Assignment, error) {
 	// the from-scratch BFS would reproduce exactly the mapped colors.
 	if inc.assignGen == snap.gen-1 && snap.newToOldNode != nil {
 		for v := 0; v < n; v++ {
-			if snap.dirtyCluster[snap.nodeCluster[v]] {
+			if snap.solved[snap.labels[v]] {
 				continue
 			}
 			if ov := snap.newToOldNode[v]; ov >= 0 && ov < len(inc.prevColors) {
@@ -69,9 +69,9 @@ func (inc *Incremental) AssignPhases() (*Assignment, error) {
 	unseeded := make([]bool, snap.nShards)
 	for v := 0; v < n; v++ {
 		if colors[v] >= 0 {
-			seeded[snap.nodeCluster[v]] = true
+			seeded[snap.labels[v]] = true
 		} else {
-			unseeded[snap.nodeCluster[v]] = true
+			unseeded[snap.labels[v]] = true
 		}
 	}
 
@@ -115,13 +115,13 @@ func (inc *Incremental) DirtyScope(sinceGen int) (featDirty, ovDirty func(int) b
 			return true
 		}
 		c := snap.featCluster[fi]
-		return c < 0 || snap.dirtyCluster[c]
+		return c < 0 || snap.solved[c]
 	}
 	ovDirty = func(oi int) bool {
 		if oi < 0 || oi >= len(snap.ovCluster) {
 			return true
 		}
-		return snap.dirtyCluster[snap.ovCluster[oi]]
+		return snap.solved[snap.ovCluster[oi]]
 	}
 	return featDirty, ovDirty, true
 }

@@ -27,6 +27,13 @@ import (
 // Clean clusters keep their previous shard results, which are re-merged
 // through freshly computed edge index maps.
 //
+// There is one detection routine: DetectContext, an engine's first Detect
+// and every re-detect all run the same cluster partition, solve and merge.
+// A full Detect (the first, or a fallback after a broken reuse invariant)
+// passes it nothing cached; a re-detect passes the patched crossing pairs
+// and the cached result of every clean cluster, and only the remaining
+// clusters are induced and solved.
+//
 // An Incremental is not safe for concurrent use; the Session layer
 // serializes access.
 type Incremental struct {
@@ -81,20 +88,16 @@ type pairRec struct {
 
 // incSnapshot captures everything a later Detect needs to decide reuse, plus
 // the transition maps the downstream stages use for their own cluster-scoped
-// reuse at this generation.
+// reuse at this generation. Its clusterRun's solved marks the clusters
+// re-solved by the transition into gen.
 type incSnapshot struct {
-	set         *shifter.Set
-	det         *Detection
-	nodeKeys    []int64 // stable identity per graph node
-	edgeKeys    []int64 // stable identity per graph edge
-	crossPairs  [][2]int
-	edgeCluster []int32 // cluster id per edge
-	nShards     int
-	results     []*shardResult // per cluster; nil for edge-less parts
+	clusterRun
+	set      *shifter.Set
+	det      *Detection
+	nodeKeys []int64 // stable identity per graph node
+	edgeKeys []int64 // stable identity per graph edge
 
-	gen          int     // generation this snapshot was committed at
-	nodeCluster  []int32 // cluster id per node
-	dirtyCluster []bool  // clusters re-solved by the transition into gen
+	gen int // generation this snapshot was committed at
 	// newToOldNode maps this generation's node indices to the previous
 	// generation's; nil when the transition was a full recompute (first run
 	// or fallback), in which case downstream stages must not reuse.
@@ -102,6 +105,39 @@ type incSnapshot struct {
 	ovUID        []int32 // stable pair uid per overlap index
 	featCluster  []int32 // cluster per feature index (-1 for non-critical)
 	ovCluster    []int32 // cluster per overlap index
+}
+
+// newSnapshot assembles the committed state of one detection: the cluster
+// run plus the per-feature and per-overlap cluster maps and overlap uids of
+// set, whose overlaps ovRecs parallels. Detect and restoreSnapshot both
+// commit through it.
+func (inc *Incremental) newSnapshot(run *clusterRun, set *shifter.Set, ovRecs []pairRec, det *Detection, nodeKeys, edgeKeys []int64, newToOldNode []int, gen int) *incSnapshot {
+	snap := &incSnapshot{
+		clusterRun:   *run,
+		set:          set,
+		det:          det,
+		nodeKeys:     nodeKeys,
+		edgeKeys:     edgeKeys,
+		gen:          gen,
+		newToOldNode: newToOldNode,
+		ovUID:        make([]int32, len(ovRecs)),
+		featCluster:  make([]int32, len(inc.lay.Features)),
+		ovCluster:    make([]int32, len(set.Overlaps)),
+	}
+	for i, rec := range ovRecs {
+		snap.ovUID[i] = rec.uid
+	}
+	for fi := range snap.featCluster {
+		snap.featCluster[fi] = -1
+	}
+	for fi, pair := range set.PairOf {
+		snap.featCluster[fi] = int32(run.labels[det.Graph.ShifterNode[pair[0]]])
+	}
+	for oi := range set.Overlaps {
+		// Aux (overlap) nodes follow the shifter nodes in construction order.
+		snap.ovCluster[oi] = int32(run.labels[len(set.Shifters)+oi])
+	}
+	return snap
 }
 
 // Identity-key tags (low 2 bits): 0/1 carry a shifter side or an overlap
@@ -317,10 +353,13 @@ func (inc *Incremental) DeleteFeature(i int) error {
 }
 
 // Detect re-runs the detection flow on the current layout, reusing every
-// cluster result the pending edits did not invalidate. The returned
-// Detection is bit-identical to a from-scratch BuildGraph + DetectContext
-// on the same layout. With no pending edits the previous Detection is
-// returned unchanged.
+// cluster result the pending edits did not invalidate. It patches the
+// overlap pairs, rebuilds the shifter set and the conflict graph, matches
+// surviving nodes and edges against the previous generation, and hands the
+// cluster solve and merge to the routine behind DetectContext, so the
+// returned Detection is bit-identical to a from-scratch BuildGraph +
+// DetectContext on the same layout. With no pending edits the previous
+// Detection is returned unchanged.
 func (inc *Incremental) Detect(ctx context.Context) (*Detection, error) {
 	if inc.prev != nil && len(inc.dirty) == 0 && len(inc.deleted) == 0 {
 		return inc.prev.det, nil
@@ -331,13 +370,17 @@ func (inc *Incremental) Detect(ctx context.Context) (*Detection, error) {
 	}
 
 	// --- 1. Patch the overlap-pair records from the edit neighborhood. ---
-	records, droppedOv, freshOvMark, err := inc.patchPairs()
+	records, set, droppedOv, freshOvMark, err := inc.patchPairs()
 	if err != nil {
 		return nil, err
 	}
 
-	// --- 2. Rebuild the shifter set in from-scratch order. ---
-	set, ovRecs := inc.buildSet(records)
+	// --- 2. Rebuild the shifter set in from-scratch order (the first run
+	// already holds shifter.Generate's own set). ---
+	ovRecs := records
+	if set == nil {
+		set, ovRecs = inc.buildSet(records)
+	}
 
 	// --- 3. Rebuild the conflict graph (same constructor as from-scratch,
 	// so drawing, positions and index spaces match exactly). ---
@@ -346,9 +389,6 @@ func (inc *Incremental) Detect(ctx context.Context) (*Detection, error) {
 		return nil, err
 	}
 	g := cg.Drawing.G
-	det := &Detection{Graph: cg}
-	det.Stats.GraphNodes = cg.Nodes()
-	det.Stats.GraphEdges = cg.Edges()
 
 	// --- 4. Stable identities and survivor matching against the previous
 	// generation. ---
@@ -409,242 +449,50 @@ func (inc *Incremental) Detect(ctx context.Context) (*Detection, error) {
 		}
 	}
 
-	// --- 5. Dirty edges and the patched crossing-pair set. ---
-	m := g.M()
-	dirtyEdge := make([]bool, m)
+	// --- 5. Detect: a full run sweeps and solves every cluster; a reuse run
+	// patches the crossing pairs around the dirty edges and takes every
+	// clean cluster's result from the previous generation. ---
+	var det *Detection
+	var run *clusterRun
 	if full {
+		newToOldNode = nil
+		det, run, err = detect(ctx, cg, nil, nil, inc.opt)
+	} else {
+		dirtyEdge := make([]bool, g.M())
 		for e := range dirtyEdge {
-			dirtyEdge[e] = true
-		}
-	} else {
-		for e := 0; e < m; e++ {
-			if newToOldEdge[e] < 0 {
-				dirtyEdge[e] = true
-				continue
-			}
 			ed := g.Edge(e)
-			if changedNode[ed.U] || changedNode[ed.V] {
-				dirtyEdge[e] = true
-			}
+			dirtyEdge[e] = newToOldEdge[e] < 0 || changedNode[ed.U] || changedNode[ed.V]
 		}
+		det, run, err = detect(ctx, cg,
+			func() [][2]int { return inc.patchCrossings(cg, dirtyEdge, oldToNewEdge) },
+			func(edgeCluster []int32, nShards int) []*shardResult {
+				return inc.reusable(edgeCluster, nShards, dirtyEdge, oldToNewEdge, newToOldEdge)
+			},
+			inc.opt)
 	}
-
-	tCross := time.Now() //aapsmvet:allow determinism stage-timing telemetry only; durations land in Stats, never in results
-	var crossPairs [][2]int
-	if full {
-		crossPairs = cg.Drawing.Crossings()
-	} else {
-		crossPairs = inc.patchCrossings(cg, dirtyEdge, oldToNewEdge)
-	}
-	det.Stats.CrossTime = time.Since(tCross)
-	det.Stats.CrossingPairs = len(crossPairs)
-
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-
-	// --- 6. Cluster partition, taint propagation, dirty-cluster set. ---
-	labels, nShards := conflictClusters(g, crossPairs)
-	edgeCluster := make([]int32, m)
-	for e := 0; e < m; e++ {
-		edgeCluster[e] = int32(labels[g.Edge(e).U])
-	}
-
-	dirtyCluster := make([]bool, nShards)
-	reuseFrom := make([]int32, nShards)
-	for i := range reuseFrom {
-		reuseFrom[i] = -1
-	}
-	if full {
-		for i := range dirtyCluster {
-			dirtyCluster[i] = true
-		}
-	} else {
-		// Old clusters touched by a death or a dirty survivor taint every
-		// edge they still own.
-		tainted := make([]bool, inc.prev.nShards)
-		for oe, ne := range oldToNewEdge {
-			if ne < 0 {
-				tainted[inc.prev.edgeCluster[oe]] = true
-			}
-		}
-		for e := 0; e < m; e++ {
-			if dirtyEdge[e] && newToOldEdge[e] >= 0 {
-				tainted[inc.prev.edgeCluster[newToOldEdge[e]]] = true
-			}
-		}
-		oldSize := make([]int32, inc.prev.nShards)
-		for _, c := range inc.prev.edgeCluster {
-			oldSize[c]++
-		}
-		// Pass 1: a cluster owning any dirty edge, or any survivor of a
-		// tainted old cluster, must be re-solved.
-		newSize := make([]int32, nShards)
-		for e := 0; e < m; e++ {
-			c := edgeCluster[e]
-			newSize[c]++
-			if dirtyEdge[e] || tainted[inc.prev.edgeCluster[newToOldEdge[e]]] {
-				dirtyCluster[c] = true
-			}
-		}
-		// Pass 2: every remaining cluster must coincide exactly with one
-		// untainted old cluster; any disagreement means a reuse invariant
-		// broke, and the cluster is conservatively re-solved.
-		for e := 0; e < m; e++ {
-			c := edgeCluster[e]
-			if dirtyCluster[c] {
-				continue
-			}
-			oc := inc.prev.edgeCluster[newToOldEdge[e]]
-			if reuseFrom[c] < 0 {
-				reuseFrom[c] = oc
-			} else if reuseFrom[c] != oc {
-				// Two untainted old clusters cannot merge without a dirty
-				// link.
-				dirtyCluster[c] = true
-				inc.stats.FallbackDirty++
-			}
-		}
-		for c := 0; c < nShards; c++ {
-			if dirtyCluster[c] || reuseFrom[c] < 0 {
-				continue
-			}
-			if newSize[c] != oldSize[reuseFrom[c]] {
-				dirtyCluster[c] = true
-				inc.stats.FallbackDirty++
-			}
-		}
-	}
-
-	// --- 7. Re-induce and re-solve only the dirty clusters. ---
-	shards := cg.Drawing.InducedComponentsSubset(labels, nShards, dirtyCluster)
-	localEdge := make([]int32, m)
-	for c := range shards {
-		if !dirtyCluster[c] {
-			continue
-		}
-		for le, ge := range shards[c].EdgeOf {
-			localEdge[ge] = int32(le)
-		}
-	}
-	pairsByShard := make([][][2]int, nShards)
-	for _, p := range crossPairs {
-		c := edgeCluster[p[0]]
-		if dirtyCluster[c] {
-			pairsByShard[c] = append(pairsByShard[c], [2]int{int(localEdge[p[0]]), int(localEdge[p[1]])})
-		}
-	}
-	jobs := make([]shardJob, nShards)
-	for c := range shards {
-		if dirtyCluster[c] && shards[c].D != nil && shards[c].D.G.M() > 0 {
-			jobs[c] = shardJob{d: shards[c].D, pairs: pairsByShard[c]}
-		}
-	}
-	// Instance-aware fast path — full detects only: with every cluster
-	// dirty, the job list is complete and each distinct instance-pure
-	// cluster shape solves once. Incremental detects already reuse clean
-	// clusters wholesale, which subsumes per-instance dedup.
-	var plan *hierPlan
-	if full {
-		if plan = hierDedupPlan(cg, labels, nShards, jobs); plan != nil {
-			plan.blankDuplicates(jobs)
-		}
-	}
-	results := make([]*shardResult, nShards)
-	if err := runShards(ctx, jobs, results, inc.opt.Workers, inc.opt); err != nil {
-		return nil, err
-	}
-	if plan != nil {
-		plan.spliceResults(results, nil)
-		inc.stats.HierClustersReused += plan.reused
-		inc.stats.HierClustersSolved += plan.solved
-		inc.stats.HierFallbackClusters += plan.fallback
-		det.Stats.HierReusedShards = plan.reused
-		det.Stats.HierSolvedShards = plan.solved
-		det.Stats.HierFallbackShards = plan.fallback
-	}
-	fresh := make([]bool, nShards)
-	for c := range results {
-		if dirtyCluster[c] {
-			if plan != nil && plan.rep[c] >= 0 {
-				// Spliced from a representative: counted above, and not
-				// fresh, so merge-time durations count the solve once.
-				continue
-			}
-			fresh[c] = true
-			if results[c] != nil {
-				inc.stats.ShardsSolved++
-			}
-			continue
-		}
-		if reuseFrom[c] >= 0 {
-			results[c] = inc.prev.results[reuseFrom[c]]
-			inc.stats.ShardsReused++
-			det.Stats.ReusedShards++
-		}
-	}
-
-	// --- 8. Merge in cluster order, exactly as the from-scratch flow. ---
-	edgeOf := make([][]int, nShards)
-	for c := range shards {
-		edgeOf[c] = shards[c].EdgeOf
-		if n := len(shards[c].EdgeOf); n > 0 {
-			det.Stats.Shards++
-			if n > det.Stats.LargestShardEdges {
-				det.Stats.LargestShardEdges = n
-			}
-		}
-	}
-	if err := mergeShards(det, cg, edgeOf, results, fresh); err != nil {
+	if err != nil {
 		return nil, err
 	}
 	det.Stats.TotalTime = time.Since(start)
+	// A solved cluster spliced from a hierarchy representative is counted
+	// once, as a hierarchy reuse.
+	for c, r := range run.results {
+		if run.solved[c] && r != nil {
+			inc.stats.ShardsSolved++
+		}
+	}
+	inc.stats.ShardsSolved -= det.Stats.HierReusedShards
+	inc.stats.ShardsReused += det.Stats.ReusedShards
+	inc.stats.HierClustersReused += det.Stats.HierReusedShards
+	inc.stats.HierClustersSolved += det.Stats.HierSolvedShards
+	inc.stats.HierFallbackClusters += det.Stats.HierFallbackShards
 
-	// --- 9. Commit the new state, including the transition maps the
+	// --- 6. Commit the new state, including the transition maps the
 	// downstream stages (assignment, correction, mask, DRC) use for their
 	// own cluster-scoped reuse at this generation. ---
 	inc.pairs = records
 	inc.gen++
-	nodeCluster := make([]int32, len(labels))
-	for v, c := range labels {
-		nodeCluster[v] = int32(c)
-	}
-	featCluster := make([]int32, len(inc.lay.Features))
-	for fi := range featCluster {
-		featCluster[fi] = -1
-	}
-	for fi, pair := range set.PairOf {
-		featCluster[fi] = nodeCluster[cg.ShifterNode[pair[0]]]
-	}
-	ovCluster := make([]int32, len(set.Overlaps))
-	for oi := range set.Overlaps {
-		// Aux (overlap) nodes follow the shifter nodes in construction order.
-		ovCluster[oi] = nodeCluster[len(set.Shifters)+oi]
-	}
-	ovUID := make([]int32, len(ovRecs))
-	for i, rec := range ovRecs {
-		ovUID[i] = rec.uid
-	}
-	if full {
-		newToOldNode = nil
-	}
-	inc.prev = &incSnapshot{
-		set:          set,
-		det:          det,
-		nodeKeys:     nodeKeys,
-		edgeKeys:     edgeKeys,
-		crossPairs:   crossPairs,
-		edgeCluster:  edgeCluster,
-		nShards:      nShards,
-		results:      results,
-		gen:          inc.gen,
-		nodeCluster:  nodeCluster,
-		dirtyCluster: dirtyCluster,
-		newToOldNode: newToOldNode,
-		ovUID:        ovUID,
-		featCluster:  featCluster,
-		ovCluster:    ovCluster,
-	}
+	inc.prev = inc.newSnapshot(run, set, ovRecs, det, nodeKeys, edgeKeys, newToOldNode, inc.gen)
 	inc.dirty = make(map[int32]bool)
 	inc.deleted = make(map[int32]bool)
 	inc.stats.Detects++
@@ -654,17 +502,90 @@ func (inc *Incremental) Detect(ctx context.Context) (*Detection, error) {
 	return det, nil
 }
 
+// reusable decides, for the cluster partition of a reuse-mode Detect, which
+// clusters keep their previous result: it returns that cached result per
+// clean cluster and nil for every cluster that must be re-solved. A cluster
+// is clean when it owns no dirty edge, inherits no taint from a changed old
+// cluster, and coincides exactly with one old cluster; any other
+// disagreement breaks a reuse invariant and is counted in FallbackDirty.
+func (inc *Incremental) reusable(edgeCluster []int32, nShards int, dirtyEdge []bool, oldToNewEdge, newToOldEdge []int) []*shardResult {
+	m := len(edgeCluster)
+	dirtyCluster := make([]bool, nShards)
+	reuseFrom := make([]int32, nShards)
+	for i := range reuseFrom {
+		reuseFrom[i] = -1
+	}
+	// Old clusters touched by a death or a dirty survivor taint every
+	// edge they still own.
+	tainted := make([]bool, inc.prev.nShards)
+	for oe, ne := range oldToNewEdge {
+		if ne < 0 {
+			tainted[inc.prev.edgeCluster[oe]] = true
+		}
+	}
+	for e := 0; e < m; e++ {
+		if dirtyEdge[e] && newToOldEdge[e] >= 0 {
+			tainted[inc.prev.edgeCluster[newToOldEdge[e]]] = true
+		}
+	}
+	oldSize := make([]int32, inc.prev.nShards)
+	for _, c := range inc.prev.edgeCluster {
+		oldSize[c]++
+	}
+	// Pass 1: a cluster owning any dirty edge, or any survivor of a
+	// tainted old cluster, must be re-solved.
+	newSize := make([]int32, nShards)
+	for e := 0; e < m; e++ {
+		c := edgeCluster[e]
+		newSize[c]++
+		if dirtyEdge[e] || tainted[inc.prev.edgeCluster[newToOldEdge[e]]] {
+			dirtyCluster[c] = true
+		}
+	}
+	// Pass 2: every remaining cluster must coincide exactly with one
+	// untainted old cluster; any disagreement means a reuse invariant
+	// broke, and the cluster is conservatively re-solved.
+	for e := 0; e < m; e++ {
+		c := edgeCluster[e]
+		if dirtyCluster[c] {
+			continue
+		}
+		oc := inc.prev.edgeCluster[newToOldEdge[e]]
+		if reuseFrom[c] < 0 {
+			reuseFrom[c] = oc
+		} else if reuseFrom[c] != oc {
+			// Two untainted old clusters cannot merge without a dirty
+			// link.
+			dirtyCluster[c] = true
+			inc.stats.FallbackDirty++
+		}
+	}
+	cached := make([]*shardResult, nShards)
+	for c := 0; c < nShards; c++ {
+		if dirtyCluster[c] || reuseFrom[c] < 0 {
+			continue
+		}
+		if newSize[c] != oldSize[reuseFrom[c]] {
+			inc.stats.FallbackDirty++
+			continue
+		}
+		cached[c] = inc.prev.results[reuseFrom[c]]
+	}
+	return cached
+}
+
 // patchPairs drops every overlap-pair record touching an edited or deleted
 // feature and re-enumerates the pairs of each edited feature against its
 // geometric neighborhood. On the first run it enumerates everything via the
-// same generator the from-scratch flow uses.
-func (inc *Incremental) patchPairs() (records []pairRec, droppedOv map[int32]bool, freshOvMark int32, err error) {
+// same generator the from-scratch flow uses and also returns that generator's
+// set, whose overlaps the records parallel; otherwise set is nil.
+func (inc *Incremental) patchPairs() (records []pairRec, set *shifter.Set, droppedOv map[int32]bool, freshOvMark int32, err error) {
 	droppedOv = make(map[int32]bool)
 	freshOvMark = inc.nextOvUID
 	if inc.prev == nil && len(inc.pairs) == 0 {
 		set, err := shifter.Generate(inc.lay, inc.rules)
 		if err != nil {
-			return nil, nil, 0, err
+			return nil, nil, nil, 0, err
 		}
 		records = make([]pairRec, 0, len(set.Overlaps))
 		for _, ov := range set.Overlaps {
@@ -676,7 +597,7 @@ func (inc *Incremental) patchPairs() (records []pairRec, droppedOv map[int32]boo
 				uid:     inc.newOvUID(),
 			})
 		}
-		return records, droppedOv, freshOvMark, nil
+		return records, set, droppedOv, freshOvMark, nil
 	}
 
 	touched := func(uid int32) bool { return inc.dirty[uid] || inc.deleted[uid] }
@@ -735,7 +656,7 @@ func (inc *Incremental) patchPairs() (records []pairRec, droppedOv map[int32]boo
 			}
 		})
 	}
-	return records, droppedOv, freshOvMark, nil
+	return records, nil, droppedOv, freshOvMark, nil
 }
 
 func (inc *Incremental) newOvUID() int32 {

@@ -157,7 +157,7 @@ func (inc *Incremental) ExportState() *IncrementalState {
 				GadgetNodes: r.gadgetNodes, GadgetEdges: r.gadgetEdges,
 			}
 		}
-		st.DirtyCluster = append([]bool(nil), snap.dirtyCluster...)
+		st.DirtyCluster = append([]bool(nil), snap.solved...)
 		if snap.newToOldNode != nil {
 			st.HasNewToOld = true
 			st.NewToOldNode = toInt32(snap.newToOldNode)
@@ -320,32 +320,30 @@ func (inc *Incremental) restoreSnapshot(st *IncrementalState) error {
 	m := g.M()
 	nodeKeys, edgeKeys := inc.identityKeys(set, ovRecs)
 
-	crossPairs := make([][2]int, len(st.CrossPairs))
+	run := &clusterRun{crossPairs: make([][2]int, len(st.CrossPairs))}
 	for i, p := range st.CrossPairs {
 		if p[0] < 0 || int(p[0]) >= m || p[1] < 0 || int(p[1]) >= m {
 			return fmt.Errorf("core: restore: crossing pair %d references edge outside [0,%d)", i, m)
 		}
-		crossPairs[i] = [2]int{int(p[0]), int(p[1])}
+		run.crossPairs[i] = [2]int{int(p[0]), int(p[1])}
 	}
 
-	labels, nShards := conflictClusters(g, crossPairs)
+	run.partition(g)
+	nShards := run.nShards
 	if nShards != st.NShards {
 		return fmt.Errorf("core: restore: rebuilt %d conflict clusters, snapshot has %d", nShards, st.NShards)
 	}
 	if len(st.Shards) != nShards || len(st.DirtyCluster) != nShards {
 		return fmt.Errorf("core: restore: shard state sized for %d clusters, want %d", len(st.Shards), nShards)
 	}
-	edgeCluster := make([]int32, m)
-	for e := 0; e < m; e++ {
-		edgeCluster[e] = int32(labels[g.Edge(e).U])
-	}
+	run.solved = append([]bool(nil), st.DirtyCluster...)
 
 	// Only the edge index maps are needed to re-merge cached results; no
 	// cluster is re-materialized as a standalone drawing.
 	none := make([]bool, nShards)
-	shards := cg.Drawing.InducedComponentsSubset(labels, nShards, none)
+	shards := cg.Drawing.InducedComponentsSubset(run.labels, nShards, none)
 	edgeOf := make([][]int, nShards)
-	results := make([]*shardResult, nShards)
+	run.results = make([]*shardResult, nShards)
 	det := &Detection{Graph: cg}
 	for c := range shards {
 		edgeOf[c] = shards[c].EdgeOf
@@ -370,12 +368,12 @@ func (inc *Incremental) restoreSnapshot(st *IncrementalState) error {
 			}
 			*field.dst = out
 		}
-		results[c] = r
+		run.results[c] = r
 	}
 	// mergeShards re-derives the global conflict sets through the rebuilt
 	// index maps and ends with the bipartiteness self-check — the snapshot's
 	// integrity gate. fresh=none keeps the (absent) shard durations out.
-	if err := mergeShards(det, cg, edgeOf, results, none); err != nil {
+	if err := mergeShards(det, cg, edgeOf, run.results, none); err != nil {
 		return fmt.Errorf("core: restore: %w", err)
 	}
 	// The rebuilt counters must be the serialized ones; durations cannot be
@@ -395,43 +393,7 @@ func (inc *Incremental) restoreSnapshot(st *IncrementalState) error {
 			newToOldNode[i] = int(ov)
 		}
 	}
-
-	nodeCluster := make([]int32, len(labels))
-	for v, c := range labels {
-		nodeCluster[v] = int32(c)
-	}
-	featCluster := make([]int32, len(inc.lay.Features))
-	for fi := range featCluster {
-		featCluster[fi] = -1
-	}
-	for fi, pair := range set.PairOf {
-		featCluster[fi] = nodeCluster[cg.ShifterNode[pair[0]]]
-	}
-	ovCluster := make([]int32, len(set.Overlaps))
-	for oi := range set.Overlaps {
-		ovCluster[oi] = nodeCluster[len(set.Shifters)+oi]
-	}
-	ovUID := make([]int32, len(ovRecs))
-	for i, rec := range ovRecs {
-		ovUID[i] = rec.uid
-	}
-	inc.prev = &incSnapshot{
-		set:          set,
-		det:          det,
-		nodeKeys:     nodeKeys,
-		edgeKeys:     edgeKeys,
-		crossPairs:   crossPairs,
-		edgeCluster:  edgeCluster,
-		nShards:      nShards,
-		results:      results,
-		gen:          st.Gen,
-		nodeCluster:  nodeCluster,
-		dirtyCluster: append([]bool(nil), st.DirtyCluster...),
-		newToOldNode: newToOldNode,
-		ovUID:        ovUID,
-		featCluster:  featCluster,
-		ovCluster:    ovCluster,
-	}
+	inc.prev = inc.newSnapshot(run, set, ovRecs, det, nodeKeys, edgeKeys, newToOldNode, st.Gen)
 	return nil
 }
 

@@ -1,6 +1,8 @@
 package correct
 
 import (
+	"context"
+
 	"testing"
 
 	"repro/internal/core"
@@ -27,7 +29,7 @@ func TestWideningResolvesSpacingUnfixable(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	det, err := core.Detect(cg, core.Options{})
+	det, err := core.DetectContext(context.Background(), cg, core.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -174,9 +174,9 @@ func (g *Graph) InducedComponents(labels []int, count int) ([]Induced, []int) {
 // marked in keep: every part's Nodes and EdgeOf index maps are filled (they
 // cost one shared O(N+M) pass regardless), but the standalone subgraph G is
 // materialized only for kept parts. A nil keep materializes every part.
-// The incremental detection engine uses this to re-induce only the dirty
-// conflict clusters of an edited layout while still obtaining the edge index
-// maps it needs to re-merge cached results for the clean ones.
+// The detection flow uses this to induce only the conflict clusters it
+// solves while still obtaining the edge index maps it needs to merge cached
+// results for the others.
 func (g *Graph) InducedComponentsSubset(labels []int, count int, keep []bool) ([]Induced, []int) {
 	if len(labels) != g.n {
 		panic(fmt.Sprintf("graph: %d labels for %d nodes", len(labels), g.n))

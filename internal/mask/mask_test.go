@@ -1,6 +1,8 @@
 package mask
 
 import (
+	"context"
+
 	"bytes"
 	"testing"
 
@@ -17,7 +19,7 @@ func buildAssigned(t *testing.T, l *layout.Layout) (*core.ConflictGraph, *core.A
 	if err != nil {
 		t.Fatal(err)
 	}
-	det, err := core.Detect(cg, core.Options{})
+	det, err := core.DetectContext(context.Background(), cg, core.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

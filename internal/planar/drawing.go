@@ -308,19 +308,12 @@ type InducedDrawing struct {
 	EdgeOf []int
 }
 
-// InducedComponents partitions the drawing by node labels (every edge must
-// stay within one part; see graph.InducedComponents) and returns one
-// standalone drawing per part with positions and bend polylines carried
-// over. Node and edge order is preserved inside each part.
-func (d *Drawing) InducedComponents(labels []int, count int) []InducedDrawing {
-	return d.InducedComponentsSubset(labels, count, nil)
-}
-
-// InducedComponentsSubset is InducedComponents restricted to the parts
-// marked in keep: the node and edge index maps are filled for every part,
-// but the standalone drawing D is materialized only for kept parts (all of
-// them when keep is nil). This is the drawing-level counterpart of
-// graph.InducedComponentsSubset, used to re-induce only dirty clusters.
+// InducedComponentsSubset partitions the drawing by node labels (every edge
+// must stay within one part; see graph.InducedComponents). The node and edge
+// index maps are filled for every part, but a standalone drawing D, with
+// positions and bend polylines carried over, is materialized only for the
+// parts marked in keep (all of them when keep is nil). Node and edge order is
+// preserved inside each part.
 func (d *Drawing) InducedComponentsSubset(labels []int, count int, keep []bool) []InducedDrawing {
 	parts, _ := d.G.InducedComponentsSubset(labels, count, keep)
 	out := make([]InducedDrawing, count)

@@ -1,6 +1,8 @@
 package render
 
 import (
+	"context"
+
 	"bytes"
 	"encoding/xml"
 	"fmt"
@@ -58,7 +60,7 @@ func TestSVGFullOverlay(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	det, err := core.Detect(cg, core.Options{})
+	det, err := core.DetectContext(context.Background(), cg, core.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
