@@ -478,11 +478,12 @@ func runPipeline(ctx context.Context, b *testing.B, s *aapsm.Session) {
 
 // BenchmarkEditRepipeline contrasts the full from-scratch pipeline
 // (detect + assign + correct + mask + DRC) on d3 with the incremental
-// re-pipeline after a single-feature move on an edit session. Downstream
-// stages reuse along the same conflict clusters as detection: clean clusters
-// keep their coloring, correction intervals, mask checks and DRC pairs. The
-// acceptance target is ≥ 3× (recorded per design in BENCH_detect.json
-// schema v3 by cmd/benchtab -json).
+// re-pipeline after a single-feature move on an edit session. The
+// re-pipeline reuses clean clusters' detection results, the persistent
+// cut-span index and the cached DRC pairs; assignment, verification,
+// correction intervals and mask validation rerun in full, since they are
+// linear passes beside the cluster solve. The acceptance target is ≥ 3×
+// (recorded per design in BENCH_detect.json by cmd/benchtab -json).
 func BenchmarkEditRepipeline(b *testing.B) {
 	ctx := context.Background()
 	d := bench.Suite()[2] // d3

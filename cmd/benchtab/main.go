@@ -178,15 +178,11 @@ type detectRecord struct {
 	// Incremental full-pipeline trajectory (schema v3): the from-scratch
 	// pipeline latency (build + detect + assign + correct + mask + DRC), the
 	// best-of-7 post-edit incremental re-pipeline latency, their ratio, and
-	// the per-stage reuse counters of the measuring session's last re-run.
-	PipelineNS              int64   `json:"pipeline_ns"`
-	EditRepipelineNS        int64   `json:"edit_repipeline_ns"`
-	EditPipelineSpeedup     float64 `json:"edit_pipeline_speedup"`
-	EditAssignReused        int     `json:"edit_assign_clusters_reused"`
-	EditVerifyChecksReused  int     `json:"edit_verify_checks_reused"`
-	EditCorrIntervalsReused int     `json:"edit_corr_intervals_reused"`
-	EditMaskChecksReused    int     `json:"edit_mask_checks_reused"`
-	EditDRCPairsReused      int     `json:"edit_drc_pairs_reused"`
+	// the DRC pairs the measuring session's last re-run reused.
+	PipelineNS          int64   `json:"pipeline_ns"`
+	EditRepipelineNS    int64   `json:"edit_repipeline_ns"`
+	EditPipelineSpeedup float64 `json:"edit_pipeline_speedup"`
+	EditDRCPairsReused  int     `json:"edit_drc_pairs_reused"`
 	// Session persistence trajectory (schema v4): the serialized snapshot
 	// size of a pipeline-warmed session and the best-of-7 latency of
 	// restoring it (decode + deterministic rebuild + memo re-run — aapsmd's
@@ -228,7 +224,7 @@ func writeDetectJSON(path string, suite []bench.Design, rules aapsm.Rules, worke
 		workers = runtime.GOMAXPROCS(0)
 	}
 	doc := &detectTrajectory{
-		Schema:      "aapsm/bench_detect/v6",
+		Schema:      "aapsm/bench_detect/v7",
 		GeneratedAt: time.Now().UTC().Format(time.RFC3339),
 		GoMaxProcs:  runtime.GOMAXPROCS(0),
 		Workers:     workers,
@@ -304,14 +300,10 @@ func writeDetectJSON(path string, suite []bench.Design, rules aapsm.Rules, worke
 			EditReusedShards: editReused,
 			EditSpeedup:      float64(buildNS+s.TotalTime.Nanoseconds()) / float64(editNS),
 
-			PipelineNS:              pipe.scratchNS,
-			EditRepipelineNS:        pipe.editNS,
-			EditPipelineSpeedup:     float64(pipe.scratchNS) / float64(pipe.editNS),
-			EditAssignReused:        pipe.assignReused,
-			EditVerifyChecksReused:  pipe.verifyReused,
-			EditCorrIntervalsReused: pipe.corrReused,
-			EditMaskChecksReused:    pipe.maskReused,
-			EditDRCPairsReused:      pipe.drcReused,
+			PipelineNS:          pipe.scratchNS,
+			EditRepipelineNS:    pipe.editNS,
+			EditPipelineSpeedup: float64(pipe.scratchNS) / float64(pipe.editNS),
+			EditDRCPairsReused:  pipe.drcReused,
 
 			SnapshotBytes:  snapBytes,
 			RestoreNS:      restoreNS,
@@ -383,10 +375,6 @@ func measureEditRedetect(d bench.Design, rules aapsm.Rules, workers int) (bestNS
 // repipelineResult is one design's incremental full-pipeline measurement.
 type repipelineResult struct {
 	scratchNS, editNS int64
-	assignReused      int
-	verifyReused      int
-	corrReused        int
-	maskReused        int
 	drcReused         int
 }
 
@@ -414,8 +402,8 @@ func runPipeline(ctx context.Context, s *aapsm.Session) error {
 // measureEditRepipeline times the full pipeline (detect + assign + correct +
 // mask + DRC) from scratch on a fresh session, then the incremental
 // re-pipeline after a single-feature move on an armed edit session (best of
-// 7 alternating ±10 nm moves), and reports the per-stage reuse counters of
-// the final re-run.
+// 7 alternating ±10 nm moves), and reports the DRC pairs the final re-run
+// reused.
 func measureEditRepipeline(d bench.Design, rules aapsm.Rules, workers int) (repipelineResult, error) {
 	var out repipelineResult
 	ctx := context.Background()
@@ -451,10 +439,6 @@ func measureEditRepipeline(d bench.Design, rules aapsm.Rules, workers int) (repi
 			out.editNS = ns
 		}
 		after := s.Stats().Incremental
-		out.assignReused = after.AssignClustersReused - before.AssignClustersReused
-		out.verifyReused = after.VerifyChecksReused - before.VerifyChecksReused
-		out.corrReused = after.CorrIntervalsReused - before.CorrIntervalsReused
-		out.maskReused = after.MaskChecksReused - before.MaskChecksReused
 		out.drcReused = after.DRCPairsReused - before.DRCPairsReused
 	}
 	if st := s.Stats().Incremental; st.FallbackDirty != 0 {

@@ -105,7 +105,7 @@ func (e *Engine) Parallelism() int { return e.workers }
 // private copy of l from its first detect, DRC, snapshot or edit onward; l
 // must not be mutated before then.
 func (e *Engine) NewSession(l *Layout) *Session {
-	return &Session{engine: e, layout: l, verifyCleanGen: -1, maskCleanGen: -1}
+	return &Session{engine: e, layout: l}
 }
 
 // NewSessionWithParallelism starts a session whose detection uses at most n

@@ -1,142 +1,25 @@
 package core
 
 import (
-	"fmt"
 	"sort"
 
 	"repro/internal/drc"
 )
 
-// This file extends the incremental edit-and-re-detect engine through the
-// rest of the paper's pipeline. Detection already reuses per-cluster shard
-// results; the downstream stages reuse along the same cluster structure:
+// This file holds the two pieces of incremental state the engine keeps for
+// the stages after detection, the only two whose reuse pays for itself:
 //
-//   - AssignPhases copies the previous generation's two-coloring for every
-//     clean cluster (coloring decomposes exactly over conflict clusters,
-//     because clusters are unions of connected components) and re-colors
-//     only dirty clusters with the same BFS the from-scratch path uses.
-//   - DirtyScope exposes per-feature / per-overlap dirty filters, so the
-//     Session layer re-verifies assignment constraints and re-validates mask
-//     consistency only inside touched clusters.
 //   - CutValid answers correction cut-legality queries from span indexes
-//     maintained across edits instead of a per-query feature scan, and
-//     OverlapUID gives corrections a stable cache key per conflict.
+//     maintained across edits, which saves rebuilding them per plan.
 //   - DRC keeps the set of violating feature pairs keyed by stable uids and
 //     re-probes only the geometric neighborhood of edited features.
 //
-// Every path is bit-identical to its from-scratch counterpart; the
-// differential harness (TestIncrementalDifferential) enforces this per stage
-// after every step of its edit scripts.
-
-// Gen returns the detection generation: 0 before the first Detect, then
-// incremented by every successful Detect that followed pending edits. Stage
-// caches outside core (mask validation, constraint verification) key their
-// "last known clean" state to a generation and pass it to DirtyScope.
-func (inc *Incremental) Gen() int { return inc.gen }
-
-// AssignPhases returns the phase assignment of the last Detect's result,
-// bit-identical to core.AssignPhases on the same Detection. Clean clusters
-// take their node colors from the previous generation's coloring through the
-// survivor node map; only dirty clusters are re-colored.
-func (inc *Incremental) AssignPhases() (*Assignment, error) {
-	snap := inc.prev
-	if snap == nil {
-		return nil, fmt.Errorf("core: incremental AssignPhases before Detect")
-	}
-	det := snap.det
-	g := det.Graph.Drawing.G
-	n := g.N()
-	colors := make([]int8, n)
-	for i := range colors {
-		colors[i] = -1
-	}
-
-	// Seed clean clusters from the cached coloring of the previous
-	// generation. Sound because a clean cluster's subgraph, node order, edge
-	// order and final-conflict subset are all preserved by the transition, so
-	// the from-scratch BFS would reproduce exactly the mapped colors.
-	if inc.assignGen == snap.gen-1 && snap.newToOldNode != nil {
-		for v := 0; v < n; v++ {
-			if snap.solved[snap.labels[v]] {
-				continue
-			}
-			if ov := snap.newToOldNode[v]; ov >= 0 && ov < len(inc.prevColors) {
-				colors[v] = inc.prevColors[ov]
-			}
-		}
-	}
-	seeded := make([]bool, snap.nShards)
-	unseeded := make([]bool, snap.nShards)
-	for v := 0; v < n; v++ {
-		if colors[v] >= 0 {
-			seeded[snap.labels[v]] = true
-		} else {
-			unseeded[snap.labels[v]] = true
-		}
-	}
-
-	// Color the remaining nodes with the same traversal the from-scratch
-	// path uses (TwoColorWithoutEdges is this call on an all-uncolored
-	// seed), skipping the final conflict edges. BFS never crosses cluster
-	// boundaries, so seeded clusters stay untouched.
-	skip := make([]bool, g.M())
-	for _, c := range det.FinalConflicts {
-		skip[c.Edge] = true
-	}
-	if _, ok := g.TwoColorWithoutEdgesFrom(skip, colors); !ok {
-		return nil, errNotBipartite
-	}
-	for c := 0; c < snap.nShards; c++ {
-		switch {
-		case unseeded[c]:
-			inc.stats.AssignClustersSolved++
-		case seeded[c]:
-			inc.stats.AssignClustersReused++
-		}
-	}
-	inc.prevColors = colors
-	inc.assignGen = snap.gen
-	return assignmentFromColors(det, colors), nil
-}
-
-// DirtyScope returns filters marking the features and overlaps whose
-// conflict cluster was re-solved by the transition into the current
-// generation. It reports ok only when that transition kept survivor maps AND
-// the caller's cached state is exactly one generation old (sinceGen ==
-// Gen()-1) — otherwise the dirty information does not cover the full gap and
-// the caller must redo its work in full.
-func (inc *Incremental) DirtyScope(sinceGen int) (featDirty, ovDirty func(int) bool, ok bool) {
-	snap := inc.prev
-	if snap == nil || snap.newToOldNode == nil || sinceGen != snap.gen-1 {
-		return nil, nil, false
-	}
-	featDirty = func(fi int) bool {
-		if fi < 0 || fi >= len(snap.featCluster) {
-			return true
-		}
-		c := snap.featCluster[fi]
-		return c < 0 || snap.solved[c]
-	}
-	ovDirty = func(oi int) bool {
-		if oi < 0 || oi >= len(snap.ovCluster) {
-			return true
-		}
-		return snap.solved[snap.ovCluster[oi]]
-	}
-	return featDirty, ovDirty, true
-}
-
-// OverlapUID returns the stable identity of overlap index oi in the current
-// detection. The identity names the two flanking (feature uid, side) pairs;
-// it survives edits elsewhere in the layout and dies as soon as either
-// feature is touched, which makes it a sound cache key for any value derived
-// only from the two features' geometry (correction intervals).
-func (inc *Incremental) OverlapUID(oi int) (int32, bool) {
-	if inc.prev == nil || oi < 0 || oi >= len(inc.prev.ovUID) {
-		return 0, false
-	}
-	return inc.prev.ovUID[oi], true
-}
+// Phase assignment, its verification, correction intervals and mask
+// validation are linear passes next to the cluster solve, so the Session
+// layer runs them from scratch on every generation. Both paths here are
+// bit-identical to their from-scratch counterparts; the differential harness
+// (TestIncrementalDifferential) enforces this after every step of its edit
+// scripts.
 
 // CutValid reports whether an end-to-end cut at pos only stretches feature
 // lengths, answered from the span indexes maintained across edits. Matches
@@ -146,18 +29,6 @@ func (inc *Incremental) CutValid(vertical bool, pos int64) bool {
 		return !inc.cutV.Stab(pos)
 	}
 	return !inc.cutH.Stab(pos)
-}
-
-// AddReuse accumulates downstream-stage reuse counters measured by the
-// Session layer (verification, correction intervals, mask checks) into the
-// engine's cumulative stats. Only the counter fields of delta are used.
-func (inc *Incremental) AddReuse(delta IncStats) {
-	inc.stats.VerifyChecksReused += delta.VerifyChecksReused
-	inc.stats.VerifyChecksSolved += delta.VerifyChecksSolved
-	inc.stats.CorrIntervalsReused += delta.CorrIntervalsReused
-	inc.stats.CorrIntervalsSolved += delta.CorrIntervalsSolved
-	inc.stats.MaskChecksReused += delta.MaskChecksReused
-	inc.stats.MaskChecksSolved += delta.MaskChecksSolved
 }
 
 // packUIDPair normalizes a feature-uid pair into one map key.

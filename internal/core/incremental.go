@@ -57,15 +57,10 @@ type Incremental struct {
 	deleted map[int32]bool // uids of features removed since the last Detect
 
 	prev *incSnapshot // last successful detection state; nil before the first
-	gen  int          // generation counter: incremented per successful Detect
 
-	// Downstream-stage state (the incremental pipeline, ISSUE 5): phase
-	// assignment reuses the previous generation's per-cluster two-coloring,
-	// correction keeps persistent cut-position span indexes, and DRC keeps
-	// the violating feature pairs keyed by stable uids.
-	assignGen  int    // generation prevColors was computed for (0 = none)
-	prevColors []int8 // node 2-coloring of the assignGen graph
-
+	// Downstream-stage state: correction keeps persistent cut-position span
+	// indexes, and DRC keeps the violating feature pairs keyed by stable
+	// uids.
 	cutV, cutH geom.SpanSet // vertical-feature x-spans / horizontal-feature y-spans
 
 	drcReady bool            // drcPairs reflects the layout as of the last DRC
@@ -86,58 +81,12 @@ type pairRec struct {
 	uid          int32 // stable pair-instance uid
 }
 
-// incSnapshot captures everything a later Detect needs to decide reuse, plus
-// the transition maps the downstream stages use for their own cluster-scoped
-// reuse at this generation. Its clusterRun's solved marks the clusters
-// re-solved by the transition into gen.
+// incSnapshot captures everything a later Detect needs to decide reuse.
 type incSnapshot struct {
 	clusterRun
-	set      *shifter.Set
 	det      *Detection
 	nodeKeys []int64 // stable identity per graph node
 	edgeKeys []int64 // stable identity per graph edge
-
-	gen int // generation this snapshot was committed at
-	// newToOldNode maps this generation's node indices to the previous
-	// generation's; nil when the transition was a full recompute (first run
-	// or fallback), in which case downstream stages must not reuse.
-	newToOldNode []int
-	ovUID        []int32 // stable pair uid per overlap index
-	featCluster  []int32 // cluster per feature index (-1 for non-critical)
-	ovCluster    []int32 // cluster per overlap index
-}
-
-// newSnapshot assembles the committed state of one detection: the cluster
-// run plus the per-feature and per-overlap cluster maps and overlap uids of
-// set, whose overlaps ovRecs parallels. Detect and restoreSnapshot both
-// commit through it.
-func (inc *Incremental) newSnapshot(run *clusterRun, set *shifter.Set, ovRecs []pairRec, det *Detection, nodeKeys, edgeKeys []int64, newToOldNode []int, gen int) *incSnapshot {
-	snap := &incSnapshot{
-		clusterRun:   *run,
-		set:          set,
-		det:          det,
-		nodeKeys:     nodeKeys,
-		edgeKeys:     edgeKeys,
-		gen:          gen,
-		newToOldNode: newToOldNode,
-		ovUID:        make([]int32, len(ovRecs)),
-		featCluster:  make([]int32, len(inc.lay.Features)),
-		ovCluster:    make([]int32, len(set.Overlaps)),
-	}
-	for i, rec := range ovRecs {
-		snap.ovUID[i] = rec.uid
-	}
-	for fi := range snap.featCluster {
-		snap.featCluster[fi] = -1
-	}
-	for fi, pair := range set.PairOf {
-		snap.featCluster[fi] = int32(run.labels[det.Graph.ShifterNode[pair[0]]])
-	}
-	for oi := range set.Overlaps {
-		// Aux (overlap) nodes follow the shifter nodes in construction order.
-		snap.ovCluster[oi] = int32(run.labels[len(set.Shifters)+oi])
-	}
-	return snap
 }
 
 // Identity-key tags (low 2 bits): 0/1 carry a shifter side or an overlap
@@ -180,23 +129,11 @@ type IncStats struct {
 	HierClustersSolved   int `json:"hier_clusters_solved"`
 	HierFallbackClusters int `json:"hier_fallback_clusters"`
 
-	// Downstream-stage reuse counters (…Reused = work taken from cache,
-	// …Solved = work actually performed), cumulative like the shard tallies.
-	// AssignClusters count conflict clusters per phase-assignment coloring;
-	// VerifyChecks and MaskChecks count per-feature/per-overlap constraint
-	// checks; CorrIntervals count per-conflict correction-interval
-	// computations; DRCPairs count spacing-pair evaluations (reused = cached
-	// violating pairs carried over a re-check).
-	AssignClustersReused int `json:"assign_clusters_reused"`
-	AssignClustersSolved int `json:"assign_clusters_solved"`
-	VerifyChecksReused   int `json:"verify_checks_reused"`
-	VerifyChecksSolved   int `json:"verify_checks_solved"`
-	CorrIntervalsReused  int `json:"corr_intervals_reused"`
-	CorrIntervalsSolved  int `json:"corr_intervals_solved"`
-	MaskChecksReused     int `json:"mask_checks_reused"`
-	MaskChecksSolved     int `json:"mask_checks_solved"`
-	DRCPairsReused       int `json:"drc_pairs_reused"`
-	DRCPairsSolved       int `json:"drc_pairs_solved"`
+	// DRCPairs count spacing-pair evaluations of the incremental DRC
+	// (reused = cached violating pairs carried over a re-check), cumulative
+	// like the shard tallies.
+	DRCPairsReused int `json:"drc_pairs_reused"`
+	DRCPairsSolved int `json:"drc_pairs_solved"`
 }
 
 // NewIncremental starts an edit session on a deep copy of l (the caller's
@@ -420,12 +357,13 @@ func (inc *Incremental) Detect(ctx context.Context) (*Detection, error) {
 		return inc.dirty[uid] || inc.deleted[uid]
 	}
 
-	var oldToNewEdge, newToOldEdge, newToOldNode []int
+	var oldToNewEdge, newToOldEdge []int
 	var changedNode []bool
 	full := inc.prev == nil
 	if !full {
 		oldToNewEdge, newToOldEdge, err = matchSurvivors(inc.prev.edgeKeys, edgeKeys, isDeadEdge, isNewEdge)
 		if err == nil {
+			var newToOldNode []int
 			_, newToOldNode, err = matchSurvivors(inc.prev.nodeKeys, nodeKeys, isDeadNode, isNewNode)
 			if err == nil {
 				changedNode = make([]bool, g.N())
@@ -455,7 +393,6 @@ func (inc *Incremental) Detect(ctx context.Context) (*Detection, error) {
 	var det *Detection
 	var run *clusterRun
 	if full {
-		newToOldNode = nil
 		det, run, err = detect(ctx, cg, nil, nil, inc.opt)
 	} else {
 		dirtyEdge := make([]bool, g.M())
@@ -487,12 +424,9 @@ func (inc *Incremental) Detect(ctx context.Context) (*Detection, error) {
 	inc.stats.HierClustersSolved += det.Stats.HierSolvedShards
 	inc.stats.HierFallbackClusters += det.Stats.HierFallbackShards
 
-	// --- 6. Commit the new state, including the transition maps the
-	// downstream stages (assignment, correction, mask, DRC) use for their
-	// own cluster-scoped reuse at this generation. ---
+	// --- 6. Commit the new state. ---
 	inc.pairs = records
-	inc.gen++
-	inc.prev = inc.newSnapshot(run, set, ovRecs, det, nodeKeys, edgeKeys, newToOldNode, inc.gen)
+	inc.prev = &incSnapshot{clusterRun: *run, det: det, nodeKeys: nodeKeys, edgeKeys: edgeKeys}
 	inc.dirty = make(map[int32]bool)
 	inc.deleted = make(map[int32]bool)
 	inc.stats.Detects++

@@ -3,11 +3,15 @@ package core
 import (
 	"context"
 	"fmt"
+	"math/rand"
+	"reflect"
+	"slices"
 	"testing"
 
 	"repro/internal/bench"
 	"repro/internal/geom"
 	"repro/internal/layout"
+	"repro/internal/shifter"
 )
 
 // tiledHierLayout places n copies of base side by side, each tagged as one
@@ -87,6 +91,91 @@ func TestDetectEntryPointsAgree(t *testing.T) {
 				}
 				detectionsEqual(t, tag+"/restored", want, got)
 			}
+		}
+	}
+}
+
+// TestIncrementalSetPairLayout: the shifter set an Incremental rebuilds after
+// seeded add, move and delete edits keeps the pair layout Assignment.Verify
+// and mask.Validate walk — Shifters[2k] and Shifters[2k+1] are the LowSide
+// and HighSide flanks of one feature, features ascend, and the pair is
+// PairOf[feature] — and matches shifter.Generate on the edited layout. Edits
+// add and resize features across the critical-width threshold, so
+// non-critical features sit between the flanked ones.
+func TestIncrementalSetPairLayout(t *testing.T) {
+	ctx := context.Background()
+	r := rules()
+	for seed := int64(0); seed < 6; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		d := shardGrid()[seed%2]
+		l := bench.Generate(d.Name, d.Params)
+		// A wide, non-critical feature in the middle of the feature order.
+		l.Features = slices.Insert(l.Features, len(l.Features)/2, layout.Feature{Rect: geom.R(0, -5000, 400, -3000)})
+		inc, err := NewIncremental(l, r, PCG, Options{Workers: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		randRect := func() geom.Rect {
+			x, y := rng.Int63n(20000), rng.Int63n(4000)
+			w, n := 80+rng.Int63n(200), 300+rng.Int63n(1500) // critical below 150
+			if rng.Intn(2) == 0 {
+				return geom.R(x, y, x+w, y+n)
+			}
+			return geom.R(x, y, x+n, y+w)
+		}
+		mixed := 0 // steps whose layout holds a non-critical feature
+		for step := 0; step < 8; step++ {
+			for op := 0; op < 1+rng.Intn(4); op++ {
+				nf := len(inc.Layout().Features)
+				switch k := rng.Intn(3); {
+				case k == 0 || nf < 2:
+					inc.AddFeature(randRect(), 0)
+				case k == 1:
+					if err := inc.MoveFeature(rng.Intn(nf), randRect()); err != nil {
+						t.Fatal(err)
+					}
+				default:
+					if err := inc.DeleteFeature(rng.Intn(nf)); err != nil {
+						t.Fatal(err)
+					}
+				}
+			}
+			det, err := inc.Detect(ctx)
+			if err != nil {
+				t.Fatalf("seed %d step %d: %v", seed, step, err)
+			}
+			tag := fmt.Sprintf("seed %d step %d", seed, step)
+			set := det.Graph.Set
+			prev, critical := -1, 0
+			for _, f := range inc.Layout().Features {
+				if r.IsCritical(f) {
+					critical++
+				}
+			}
+			if len(set.Shifters) != 2*critical || len(set.PairOf) != critical {
+				t.Fatalf("%s: %d shifters, %d pairs for %d critical features", tag, len(set.Shifters), len(set.PairOf), critical)
+			}
+			if critical < len(inc.Layout().Features) {
+				mixed++
+			}
+			for k := 0; k < len(set.Shifters); k += 2 {
+				lo, hi := set.Shifters[k], set.Shifters[k+1]
+				if lo.Side != shifter.LowSide || hi.Side != shifter.HighSide || lo.Feature != hi.Feature ||
+					lo.Feature <= prev || set.PairOf[lo.Feature] != [2]int{k, k + 1} {
+					t.Fatalf("%s: pair %d breaks the layout: %v %v, PairOf %v", tag, k/2, lo, hi, set.PairOf[lo.Feature])
+				}
+				prev = lo.Feature
+			}
+			want, err := shifter.Generate(inc.Layout(), r)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(set.Shifters, want.Shifters) || !reflect.DeepEqual(set.PairOf, want.PairOf) {
+				t.Fatalf("%s: rebuilt shifters differ from shifter.Generate", tag)
+			}
+		}
+		if mixed == 0 {
+			t.Fatalf("seed %d: no step had a non-critical feature", seed)
 		}
 	}
 }

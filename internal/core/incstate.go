@@ -65,21 +65,14 @@ type IncrementalState struct {
 	DirtyUIDs   []int32
 	DeletedUIDs []int32
 
-	Gen int
-
 	// Last committed detection, present when HasPrev.
-	HasPrev      bool
-	CrossPairs   [][2]int32
-	NShards      int
-	Shards       []*ShardState // nil entries for edge-less clusters
-	DirtyCluster []bool
-	HasNewToOld  bool
-	NewToOldNode []int32
-	DetStats     Stats
+	HasPrev    bool
+	CrossPairs [][2]int32
+	NShards    int
+	Shards     []*ShardState // nil entries for edge-less clusters
+	DetStats   Stats
 
-	// Downstream-stage caches.
-	AssignGen    int
-	PrevColors   []int8
+	// Incremental DRC cache.
 	DRCReady     bool
 	DRCPairs     []uint64 // packed uid pairs, ascending
 	DRCDirtyUIDs []int32
@@ -107,9 +100,6 @@ func (inc *Incremental) ExportState() *IncrementalState {
 		FeatUID:    append([]int32(nil), inc.featUID...),
 		NextUID:    inc.nextUID,
 		NextOvUID:  inc.nextOvUID,
-		Gen:        inc.gen,
-		AssignGen:  inc.assignGen,
-		PrevColors: append([]int8(nil), inc.prevColors...),
 		DRCReady:   inc.drcReady,
 		Stats:      inc.stats,
 	}
@@ -157,11 +147,6 @@ func (inc *Incremental) ExportState() *IncrementalState {
 				GadgetNodes: r.gadgetNodes, GadgetEdges: r.gadgetEdges,
 			}
 		}
-		st.DirtyCluster = append([]bool(nil), snap.solved...)
-		if snap.newToOldNode != nil {
-			st.HasNewToOld = true
-			st.NewToOldNode = toInt32(snap.newToOldNode)
-		}
 		st.DetStats = snap.det.Stats
 	}
 	return st
@@ -188,8 +173,8 @@ func RestoreIncremental(st *IncrementalState, r layout.Rules, kind GraphKind, op
 	if len(st.FeatUID) != len(st.Features) {
 		return nil, fmt.Errorf("core: restore: %d feature uids for %d features", len(st.FeatUID), len(st.Features))
 	}
-	if st.NextUID < 0 || st.NextOvUID < 0 || st.Gen < 0 {
-		return nil, fmt.Errorf("core: restore: negative uid or generation counter")
+	if st.NextUID < 0 || st.NextOvUID < 0 {
+		return nil, fmt.Errorf("core: restore: negative uid counter")
 	}
 	inc := &Incremental{
 		rules: r,
@@ -202,7 +187,6 @@ func RestoreIncremental(st *IncrementalState, r layout.Rules, kind GraphKind, op
 		featUID:   append([]int32(nil), st.FeatUID...),
 		nextUID:   st.NextUID,
 		nextOvUID: st.NextOvUID,
-		gen:       st.Gen,
 		grid:      geom.NewGrid(featureGridCell(r)),
 		drcPairs:  make(map[uint64]bool, len(st.DRCPairs)),
 	}
@@ -285,21 +269,7 @@ func RestoreIncremental(st *IncrementalState, r layout.Rules, kind GraphKind, op
 		inc.drcPairs[key] = true
 	}
 
-	if st.AssignGen < 0 || st.AssignGen > st.Gen {
-		return nil, fmt.Errorf("core: restore: assign generation %d outside [0,%d]", st.AssignGen, st.Gen)
-	}
-	inc.assignGen = st.AssignGen
-	inc.prevColors = append([]int8(nil), st.PrevColors...)
-	for _, c := range inc.prevColors {
-		if c < -1 || c > 1 {
-			return nil, fmt.Errorf("core: restore: invalid cached color %d", c)
-		}
-	}
-
 	if st.HasPrev {
-		if st.Gen < 1 {
-			return nil, fmt.Errorf("core: restore: detection snapshot at generation %d", st.Gen)
-		}
 		if err := inc.restoreSnapshot(st); err != nil {
 			return nil, err
 		}
@@ -333,10 +303,9 @@ func (inc *Incremental) restoreSnapshot(st *IncrementalState) error {
 	if nShards != st.NShards {
 		return fmt.Errorf("core: restore: rebuilt %d conflict clusters, snapshot has %d", nShards, st.NShards)
 	}
-	if len(st.Shards) != nShards || len(st.DirtyCluster) != nShards {
+	if len(st.Shards) != nShards {
 		return fmt.Errorf("core: restore: shard state sized for %d clusters, want %d", len(st.Shards), nShards)
 	}
-	run.solved = append([]bool(nil), st.DirtyCluster...)
 
 	// Only the edge index maps are needed to re-merge cached results; no
 	// cluster is re-materialized as a standalone drawing.
@@ -380,20 +349,7 @@ func (inc *Incremental) restoreSnapshot(st *IncrementalState) error {
 	// recomputed, so the whole Stats block is taken from the snapshot.
 	det.Stats = st.DetStats
 
-	var newToOldNode []int
-	if st.HasNewToOld {
-		if len(st.NewToOldNode) != g.N() {
-			return fmt.Errorf("core: restore: node survivor map has %d entries for %d nodes", len(st.NewToOldNode), g.N())
-		}
-		newToOldNode = make([]int, len(st.NewToOldNode))
-		for i, ov := range st.NewToOldNode {
-			if ov < -1 {
-				return fmt.Errorf("core: restore: node survivor map entry %d is %d", i, ov)
-			}
-			newToOldNode[i] = int(ov)
-		}
-	}
-	inc.prev = inc.newSnapshot(run, set, ovRecs, det, nodeKeys, edgeKeys, newToOldNode, st.Gen)
+	inc.prev = &incSnapshot{clusterRun: *run, det: det, nodeKeys: nodeKeys, edgeKeys: edgeKeys}
 	return nil
 }
 

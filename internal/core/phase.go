@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"sort"
 
 	"repro/internal/geom"
 )
@@ -36,24 +35,14 @@ type Assignment struct {
 	WaivedFeatures map[int]bool
 }
 
-// errNotBipartite is the shared inconsistency error of AssignPhases and the
-// incremental assignment path, so both report identically.
-var errNotBipartite = fmt.Errorf("core: conflict set does not make the graph bipartite")
-
 // AssignPhases two-colors the conflict graph after removing the detected
 // conflicts and extracts shifter phases. It fails if the detection result is
 // inconsistent (remaining graph not bipartite).
 func AssignPhases(det *Detection) (*Assignment, error) {
 	colors, ok := det.Graph.Drawing.G.VerifyBipartition(det.ConflictEdgeSet())
 	if !ok {
-		return nil, errNotBipartite
+		return nil, fmt.Errorf("core: conflict set does not make the graph bipartite")
 	}
-	return assignmentFromColors(det, colors), nil
-}
-
-// assignmentFromColors materializes an Assignment from a node 2-coloring of
-// the conflict-free graph. Shared by the from-scratch and incremental paths.
-func assignmentFromColors(det *Detection, colors []int8) *Assignment {
 	cg := det.Graph
 	a := &Assignment{
 		Phases:         make([]Phase, len(cg.Set.Shifters)),
@@ -73,7 +62,7 @@ func assignmentFromColors(det *Detection, colors []int8) *Assignment {
 			a.WaivedFeatures[c.Meta.Feature] = true
 		}
 	}
-	return a
+	return a, nil
 }
 
 // Violation describes a broken phase-assignment condition.
@@ -92,50 +81,31 @@ func (v Violation) String() string {
 // Verify checks an assignment against the layout's constraints, skipping
 // waived ones. A fully empty result on an un-waived assignment certifies the
 // layout phase-assignable (the constructive direction of Theorem 1).
+// Violations come back in ascending feature order, then overlap order.
 func (a *Assignment) Verify(cg *ConflictGraph) []Violation {
-	return a.VerifySubset(cg, nil, nil)
-}
-
-// VerifySubset is Verify restricted to the features and overlaps the filters
-// admit (nil filters admit everything). The incremental pipeline verifies
-// only the conflict clusters the last edit touched: clean clusters keep their
-// phases, so a constraint there that held at the previous generation still
-// holds and re-checking it would be redundant work.
-func (a *Assignment) VerifySubset(cg *ConflictGraph, checkFeature, checkOverlap func(int) bool) []Violation {
 	var out []Violation
-	// PairOf is a map: iterate its keys in sorted order so the violation list
-	// comes back in ascending feature order, not randomized map order.
-	feats := make([]int, 0, len(cg.Set.PairOf))
-	for fi := range cg.Set.PairOf {
-		feats = append(feats, fi)
-	}
-	sort.Ints(feats)
-	for _, fi := range feats {
-		pair := cg.Set.PairOf[fi]
-		if checkFeature != nil && !checkFeature(fi) {
+	// Shifters 2k and 2k+1 flank one critical feature, in ascending feature
+	// order (see shifter.Set), so this walk visits PairOf in key order.
+	sh := cg.Set.Shifters
+	for k := 0; k+1 < len(sh); k += 2 {
+		if a.WaivedFeatures[sh[k].Feature] {
 			continue
 		}
-		if a.WaivedFeatures[fi] {
-			continue
-		}
-		if a.Phases[pair[0]] == a.Phases[pair[1]] {
+		if a.Phases[k] == a.Phases[k+1] {
 			out = append(out, Violation{
-				Condition: 1, S1: pair[0], S2: pair[1],
-				Where: cg.Set.Shifters[pair[0]].Center(),
+				Condition: 1, S1: k, S2: k + 1,
+				Where: sh[k].Center(),
 			})
 		}
 	}
 	for oi, ov := range cg.Set.Overlaps {
-		if checkOverlap != nil && !checkOverlap(oi) {
-			continue
-		}
 		if a.Waived[oi] {
 			continue
 		}
 		if a.Phases[ov.A] != a.Phases[ov.B] {
 			out = append(out, Violation{
 				Condition: 2, S1: ov.A, S2: ov.B,
-				Where: cg.Set.Shifters[ov.A].Center(),
+				Where: sh[ov.A].Center(),
 			})
 		}
 	}

@@ -81,50 +81,6 @@ type interval struct {
 	need     int64 // required inserted width
 }
 
-// AxisCut is one axis' candidate cut range for a conflict: positions in
-// [Lo, Hi] with inserted width Need. OK is false when no cut on this axis can
-// separate the pair.
-type AxisCut struct {
-	Lo, Hi int64
-	Need   int64
-	OK     bool
-}
-
-// Intervals groups a conflict's candidate cut ranges on both axes. The value
-// depends only on the two conflicting features' rectangles and the rules, so
-// the incremental pipeline caches it under the conflict's stable overlap-pair
-// identity across edits.
-type Intervals struct {
-	V, H AxisCut
-}
-
-// IntervalsFor computes the candidate cut ranges of one conflict. A
-// feature-edge conflict (not correctable by spacing) yields the zero value.
-func IntervalsFor(l *layout.Layout, r layout.Rules, set *shifter.Set, c core.Conflict) Intervals {
-	var out Intervals
-	if c.Meta.Kind != core.OverlapEdge {
-		return out
-	}
-	sa := set.Shifters[c.Meta.S1]
-	sb := set.Shifters[c.Meta.S2]
-	fa := l.Features[sa.Feature].Rect
-	fb := l.Features[sb.Feature].Rect
-	// A cut separates the conflicting shifters by moving one of their
-	// *features* (shifters are regenerated from features after modification).
-	// The cut must pass strictly between the two features' spans; the width
-	// must close the signed shifter gap — overlapping shifter projections
-	// need more than the nominal deficit.
-	if iv, need, ok := cutInterval(fa.X0, fa.X1, fb.X0, fb.X1,
-		sa.Rect.X0, sa.Rect.X1, sb.Rect.X0, sb.Rect.X1, r.MinShifterSpacing); ok {
-		out.V = AxisCut{Lo: iv.Lo, Hi: iv.Hi, Need: need, OK: true}
-	}
-	if iv, need, ok := cutInterval(fa.Y0, fa.Y1, fb.Y0, fb.Y1,
-		sa.Rect.Y0, sa.Rect.Y1, sb.Rect.Y0, sb.Rect.Y1, r.MinShifterSpacing); ok {
-		out.H = AxisCut{Lo: iv.Lo, Hi: iv.Hi, Need: need, OK: true}
-	}
-	return out
-}
-
 // CutChecker reports whether an end-to-end cut at pos is legal: it must only
 // stretch feature lengths, never widths.
 type CutChecker func(dir Direction, pos int64) bool
@@ -132,8 +88,8 @@ type CutChecker func(dir Direction, pos int64) bool
 // NewCutChecker builds a CutChecker over the layout's current features using
 // per-direction span indexes: a vertical cut is invalid when it stabs the
 // x-span of any vertical feature, and symmetrically. O(log n) per query after
-// one O(n log n) build; the incremental engine maintains the same two span
-// sets persistently across edits instead of rebuilding them here.
+// one O(n log n) build; an edit session maintains the same two span sets
+// persistently across edits and hands them to BuildPlanWith instead.
 func NewCutChecker(l *layout.Layout) CutChecker {
 	var v, h geom.SpanSet
 	for _, f := range l.Features {
@@ -154,53 +110,50 @@ func NewCutChecker(l *layout.Layout) CutChecker {
 // BuildPlan chooses cuts correcting the given conflicts on layout l.
 // Conflicts must come from a detection on the same layout and rules.
 func BuildPlan(l *layout.Layout, r layout.Rules, set *shifter.Set, conflicts []core.Conflict) (*Plan, error) {
-	ivsets := make([]Intervals, len(conflicts))
-	for ci, c := range conflicts {
-		ivsets[ci] = IntervalsFor(l, r, set, c)
-	}
-	return BuildPlanIntervals(conflicts, ivsets, NewCutChecker(l))
+	return BuildPlanWith(l, r, set, conflicts, NewCutChecker(l))
 }
 
-// BuildPlanIntervals is BuildPlan on precomputed per-conflict intervals and
-// an externally supplied cut-position checker. The incremental pipeline calls
-// it with cached intervals and the persistent span indexes of its edit
-// session; results are identical to BuildPlan on the same layout because both
-// paths share every decision procedure.
-func BuildPlanIntervals(conflicts []core.Conflict, ivsets []Intervals, valid CutChecker) (*Plan, error) {
+// BuildPlanWith is BuildPlan with cut legality answered by valid instead of
+// a fresh NewCutChecker(l). An edit session passes the span indexes it keeps
+// across edits; any checker that agrees with NewCutChecker(l) yields the
+// same plan.
+func BuildPlanWith(l *layout.Layout, r layout.Rules, set *shifter.Set, conflicts []core.Conflict, valid CutChecker) (*Plan, error) {
+	return plan(l, r, set, conflicts, valid, CutRegions{}), nil
+}
+
+// plan is the one planner behind BuildPlan, BuildPlanWith and
+// BuildPlanRestricted: correction intervals per conflict (paper step 2),
+// candidate grid lines at their endpoints (step 3) that are legal under
+// valid and inside regions, then a weighted set cover choosing the cuts.
+func plan(l *layout.Layout, r layout.Rules, set *shifter.Set, conflicts []core.Conflict, valid CutChecker, regions CutRegions) *Plan {
 	p := &Plan{Conflicts: conflicts}
 	var ivs []interval
 	for ci, c := range conflicts {
-		if c.Meta.Kind != core.OverlapEdge {
-			p.Unfixable = append(p.Unfixable, ci)
-			continue
+		n := len(ivs)
+		if c.Meta.Kind == core.OverlapEdge {
+			ivs = appendIntervals(ivs, l, r, set, ci, c, regions)
 		}
-		got := 0
-		if ax := ivsets[ci].V; ax.OK {
-			ivs = append(ivs, interval{ci, VerticalCut, ax.Lo, ax.Hi, ax.Need})
-			got++
-		}
-		if ax := ivsets[ci].H; ax.OK {
-			ivs = append(ivs, interval{ci, HorizontalCut, ax.Lo, ax.Hi, ax.Need})
-			got++
-		}
-		if got == 0 {
+		if len(ivs) == n {
 			p.Unfixable = append(p.Unfixable, ci)
 		}
 	}
 	if len(ivs) == 0 {
-		return p, nil
+		return p
 	}
 
-	// Candidate grid lines: interval endpoints (paper step 3), filtered so
-	// a cut never stretches a feature's width — a vertical line must not
-	// pass through the x-span of any vertical feature, and symmetrically.
+	// Candidate grid lines: interval endpoints clipped to the allowed
+	// regions, filtered so a cut never stretches a feature's width — a
+	// vertical line must not pass through the x-span of any vertical
+	// feature, and symmetrically.
 	type lineKey struct {
 		dir Direction
 		pos int64
 	}
 	cands := map[lineKey]bool{}
+	var clipped []int64
 	for _, iv := range ivs {
-		for _, pos := range []int64{iv.lo, iv.hi} {
+		clipped = regions.clip(clipped[:0], iv.dir, geom.Interval{Lo: iv.lo, Hi: iv.hi})
+		for _, pos := range clipped {
 			if valid(iv.dir, pos) {
 				cands[lineKey{iv.dir, pos}] = true
 			}
@@ -221,29 +174,24 @@ func BuildPlanIntervals(conflicts []core.Conflict, ivsets []Intervals, valid Cut
 	// Weighted set cover: each line covers the conflicts whose interval
 	// contains it; its weight is the largest width those conflicts need.
 	sets := make([]setcover.Set, len(lines))
-	covers := make([][]int, len(lines))
 	for li, lk := range lines {
-		var members []int
-		var w int64
 		for _, iv := range ivs {
 			if iv.dir == lk.dir && iv.lo <= lk.pos && lk.pos <= iv.hi {
-				members = append(members, iv.conflict)
-				if iv.need > w {
-					w = iv.need
+				sets[li].Members = append(sets[li].Members, iv.conflict)
+				if iv.need > sets[li].Weight {
+					sets[li].Weight = iv.need
 				}
 			}
 		}
-		sets[li] = setcover.Set{Weight: w, Members: members}
-		covers[li] = members
 	}
 	res := setcover.Solve(len(conflicts), sets)
 	// Elements uncovered by any line but having intervals: should not
 	// happen (their own endpoints are candidates unless filtered invalid);
 	// report them unfixable.
-	coveredByLine := map[int]bool{}
+	covered := map[int]bool{}
 	for _, li := range res.Chosen {
-		for _, m := range covers[li] {
-			coveredByLine[m] = true
+		for _, m := range sets[li].Members {
+			covered[m] = true
 		}
 	}
 	hasInterval := map[int]bool{}
@@ -251,7 +199,7 @@ func BuildPlanIntervals(conflicts []core.Conflict, ivsets []Intervals, valid Cut
 		hasInterval[iv.conflict] = true
 	}
 	for ci := range conflicts {
-		if hasInterval[ci] && !coveredByLine[ci] {
+		if hasInterval[ci] && !covered[ci] {
 			p.Unfixable = append(p.Unfixable, ci)
 		}
 	}
@@ -259,7 +207,7 @@ func BuildPlanIntervals(conflicts []core.Conflict, ivsets []Intervals, valid Cut
 
 	for _, li := range res.Chosen {
 		lk := lines[li]
-		cut := Cut{Dir: lk.dir, Pos: lk.pos, Width: sets[li].Weight, Corrects: covers[li]}
+		cut := Cut{Dir: lk.dir, Pos: lk.pos, Width: sets[li].Weight, Corrects: sets[li].Members}
 		p.Cuts = append(p.Cuts, cut)
 		if lk.dir == VerticalCut {
 			p.AddedWidth += cut.Width
@@ -273,7 +221,30 @@ func BuildPlanIntervals(conflicts []core.Conflict, ivsets []Intervals, valid Cut
 		}
 		return p.Cuts[i].Pos < p.Cuts[j].Pos
 	})
-	return p, nil
+	return p
+}
+
+// appendIntervals appends overlap conflict ci's candidate cut ranges on both
+// axes to ivs, dropping a range no allowed region meets.
+func appendIntervals(ivs []interval, l *layout.Layout, r layout.Rules, set *shifter.Set, ci int, c core.Conflict, regions CutRegions) []interval {
+	sa := set.Shifters[c.Meta.S1]
+	sb := set.Shifters[c.Meta.S2]
+	fa := l.Features[sa.Feature].Rect
+	fb := l.Features[sb.Feature].Rect
+	// A cut separates the conflicting shifters by moving one of their
+	// *features* (shifters are regenerated from features after modification).
+	// The cut must pass strictly between the two features' spans; the width
+	// must close the signed shifter gap — overlapping shifter projections
+	// need more than the nominal deficit.
+	if iv, need, ok := cutInterval(fa.X0, fa.X1, fb.X0, fb.X1,
+		sa.Rect.X0, sa.Rect.X1, sb.Rect.X0, sb.Rect.X1, r.MinShifterSpacing); ok && regions.meets(VerticalCut, iv) {
+		ivs = append(ivs, interval{ci, VerticalCut, iv.Lo, iv.Hi, need})
+	}
+	if iv, need, ok := cutInterval(fa.Y0, fa.Y1, fb.Y0, fb.Y1,
+		sa.Rect.Y0, sa.Rect.Y1, sb.Rect.Y0, sb.Rect.Y1, r.MinShifterSpacing); ok && regions.meets(HorizontalCut, iv) {
+		ivs = append(ivs, interval{ci, HorizontalCut, iv.Lo, iv.Hi, need})
+	}
+	return ivs
 }
 
 // cutInterval computes the valid cut positions along one axis for a

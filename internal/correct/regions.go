@@ -1,12 +1,9 @@
 package correct
 
 import (
-	"sort"
-
 	"repro/internal/core"
 	"repro/internal/geom"
 	"repro/internal/layout"
-	"repro/internal/setcover"
 	"repro/internal/shifter"
 )
 
@@ -26,160 +23,46 @@ type CutRegions struct {
 	HorizontalY []geom.Interval
 }
 
-func (cr CutRegions) allows(dir Direction, pos int64) bool {
-	var windows []geom.Interval
+// windows returns the allowed windows for dir; nil means anywhere.
+func (cr CutRegions) windows(dir Direction) []geom.Interval {
 	if dir == VerticalCut {
-		windows = cr.VerticalX
-	} else {
-		windows = cr.HorizontalY
+		return cr.VerticalX
 	}
-	if windows == nil {
+	return cr.HorizontalY
+}
+
+// meets reports whether some allowed cut position for dir lies in iv.
+func (cr CutRegions) meets(dir Direction, iv geom.Interval) bool {
+	ws := cr.windows(dir)
+	if ws == nil {
 		return true
 	}
-	for _, w := range windows {
-		if w.Contains(pos) {
+	for _, w := range ws {
+		if w.Intersect(iv).Valid() {
 			return true
 		}
 	}
 	return false
 }
 
-// clip restricts an interval to the allowed windows, returning the clipped
-// candidate positions (window ∩ interval endpoints).
-func (cr CutRegions) clip(dir Direction, iv geom.Interval) []int64 {
-	var windows []geom.Interval
-	if dir == VerticalCut {
-		windows = cr.VerticalX
-	} else {
-		windows = cr.HorizontalY
+// clip restricts an interval to the allowed windows, appending the clipped
+// candidate positions (window ∩ interval endpoints) to dst.
+func (cr CutRegions) clip(dst []int64, dir Direction, iv geom.Interval) []int64 {
+	ws := cr.windows(dir)
+	if ws == nil {
+		return append(dst, iv.Lo, iv.Hi)
 	}
-	if windows == nil {
-		return []int64{iv.Lo, iv.Hi}
-	}
-	var out []int64
-	for _, w := range windows {
-		c := w.Intersect(iv)
-		if c.Valid() {
-			out = append(out, c.Lo, c.Hi)
+	for _, w := range ws {
+		if c := w.Intersect(iv); c.Valid() {
+			dst = append(dst, c.Lo, c.Hi)
 		}
 	}
-	return out
+	return dst
 }
 
 // BuildPlanRestricted is BuildPlan with cut positions limited to the given
 // regions. Conflicts whose whole correction interval falls outside every
 // window become Unfixable (to be handled by widening or mask splitting).
 func BuildPlanRestricted(l *layout.Layout, r layout.Rules, set *shifter.Set, conflicts []core.Conflict, regions CutRegions) (*Plan, error) {
-	// Reuse BuildPlan's machinery by pre-filtering through a candidate
-	// override: the simplest correct implementation re-runs the interval
-	// computation with region-clipped candidates.
-	p := &Plan{Conflicts: conflicts}
-	var ivs []interval
-	for ci, c := range conflicts {
-		if c.Meta.Kind != core.OverlapEdge {
-			p.Unfixable = append(p.Unfixable, ci)
-			continue
-		}
-		sa := set.Shifters[c.Meta.S1]
-		sb := set.Shifters[c.Meta.S2]
-		fa := l.Features[sa.Feature].Rect
-		fb := l.Features[sb.Feature].Rect
-		got := 0
-		if iv, need, ok := cutInterval(fa.X0, fa.X1, fb.X0, fb.X1,
-			sa.Rect.X0, sa.Rect.X1, sb.Rect.X0, sb.Rect.X1, r.MinShifterSpacing); ok {
-			if cand := regions.clip(VerticalCut, iv); len(cand) > 0 {
-				ivs = append(ivs, interval{ci, VerticalCut, iv.Lo, iv.Hi, need})
-				got++
-			}
-		}
-		if iv, need, ok := cutInterval(fa.Y0, fa.Y1, fb.Y0, fb.Y1,
-			sa.Rect.Y0, sa.Rect.Y1, sb.Rect.Y0, sb.Rect.Y1, r.MinShifterSpacing); ok {
-			if cand := regions.clip(HorizontalCut, iv); len(cand) > 0 {
-				ivs = append(ivs, interval{ci, HorizontalCut, iv.Lo, iv.Hi, need})
-				got++
-			}
-		}
-		if got == 0 {
-			p.Unfixable = append(p.Unfixable, ci)
-		}
-	}
-	finishPlan(l, p, ivs, regions)
-	return p, nil
-}
-
-// finishPlan runs the shared grid-line extraction, set cover and cut
-// selection, admitting only region-approved positions.
-func finishPlan(l *layout.Layout, p *Plan, ivs []interval, regions CutRegions) {
-	if len(ivs) == 0 {
-		return
-	}
-	type lineKey struct {
-		dir Direction
-		pos int64
-	}
-	valid := NewCutChecker(l)
-	cands := map[lineKey]bool{}
-	for _, iv := range ivs {
-		for _, pos := range regions.clip(iv.dir, geom.Interval{Lo: iv.lo, Hi: iv.hi}) {
-			if valid(iv.dir, pos) && regions.allows(iv.dir, pos) {
-				cands[lineKey{iv.dir, pos}] = true
-			}
-		}
-	}
-	lines := make([]lineKey, 0, len(cands))
-	for k := range cands {
-		lines = append(lines, k)
-	}
-	sort.Slice(lines, func(i, j int) bool {
-		if lines[i].dir != lines[j].dir {
-			return lines[i].dir < lines[j].dir
-		}
-		return lines[i].pos < lines[j].pos
-	})
-	p.GridLines = len(lines)
-
-	sets := make([]setcover.Set, len(lines))
-	for li, lk := range lines {
-		for _, iv := range ivs {
-			if iv.dir == lk.dir && iv.lo <= lk.pos && lk.pos <= iv.hi {
-				sets[li].Members = append(sets[li].Members, iv.conflict)
-				if iv.need > sets[li].Weight {
-					sets[li].Weight = iv.need
-				}
-			}
-		}
-	}
-	res := setcover.Solve(len(p.Conflicts), sets)
-	covered := map[int]bool{}
-	for _, li := range res.Chosen {
-		for _, m := range sets[li].Members {
-			covered[m] = true
-		}
-	}
-	hasInterval := map[int]bool{}
-	for _, iv := range ivs {
-		hasInterval[iv.conflict] = true
-	}
-	for ci := range p.Conflicts {
-		if hasInterval[ci] && !covered[ci] {
-			p.Unfixable = append(p.Unfixable, ci)
-		}
-	}
-	sort.Ints(p.Unfixable)
-	for _, li := range res.Chosen {
-		lk := lines[li]
-		cut := Cut{Dir: lk.dir, Pos: lk.pos, Width: sets[li].Weight, Corrects: sets[li].Members}
-		p.Cuts = append(p.Cuts, cut)
-		if lk.dir == VerticalCut {
-			p.AddedWidth += cut.Width
-		} else {
-			p.AddedHeight += cut.Width
-		}
-	}
-	sort.Slice(p.Cuts, func(i, j int) bool {
-		if p.Cuts[i].Dir != p.Cuts[j].Dir {
-			return p.Cuts[i].Dir < p.Cuts[j].Dir
-		}
-		return p.Cuts[i].Pos < p.Cuts[j].Pos
-	})
+	return plan(l, r, set, conflicts, NewCutChecker(l), regions), nil
 }

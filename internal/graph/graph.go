@@ -374,18 +374,6 @@ func (g *Graph) TwoColorWithoutEdges(skip []bool) (colors []int8, ok bool) {
 	for i := range colors {
 		colors[i] = -1
 	}
-	return g.TwoColorWithoutEdgesFrom(skip, colors)
-}
-
-// TwoColorWithoutEdgesFrom is TwoColorWithoutEdges continuing a partial
-// coloring: colors[v] must be -1 (uncolored) or an already-decided 0/1, and
-// is extended in place. Pre-colored components are trusted, not re-checked —
-// the caller guarantees their internal consistency. The incremental
-// assignment path seeds clean conflict clusters from the previous
-// generation's coloring and lets this single traversal implementation color
-// the rest, so the bit-identical-coloring contract between the from-scratch
-// and incremental paths cannot drift.
-func (g *Graph) TwoColorWithoutEdgesFrom(skip []bool, colors []int8) ([]int8, bool) {
 	g.build()
 	queue := make([]int, 0, g.n)
 	for s := 0; s < g.n; s++ {

@@ -12,7 +12,6 @@ package mask
 import (
 	"errors"
 	"fmt"
-	"sort"
 
 	"repro/internal/core"
 	"repro/internal/layout"
@@ -92,39 +91,16 @@ func Count(l *layout.Layout) Stats {
 // no two opposite-phase apertures violate the shifter spacing rule unless
 // the pair was waived by detection.
 func Validate(l *layout.Layout, set *shifter.Set, phases []core.Phase, waived map[int]bool, r layout.Rules) []string {
-	return ValidateSubset(l, set, phases, waived, r, nil, nil)
-}
-
-// ValidateSubset is Validate restricted to the features and overlaps the
-// filters admit (a nil filter admits everything). The incremental pipeline
-// passes filters marking the conflict clusters the last edit touched: clean
-// clusters kept their phases and waivers bit-for-bit, so a previously clean
-// validation cannot regress there and re-checking only the dirty scope
-// decides consistency for the whole mask.
-func ValidateSubset(l *layout.Layout, set *shifter.Set, phases []core.Phase, waived map[int]bool, r layout.Rules, checkFeature, checkOverlap func(int) bool) []string {
 	var problems []string
-	// PairOf is a map: iterate its keys in sorted order so the problem list
-	// (and the first problem surfaced in ErrMaskInconsistent) is stable
-	// across runs instead of following randomized map order.
-	feats := make([]int, 0, len(set.PairOf))
-	for fi := range set.PairOf {
-		feats = append(feats, fi)
-	}
-	sort.Ints(feats)
-	for _, fi := range feats {
-		pair := set.PairOf[fi]
-		if checkFeature != nil && !checkFeature(fi) {
-			continue
-		}
-		if phases[pair[0]] == phases[pair[1]] {
+	// Shifters 2k and 2k+1 flank one critical feature, in ascending feature
+	// order (see shifter.Set), so problems come back in feature order.
+	for k := 0; k+1 < len(set.Shifters); k += 2 {
+		if phases[k] == phases[k+1] {
 			problems = append(problems,
-				fmt.Sprintf("feature %d flanked by same-phase apertures", fi))
+				fmt.Sprintf("feature %d flanked by same-phase apertures", set.Shifters[k].Feature))
 		}
 	}
 	for oi, ov := range set.Overlaps {
-		if checkOverlap != nil && !checkOverlap(oi) {
-			continue
-		}
 		if waived[oi] {
 			continue
 		}

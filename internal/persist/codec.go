@@ -8,7 +8,6 @@ import (
 	"time"
 
 	"repro/internal/core"
-	"repro/internal/correct"
 	"repro/internal/layout"
 	"repro/internal/tjoin"
 )
@@ -16,7 +15,7 @@ import (
 // Snapshot wire format (all integers little-endian, fixed width):
 //
 //	magic   [8]byte  "AAPSMSNP"
-//	version uint16   (currently 2)
+//	version uint16   (currently 3)
 //	payload          sections in SessionState field order
 //	crc32   uint32   IEEE checksum of everything before it
 //
@@ -33,7 +32,13 @@ var snapMagic = [8]byte{'A', 'A', 'P', 'S', 'M', 'S', 'N', 'P'}
 // Version 2 added the rules tone, the engine's profile name, feature polygon
 // groups, the layout hierarchy sidecar, and the hierarchy-reuse counters in
 // both stats blocks.
-const Version uint16 = 2
+//
+// Version 3 removed the downstream-stage caches the session no longer
+// keeps: the verification and mask-validation clean generations, the
+// correction interval cache, the engine generation, the node survivor map,
+// the per-cluster dirty marks, the cached phase coloring, and their eight
+// reuse counters.
+const Version uint16 = 3
 
 var (
 	// ErrCorrupt marks a snapshot that failed structural or checksum
@@ -65,15 +70,7 @@ func Encode(st *SessionState) []byte {
 
 	w.i64(int64(st.DetectRuns))
 	w.i64(int64(st.Edits))
-	w.i64(int64(st.VerifyCleanGen))
-	w.i64(int64(st.MaskCleanGen))
 	w.u8(st.Memo)
-
-	w.u32(uint32(len(st.IvKeys)))
-	for i, k := range st.IvKeys {
-		w.i32(k)
-		w.intervals(st.IvVals[i])
-	}
 
 	if st.Inc == nil {
 		w.u8(0)
@@ -151,17 +148,7 @@ func Decode(data []byte) (*SessionState, error) {
 
 	st.DetectRuns = int(rd.i64())
 	st.Edits = int(rd.i64())
-	st.VerifyCleanGen = int(rd.i64())
-	st.MaskCleanGen = int(rd.i64())
 	st.Memo = rd.u8()
-
-	nIv := rd.sliceLen(4 + 2*(3*8+1))
-	st.IvKeys = sliceCap[int32](nIv)
-	st.IvVals = sliceCap[correct.Intervals](nIv)
-	for i := 0; i < nIv; i++ {
-		st.IvKeys = append(st.IvKeys, rd.i32())
-		st.IvVals = append(st.IvVals, rd.intervals())
-	}
 
 	if rd.u8() != 0 {
 		st.Inc = rd.incState()
@@ -203,15 +190,6 @@ func (w *writer) i32s(xs []int32) {
 	}
 }
 
-func (w *writer) intervals(iv correct.Intervals) {
-	for _, ax := range [2]correct.AxisCut{iv.V, iv.H} {
-		w.i64(ax.Lo)
-		w.i64(ax.Hi)
-		w.i64(ax.Need)
-		w.bool(ax.OK)
-	}
-}
-
 func (w *writer) incState(inc *core.IncrementalState) {
 	w.str(inc.LayoutName)
 	w.u32(uint32(len(inc.Features)))
@@ -243,7 +221,6 @@ func (w *writer) incState(inc *core.IncrementalState) {
 	}
 	w.i32s(inc.DirtyUIDs)
 	w.i32s(inc.DeletedUIDs)
-	w.i64(int64(inc.Gen))
 
 	w.bool(inc.HasPrev)
 	if inc.HasPrev {
@@ -267,20 +244,9 @@ func (w *writer) incState(inc *core.IncrementalState) {
 				w.i64(int64(v))
 			}
 		}
-		w.u32(uint32(len(inc.DirtyCluster)))
-		for _, d := range inc.DirtyCluster {
-			w.bool(d)
-		}
-		w.bool(inc.HasNewToOld)
-		w.i32s(inc.NewToOldNode)
 		w.detStats(inc.DetStats)
 	}
 
-	w.i64(int64(inc.AssignGen))
-	w.u32(uint32(len(inc.PrevColors)))
-	for _, c := range inc.PrevColors {
-		w.u8(uint8(c))
-	}
 	w.bool(inc.DRCReady)
 	w.u32(uint32(len(inc.DRCPairs)))
 	for _, p := range inc.DRCPairs {
@@ -305,13 +271,9 @@ func (w *writer) detStats(s core.Stats) {
 }
 
 func (w *writer) incStats(s core.IncStats) {
-	for _, v := range [19]int{s.Edits, s.Detects, s.FullDetects,
+	for _, v := range [11]int{s.Edits, s.Detects, s.FullDetects,
 		s.ShardsReused, s.ShardsSolved, s.FallbackDirty,
 		s.HierClustersReused, s.HierClustersSolved, s.HierFallbackClusters,
-		s.AssignClustersReused, s.AssignClustersSolved,
-		s.VerifyChecksReused, s.VerifyChecksSolved,
-		s.CorrIntervalsReused, s.CorrIntervalsSolved,
-		s.MaskChecksReused, s.MaskChecksSolved,
 		s.DRCPairsReused, s.DRCPairsSolved} {
 		w.i64(int64(v))
 	}
@@ -422,17 +384,6 @@ func (r *reader) i32s() []int32 {
 	return out
 }
 
-func (r *reader) intervals() correct.Intervals {
-	var iv correct.Intervals
-	for _, ax := range [2]*correct.AxisCut{&iv.V, &iv.H} {
-		ax.Lo = r.i64()
-		ax.Hi = r.i64()
-		ax.Need = r.i64()
-		ax.OK = r.bool()
-	}
-	return iv
-}
-
 func (r *reader) incState() *core.IncrementalState {
 	inc := &core.IncrementalState{}
 	inc.LayoutName = r.str()
@@ -472,7 +423,6 @@ func (r *reader) incState() *core.IncrementalState {
 	}
 	inc.DirtyUIDs = r.i32s()
 	inc.DeletedUIDs = r.i32s()
-	inc.Gen = int(r.i64())
 
 	inc.HasPrev = r.bool()
 	if inc.HasPrev {
@@ -500,22 +450,9 @@ func (r *reader) incState() *core.IncrementalState {
 			sh.GadgetEdges = int(r.i64())
 			inc.Shards = append(inc.Shards, sh)
 		}
-		nd := r.sliceLen(1)
-		inc.DirtyCluster = sliceCap[bool](nd)
-		for i := 0; i < nd; i++ {
-			inc.DirtyCluster = append(inc.DirtyCluster, r.bool())
-		}
-		inc.HasNewToOld = r.bool()
-		inc.NewToOldNode = r.i32s()
 		inc.DetStats = r.detStats()
 	}
 
-	inc.AssignGen = int(r.i64())
-	npc := r.sliceLen(1)
-	inc.PrevColors = sliceCap[int8](npc)
-	for i := 0; i < npc; i++ {
-		inc.PrevColors = append(inc.PrevColors, int8(r.u8()))
-	}
 	inc.DRCReady = r.bool()
 	ndp := r.sliceLen(8)
 	inc.DRCPairs = sliceCap[uint64](ndp)
@@ -545,13 +482,9 @@ func (r *reader) detStats() core.Stats {
 
 func (r *reader) incStats() core.IncStats {
 	var s core.IncStats
-	for _, p := range [19]*int{&s.Edits, &s.Detects, &s.FullDetects,
+	for _, p := range [11]*int{&s.Edits, &s.Detects, &s.FullDetects,
 		&s.ShardsReused, &s.ShardsSolved, &s.FallbackDirty,
 		&s.HierClustersReused, &s.HierClustersSolved, &s.HierFallbackClusters,
-		&s.AssignClustersReused, &s.AssignClustersSolved,
-		&s.VerifyChecksReused, &s.VerifyChecksSolved,
-		&s.CorrIntervalsReused, &s.CorrIntervalsSolved,
-		&s.MaskChecksReused, &s.MaskChecksSolved,
 		&s.DRCPairsReused, &s.DRCPairsSolved} {
 		*p = int(r.i64())
 	}

@@ -9,7 +9,6 @@ import (
 	"testing"
 
 	"repro/internal/core"
-	"repro/internal/correct"
 	"repro/internal/geom"
 	"repro/internal/layout"
 )
@@ -23,18 +22,10 @@ func sampleState(withPrev bool) *SessionState {
 			MinShifterSpacing: 200, MinFeatureWidth: 80, MinFeatureSpacing: 280,
 			FeatureConflictWeight: 1 << 20,
 		},
-		Kind:           core.PCG,
-		DetectRuns:     7,
-		Edits:          3,
-		VerifyCleanGen: 2,
-		MaskCleanGen:   -1,
-		Memo:           MemoDetect | MemoAssign | MemoDRC,
-		IvKeys:         []int32{1, 5, 9},
-		IvVals: []correct.Intervals{
-			{V: correct.AxisCut{Lo: -3, Hi: 88, Need: 12, OK: true}},
-			{H: correct.AxisCut{Lo: 4, Hi: 5, Need: 0, OK: true}, V: correct.AxisCut{OK: false}},
-			{},
-		},
+		Kind:       core.PCG,
+		DetectRuns: 7,
+		Edits:      3,
+		Memo:       MemoDetect | MemoAssign | MemoDRC,
 		Inc: &core.IncrementalState{
 			LayoutName: "snap-π", // non-ASCII name round-trips
 			Features: []layout.Feature{
@@ -45,13 +36,9 @@ func sampleState(withPrev bool) *SessionState {
 			NextUID:   2,
 			NextOvUID: 1,
 			Pairs:     []core.PairRecState{{UIDA: 0, UIDB: 1, SideA: 1, SideB: 0, Deficit: 40, UID: 0}},
-			Gen:       4,
-			AssignGen: 4,
-
-			PrevColors: []int8{0, 1, -1, 0},
-			DRCReady:   true,
-			DRCPairs:   []uint64{1<<32 | 3, 2<<32 | 7},
-			Stats:      core.IncStats{Edits: 3, Detects: 4, ShardsReused: 9},
+			DRCReady:  true,
+			DRCPairs:  []uint64{1<<32 | 3, 2<<32 | 7},
+			Stats:     core.IncStats{Edits: 3, Detects: 4, ShardsReused: 9, DRCPairsReused: 5, DRCPairsSolved: 2},
 		},
 	}
 	if withPrev {
@@ -63,9 +50,6 @@ func sampleState(withPrev bool) *SessionState {
 			{Removed: []int32{0}, Bipart: []int32{1, 2}, Final: []int32{2},
 				DualNodes: 5, DualEdges: 9, OddFaces: 2, GadgetNodes: 4, GadgetEdges: 7},
 		}
-		st.Inc.DirtyCluster = []bool{true, false}
-		st.Inc.HasNewToOld = true
-		st.Inc.NewToOldNode = []int32{0, 1, -1, 2}
 		st.Inc.DetStats = core.Stats{GraphNodes: 4, GraphEdges: 3, Shards: 2, TotalTime: 12345}
 	}
 	return st
@@ -89,7 +73,7 @@ func TestCodecRoundTrip(t *testing.T) {
 }
 
 func TestCodecNilInc(t *testing.T) {
-	st := &SessionState{Rules: layout.Default90nm(), VerifyCleanGen: -1, MaskCleanGen: -1}
+	st := &SessionState{Rules: layout.Default90nm()}
 	got, err := Decode(Encode(st))
 	if err != nil {
 		t.Fatal(err)

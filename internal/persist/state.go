@@ -10,7 +10,6 @@ package persist
 
 import (
 	"repro/internal/core"
-	"repro/internal/correct"
 	"repro/internal/layout"
 )
 
@@ -30,7 +29,7 @@ const (
 
 // SessionState is the complete serializable state of a pipeline session:
 // the engine configuration fingerprint it is only valid under, the session's
-// work counters and stage-cache keys, and the incremental engine state.
+// work counters and memoized-stage bits, and the incremental engine state.
 type SessionState struct {
 	// Configuration fingerprint. A snapshot restores only into an engine
 	// with the same rules, graph kind and detection options: the caches
@@ -50,19 +49,9 @@ type SessionState struct {
 	DetectRuns int
 	Edits      int
 
-	// Stage-scope cache keys (see Session): the detection generations at
-	// which assignment verification / mask validation last came back clean.
-	VerifyCleanGen int
-	MaskCleanGen   int
-
 	// Memo records which pipeline stages had a memoized outcome (Memo*
 	// bits).
 	Memo uint8
-
-	// Correction interval cache, as parallel key/value slices with keys
-	// ascending (stable overlap-pair uid -> intervals).
-	IvKeys []int32
-	IvVals []correct.Intervals
 
 	Inc *core.IncrementalState
 }

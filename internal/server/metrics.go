@@ -80,9 +80,8 @@ type metrics struct {
 	// Incremental-pipeline reuse counters, accumulated per stage from the
 	// work deltas of each served request: "reused" is work taken from a
 	// session's cluster caches, "solved" is work actually performed. The
-	// units differ per stage (detect: shards; assign: clusters; verify/mask:
-	// constraint checks; correct: conflict intervals; drc: spacing pairs) —
-	// the ratio within one stage is the interesting signal.
+	// units differ per stage (detect: shards; drc: spacing pairs) — the ratio
+	// within one stage is the interesting signal.
 	reuse [stageCount]struct{ reused, solved atomic.Int64 }
 
 	// Hierarchy fast-path counters, accumulated from the same per-request
@@ -102,15 +101,11 @@ type metrics struct {
 // Reuse-counter stages, in the order the metrics are emitted.
 const (
 	stageDetect = iota
-	stageAssign
-	stageVerify
-	stageCorrect
-	stageMask
 	stageDRC
 	stageCount
 )
 
-var stageNames = [stageCount]string{"detect", "assign", "verify", "correct", "mask", "drc"}
+var stageNames = [stageCount]string{"detect", "drc"}
 
 // observeReuse folds one request's incremental work profile delta into the
 // per-stage reuse counters.
@@ -124,10 +119,6 @@ func (m *metrics) observeReuse(before, after aapsm.IncrementalStats) {
 		}
 	}
 	add(stageDetect, after.ShardsReused-before.ShardsReused, after.ShardsSolved-before.ShardsSolved)
-	add(stageAssign, after.AssignClustersReused-before.AssignClustersReused, after.AssignClustersSolved-before.AssignClustersSolved)
-	add(stageVerify, after.VerifyChecksReused-before.VerifyChecksReused, after.VerifyChecksSolved-before.VerifyChecksSolved)
-	add(stageCorrect, after.CorrIntervalsReused-before.CorrIntervalsReused, after.CorrIntervalsSolved-before.CorrIntervalsSolved)
-	add(stageMask, after.MaskChecksReused-before.MaskChecksReused, after.MaskChecksSolved-before.MaskChecksSolved)
 	add(stageDRC, after.DRCPairsReused-before.DRCPairsReused, after.DRCPairsSolved-before.DRCPairsSolved)
 	if d := after.HierClustersReused - before.HierClustersReused; d > 0 {
 		m.hierReused.Add(int64(d))

@@ -2,7 +2,9 @@ package server
 
 import (
 	"bytes"
+	"encoding/binary"
 	"encoding/json"
+	"hash/crc32"
 	"net/http/httptest"
 	"path/filepath"
 	"strings"
@@ -322,44 +324,61 @@ func TestDeleteRemovesDormantSnapshot(t *testing.T) {
 	}
 }
 
-// TestCorruptSnapshotDegradesGracefully: a snapshot that no longer decodes is
-// counted, forgotten, and the request answers 404 — it is never retried and
+// TestCorruptSnapshotDegradesGracefully: a snapshot that no longer decodes —
+// torn by a bit flip, or intact but written by the previous format version —
+// is counted, forgotten, and the request answers 404. It is never retried and
 // never panics the server.
 func TestCorruptSnapshotDegradesGracefully(t *testing.T) {
-	store := persist.NewMemStore()
-	srvA := New(Config{Engine: persistEngine(), Snapshots: store, FlushInterval: -1})
-	tsA := newTestClientServer(t, srvA)
-	var created createResponse
-	if err := json.Unmarshal(tsA.must("POST", "/v1/sessions", layoutText(t, loadLayout(48)), 200), &created); err != nil {
-		t.Fatal(err)
-	}
-	tsA.must("POST", "/v1/sessions/"+created.ID+"/flush", nil, 200)
-	srvA.Close()
-	tsA.shutdown()
+	for _, tc := range []struct {
+		name   string
+		tamper func([]byte)
+	}{
+		{"bit flip", func(data []byte) { data[len(data)/2] ^= 0xff }},
+		{"previous version", func(data []byte) {
+			// The version follows the 8-byte magic; reseal the checksum so
+			// only the version is wrong.
+			binary.LittleEndian.PutUint16(data[8:], persist.Version-1)
+			binary.LittleEndian.PutUint32(data[len(data)-4:], crc32.ChecksumIEEE(data[:len(data)-4]))
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			store := persist.NewMemStore()
+			srvA := New(Config{Engine: persistEngine(), Snapshots: store, FlushInterval: -1})
+			tsA := newTestClientServer(t, srvA)
+			var created createResponse
+			if err := json.Unmarshal(tsA.must("POST", "/v1/sessions", layoutText(t, loadLayout(48)), 200), &created); err != nil {
+				t.Fatal(err)
+			}
+			tsA.must("POST", "/v1/sessions/"+created.ID+"/flush", nil, 200)
+			srvA.Close()
+			tsA.shutdown()
 
-	// Corrupt the stored bytes in place.
-	refs, err := store.List()
-	if err != nil || len(refs) != 1 {
-		t.Fatalf("refs = %v, %v", refs, err)
-	}
-	data, err := store.Get(refs[0])
-	if err != nil {
-		t.Fatal(err)
-	}
-	data[len(data)/2] ^= 0xff
-	if err := store.Put(refs[0], data); err != nil {
-		t.Fatal(err)
-	}
+			// Tamper with the stored bytes in place.
+			refs, err := store.List()
+			if err != nil || len(refs) != 1 {
+				t.Fatalf("refs = %v, %v", refs, err)
+			}
+			data, err := store.Get(refs[0])
+			if err != nil {
+				t.Fatal(err)
+			}
+			tc.tamper(data)
+			if err := store.Put(refs[0], data); err != nil {
+				t.Fatal(err)
+			}
 
-	srvB, tb := newTestServer(t, Config{Engine: persistEngine(), Snapshots: store, FlushInterval: -1})
-	tb.must("GET", "/v1/sessions/"+created.ID, nil, 404)
-	if n := srvB.metrics.snapshotCorrupt.Load(); n != 1 {
-		t.Errorf("snapshot corrupt count = %d, want 1", n)
-	}
-	// The snapshot is forgotten: the retry 404s without touching the store.
-	tb.must("GET", "/v1/sessions/"+created.ID, nil, 404)
-	if n := srvB.metrics.snapshotCorrupt.Load(); n != 1 {
-		t.Errorf("corrupt snapshot retried: count = %d, want 1", n)
+			srvB, tb := newTestServer(t, Config{Engine: persistEngine(), Snapshots: store, FlushInterval: -1})
+			tb.must("GET", "/v1/sessions/"+created.ID, nil, 404)
+			if n := srvB.metrics.snapshotCorrupt.Load(); n != 1 {
+				t.Errorf("snapshot corrupt count = %d, want 1", n)
+			}
+			// The snapshot is forgotten: the retry 404s without touching the
+			// store.
+			tb.must("GET", "/v1/sessions/"+created.ID, nil, 404)
+			if n := srvB.metrics.snapshotCorrupt.Load(); n != 1 {
+				t.Errorf("corrupt snapshot retried: count = %d, want 1", n)
+			}
+		})
 	}
 }
 

@@ -41,6 +41,10 @@ type Overlap struct {
 
 // Set is the result of shifter synthesis on a layout.
 type Set struct {
+	// Shifters holds two flanks per critical feature, in ascending feature
+	// order: Shifters[2k] is the LowSide and Shifters[2k+1] the HighSide
+	// shifter of feature Shifters[2k].Feature. Constraint checks rely on
+	// this layout to walk the feature pairs in order without PairOf.
 	Shifters []Shifter
 	// PairOf[f] gives the two shifter indices flanking critical feature f;
 	// absent for non-critical features.

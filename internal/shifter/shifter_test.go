@@ -1,8 +1,11 @@
 package shifter
 
 import (
+	"fmt"
+	"math/rand"
 	"testing"
 
+	"repro/internal/bench"
 	"repro/internal/geom"
 	"repro/internal/layout"
 )
@@ -172,5 +175,77 @@ func TestBadRulesRejected(t *testing.T) {
 	r.MinShifterSpacing = 0
 	if _, err := Generate(l, r); err == nil {
 		t.Fatal("invalid rules must be rejected")
+	}
+}
+
+// checkPairLayout reports the first break of the shifter-pair layout that
+// constraint checks walk instead of PairOf: Shifters[2k] and Shifters[2k+1]
+// are the LowSide and HighSide flanks of one critical feature, features
+// ascend with k, PairOf maps that feature to {2k, 2k+1}, and PairOf holds
+// exactly the critical features of l.
+func checkPairLayout(l *layout.Layout, r layout.Rules, s *Set) error {
+	if len(s.Shifters)%2 != 0 {
+		return fmt.Errorf("%d shifters, want an even count", len(s.Shifters))
+	}
+	prev := -1
+	for k := 0; k < len(s.Shifters); k += 2 {
+		lo, hi := s.Shifters[k], s.Shifters[k+1]
+		if lo.Side != LowSide || hi.Side != HighSide {
+			return fmt.Errorf("pair %d: sides %d,%d, want low,high", k/2, lo.Side, hi.Side)
+		}
+		if lo.Feature != hi.Feature {
+			return fmt.Errorf("pair %d flanks features %d and %d", k/2, lo.Feature, hi.Feature)
+		}
+		if lo.Feature <= prev {
+			return fmt.Errorf("pair %d: feature %d after feature %d", k/2, lo.Feature, prev)
+		}
+		prev = lo.Feature
+		if got := s.PairOf[lo.Feature]; got != [2]int{k, k + 1} {
+			return fmt.Errorf("PairOf[%d] = %v, want [%d %d]", lo.Feature, got, k, k+1)
+		}
+	}
+	critical := 0
+	for _, f := range l.Features {
+		if r.IsCritical(f) {
+			critical++
+		}
+	}
+	if len(s.PairOf) != critical || len(s.Shifters) != 2*critical {
+		return fmt.Errorf("%d pairs and %d shifters for %d critical features", len(s.PairOf), len(s.Shifters), critical)
+	}
+	return nil
+}
+
+// TestGeneratePairLayout checks the shifter-pair layout on benchmark designs
+// and on seeded random layouts mixing critical and non-critical features of
+// both orientations.
+func TestGeneratePairLayout(t *testing.T) {
+	var layouts []*layout.Layout
+	for seed := int64(1); seed <= 3; seed++ {
+		layouts = append(layouts, bench.Generate(fmt.Sprintf("b%d", seed), bench.DefaultParams(seed, 2, 20)))
+	}
+	for seed := int64(0); seed < 20; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		l := layout.New(fmt.Sprintf("rand%d", seed))
+		for i := 0; i < 40; i++ {
+			x, y := rng.Int63n(8000), rng.Int63n(8000)
+			w := 80 + rng.Int63n(200) // critical below 150
+			n := 300 + rng.Int63n(1500)
+			if rng.Intn(2) == 0 {
+				l.Add(geom.R(x, y, x+w, y+n))
+			} else {
+				l.Add(geom.R(x, y, x+n, y+w))
+			}
+		}
+		layouts = append(layouts, l)
+	}
+	for _, l := range layouts {
+		s, err := Generate(l, rules())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := checkPairLayout(l, rules(), s); err != nil {
+			t.Fatalf("%s: %v", l.Name, err)
+		}
 	}
 }

@@ -4,10 +4,8 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"sort"
 
 	"repro/internal/core"
-	"repro/internal/correct"
 	"repro/internal/persist"
 )
 
@@ -39,15 +37,13 @@ func (s *Session) Snapshot() ([]byte, error) {
 		return nil, flowErr(StagePersist, s.layout.Name, fmt.Errorf("snapshot: %w", err))
 	}
 	st := &persist.SessionState{
-		Rules:          s.engine.rules,
-		Kind:           s.engine.opts.Graph,
-		Opt:            s.engine.opts.coreOptions(),
-		Profile:        s.engine.profile,
-		DetectRuns:     s.detectRuns,
-		Edits:          s.edits,
-		VerifyCleanGen: s.verifyCleanGen,
-		MaskCleanGen:   s.maskCleanGen,
-		Inc:            inc.ExportState(),
+		Rules:      s.engine.rules,
+		Kind:       s.engine.opts.Graph,
+		Opt:        s.engine.opts.coreOptions(),
+		Profile:    s.engine.profile,
+		DetectRuns: s.detectRuns,
+		Edits:      s.edits,
+		Inc:        inc.ExportState(),
 	}
 	st.Opt.Workers = 0 // parallelism never affects results
 	if s.detect.done {
@@ -67,17 +63,6 @@ func (s *Session) Snapshot() ([]byte, error) {
 	}
 	if s.junctions.done {
 		st.Memo |= persist.MemoJunctions
-	}
-	if len(s.ivCache) > 0 {
-		st.IvKeys = make([]int32, 0, len(s.ivCache))
-		for k := range s.ivCache {
-			st.IvKeys = append(st.IvKeys, k)
-		}
-		sort.Slice(st.IvKeys, func(i, j int) bool { return st.IvKeys[i] < st.IvKeys[j] })
-		st.IvVals = make([]correct.Intervals, len(st.IvKeys))
-		for i, k := range st.IvKeys {
-			st.IvVals[i] = s.ivCache[k]
-		}
 	}
 	return persist.Encode(st), nil
 }
@@ -108,9 +93,6 @@ func (e *Engine) RestoreSessionWithParallelism(ctx context.Context, data []byte,
 	if st.Inc == nil {
 		return nil, flowErr(StagePersist, "", fmt.Errorf("%w: snapshot carries no engine state", persist.ErrCorrupt))
 	}
-	if len(st.IvKeys) != len(st.IvVals) {
-		return nil, flowErr(StagePersist, "", fmt.Errorf("%w: interval cache keys/values mismatch", persist.ErrCorrupt))
-	}
 	opt := e.opts.coreOptions()
 	opt.Workers = 0
 	if st.Rules != e.rules || st.Kind != e.opts.Graph || st.Opt != opt || st.Profile != e.profile {
@@ -121,24 +103,16 @@ func (e *Engine) RestoreSessionWithParallelism(ctx context.Context, data []byte,
 	if err != nil {
 		return nil, err
 	}
-	s := &Session{
-		engine:         e,
-		layout:         inc.Layout(),
-		inc:            inc,
-		verifyCleanGen: st.VerifyCleanGen,
-		maskCleanGen:   st.MaskCleanGen,
-		ivCache:        ivCacheFrom(st),
-	}
+	s := &Session{engine: e, layout: inc.Layout(), inc: inc}
 	if n > 0 {
 		s.detectWorkers = n
 	}
 	// Rebuild the memoized stage outcomes by re-running exactly the stages
 	// that were memoized, in pipeline order. Each re-run is deterministic
 	// given the restored incremental state — detection returns the cached
-	// generation, assignment re-colors to the same phases, correction hits
-	// the interval cache, verification and mask validation take the same
-	// clean-generation branch — so values AND memoized errors come back
-	// bit-identical. Only context errors abort the restore.
+	// generation and every later stage is a pure function of it and the
+	// layout — so values AND memoized errors come back bit-identical. Only
+	// context errors abort the restore.
 	if err := s.rerunMemo(ctx, st.Memo); err != nil {
 		return nil, err
 	}
@@ -147,9 +121,6 @@ func (e *Engine) RestoreSessionWithParallelism(ctx context.Context, data []byte,
 	s.mu.Lock()
 	s.detectRuns = st.DetectRuns
 	s.edits = st.Edits
-	s.verifyCleanGen = st.VerifyCleanGen
-	s.maskCleanGen = st.MaskCleanGen
-	s.ivCache = ivCacheFrom(st)
 	inc.RestoreStats(st.Inc.Stats)
 	s.mu.Unlock()
 	return s, nil
@@ -165,17 +136,6 @@ func SnapshotProfile(data []byte) (string, error) {
 		return "", flowErr(StagePersist, "", err)
 	}
 	return st.Profile, nil
-}
-
-func ivCacheFrom(st *persist.SessionState) map[int32]correct.Intervals {
-	if len(st.IvKeys) == 0 {
-		return nil
-	}
-	m := make(map[int32]correct.Intervals, len(st.IvKeys))
-	for i, k := range st.IvKeys {
-		m[k] = st.IvVals[i]
-	}
-	return m
 }
 
 // rerunMemo replays the memoized pipeline stages recorded in memo. Pipeline

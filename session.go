@@ -13,44 +13,6 @@ import (
 	"repro/internal/tshape"
 )
 
-// countingFilter wraps a dirty filter so the session can report how many
-// constraint checks the incremental scope skipped versus ran.
-func countingFilter(f func(int) bool, reused, solved *int) func(int) bool {
-	return func(i int) bool {
-		if f(i) {
-			*solved++
-			return true
-		}
-		*reused++
-		return false
-	}
-}
-
-// scopedCheck runs a per-feature/per-overlap constraint check on an
-// incremental session: restricted to the dirty conflict clusters when the
-// caller's last clean result is exactly one generation old (then clean
-// clusters cannot have regressed), in full otherwise. A clean outcome
-// advances *cleanGen; reuse counters are folded into the engine stats via
-// note. Shared by assignment verification and mask validation so their
-// gating logic cannot drift apart.
-func scopedCheck[T any](s *Session, cleanGen *int,
-	full func() []T,
-	subset func(featDirty, ovDirty func(int) bool) []T,
-	note func(reused, solved int) IncrementalStats) []T {
-	var out []T
-	if fDirty, oDirty, ok := s.inc.DirtyScope(*cleanGen); ok {
-		reused, solved := 0, 0
-		out = subset(countingFilter(fDirty, &reused, &solved), countingFilter(oDirty, &reused, &solved))
-		s.inc.AddReuse(note(reused, solved))
-	} else {
-		out = full()
-	}
-	if len(out) == 0 {
-		*cleanGen = s.inc.Gen()
-	}
-	return out
-}
-
 // Session drives the paper's pipeline on one layout. Each stage — Detect,
 // Assignment, Correction, Mask, DRC — is computed at most once and memoized;
 // later stages transparently reuse earlier results, so
@@ -99,23 +61,12 @@ type Session struct {
 	gen int64
 	// inc is the incremental engine every stage runs through, armed by
 	// incLocked on the session's first detect, DRC, snapshot or edit; once
-	// set, s.layout aliases inc.Layout(). Every downstream stage reuses
-	// along the same conflict clusters: assignment re-colors, verification
-	// re-checks, correction re-derives intervals and mask validation
-	// re-validates only for dirty clusters; DRC re-probes only edited
-	// neighborhoods. Guarded by mu.
+	// set, s.layout aliases inc.Layout(). Detection re-solves only the
+	// conflict clusters an edit touched, correction reads cut legality from
+	// the engine's persistent span indexes, and DRC re-probes only edited
+	// neighborhoods. Assignment, verification, interval derivation and mask
+	// validation are linear passes and rerun in full. Guarded by mu.
 	inc *core.Incremental
-	// verifyCleanGen / maskCleanGen record the last detection generation at
-	// which assignment verification / mask validation completed with zero
-	// problems — the precondition for checking only dirty clusters at the
-	// next generation. -1 until first established. Both guarded by mu.
-	verifyCleanGen int // guarded by mu
-	maskCleanGen   int // guarded by mu
-	// ivCache holds correction intervals per overlap-pair uid; entries stay
-	// valid exactly as long as their uid (both features untouched), and the
-	// map is rebuilt from hits on every correction so dead uids age out.
-	// Guarded by mu.
-	ivCache map[int32]correct.Intervals
 
 	// The memoized stage outcomes. All guarded by mu.
 	detect     stage[*Result]        // guarded by mu
@@ -465,32 +416,15 @@ func (s *Session) assignmentLocked(ctx context.Context) (*Assignment, error) {
 		if err != nil {
 			return nil, err
 		}
-		// Clean clusters keep their cached two-coloring; only dirty clusters
-		// are re-colored.
-		a, err := s.inc.AssignPhases()
+		a, err := core.AssignPhases(res.Detection)
 		if err != nil {
 			return nil, fmt.Errorf("%w: %v", ErrNotAssignable, err)
 		}
-		if v := s.verifyAssignmentLocked(res, a); len(v) != 0 {
+		if v := a.Verify(res.Graph); len(v) != 0 {
 			return nil, fmt.Errorf("assignment verification failed: %v", v[0])
 		}
 		return a, nil
 	})
-}
-
-// verifyAssignmentLocked checks the assignment against the layout's
-// constraints. When the previous generation verified clean, only the
-// constraints inside dirty conflict clusters are re-checked: clean clusters
-// kept their phases bit-for-bit, so their constraints cannot have regressed.
-func (s *Session) verifyAssignmentLocked(res *Result, a *Assignment) []Violation {
-	return scopedCheck(s, &s.verifyCleanGen,
-		func() []Violation { return a.Verify(res.Graph) },
-		func(fDirty, oDirty func(int) bool) []Violation {
-			return a.VerifySubset(res.Graph, fDirty, oDirty)
-		},
-		func(reused, solved int) IncrementalStats {
-			return IncrementalStats{VerifyChecksReused: reused, VerifyChecksSolved: solved}
-		})
 }
 
 // Correction plans and applies end-to-end spaces fixing every correctable
@@ -510,51 +444,16 @@ func (s *Session) correctionLocked(ctx context.Context) (*Correction, error) {
 		if err != nil {
 			return nil, err
 		}
-		return s.planCorrectionLocked(res)
-	})
-}
-
-// planCorrectionLocked plans and applies the correction of res. Per-conflict
-// correction intervals are cached under the conflict's stable overlap-pair
-// uid (valid exactly while both features are untouched), and cut legality is
-// answered from the span indexes the engine maintains across edits instead
-// of a fresh per-plan feature scan. The resulting plan is bit-identical to
-// correct.BuildPlan's: both share every decision procedure in
-// correct.BuildPlanIntervals.
-func (s *Session) planCorrectionLocked(res *Result) (*Correction, error) {
-	conflicts := res.Detection.FinalConflicts
-	ivsets := make([]correct.Intervals, len(conflicts))
-	newCache := make(map[int32]correct.Intervals, len(conflicts))
-	reused, solved := 0, 0
-	for i, c := range conflicts {
-		if c.Meta.Kind == core.OverlapEdge {
-			if uid, ok := s.inc.OverlapUID(c.Meta.Overlap); ok {
-				if iv, hit := s.ivCache[uid]; hit {
-					ivsets[i] = iv
-					newCache[uid] = iv
-					reused++
-					continue
-				}
-				iv := correct.IntervalsFor(s.layout, s.engine.rules, res.Graph.Set, c)
-				ivsets[i] = iv
-				newCache[uid] = iv
-				solved++
-				continue
-			}
+		// Cut legality comes from the span indexes the engine keeps across
+		// edits instead of a fresh per-plan feature scan.
+		plan, err := correct.BuildPlanWith(s.layout, s.engine.rules, res.Graph.Set, res.Detection.FinalConflicts,
+			func(dir correct.Direction, pos int64) bool { return s.inc.CutValid(dir == correct.VerticalCut, pos) })
+		if err != nil {
+			return nil, err
 		}
-		ivsets[i] = correct.IntervalsFor(s.layout, s.engine.rules, res.Graph.Set, c)
-		solved++
-	}
-	s.ivCache = newCache
-	s.inc.AddReuse(IncrementalStats{CorrIntervalsReused: reused, CorrIntervalsSolved: solved})
-	plan, err := correct.BuildPlanIntervals(conflicts, ivsets, func(dir correct.Direction, pos int64) bool {
-		return s.inc.CutValid(dir == correct.VerticalCut, pos)
+		mod := correct.Apply(s.layout, plan)
+		return &Correction{Plan: plan, Layout: mod, Stats: correct.Summarize(s.layout, plan, mod)}, nil
 	})
-	if err != nil {
-		return nil, err
-	}
-	mod := correct.Apply(s.layout, plan)
-	return &Correction{Plan: plan, Layout: mod, Stats: correct.Summarize(s.layout, plan, mod)}, nil
 }
 
 // CorrectedLayout returns the fully corrected, phase-assignable layout. It
@@ -589,28 +488,11 @@ func (s *Session) Mask(ctx context.Context) (*Layout, error) {
 		if err != nil {
 			return nil, err
 		}
-		if p := s.validateMaskLocked(res, a); len(p) != 0 {
+		if p := mask.Validate(s.layout, res.Graph.Set, a.Phases, a.Waived, s.engine.rules); len(p) != 0 {
 			return nil, fmt.Errorf("%w: %s", ErrMaskInconsistent, p[0])
 		}
 		return mask.Build(s.layout, res.Graph.Set, a.Phases, s.engine.rules.Tone)
 	})
-}
-
-// validateMaskLocked checks the mask view's phase consistency. When the
-// previous generation validated clean, only the features and overlaps in
-// dirty conflict clusters are re-checked — phases and waivers in clean
-// clusters are unchanged, so a clean verdict there still stands.
-func (s *Session) validateMaskLocked(res *Result, a *Assignment) []string {
-	return scopedCheck(s, &s.maskCleanGen,
-		func() []string {
-			return mask.Validate(s.layout, res.Graph.Set, a.Phases, a.Waived, s.engine.rules)
-		},
-		func(fDirty, oDirty func(int) bool) []string {
-			return mask.ValidateSubset(s.layout, res.Graph.Set, a.Phases, a.Waived, s.engine.rules, fDirty, oDirty)
-		},
-		func(reused, solved int) IncrementalStats {
-			return IncrementalStats{MaskChecksReused: reused, MaskChecksSolved: solved}
-		})
 }
 
 // DRC runs the design-rule checks on the session's current layout
