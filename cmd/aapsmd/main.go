@@ -28,13 +28,13 @@
 // See the README's "Serving", "Persistence" and "Failure modes" sections for
 // the endpoint reference and curl examples. -store-dir enables session
 // persistence: snapshots land in DIR/snapshots (written on eviction, every
-// -flush-interval, and at shutdown) and raw GDS upload bodies in DIR/blobs,
-// so sessions survive a crash or restart and are rehydrated on their next
-// request. SIGINT/SIGTERM starts a graceful drain: /healthz flips to 503,
-// in-flight requests finish (bounded by -drain-timeout), every live session
-// is flushed, then the process exits 0.
+// -flush-interval, and at shutdown), so sessions survive a crash or restart
+// and are rehydrated on their next request. SIGINT/SIGTERM starts a
+// graceful drain: /healthz flips to 503, in-flight requests finish (bounded
+// by -drain-timeout), every live session is flushed, then the process exits
+// 0.
 //
-// -chaos wraps the persistence stores in a deterministic fault injector for
+// -chaos wraps the snapshot store in a deterministic fault injector for
 // torture testing (never use it in production). The spec is comma-separated
 // key=value pairs: seed=N, write-fail=P, enospc=P, torn=P, read-fail=P,
 // read-corrupt=P, latency=DUR, plus panic=P to fire injected panics inside
@@ -79,7 +79,7 @@ func main() {
 		method   = flag.String("method", "gen", "T-join reduction: gen | opt | lawler")
 		imp      = flag.Bool("improved-recheck", false, "use parity-based crossing recheck")
 		drainTO  = flag.Duration("drain-timeout", 15*time.Second, "max wait for in-flight requests on shutdown")
-		storeDir = flag.String("store-dir", "", "persistence root: snapshots + GDS blobs survive restarts (empty = in-memory only)")
+		storeDir = flag.String("store-dir", "", "persistence root: session snapshots survive restarts (empty = in-memory only)")
 		flushInt = flag.Duration("flush-interval", 30*time.Second, "period of the background snapshot flush (negative = eviction/shutdown only)")
 		maxInfl  = flag.Int("max-inflight", 256, "max concurrently admitted requests; past it requests queue then 429 (negative = unlimited)")
 		maxSess  = flag.Int("max-session-inflight", 16, "max concurrent requests per session (negative = unlimited)")
@@ -144,12 +144,7 @@ func main() {
 		if err != nil {
 			fatalf("open snapshot store: %v", err)
 		}
-		blobs, err := persist.NewDiskBlobStore(filepath.Join(*storeDir, "blobs"))
-		if err != nil {
-			fatalf("open blob store: %v", err)
-		}
 		cfg.Snapshots = snaps
-		cfg.Blobs = blobs
 	}
 	if *chaos != "" {
 		applyChaos(&cfg, *chaos)
@@ -211,9 +206,9 @@ func main() {
 	log.Printf("aapsmd stopped")
 }
 
-// applyChaos wraps the configured stores in deterministic fault injectors
-// and arms the shard-solver panic hook, per the -chaos spec. Without
-// -store-dir it installs in-memory stores first so every injected failure
+// applyChaos wraps the snapshot store in a deterministic fault injector and
+// arms the shard-solver panic hook, per the -chaos spec. Without -store-dir
+// it installs an in-memory snapshot store first so every injected failure
 // path is still exercised.
 func applyChaos(cfg *server.Config, spec string) {
 	fcfg, extra, err := persist.ParseFaultConfig(spec)
@@ -233,10 +228,8 @@ func applyChaos(cfg *server.Config, spec string) {
 	}
 	if cfg.Snapshots == nil {
 		cfg.Snapshots = persist.NewMemStore()
-		cfg.Blobs = persist.NewMemBlobStore()
 	}
 	cfg.Snapshots = persist.NewFaultStore(cfg.Snapshots, fcfg)
-	cfg.Blobs = persist.NewFaultBlobStore(cfg.Blobs, fcfg)
 	if panicP > 0 {
 		var mu sync.Mutex
 		rng := rand.New(rand.NewSource(fcfg.Seed + 1))

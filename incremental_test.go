@@ -281,6 +281,38 @@ func TestEditPanicInvalidates(t *testing.T) {
 	}
 }
 
+// TestRejectedEditKeepsMemo: an Edit whose first operation is out of range
+// applies nothing, so the generation and the memoized detection survive it.
+func TestRejectedEditKeepsMemo(t *testing.T) {
+	ctx := context.Background()
+	s := NewEngine().NewSession(Figure5Layout())
+	res1, err := s.Detect(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	gen := s.Generation()
+	err = s.Edit(func(ed *LayoutEditor) {
+		ed.Move(1000, R(0, 0, 10, 10))
+	})
+	var fe *FlowError
+	if !errors.As(err, &fe) || fe.Stage != StageEdit {
+		t.Fatalf("Edit: err = %v, want *FlowError at StageEdit", err)
+	}
+	if got := s.Generation(); got != gen {
+		t.Fatalf("generation %d -> %d after an edit that applied nothing", gen, got)
+	}
+	res2, err := s.Detect(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res2 != res1 {
+		t.Fatal("an edit that applied nothing discarded the memoized detection")
+	}
+	if n := s.Stats().DetectRuns; n != 1 {
+		t.Fatalf("detect runs = %d, want 1", n)
+	}
+}
+
 // TestEditErrors: out-of-range indices surface as *FlowError at StageEdit,
 // and a failing batch stops at the first bad operation.
 func TestEditErrors(t *testing.T) {

@@ -16,13 +16,12 @@
 package gds
 
 import (
-	"bufio"
-	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
 	"math"
 
+	"repro/internal/geom"
 	"repro/internal/layout"
 )
 
@@ -64,107 +63,29 @@ const (
 // rectangle (the only polygon class the AAPSM layout model supports).
 var ErrNotRectangle = errors.New("gds: boundary is not an axis-aligned rectangle")
 
-// Write serializes the layout as a GDSII stream.
+// Write serializes the layout as a GDSII stream: a one-cell library whose
+// cell and library are both named after the layout ("TOP" when unnamed),
+// with one BOUNDARY per feature.
 func Write(w io.Writer, l *layout.Layout) error {
-	bw := bufio.NewWriter(w)
 	name := l.Name
 	if name == "" {
 		name = "TOP"
 	}
-	emit := func(rt, dt byte, payload []byte) error {
-		length := 4 + len(payload)
-		if length > 0xFFFF {
-			return fmt.Errorf("gds: record too long (%d)", length)
-		}
-		hdr := []byte{byte(length >> 8), byte(length), rt, dt}
-		if _, err := bw.Write(hdr); err != nil {
-			return err
-		}
-		_, err := bw.Write(payload)
-		return err
-	}
-	i16 := func(vals ...int16) []byte {
-		out := make([]byte, 2*len(vals))
-		for i, v := range vals {
-			binary.BigEndian.PutUint16(out[2*i:], uint16(v))
-		}
-		return out
-	}
-	i32 := func(vals ...int32) []byte {
-		out := make([]byte, 4*len(vals))
-		for i, v := range vals {
-			binary.BigEndian.PutUint32(out[4*i:], uint32(v))
-		}
-		return out
-	}
-	str := func(s string) []byte {
-		b := []byte(s)
-		if len(b)%2 == 1 {
-			b = append(b, 0) // records are word-aligned
-		}
-		return b
-	}
-	// Fixed timestamp (modification/access): deterministic output.
-	ts := i16(2005, 3, 7, 0, 0, 0, 2005, 3, 7, 0, 0, 0)
-
-	if err := emit(recHEADER, dtInt16, i16(600)); err != nil {
-		return err
-	}
-	if err := emit(recBGNLIB, dtInt16, ts); err != nil {
-		return err
-	}
-	if err := emit(recLIBNAME, dtString, str(name)); err != nil {
-		return err
-	}
-	units := append(encodeReal8(1e-3), encodeReal8(1e-9)...)
-	if err := emit(recUNITS, dtReal8, units); err != nil {
-		return err
-	}
-	if err := emit(recBGNSTR, dtInt16, ts); err != nil {
-		return err
-	}
-	if err := emit(recSTRNAME, dtString, str(name)); err != nil {
-		return err
-	}
+	c := &Cell{Name: name, Polys: make([]Poly, len(l.Features))}
 	for i, f := range l.Features {
 		r := f.Rect
-		// Every coordinate must be checked against both bounds: an
-		// unnormalized rectangle (X0 > X1 or Y0 > Y1) can place X0 above
-		// MaxInt32 or X1 below MinInt32, which a min-side-only check lets
-		// silently wrap in the int32() conversions below.
+		// WriteLibrary range-checks the points too; checking here first
+		// lets the error name the feature.
 		if !inInt32Range(r.X0) || !inInt32Range(r.X1) || !inInt32Range(r.Y0) || !inInt32Range(r.Y1) {
 			return fmt.Errorf("gds: feature %d exceeds int32 coordinate range", i)
 		}
-		if err := emit(recBOUNDARY, dtNone, nil); err != nil {
-			return err
-		}
-		if err := emit(recLAYER, dtInt16, i16(int16(f.Layer))); err != nil {
-			return err
-		}
-		if err := emit(recDATATYPE, dtInt16, i16(0)); err != nil {
-			return err
-		}
-		xy := i32(
-			int32(r.X0), int32(r.Y0),
-			int32(r.X1), int32(r.Y0),
-			int32(r.X1), int32(r.Y1),
-			int32(r.X0), int32(r.Y1),
-			int32(r.X0), int32(r.Y0),
-		)
-		if err := emit(recXY, dtInt32, xy); err != nil {
-			return err
-		}
-		if err := emit(recENDEL, dtNone, nil); err != nil {
-			return err
-		}
+		// The explicit closing vertex keeps even a zero-area rectangle's
+		// ring at five points.
+		c.Polys[i] = Poly{Layer: f.Layer, Pts: []geom.Point{
+			{X: r.X0, Y: r.Y0}, {X: r.X1, Y: r.Y0}, {X: r.X1, Y: r.Y1}, {X: r.X0, Y: r.Y1}, {X: r.X0, Y: r.Y0},
+		}}
 	}
-	if err := emit(recENDSTR, dtNone, nil); err != nil {
-		return err
-	}
-	if err := emit(recENDLIB, dtNone, nil); err != nil {
-		return err
-	}
-	return bw.Flush()
+	return WriteLibrary(w, &Library{Name: name, Cells: []*Cell{c}})
 }
 
 // Read parses a GDSII stream with default options: every root cell is

@@ -2,11 +2,14 @@ package gds
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"encoding/hex"
 	"math"
 	"math/rand"
 	"testing"
 	"testing/quick"
 
+	"repro/internal/bench"
 	"repro/internal/geom"
 	"repro/internal/layout"
 )
@@ -358,5 +361,28 @@ func TestPolygonBoundaryCrossShape(t *testing.T) {
 	}
 	if area != 100*100*5 {
 		t.Fatalf("cross area = %d, want %d", area, 100*100*5)
+	}
+}
+
+// TestWriteStreamPinned pins Write's exact output: the SHA-256 of the
+// stream for benchmark design d1 and for an empty layout.
+func TestWriteStreamPinned(t *testing.T) {
+	d1 := bench.Suite()[0]
+	for _, tc := range []struct {
+		name string
+		l    *layout.Layout
+		want string
+	}{
+		{"d1", bench.Generate(d1.Name, d1.Params), "f201a5a743ee21fa9eadde865c7ec8ce270fe810f8399f41bf6bf7746d52fa8e"},
+		{"empty", layout.New(""), "f8f87b595a3ff167e294bb8a3221e374fbe1b58a5371d209460c68f38d1a8d13"},
+	} {
+		var buf bytes.Buffer
+		if err := Write(&buf, tc.l); err != nil {
+			t.Fatal(err)
+		}
+		sum := sha256.Sum256(buf.Bytes())
+		if got := hex.EncodeToString(sum[:]); got != tc.want {
+			t.Errorf("%s: Write stream sha256 = %s, want %s", tc.name, got, tc.want)
+		}
 	}
 }

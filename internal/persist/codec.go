@@ -112,23 +112,10 @@ func Validate(data []byte) error {
 // Decode parses a snapshot, verifying magic, version and checksum. Errors
 // wrap ErrVersion for a version mismatch and ErrCorrupt for everything else.
 func Decode(data []byte) (*SessionState, error) {
-	if len(data) < len(snapMagic)+2+4 {
-		return nil, fmt.Errorf("%w: %d bytes is shorter than the envelope", ErrCorrupt, len(data))
+	if err := Validate(data); err != nil {
+		return nil, err
 	}
-	body, tail := data[:len(data)-4], data[len(data)-4:]
-	if got, want := binary.LittleEndian.Uint32(tail), crc32.ChecksumIEEE(body); got != want {
-		return nil, fmt.Errorf("%w: checksum %08x, want %08x", ErrCorrupt, got, want)
-	}
-	rd := &reader{buf: body}
-	var magic [8]byte
-	copy(magic[:], rd.bytes(8))
-	if magic != snapMagic {
-		return nil, fmt.Errorf("%w: bad magic", ErrCorrupt)
-	}
-	if v := rd.u16(); v != Version {
-		return nil, fmt.Errorf("%w: %d (this build reads %d)", ErrVersion, v, Version)
-	}
-
+	rd := &reader{buf: data[:len(data)-4], pos: len(snapMagic) + 2}
 	st := &SessionState{}
 	st.Rules = layout.Rules{
 		CriticalWidth:         rd.i64(),

@@ -11,13 +11,13 @@ import (
 	"time"
 )
 
-// ErrInjected is the base of every fault a FaultStore or FaultBlobStore
-// injects, so tests and operators can tell injected failures from real ones:
-// errors.Is(err, ErrInjected). Specific fault classes wrap their realistic
-// cause too (errors.Is(err, syscall.ENOSPC) holds for injected disk-full).
+// ErrInjected is the base of every fault a FaultStore injects, so tests and
+// operators can tell injected failures from real ones: errors.Is(err,
+// ErrInjected). Specific fault classes wrap their realistic cause too
+// (errors.Is(err, syscall.ENOSPC) holds for injected disk-full).
 var ErrInjected = errors.New("persist: injected fault")
 
-// FaultConfig programs the fault schedule of a FaultStore/FaultBlobStore.
+// FaultConfig programs the fault schedule of a FaultStore.
 // Each operation rolls one value from a seeded deterministic stream, so a
 // given seed always yields the same fault decision sequence (per wrapper,
 // in operation order). The zero value injects nothing.
@@ -26,21 +26,21 @@ type FaultConfig struct {
 	// and config make identical decisions for identical operation sequences.
 	Seed int64
 
-	// WriteFail is the probability a Put/PutBlob fails outright (generic
-	// I/O error) without touching the underlying store.
+	// WriteFail is the probability a Put fails outright (generic I/O
+	// error) without touching the underlying store.
 	WriteFail float64
-	// WriteENOSPC is the probability a Put/PutBlob fails with ENOSPC
-	// (errors.Is(err, syscall.ENOSPC)), simulating a full disk.
+	// WriteENOSPC is the probability a Put fails with ENOSPC (errors.Is(err,
+	// syscall.ENOSPC)), simulating a full disk.
 	WriteENOSPC float64
 	// WriteTorn is the probability a Put persists only a truncated prefix of
 	// the data to the underlying store and then fails — simulating a crash
 	// mid-write on a filesystem without atomic rename. The torn bytes are
 	// really stored, so readers exercise their checksum/validation paths.
 	WriteTorn float64
-	// ReadFail is the probability a Get/GetBlob fails outright.
+	// ReadFail is the probability a Get fails outright.
 	ReadFail float64
-	// ReadCorrupt is the probability a Get/GetBlob returns data with one
-	// byte flipped (bit rot; codec checksums must catch it).
+	// ReadCorrupt is the probability a Get returns data with one byte
+	// flipped (bit rot; codec checksums must catch it).
 	ReadCorrupt float64
 	// Latency is fixed extra latency injected into every store operation.
 	Latency time.Duration
@@ -135,9 +135,9 @@ const (
 	faultReadCorrupt
 )
 
-// faultCore is the shared decision engine of FaultStore and FaultBlobStore:
-// a seeded rng consumed one roll per operation under a mutex, plus an
-// explicit override queue for scripted tests (fail/tear the next N writes).
+// faultCore is the decision engine of FaultStore: a seeded rng consumed one
+// roll per operation under a mutex, plus an explicit override queue for
+// scripted tests (fail/tear the next N writes).
 type faultCore struct {
 	mu        sync.Mutex
 	cfg       FaultConfig
@@ -351,61 +351,3 @@ func (f *FaultStore) Delete(ref Ref) error {
 }
 
 func (f *FaultStore) Close() error { return f.inner.Close() }
-
-// FaultBlobStore wraps a BlobStore with the same fault model as FaultStore.
-// A torn blob write stores the truncated prefix under its own content hash
-// (crash debris that never matches the intended address) and fails.
-type FaultBlobStore struct {
-	inner BlobStore
-	core  *faultCore
-}
-
-// NewFaultBlobStore wraps inner with the fault schedule cfg.
-func NewFaultBlobStore(inner BlobStore, cfg FaultConfig) *FaultBlobStore {
-	if err := cfg.check(); err != nil {
-		panic(err)
-	}
-	return &FaultBlobStore{inner: inner, core: newFaultCore(cfg)}
-}
-
-// FailNextPuts scripts the next n PutBlob calls to fail with err.
-func (f *FaultBlobStore) FailNextPuts(n int, err error) { f.core.failNext(n, err) }
-
-// Stats returns a snapshot of the injected-fault counters.
-func (f *FaultBlobStore) Stats() FaultStats { return f.core.snapshot() }
-
-func (f *FaultBlobStore) PutBlob(data []byte) (string, error) {
-	f.core.sleep()
-	kind, frac, forced := f.core.decideWrite()
-	switch kind {
-	case faultWriteFail:
-		if forced != nil {
-			return "", fmt.Errorf("%w: %w", ErrInjected, forced)
-		}
-		return "", fmt.Errorf("%w: blob write failed", ErrInjected)
-	case faultENOSPC:
-		return "", fmt.Errorf("%w: blob write: %w", ErrInjected, syscall.ENOSPC)
-	case faultTorn:
-		cut := tearAt(len(data), frac)
-		f.inner.PutBlob(data[:cut])
-		return "", fmt.Errorf("%w: torn blob write (%d of %d bytes persisted)", ErrInjected, cut, len(data))
-	}
-	return f.inner.PutBlob(data)
-}
-
-func (f *FaultBlobStore) GetBlob(hash string) ([]byte, error) {
-	f.core.sleep()
-	data, err := f.inner.GetBlob(hash)
-	if err != nil {
-		return nil, err
-	}
-	switch kind, frac := f.core.decideRead(); kind {
-	case faultReadFail:
-		return nil, fmt.Errorf("%w: blob read of %s failed", ErrInjected, hash)
-	case faultReadCorrupt:
-		return corrupt(data, frac), nil
-	}
-	return data, nil
-}
-
-func (f *FaultBlobStore) Close() error { return f.inner.Close() }

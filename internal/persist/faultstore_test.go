@@ -163,23 +163,6 @@ func TestFaultStorePassthrough(t *testing.T) {
 	}
 }
 
-func TestFaultBlobStore(t *testing.T) {
-	fb := NewFaultBlobStore(NewMemBlobStore(), FaultConfig{Seed: 9, WriteFail: 1})
-	if _, err := fb.PutBlob([]byte("blob")); !errors.Is(err, ErrInjected) {
-		t.Fatalf("want injected blob failure, got %v", err)
-	}
-	fb.Stats()
-
-	ok := NewFaultBlobStore(NewMemBlobStore(), FaultConfig{})
-	h, err := ok.PutBlob([]byte("blob"))
-	if err != nil || h != BlobHash([]byte("blob")) {
-		t.Fatalf("putblob: %s, %v", h, err)
-	}
-	if got, err := ok.GetBlob(h); err != nil || string(got) != "blob" {
-		t.Fatalf("getblob: %q, %v", got, err)
-	}
-}
-
 func TestParseFaultConfig(t *testing.T) {
 	cfg, extra, err := ParseFaultConfig("seed=7, write-fail=0.1,enospc=0.05,torn=0.02,read-fail=0.01,read-corrupt=0.03,latency=2ms,panic=0.2")
 	if err != nil {

@@ -1,8 +1,7 @@
 // Package persist is the session persistence subsystem: a versioned,
 // checksummed binary codec for pipeline session snapshots (the layout plus
-// the incremental engine's caches), a Store interface with memory and disk
-// implementations for the snapshot index, and a content-addressed BlobStore
-// for large raw layout uploads. aapsmd uses it to survive restarts: sessions
+// the incremental engine's caches) and a Store interface with memory and disk
+// implementations for the snapshot index. aapsmd uses it to survive restarts: sessions
 // are snapshotted on eviction and on periodic/drain-time flushes, and a
 // restarted replica rehydrates a session from its snapshot instead of
 // re-detecting from scratch.

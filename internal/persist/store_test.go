@@ -1,12 +1,10 @@
 package persist
 
 import (
-	"bytes"
 	"errors"
 	"os"
 	"path/filepath"
 	"reflect"
-	"strings"
 	"testing"
 )
 
@@ -159,55 +157,5 @@ func TestDiskStoreRejectsTraversal(t *testing.T) {
 		if _, err := s.Get(ref); err == nil {
 			t.Errorf("Get(%+v) accepted a hostile ref", ref)
 		}
-	}
-}
-
-func testBlobStore(t *testing.T, bs BlobStore) {
-	t.Helper()
-	defer bs.Close()
-	data := []byte("raw gds payload")
-	h, err := bs.PutBlob(data)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if h != BlobHash(data) {
-		t.Fatalf("hash %s != BlobHash %s", h, BlobHash(data))
-	}
-	if len(h) != 64 || strings.ToLower(h) != h {
-		t.Fatalf("hash %q is not lowercase hex sha256", h)
-	}
-	h2, err := bs.PutBlob(data)
-	if err != nil || h2 != h {
-		t.Fatalf("second put: %s, %v", h2, err)
-	}
-	got, err := bs.GetBlob(h)
-	if err != nil || !bytes.Equal(got, data) {
-		t.Fatalf("get: %q, %v", got, err)
-	}
-	if _, err := bs.GetBlob(strings.Repeat("0", 64)); !errors.Is(err, ErrNotFound) {
-		t.Fatalf("get missing: %v", err)
-	}
-	for _, bad := range []string{"", "short", strings.Repeat("Z", 64), "../" + strings.Repeat("a", 61)} {
-		if _, err := bs.GetBlob(bad); err == nil || errors.Is(err, ErrNotFound) {
-			t.Errorf("GetBlob(%q): want validation error, got %v", bad, err)
-		}
-	}
-}
-
-func TestMemBlobStore(t *testing.T) {
-	testBlobStore(t, NewMemBlobStore())
-}
-
-func TestDiskBlobStore(t *testing.T) {
-	dir := t.TempDir()
-	bs, err := NewDiskBlobStore(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	testBlobStore(t, bs)
-	// Sharded content-addressed layout, as documented.
-	h := BlobHash([]byte("raw gds payload"))
-	if _, err := os.Stat(filepath.Join(dir, h[:2], h)); err != nil {
-		t.Fatalf("expected blob layout file: %v", err)
 	}
 }

@@ -222,10 +222,6 @@ func (s *Server) processBatch(ent *sessionEntry, seq int64, items []*editItem) {
 		}
 	}()
 
-	// The layout is about to diverge from the content it was created from;
-	// concurrent same-hash creates must stop coalescing onto it now.
-	s.store.markEdited(ent)
-
 	solveStart := time.Now()
 	totalApplied := 0
 	err := ent.Sess.Edit(func(ed *aapsm.LayoutEditor) {
@@ -259,6 +255,13 @@ func (s *Server) processBatch(ent *sessionEntry, seq int64, items []*editItem) {
 				continue
 			}
 			count = c
+			if len(it.ops) > 0 {
+				// The layout is about to diverge from the content it was
+				// created from; concurrent same-hash creates must stop
+				// coalescing onto it now. A batch that applies nothing
+				// leaves the session reattachable.
+				s.store.markEdited(ent)
+			}
 			for _, op := range it.ops {
 				switch op.Op {
 				case "add":

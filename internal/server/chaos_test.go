@@ -3,7 +3,6 @@ package server
 import (
 	"bytes"
 	"encoding/json"
-	"fmt"
 	"path/filepath"
 	"strings"
 	"sync"
@@ -294,35 +293,5 @@ func TestChaosKillDuringSnapshotWrite(t *testing.T) {
 	}
 	if n := srvB.metrics.snapshotCorrupt.Load(); n != 0 {
 		t.Errorf("corrupt snapshots served to the restarted daemon = %d, want 0 (sweep should have removed them)", n)
-	}
-}
-
-// TestBlobWriteRetries: blob archival retries transient store failures with
-// backoff instead of failing the upload.
-func TestBlobWriteRetries(t *testing.T) {
-	fbs := persist.NewFaultBlobStore(persist.NewMemBlobStore(), persist.FaultConfig{})
-	srv := New(Config{
-		Engine:           persistEngine(),
-		Blobs:            fbs,
-		SnapshotRetryMin: time.Millisecond,
-		SnapshotRetryMax: 2 * time.Millisecond,
-	})
-	t.Cleanup(srv.Close)
-	payload := []byte("raw gds payload")
-	fbs.FailNextPuts(2, nil)
-	h, err := srv.putBlobRetry(payload)
-	if err != nil {
-		t.Fatalf("putBlobRetry with 2 transient failures: %v", err)
-	}
-	if want := persist.BlobHash(payload); h != want {
-		t.Fatalf("blob hash = %s, want %s", h, want)
-	}
-	if n := srv.metrics.blobRetries.Load(); n != 2 {
-		t.Fatalf("blob retries = %d, want 2", n)
-	}
-	// A store that stays down exhausts the attempts and reports the error.
-	fbs.FailNextPuts(100, fmt.Errorf("still down"))
-	if _, err := srv.putBlobRetry(payload); err == nil {
-		t.Fatal("putBlobRetry succeeded against a dead store")
 	}
 }

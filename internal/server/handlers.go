@@ -99,9 +99,6 @@ type createResponse struct {
 	// Profile is the rules-profile registry name the session runs under
 	// (omitted when the server's base engine uses custom rules).
 	Profile string `json:"profile,omitempty"`
-	// Blob is the content address of the archived raw upload body (GDS
-	// uploads with a blob store configured).
-	Blob string `json:"blob,omitempty"`
 }
 
 // handleCreate builds (or reattaches to) a session from an uploaded layout.
@@ -130,23 +127,12 @@ func (s *Server) handleCreate(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, "bad_layout", "", "", err.Error())
 		return
 	}
-	var (
-		l    *aapsm.Layout
-		blob string
-	)
+	var l *aapsm.Layout
 	switch format := r.URL.Query().Get("format"); format {
 	case "", "text":
 		l, err = aapsm.ReadLayoutText(bytes.NewReader(raw))
 	case "gds":
 		l, err = aapsm.ReadGDS(bytes.NewReader(raw))
-		// Archive the raw binary original: sessions persist derived state
-		// only, so the blob store is what lets an operator re-create any
-		// session from first principles.
-		if err == nil && s.cfg.Blobs != nil {
-			if h, berr := s.putBlobRetry(raw); berr == nil {
-				blob = h
-			}
-		}
 	default:
 		writeError(w, http.StatusBadRequest, "bad_format", "", "", fmt.Sprintf("unknown format %q (want text or gds)", format))
 		return
@@ -173,7 +159,6 @@ func (s *Server) handleCreate(w http.ResponseWriter, r *http.Request) {
 				Features: ent.Sess.NumFeatures(),
 				Reused:   true,
 				Profile:  ent.Sess.Engine().Profile(),
-				Blob:     blob,
 			})
 			return
 		}
@@ -197,7 +182,6 @@ func (s *Server) handleCreate(w http.ResponseWriter, r *http.Request) {
 		Features: ent.Sess.NumFeatures(),
 		Reused:   reused,
 		Profile:  ent.Sess.Engine().Profile(),
-		Blob:     blob,
 	})
 }
 
@@ -315,10 +299,10 @@ type editsResponse struct {
 	// responses and stream events computed at the same generation reflect
 	// exactly this state.
 	Gen int64 `json:"gen"`
-	// Incremental is the session's cumulative per-stage reuse profile after
-	// the batch: shard, coloring, verification, interval, mask-check and
-	// DRC-pair counters showing how much of the pipeline each re-run of this
-	// session has been reusing versus recomputing.
+	// Incremental is the session's cumulative reuse profile after the
+	// batch: detection-shard, hierarchical-cluster and DRC-pair counters
+	// showing how much each re-run of this session has been reusing versus
+	// recomputing.
 	Incremental aapsm.IncrementalStats `json:"incremental"`
 	// Batch is this request's coalescing receipt: where it landed in its
 	// merged batch and its queue/solve timing breakdown.

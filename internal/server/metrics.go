@@ -38,14 +38,13 @@ type metrics struct {
 	restoreNanos     atomic.Int64
 
 	// Robustness counters: failed snapshot writes, async retry attempts,
-	// blob-write retry attempts, requests shed by admission control (global
-	// and per-session), recovered panics (handler scope = HTTP handler
-	// panics caught by the middleware; shard scope = requests answered with
-	// a shard-panic quarantine error), and queue-wait accounting for
-	// admitted requests that had to wait for a slot.
+	// requests shed by admission control (global and per-session), recovered
+	// panics (handler scope = HTTP handler panics caught by the middleware;
+	// shard scope = requests answered with a shard-panic quarantine error),
+	// and queue-wait accounting for admitted requests that had to wait for a
+	// slot.
 	snapshotWriteErrors atomic.Int64
 	snapshotRetries     atomic.Int64
-	blobRetries         atomic.Int64
 	shedGlobal          atomic.Int64
 	shedSession         atomic.Int64
 	shedClientGone      atomic.Int64
@@ -382,7 +381,6 @@ func (s *Server) declareMetrics() *registry {
 	r.gauge("aapsmd_snapshot_retries_pending", "Snapshot writes queued for asynchronous retry.", func() int64 { return int64(s.pendingRetries()) })
 	r.counter("aapsmd_snapshot_write_errors_total", "Snapshot writes that failed against the persistence store.", m.snapshotWriteErrors.Load)
 	r.counter("aapsmd_snapshot_write_retries_total", "Asynchronous snapshot write retry attempts.", m.snapshotRetries.Load)
-	r.counter("aapsmd_blob_write_retries_total", "Blob write retry attempts during session creation.", m.blobRetries.Load)
 	r.counters("aapsmd_requests_shed_total", "Requests rejected by admission control with 429 (client_gone = the client disconnected while queued; not an overload signal).", "scope",
 		labelValue{"global", m.shedGlobal.Load},
 		labelValue{"session", m.shedSession.Load},

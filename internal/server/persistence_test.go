@@ -171,6 +171,43 @@ func TestSnapshotReattachByHash(t *testing.T) {
 	}
 }
 
+// TestGDSSessionSurvivesRestart: a session created from a hierarchical GDS
+// upload restores from its snapshot alone. The snapshot's layout and
+// hierarchy sidecar are all a restart needs to serve the same detection and
+// byte-identical GDS exports.
+func TestGDSSessionSurvivesRestart(t *testing.T) {
+	store := persist.NewMemStore()
+	srvA := New(Config{Engine: persistEngine(), Snapshots: store, FlushInterval: -1})
+	tsA := newTestClientServer(t, srvA)
+	var created createResponse
+	if err := json.Unmarshal(tsA.must("POST", "/v1/sessions?format=gds", hierGDS(t, loadLayout(44)), 200), &created); err != nil {
+		t.Fatal(err)
+	}
+	id := created.ID
+	endpoints := []string{"/layout?format=gds", "/mask?format=gds"}
+	wantDetect := detectBytes(t, tsA, id)
+	want := make([][]byte, len(endpoints))
+	for i, ep := range endpoints {
+		want[i] = tsA.must("GET", "/v1/sessions/"+id+ep, nil, 200)
+	}
+	tsA.must("POST", "/v1/sessions/"+id+"/flush", nil, 200)
+	srvA.Close()
+	tsA.shutdown()
+
+	srvB, tb := newTestServer(t, Config{Engine: persistEngine(), Snapshots: store, FlushInterval: -1})
+	if got := detectBytes(t, tb, id); !bytes.Equal(got, wantDetect) {
+		t.Fatalf("detect diverged after restart:\n got %s\nwant %s", got, wantDetect)
+	}
+	for i, ep := range endpoints {
+		if got := tb.must("GET", "/v1/sessions/"+id+ep, nil, 200); !bytes.Equal(got, want[i]) {
+			t.Errorf("%s diverged after restart (%d vs %d bytes)", ep, len(got), len(want[i]))
+		}
+	}
+	if n := srvB.metrics.snapshotRestores.Load(); n != 1 {
+		t.Errorf("snapshot restores = %d, want 1", n)
+	}
+}
+
 // TestEvictionSnapshotCapturesInFlightEdit is the deterministic eviction-race
 // regression: a session evicted while a request holds it must not be
 // snapshotted until that request finishes, so the eviction snapshot contains

@@ -8,8 +8,8 @@ import (
 
 // This file holds the server's degraded-operation machinery: the bounded
 // asynchronous retry queue that re-attempts failed snapshot writes with
-// capped exponential backoff, the persistence health tracker behind /readyz,
-// and the bounded synchronous retry around blob writes.
+// capped exponential backoff and the persistence health tracker behind
+// /readyz.
 //
 // The invariant the pieces maintain together: a session whose snapshot
 // cannot be persisted is never silently dropped. The eviction path readmits
@@ -150,26 +150,4 @@ func (s *Server) Ready() bool {
 		}
 	}
 	return true
-}
-
-// putBlobRetry archives an upload body with a short bounded synchronous
-// retry: blob writes happen inline in create requests, so the budget is a
-// few quick attempts, not the snapshot queue's long backoff.
-func (s *Server) putBlobRetry(data []byte) (string, error) {
-	const attempts = 3
-	var (
-		h   string
-		err error
-	)
-	for i := 0; i < attempts; i++ {
-		if i > 0 {
-			s.metrics.blobRetries.Add(1)
-			time.Sleep(s.backoffDelay(0) / 4)
-		}
-		h, err = s.cfg.Blobs.PutBlob(data)
-		if err == nil {
-			return h, nil
-		}
-	}
-	return "", err
 }

@@ -2,8 +2,8 @@
 // an HTTP/JSON facade over the Engine/Session pipeline with a bounded
 // LRU+TTL session store, single-flight creation coalescing, per-request
 // timeouts, typed error responses, health and Prometheus-style metrics
-// endpoints, graceful drain, and optional session persistence (snapshot
-// store + blob backend) for crash-restart rehydration.
+// endpoints, graceful drain, and optional session persistence (a snapshot
+// store) for crash-restart rehydration.
 //
 // Every pipeline stage of the paper's flow is separately addressable:
 //
@@ -69,10 +69,6 @@ type Config struct {
 	// match the one the snapshots were taken under (mismatched snapshots
 	// count as corrupt and are ignored).
 	Snapshots persist.Store
-	// Blobs, when set, archives raw GDS upload bodies content-addressed by
-	// SHA-256 so the large binary originals survive independently of the
-	// session index; create responses then carry the blob hash.
-	Blobs persist.BlobStore
 	// FlushInterval is the period of the background snapshot flush of live
 	// sessions. 0 means the default 30s (when Snapshots is set); negative
 	// disables periodic flushing (eviction and drain still snapshot).

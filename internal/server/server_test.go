@@ -331,6 +331,27 @@ func TestCreateCoalescing(t *testing.T) {
 	}
 }
 
+// TestRejectedEditKeepsReattach: an edit request that applies nothing (a
+// 422 for an out-of-range index) leaves the session pristine, so
+// re-uploading the same layout reattaches to it.
+func TestRejectedEditKeepsReattach(t *testing.T) {
+	_, tc := newTestServer(t, Config{Engine: aapsm.NewEngine()})
+	body := layoutText(t, loadLayout(8))
+	var created createResponse
+	if err := json.Unmarshal(tc.must("POST", "/v1/sessions", body, 200), &created); err != nil {
+		t.Fatal(err)
+	}
+	tc.must("POST", "/v1/sessions/"+created.ID+"/edits",
+		encodeJSON(t, editsRequest{Ops: []editOp{{Op: "move", Index: idx(99999), Rect: []int64{0, 0, 100, 1000}}}}), 422)
+	var again createResponse
+	if err := json.Unmarshal(tc.must("POST", "/v1/sessions", body, 200), &again); err != nil {
+		t.Fatal(err)
+	}
+	if again.ID != created.ID || !again.Reused {
+		t.Fatalf("re-upload after a rejected edit: id %q reused=%v, want %q reattached", again.ID, again.Reused, created.ID)
+	}
+}
+
 // TestEditAddedIndices: the added-indices report accounts for del ops later
 // in the same batch.
 func TestEditAddedIndices(t *testing.T) {
@@ -739,14 +760,10 @@ func TestProfileEndpoint(t *testing.T) {
 	}
 }
 
-// TestHierUploadMetrics pins that a hierarchical GDS upload takes the
-// instance-aware fast path end to end: the flattened layout keeps its
-// provenance sidecar through the upload, detection reuses cluster solves
-// across placements, and /metrics exposes the reuse counters.
-func TestHierUploadMetrics(t *testing.T) {
-	_, tc := newTestServer(t, Config{Engine: aapsm.NewEngine()})
-
-	cell := loadLayout(4)
+// hierGDS encodes cell as a GDS library whose top cell places it in a 2x2
+// AREF, so the upload carries a hierarchy sidecar.
+func hierGDS(t *testing.T, cell *aapsm.Layout) []byte {
+	t.Helper()
 	lib := &gds.Library{Name: "LOAD", Cells: []*gds.Cell{{Name: "CELL"}}}
 	for _, f := range cell.Features {
 		lib.Cells[0].Polys = append(lib.Cells[0].Polys, gds.Poly{Layer: f.Layer, Pts: []geom.Point{
@@ -764,9 +781,18 @@ func TestHierUploadMetrics(t *testing.T) {
 	if err := gds.WriteLibrary(&buf, lib); err != nil {
 		t.Fatal(err)
 	}
+	return buf.Bytes()
+}
+
+// TestHierUploadMetrics pins that a hierarchical GDS upload takes the
+// instance-aware fast path end to end: the flattened layout keeps its
+// provenance sidecar through the upload, detection reuses cluster solves
+// across placements, and /metrics exposes the reuse counters.
+func TestHierUploadMetrics(t *testing.T) {
+	_, tc := newTestServer(t, Config{Engine: aapsm.NewEngine()})
 
 	var created createResponse
-	if err := json.Unmarshal(tc.must("POST", "/v1/sessions?format=gds", buf.Bytes(), 200), &created); err != nil {
+	if err := json.Unmarshal(tc.must("POST", "/v1/sessions?format=gds", hierGDS(t, loadLayout(4)), 200), &created); err != nil {
 		t.Fatal(err)
 	}
 	tc.must("GET", "/v1/sessions/"+created.ID+"/detect", nil, 200)

@@ -334,19 +334,25 @@ func (ed *LayoutEditor) Feature(i int) Feature { return ed.s.layout.Features[i] 
 
 // Edit applies a batch of mutations atomically with respect to other session
 // callers: fn runs under the session lock and the memoized stages are
-// invalidated once, after the whole batch. The next Detect then re-solves
-// only the conflict clusters the batch touched. Edit returns the first
-// operation error (a *FlowError at StageEdit); operations before the failure
-// remain applied.
+// invalidated once, after the whole batch, if any operation applied. The
+// next Detect then re-solves only the conflict clusters the batch touched.
+// Edit returns the first operation error (a *FlowError at StageEdit);
+// operations before the failure remain applied.
 func (s *Session) Edit(fn func(*LayoutEditor)) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if _, err := s.incLocked(); err != nil {
 		return flowErr(StageEdit, s.layout.Name, err)
 	}
-	// Invalidate via defer: ops apply as fn runs, so even a panicking
-	// callback must not leave memoized pre-edit stages behind.
-	defer s.invalidateLocked()
+	// Invalidate via defer once an op has applied: ops apply as fn runs, so
+	// even a panicking callback must not leave memoized pre-edit stages
+	// behind, while a batch that applied nothing keeps them.
+	edits := s.edits
+	defer func() {
+		if s.edits != edits {
+			s.invalidateLocked()
+		}
+	}()
 	ed := &LayoutEditor{s: s}
 	fn(ed)
 	if ed.err != nil {
