@@ -529,6 +529,35 @@ func BenchmarkEditRepipeline(b *testing.B) {
 	})
 }
 
+// BenchmarkSessionRestore times session rehydration from a snapshot taken
+// after the full pipeline: decode, the engine rebuild that re-enters Detect
+// seeded with the snapshot's crossing pairs and cluster results, and the
+// re-run of the memoized downstream stages. This is the cold-start path
+// aapsmd takes for a request hitting a persisted session.
+func BenchmarkSessionRestore(b *testing.B) {
+	ctx := context.Background()
+	for _, i := range []int{2, 4} { // d3, d5
+		d := bench.Suite()[i]
+		b.Run(d.Name, func(b *testing.B) {
+			eng := aapsm.NewEngine(aapsm.WithParallelism(1))
+			s := eng.NewSession(bench.Generate(d.Name, d.Params))
+			runPipeline(ctx, b, s)
+			data, err := s.Snapshot()
+			if err != nil {
+				b.Fatal(err)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := eng.RestoreSessionWithParallelism(ctx, data, 1); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.ReportMetric(float64(len(data)), "snapshot-bytes")
+		})
+	}
+}
+
 // --- robustness: a larger design end to end (the paper's full-chip claim
 // is regenerated at true scale by `cmd/benchtab -table 1 -n 8`) ---
 

@@ -163,12 +163,13 @@ func (run *clusterRun) partition(g *graph.Graph) {
 // Incremental Detect. cross supplies the crossing-pair list (nil sweeps the
 // whole drawing); cached, when non-nil, is asked for the reusable result of
 // every cluster once the partition is known and returns one entry per
-// cluster, nil where the cluster must be solved. Only the clusters without a
-// cached result are induced as standalone drawings and solved; the
-// instance-aware dedup runs only when nothing is cached, so its job list is
-// complete. Results are merged in cluster order, so the Detection does not
-// depend on the worker count or on which clusters came from the cache.
-func detect(ctx context.Context, cg *ConflictGraph, cross func() [][2]int, cached func(edgeCluster []int32, nShards int) []*shardResult, opt Options) (*Detection, *clusterRun, error) {
+// cluster, nil where the cluster must be solved, or an error that aborts the
+// run before anything is solved. Only the clusters without a cached result
+// are induced as standalone drawings and solved; the instance-aware dedup
+// runs only when nothing is cached, so its job list is complete. Results are
+// merged in cluster order, so the Detection does not depend on the worker
+// count or on which clusters came from the cache.
+func detect(ctx context.Context, cg *ConflictGraph, cross func() [][2]int, cached func(edgeCluster []int32, nShards int) ([]*shardResult, error), opt Options) (*Detection, *clusterRun, error) {
 	start := time.Now() //aapsmvet:allow determinism stage-timing telemetry only; durations land in Stats, never in results
 	det := &Detection{Graph: cg}
 	det.Stats.GraphNodes = cg.Nodes()
@@ -200,7 +201,10 @@ func detect(ctx context.Context, cg *ConflictGraph, cross func() [][2]int, cache
 	}
 	var reuse []*shardResult
 	if cached != nil {
-		reuse = cached(run.edgeCluster, nShards)
+		var err error
+		if reuse, err = cached(run.edgeCluster, nShards); err != nil {
+			return nil, nil, err
+		}
 	}
 	run.solved = make([]bool, nShards)
 	for c, n := range size {

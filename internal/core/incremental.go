@@ -27,12 +27,13 @@ import (
 // Clean clusters keep their previous shard results, which are re-merged
 // through freshly computed edge index maps.
 //
-// There is one detection routine: DetectContext, an engine's first Detect
-// and every re-detect all run the same cluster partition, solve and merge.
-// A full Detect (the first, or a fallback after a broken reuse invariant)
-// passes it nothing cached; a re-detect passes the patched crossing pairs
-// and the cached result of every clean cluster, and only the remaining
-// clusters are induced and solved.
+// There is one detection routine: DetectContext, an engine's first Detect,
+// every re-detect and a restore all run the same cluster partition, solve
+// and merge. A full Detect (the first, or a fallback after a broken reuse
+// invariant) passes it nothing cached; a re-detect passes the patched
+// crossing pairs and the cached result of every clean cluster, and only the
+// remaining clusters are solved; a restore passes a snapshot's crossing
+// pairs and every cluster's result, and solves nothing.
 //
 // An Incremental is not safe for concurrent use; the Session layer
 // serializes access.
@@ -301,6 +302,13 @@ func (inc *Incremental) Detect(ctx context.Context) (*Detection, error) {
 	if inc.prev != nil && len(inc.dirty) == 0 && len(inc.deleted) == 0 {
 		return inc.prev.det, nil
 	}
+	return inc.runDetect(ctx, nil)
+}
+
+// runDetect is the body of Detect. A non-nil seed is the state a fresh
+// engine is restored from: its crossing pairs and cluster results stand in
+// for the sweep and the solves of the engine's first detection.
+func (inc *Incremental) runDetect(ctx context.Context, seed *IncrementalState) (*Detection, error) {
 	start := time.Now() //aapsmvet:allow determinism stage-timing telemetry only; durations land in Stats, never in results
 	if err := ctx.Err(); err != nil {
 		return nil, err
@@ -393,7 +401,16 @@ func (inc *Incremental) Detect(ctx context.Context) (*Detection, error) {
 	var det *Detection
 	var run *clusterRun
 	if full {
-		det, run, err = detect(ctx, cg, nil, nil, inc.opt)
+		var cross func() [][2]int
+		var cached func([]int32, int) ([]*shardResult, error)
+		if seed != nil {
+			pairs, err := seed.crossPairs(g.M())
+			if err != nil {
+				return nil, err
+			}
+			cross, cached = func() [][2]int { return pairs }, seed.results
+		}
+		det, run, err = detect(ctx, cg, cross, cached, inc.opt)
 	} else {
 		dirtyEdge := make([]bool, g.M())
 		for e := range dirtyEdge {
@@ -402,8 +419,8 @@ func (inc *Incremental) Detect(ctx context.Context) (*Detection, error) {
 		}
 		det, run, err = detect(ctx, cg,
 			func() [][2]int { return inc.patchCrossings(cg, dirtyEdge, oldToNewEdge) },
-			func(edgeCluster []int32, nShards int) []*shardResult {
-				return inc.reusable(edgeCluster, nShards, dirtyEdge, oldToNewEdge, newToOldEdge)
+			func(edgeCluster []int32, nShards int) ([]*shardResult, error) {
+				return inc.reusable(edgeCluster, nShards, dirtyEdge, oldToNewEdge, newToOldEdge), nil
 			},
 			inc.opt)
 	}

@@ -44,11 +44,12 @@ func tiledHierLayout(base *layout.Layout, n int) *layout.Layout {
 	return l
 }
 
-// TestDetectEntryPointsAgree checks the three ways into the one cluster
+// TestDetectEntryPointsAgree checks the ways into the one cluster
 // solve-and-merge routine against each other: a from-scratch DetectContext,
-// an Incremental engine's first Detect, and the Detection an engine restored
-// from its exported state rebuilds. Conflict sets and every Stats counter —
-// the instance-aware and reuse tallies included — must be equal.
+// an Incremental engine's first Detect, and RestoreIncremental, which
+// re-enters the Detect body seeded with the exported crossing pairs and
+// cluster results. Conflict sets and every Stats counter — the
+// instance-aware and reuse tallies included — must be equal.
 func TestDetectEntryPointsAgree(t *testing.T) {
 	ctx := context.Background()
 	d := shardGrid()[1]
@@ -81,7 +82,7 @@ func TestDetectEntryPointsAgree(t *testing.T) {
 				}
 				detectionsEqual(t, tag+"/incremental", want, got)
 
-				restored, err := RestoreIncremental(inc.ExportState(), rules(), kind, opt)
+				restored, err := RestoreIncremental(ctx, inc.ExportState(), rules(), kind, opt)
 				if err != nil {
 					t.Fatalf("%s: restore: %v", tag, err)
 				}

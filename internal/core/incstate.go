@@ -1,32 +1,33 @@
 package core
 
 import (
+	"cmp"
+	"context"
 	"fmt"
-	"sort"
+	"slices"
 
-	"repro/internal/geom"
 	"repro/internal/layout"
 	"repro/internal/shifter"
 )
 
 // This file defines the exported, serialization-stable view of an
 // Incremental engine's state — the contract of the persistence subsystem
-// (internal/persist). Only primary state is exported: everything that a
-// from-scratch Detect would recompute deterministically (the shifter set,
-// the conflict graph, identity keys, cluster partitions, edge index maps,
-// the merged Detection) is rebuilt on restore from the same constructors the
-// live engine uses, which keeps the snapshot small and — more importantly —
-// turns restore into a self-check: a snapshot whose serialized cluster count
-// or shard indices disagree with what the rebuild derives is rejected
-// instead of silently deserialized into an inconsistent engine.
+// (internal/persist). It names features by layout index, never by engine
+// uid, and holds the layout, overlap pairs, crossing pairs, cluster results
+// and DRC cache. Restore re-enters the engine's own Detect body with the
+// serialized crossing pairs and cluster results in place of the sweep and
+// the solves, so everything else is rebuilt by the code a live Detect runs,
+// and a snapshot that disagrees with that rebuild is rejected.
 
-// PairRecState is the stable identity of one shifter-overlap constraint in
-// wire form (see pairRec).
-type PairRecState struct {
-	UIDA, UIDB   int32
-	SideA, SideB uint8
-	Deficit      int64
-	UID          int32
+// PairState is one shifter-overlap constraint in wire form: the two
+// flanking shifters, named by (feature index, side), and the spacing
+// deficit between them.
+type PairState struct {
+	FeatA   int32
+	SideA   uint8
+	FeatB   int32
+	SideB   uint8
+	Deficit int64
 }
 
 // ShardState is one conflict cluster's cached detection outcome in
@@ -56,27 +57,20 @@ type IncrementalState struct {
 	HierPlacementCell   []int32
 	HierFeatureInstance []int32
 
-	FeatUID   []int32
-	NextUID   int32
-	NextOvUID int32
-
-	Pairs []PairRecState
-
-	DirtyUIDs   []int32
-	DeletedUIDs []int32
-
-	// Last committed detection, present when HasPrev.
+	// Last committed detection, present when HasPrev: the overlap pairs it
+	// was built from (in engine order), its crossing pairs, and one result
+	// per conflict cluster.
 	HasPrev    bool
+	Pairs      []PairState
 	CrossPairs [][2]int32
 	NShards    int
 	Shards     []*ShardState // nil entries for edge-less clusters
 	DetStats   Stats
 
-	// Incremental DRC cache.
-	DRCReady     bool
-	DRCPairs     []uint64 // packed uid pairs, ascending
-	DRCDirtyUIDs []int32
-	DRCDelUIDs   []int32
+	// Incremental DRC cache, by feature index.
+	DRCReady bool
+	DRCPairs [][2]int32 // violating feature pairs, A < B, ascending
+	DRCDirty []int32    // features edited since the last DRC, ascending
 
 	Stats IncStats
 }
@@ -90,16 +84,14 @@ type IncrementalState struct {
 // and the overlap-pair records describe the layout as of the last commit,
 // whose geometry is no longer recoverable from the working copy (it was
 // mutated in place), so they are dropped and the restored engine's first
-// Detect runs in full. DRC caches have no such dependency — violating pairs
-// are keyed by feature uids and re-validated against current geometry — so
-// they survive export in either case.
+// Detect runs in full. The DRC cache has no such dependency — violating
+// pairs are re-validated against current geometry — so it survives export in
+// either case, less the pairs of deleted features, which the next DRC would
+// drop anyway.
 func (inc *Incremental) ExportState() *IncrementalState {
 	st := &IncrementalState{
 		LayoutName: inc.lay.Name,
 		Features:   append([]layout.Feature(nil), inc.lay.Features...),
-		FeatUID:    append([]int32(nil), inc.featUID...),
-		NextUID:    inc.nextUID,
-		NextOvUID:  inc.nextOvUID,
 		DRCReady:   inc.drcReady,
 		Stats:      inc.stats,
 	}
@@ -108,47 +100,53 @@ func (inc *Incremental) ExportState() *IncrementalState {
 		st.HierPlacementCell = append([]int32(nil), h.PlacementCell...)
 		st.HierFeatureInstance = append([]int32(nil), h.FeatureInstance...)
 	}
-	quiescent := len(inc.dirty) == 0 && len(inc.deleted) == 0
-	if quiescent {
-		st.Pairs = make([]PairRecState, len(inc.pairs))
-		for i, rec := range inc.pairs {
-			st.Pairs[i] = PairRecState{
-				UIDA: rec.uidA, UIDB: rec.uidB,
-				SideA: uint8(rec.sideA), SideB: uint8(rec.sideB),
-				Deficit: rec.deficit, UID: rec.uid,
-			}
-		}
-	}
-	st.DRCDirtyUIDs = sortedUIDs(inc.drcDirty)
-	st.DRCDelUIDs = sortedUIDs(inc.drcDel)
-	st.DRCPairs = make([]uint64, 0, len(inc.drcPairs))
 	for key := range inc.drcPairs {
-		st.DRCPairs = append(st.DRCPairs, key)
+		a, b := inc.featOf[int32(key>>32)], inc.featOf[int32(uint32(key))]
+		if a < 0 || b < 0 {
+			continue
+		}
+		st.DRCPairs = append(st.DRCPairs, [2]int32{min(a, b), max(a, b)})
 	}
-	sort.Slice(st.DRCPairs, func(i, j int) bool { return st.DRCPairs[i] < st.DRCPairs[j] })
+	slices.SortFunc(st.DRCPairs, func(p, q [2]int32) int {
+		return cmp.Or(cmp.Compare(p[0], q[0]), cmp.Compare(p[1], q[1]))
+	})
+	for uid := range inc.drcDirty {
+		st.DRCDirty = append(st.DRCDirty, inc.featOf[uid])
+	}
+	slices.Sort(st.DRCDirty)
 
-	if snap := inc.prev; snap != nil && quiescent {
-		st.HasPrev = true
-		st.CrossPairs = make([][2]int32, len(snap.crossPairs))
-		for i, p := range snap.crossPairs {
-			st.CrossPairs[i] = [2]int32{int32(p[0]), int32(p[1])}
-		}
-		st.NShards = snap.nShards
-		st.Shards = make([]*ShardState, len(snap.results))
-		for c, r := range snap.results {
-			if r == nil {
-				continue
-			}
-			st.Shards[c] = &ShardState{
-				Removed:   toInt32(r.removed),
-				Bipart:    toInt32(r.bipart),
-				Final:     toInt32(r.final),
-				DualNodes: r.dualNodes, DualEdges: r.dualEdges, OddFaces: r.oddFaces,
-				GadgetNodes: r.gadgetNodes, GadgetEdges: r.gadgetEdges,
-			}
-		}
-		st.DetStats = snap.det.Stats
+	snap := inc.prev
+	if snap == nil || len(inc.dirty) > 0 || len(inc.deleted) > 0 {
+		return st
 	}
+	st.HasPrev = true
+	st.Pairs = make([]PairState, len(inc.pairs))
+	for i, rec := range inc.pairs {
+		st.Pairs[i] = PairState{
+			FeatA: inc.featOf[rec.uidA], SideA: uint8(rec.sideA),
+			FeatB: inc.featOf[rec.uidB], SideB: uint8(rec.sideB),
+			Deficit: rec.deficit,
+		}
+	}
+	st.CrossPairs = make([][2]int32, len(snap.crossPairs))
+	for i, p := range snap.crossPairs {
+		st.CrossPairs[i] = [2]int32{int32(p[0]), int32(p[1])}
+	}
+	st.NShards = snap.nShards
+	st.Shards = make([]*ShardState, len(snap.results))
+	for c, r := range snap.results {
+		if r == nil {
+			continue
+		}
+		st.Shards[c] = &ShardState{
+			Removed:   toInt32(r.removed),
+			Bipart:    toInt32(r.bipart),
+			Final:     toInt32(r.final),
+			DualNodes: r.dualNodes, DualEdges: r.dualEdges, OddFaces: r.oddFaces,
+			GadgetNodes: r.gadgetNodes, GadgetEdges: r.gadgetEdges,
+		}
+	}
+	st.DetStats = snap.det.Stats
 	return st
 }
 
@@ -159,165 +157,109 @@ func (inc *Incremental) ExportState() *IncrementalState {
 func (inc *Incremental) RestoreStats(s IncStats) { inc.stats = s }
 
 // RestoreIncremental reconstructs an Incremental engine from its exported
-// state under the given configuration. The secondary state — shifter set,
-// conflict graph, identity keys, cluster partition, merged Detection — is
-// rebuilt with the same constructors a live Detect uses, and every rebuilt
-// quantity is cross-checked against the serialized state (cluster counts,
-// index ranges, and finally the merged conflict set's bipartiteness
-// self-check), so a corrupted or internally inconsistent snapshot fails
-// loudly instead of restoring a wrong engine.
-func RestoreIncremental(st *IncrementalState, r layout.Rules, kind GraphKind, opt Options) (*Incremental, error) {
-	if err := r.Validate(); err != nil {
-		return nil, err
-	}
-	if len(st.FeatUID) != len(st.Features) {
-		return nil, fmt.Errorf("core: restore: %d feature uids for %d features", len(st.FeatUID), len(st.Features))
-	}
-	if st.NextUID < 0 || st.NextOvUID < 0 {
-		return nil, fmt.Errorf("core: restore: negative uid counter")
-	}
-	inc := &Incremental{
-		rules: r,
-		kind:  kind,
-		opt:   opt,
-		lay: &layout.Layout{
-			Name:     st.LayoutName,
-			Features: append([]layout.Feature(nil), st.Features...),
-		},
-		featUID:   append([]int32(nil), st.FeatUID...),
-		nextUID:   st.NextUID,
-		nextOvUID: st.NextOvUID,
-		grid:      geom.NewGrid(featureGridCell(r)),
-		drcPairs:  make(map[uint64]bool, len(st.DRCPairs)),
-	}
+// state under the given configuration: NewIncremental on the serialized
+// layout, range-checked pairs and DRC cache, and, when the state carries a
+// committed detection, the Detect body seeded with it, which cross-checks
+// the serialized clusters against the partition it derives and ends with the
+// bipartiteness self-check. ctx bounds that rebuild.
+func RestoreIncremental(ctx context.Context, st *IncrementalState, r layout.Rules, kind GraphKind, opt Options) (*Incremental, error) {
+	l := &layout.Layout{Name: st.LayoutName, Features: st.Features}
 	if len(st.HierCells) > 0 || len(st.HierPlacementCell) > 0 || len(st.HierFeatureInstance) > 0 {
-		inc.lay.Hier = &layout.Hierarchy{
-			Cells:           append([]string(nil), st.HierCells...),
-			PlacementCell:   append([]int32(nil), st.HierPlacementCell...),
-			FeatureInstance: append([]int32(nil), st.HierFeatureInstance...),
+		l.Hier = &layout.Hierarchy{
+			Cells:           st.HierCells,
+			PlacementCell:   st.HierPlacementCell,
+			FeatureInstance: st.HierFeatureInstance,
 		}
-		if err := inc.lay.Hier.Validate(len(inc.lay.Features)); err != nil {
+		if err := l.Hier.Validate(len(l.Features)); err != nil {
 			return nil, fmt.Errorf("core: restore: %w", err)
 		}
 	}
-	// Feature identity: uids must be unique and in range; featOf inverts the
-	// mapping. The grid and the correction cut-span indexes are purely
-	// geometric, so they are rebuilt from the current features.
-	inc.featOf = make([]int32, st.NextUID)
-	for i := range inc.featOf {
-		inc.featOf[i] = -1
+	// NewIncremental deep-copies the layout and numbers the features' uids
+	// by index, so from here on a feature index is also its uid.
+	inc, err := NewIncremental(l, r, kind, opt)
+	if err != nil {
+		return nil, err
 	}
-	for i, uid := range inc.featUID {
-		if uid < 0 || uid >= st.NextUID {
-			return nil, fmt.Errorf("core: restore: feature uid %d out of range [0,%d)", uid, st.NextUID)
-		}
-		if inc.featOf[uid] >= 0 {
-			return nil, fmt.Errorf("core: restore: duplicate feature uid %d", uid)
-		}
-		inc.featOf[uid] = int32(i)
-		f := inc.lay.Features[i]
-		inc.grid.Insert(uid, f.Rect)
-		inc.cutSpanInsert(f)
-	}
-
-	// Overlap-pair records, in serialized slice order (the order is part of
-	// the state: buildSet's sort is stable only across identical inputs).
+	nf := int32(len(st.Features))
 	inc.pairs = make([]pairRec, len(st.Pairs))
 	for i, p := range st.Pairs {
 		if p.SideA > 1 || p.SideB > 1 {
 			return nil, fmt.Errorf("core: restore: pair %d has invalid shifter side", i)
 		}
-		if p.UID < 0 || p.UID >= st.NextOvUID {
-			return nil, fmt.Errorf("core: restore: pair uid %d out of range [0,%d)", p.UID, st.NextOvUID)
-		}
-		for _, uid := range [2]int32{p.UIDA, p.UIDB} {
-			if uid < 0 || uid >= st.NextUID || inc.featOf[uid] < 0 {
-				return nil, fmt.Errorf("core: restore: pair %d references dead feature uid %d", i, uid)
+		for _, fi := range [2]int32{p.FeatA, p.FeatB} {
+			if fi < 0 || fi >= nf {
+				return nil, fmt.Errorf("core: restore: pair %d references feature %d outside [0,%d)", i, fi, nf)
 			}
-			if !r.IsCritical(inc.lay.Features[inc.featOf[uid]]) {
-				return nil, fmt.Errorf("core: restore: pair %d references non-critical feature uid %d", i, uid)
+			if !r.IsCritical(l.Features[fi]) {
+				return nil, fmt.Errorf("core: restore: pair %d references non-critical feature %d", i, fi)
 			}
 		}
 		inc.pairs[i] = pairRec{
-			uidA: p.UIDA, uidB: p.UIDB,
+			uidA: p.FeatA, uidB: p.FeatB,
 			sideA: shifter.Side(p.SideA), sideB: shifter.Side(p.SideB),
-			deficit: p.Deficit, uid: p.UID,
+			deficit: p.Deficit, uid: inc.newOvUID(),
 		}
-	}
-
-	var err error
-	if inc.dirty, err = uidSet(st.DirtyUIDs, st.NextUID, inc.featOf, true); err != nil {
-		return nil, fmt.Errorf("core: restore: dirty %w", err)
-	}
-	if inc.deleted, err = uidSet(st.DeletedUIDs, st.NextUID, inc.featOf, false); err != nil {
-		return nil, fmt.Errorf("core: restore: deleted %w", err)
-	}
-	if inc.drcDirty, err = uidSet(st.DRCDirtyUIDs, st.NextUID, inc.featOf, true); err != nil {
-		return nil, fmt.Errorf("core: restore: drc dirty %w", err)
-	}
-	if inc.drcDel, err = uidSet(st.DRCDelUIDs, st.NextUID, inc.featOf, false); err != nil {
-		return nil, fmt.Errorf("core: restore: drc deleted %w", err)
 	}
 
 	inc.drcReady = st.DRCReady
-	for _, key := range st.DRCPairs {
-		for _, uid := range [2]int32{int32(key >> 32), int32(uint32(key))} {
-			if uid < 0 || uid >= st.NextUID || inc.featOf[uid] < 0 {
-				return nil, fmt.Errorf("core: restore: drc pair references dead feature uid %d", uid)
-			}
+	for _, p := range st.DRCPairs {
+		if p[0] < 0 || p[0] >= nf || p[1] < 0 || p[1] >= nf {
+			return nil, fmt.Errorf("core: restore: drc pair (%d,%d) references a feature outside [0,%d)", p[0], p[1], nf)
 		}
-		inc.drcPairs[key] = true
+		inc.drcPairs[packUIDPair(p[0], p[1])] = true
+	}
+	for _, fi := range st.DRCDirty {
+		if fi < 0 || fi >= nf {
+			return nil, fmt.Errorf("core: restore: drc dirty feature %d outside [0,%d)", fi, nf)
+		}
+		inc.drcDirty[fi] = true
 	}
 
 	if st.HasPrev {
-		if err := inc.restoreSnapshot(st); err != nil {
-			return nil, err
+		det, err := inc.runDetect(ctx, st)
+		if err != nil {
+			return nil, fmt.Errorf("core: restore: %w", err)
 		}
+		// A seeded detect reuses every cluster and times no solve, so the
+		// whole Stats block, counters included, is the snapshot's.
+		det.Stats = st.DetStats
 	}
 	inc.stats = st.Stats
 	return inc, nil
 }
 
-// restoreSnapshot rebuilds the committed detection (incSnapshot) from the
-// serialized primary state, mirroring Detect's commit path step by step.
-func (inc *Incremental) restoreSnapshot(st *IncrementalState) error {
-	set, ovRecs := inc.buildSet(inc.pairs)
-	cg, err := BuildGraphFromSet(inc.lay, inc.rules, set, inc.kind)
-	if err != nil {
-		return fmt.Errorf("core: restore: rebuild graph: %w", err)
-	}
-	g := cg.Drawing.G
-	m := g.M()
-	nodeKeys, edgeKeys := inc.identityKeys(set, ovRecs)
-
-	run := &clusterRun{crossPairs: make([][2]int, len(st.CrossPairs))}
+// crossPairs returns the serialized crossing pairs of a restore seed,
+// rejecting any that names an edge outside the rebuilt graph's m edges.
+func (st *IncrementalState) crossPairs(m int) ([][2]int, error) {
+	out := make([][2]int, len(st.CrossPairs))
 	for i, p := range st.CrossPairs {
 		if p[0] < 0 || int(p[0]) >= m || p[1] < 0 || int(p[1]) >= m {
-			return fmt.Errorf("core: restore: crossing pair %d references edge outside [0,%d)", i, m)
+			return nil, fmt.Errorf("crossing pair %d references edge outside [0,%d)", i, m)
 		}
-		run.crossPairs[i] = [2]int{int(p[0]), int(p[1])}
+		out[i] = [2]int{int(p[0]), int(p[1])}
 	}
+	return out, nil
+}
 
-	run.partition(g)
-	nShards := run.nShards
-	if nShards != st.NShards {
-		return fmt.Errorf("core: restore: rebuilt %d conflict clusters, snapshot has %d", nShards, st.NShards)
+// results is a restore seed's cached callback: it hands the seeded detect
+// the serialized result of every cluster of the partition it derived, and
+// rejects a snapshot whose cluster count disagrees with that partition,
+// which lacks the result of a cluster with edges, or whose local edge
+// indices fall outside their cluster.
+func (st *IncrementalState) results(edgeCluster []int32, nShards int) ([]*shardResult, error) {
+	if nShards != st.NShards || len(st.Shards) != nShards {
+		return nil, fmt.Errorf("rebuilt %d conflict clusters, snapshot has %d with %d results", nShards, st.NShards, len(st.Shards))
 	}
-	if len(st.Shards) != nShards {
-		return fmt.Errorf("core: restore: shard state sized for %d clusters, want %d", len(st.Shards), nShards)
+	size := make([]int32, nShards)
+	for _, c := range edgeCluster {
+		size[c]++
 	}
-
-	// Only the edge index maps are needed to re-merge cached results; no
-	// cluster is re-materialized as a standalone drawing.
-	none := make([]bool, nShards)
-	shards := cg.Drawing.InducedComponentsSubset(run.labels, nShards, none)
-	edgeOf := make([][]int, nShards)
-	run.results = make([]*shardResult, nShards)
-	det := &Detection{Graph: cg}
-	for c := range shards {
-		edgeOf[c] = shards[c].EdgeOf
-		sh := st.Shards[c]
+	out := make([]*shardResult, nShards)
+	for c, sh := range st.Shards {
 		if sh == nil {
+			if size[c] > 0 {
+				return nil, fmt.Errorf("cluster %d has %d edges but no result", c, size[c])
+			}
 			continue
 		}
 		r := &shardResult{
@@ -328,57 +270,18 @@ func (inc *Incremental) restoreSnapshot(st *IncrementalState) error {
 			src []int32
 			dst *[]int
 		}{{sh.Removed, &r.removed}, {sh.Bipart, &r.bipart}, {sh.Final, &r.final}} {
-			out := make([]int, len(field.src))
+			local := make([]int, len(field.src))
 			for i, le := range field.src {
-				if le < 0 || int(le) >= len(edgeOf[c]) {
-					return fmt.Errorf("core: restore: cluster %d local edge %d outside [0,%d)", c, le, len(edgeOf[c]))
+				if le < 0 || le >= size[c] {
+					return nil, fmt.Errorf("cluster %d local edge %d outside [0,%d)", c, le, size[c])
 				}
-				out[i] = int(le)
+				local[i] = int(le)
 			}
-			*field.dst = out
+			*field.dst = local
 		}
-		run.results[c] = r
+		out[c] = r
 	}
-	// mergeShards re-derives the global conflict sets through the rebuilt
-	// index maps and ends with the bipartiteness self-check — the snapshot's
-	// integrity gate. fresh=none keeps the (absent) shard durations out.
-	if err := mergeShards(det, cg, edgeOf, run.results, none); err != nil {
-		return fmt.Errorf("core: restore: %w", err)
-	}
-	// The rebuilt counters must be the serialized ones; durations cannot be
-	// recomputed, so the whole Stats block is taken from the snapshot.
-	det.Stats = st.DetStats
-
-	inc.prev = &incSnapshot{clusterRun: *run, det: det, nodeKeys: nodeKeys, edgeKeys: edgeKeys}
-	return nil
-}
-
-func sortedUIDs(m map[int32]bool) []int32 {
-	out := make([]int32, 0, len(m))
-	for uid := range m {
-		out = append(out, uid)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
-}
-
-// uidSet validates a uid list against the feature table and materializes it
-// as a set: live uids must still map to a feature, deleted ones must not.
-func uidSet(uids []int32, nextUID int32, featOf []int32, live bool) (map[int32]bool, error) {
-	m := make(map[int32]bool, len(uids))
-	for _, uid := range uids {
-		if uid < 0 || uid >= nextUID {
-			return nil, fmt.Errorf("uid %d out of range [0,%d)", uid, nextUID)
-		}
-		if live && featOf[uid] < 0 {
-			return nil, fmt.Errorf("uid %d names a deleted feature", uid)
-		}
-		if !live && featOf[uid] >= 0 {
-			return nil, fmt.Errorf("uid %d names a live feature", uid)
-		}
-		m[uid] = true
-	}
-	return m, nil
+	return out, nil
 }
 
 func toInt32(xs []int) []int32 {

@@ -15,7 +15,7 @@ import (
 // Snapshot wire format (all integers little-endian, fixed width):
 //
 //	magic   [8]byte  "AAPSMSNP"
-//	version uint16   (currently 3)
+//	version uint16   (currently 4)
 //	payload          sections in SessionState field order
 //	crc32   uint32   IEEE checksum of everything before it
 //
@@ -38,7 +38,13 @@ var snapMagic = [8]byte{'A', 'A', 'P', 'S', 'M', 'S', 'N', 'P'}
 // correction interval cache, the engine generation, the node survivor map,
 // the per-cluster dirty marks, the cached phase coloring, and their eight
 // reuse counters.
-const Version uint16 = 3
+//
+// Version 4 names features by layout index only: the engine's private
+// feature and pair numbering, its counters and two always-empty edit lists
+// are gone, the DRC cache is index pairs plus dirty indices, overlap pairs
+// travel only with the committed detection, and the unused T-join group cap
+// and the always-set engine-state presence byte are dropped.
+const Version uint16 = 4
 
 var (
 	// ErrCorrupt marks a snapshot that failed structural or checksum
@@ -64,20 +70,13 @@ func Encode(st *SessionState) []byte {
 	}
 	w.u8(uint8(st.Kind))
 	w.u8(uint8(st.Opt.TJoin.Method))
-	w.i64(int64(st.Opt.TJoin.GroupCap))
 	w.u8(uint8(st.Opt.Recheck))
 	w.str(st.Profile)
 
 	w.i64(int64(st.DetectRuns))
 	w.i64(int64(st.Edits))
 	w.u8(st.Memo)
-
-	if st.Inc == nil {
-		w.u8(0)
-	} else {
-		w.u8(1)
-		w.incState(st.Inc)
-	}
+	w.incState(&st.Inc)
 
 	sum := crc32.ChecksumIEEE(w.buf)
 	w.u32(sum)
@@ -129,17 +128,13 @@ func Decode(data []byte) (*SessionState, error) {
 	}
 	st.Kind = core.GraphKind(rd.u8())
 	st.Opt.TJoin.Method = tjoin.Method(rd.u8())
-	st.Opt.TJoin.GroupCap = int(rd.i64())
 	st.Opt.Recheck = core.RecheckMode(rd.u8())
 	st.Profile = rd.str()
 
 	st.DetectRuns = int(rd.i64())
 	st.Edits = int(rd.i64())
 	st.Memo = rd.u8()
-
-	if rd.u8() != 0 {
-		st.Inc = rd.incState()
-	}
+	rd.incState(&st.Inc)
 	if rd.err != nil {
 		return nil, rd.err
 	}
@@ -194,23 +189,17 @@ func (w *writer) incState(inc *core.IncrementalState) {
 	}
 	w.i32s(inc.HierPlacementCell)
 	w.i32s(inc.HierFeatureInstance)
-	w.i32s(inc.FeatUID)
-	w.i32(inc.NextUID)
-	w.i32(inc.NextOvUID)
-	w.u32(uint32(len(inc.Pairs)))
-	for _, p := range inc.Pairs {
-		w.i32(p.UIDA)
-		w.i32(p.UIDB)
-		w.u8(p.SideA)
-		w.u8(p.SideB)
-		w.i64(p.Deficit)
-		w.i32(p.UID)
-	}
-	w.i32s(inc.DirtyUIDs)
-	w.i32s(inc.DeletedUIDs)
 
 	w.bool(inc.HasPrev)
 	if inc.HasPrev {
+		w.u32(uint32(len(inc.Pairs)))
+		for _, p := range inc.Pairs {
+			w.i32(p.FeatA)
+			w.u8(p.SideA)
+			w.i32(p.FeatB)
+			w.u8(p.SideB)
+			w.i64(p.Deficit)
+		}
 		w.u32(uint32(len(inc.CrossPairs)))
 		for _, p := range inc.CrossPairs {
 			w.i32(p[0])
@@ -237,10 +226,10 @@ func (w *writer) incState(inc *core.IncrementalState) {
 	w.bool(inc.DRCReady)
 	w.u32(uint32(len(inc.DRCPairs)))
 	for _, p := range inc.DRCPairs {
-		w.u64(p)
+		w.i32(p[0])
+		w.i32(p[1])
 	}
-	w.i32s(inc.DRCDirtyUIDs)
-	w.i32s(inc.DRCDelUIDs)
+	w.i32s(inc.DRCDirty)
 	w.incStats(inc.Stats)
 }
 
@@ -371,8 +360,7 @@ func (r *reader) i32s() []int32 {
 	return out
 }
 
-func (r *reader) incState() *core.IncrementalState {
-	inc := &core.IncrementalState{}
+func (r *reader) incState(inc *core.IncrementalState) {
 	inc.LayoutName = r.str()
 	nf := r.sliceLen(6 * 8)
 	inc.Features = sliceCap[layout.Feature](nf)
@@ -393,26 +381,20 @@ func (r *reader) incState() *core.IncrementalState {
 	}
 	inc.HierPlacementCell = r.i32s()
 	inc.HierFeatureInstance = r.i32s()
-	inc.FeatUID = r.i32s()
-	inc.NextUID = r.i32()
-	inc.NextOvUID = r.i32()
-	np := r.sliceLen(4 + 4 + 1 + 1 + 8 + 4)
-	inc.Pairs = sliceCap[core.PairRecState](np)
-	for i := 0; i < np; i++ {
-		var p core.PairRecState
-		p.UIDA = r.i32()
-		p.UIDB = r.i32()
-		p.SideA = r.u8()
-		p.SideB = r.u8()
-		p.Deficit = r.i64()
-		p.UID = r.i32()
-		inc.Pairs = append(inc.Pairs, p)
-	}
-	inc.DirtyUIDs = r.i32s()
-	inc.DeletedUIDs = r.i32s()
 
 	inc.HasPrev = r.bool()
 	if inc.HasPrev {
+		np := r.sliceLen(4 + 1 + 4 + 1 + 8)
+		inc.Pairs = sliceCap[core.PairState](np)
+		for i := 0; i < np; i++ {
+			var p core.PairState
+			p.FeatA = r.i32()
+			p.SideA = r.u8()
+			p.FeatB = r.i32()
+			p.SideB = r.u8()
+			p.Deficit = r.i64()
+			inc.Pairs = append(inc.Pairs, p)
+		}
 		nc := r.sliceLen(8)
 		inc.CrossPairs = sliceCap[[2]int32](nc)
 		for i := 0; i < nc; i++ {
@@ -442,14 +424,12 @@ func (r *reader) incState() *core.IncrementalState {
 
 	inc.DRCReady = r.bool()
 	ndp := r.sliceLen(8)
-	inc.DRCPairs = sliceCap[uint64](ndp)
+	inc.DRCPairs = sliceCap[[2]int32](ndp)
 	for i := 0; i < ndp; i++ {
-		inc.DRCPairs = append(inc.DRCPairs, r.u64())
+		inc.DRCPairs = append(inc.DRCPairs, [2]int32{r.i32(), r.i32()})
 	}
-	inc.DRCDirtyUIDs = r.i32s()
-	inc.DRCDelUIDs = r.i32s()
+	inc.DRCDirty = r.i32s()
 	inc.Stats = r.incStats()
-	return inc
 }
 
 func (r *reader) detStats() core.Stats {

@@ -26,23 +26,21 @@ func sampleState(withPrev bool) *SessionState {
 		DetectRuns: 7,
 		Edits:      3,
 		Memo:       MemoDetect | MemoAssign | MemoDRC,
-		Inc: &core.IncrementalState{
+		Inc: core.IncrementalState{
 			LayoutName: "snap-π", // non-ASCII name round-trips
 			Features: []layout.Feature{
 				{Rect: geom.Rect{X0: 0, Y0: 0, X1: 100, Y1: 400}, Layer: 0},
 				{Rect: geom.Rect{X0: 600, Y0: -20, X1: 700, Y1: 380}, Layer: 2},
 			},
-			FeatUID:   []int32{0, 1},
-			NextUID:   2,
-			NextOvUID: 1,
-			Pairs:     []core.PairRecState{{UIDA: 0, UIDB: 1, SideA: 1, SideB: 0, Deficit: 40, UID: 0}},
-			DRCReady:  true,
-			DRCPairs:  []uint64{1<<32 | 3, 2<<32 | 7},
-			Stats:     core.IncStats{Edits: 3, Detects: 4, ShardsReused: 9, DRCPairsReused: 5, DRCPairsSolved: 2},
+			DRCReady: true,
+			DRCPairs: [][2]int32{{1, 3}, {2, 7}},
+			DRCDirty: []int32{1},
+			Stats:    core.IncStats{Edits: 3, Detects: 4, ShardsReused: 9, DRCPairsReused: 5, DRCPairsSolved: 2},
 		},
 	}
 	if withPrev {
 		st.Inc.HasPrev = true
+		st.Inc.Pairs = []core.PairState{{FeatA: 0, SideA: 1, FeatB: 1, SideB: 0, Deficit: 40}}
 		st.Inc.CrossPairs = [][2]int32{{0, 2}, {1, 3}}
 		st.Inc.NShards = 2
 		st.Inc.Shards = []*core.ShardState{
@@ -72,17 +70,6 @@ func TestCodecRoundTrip(t *testing.T) {
 	}
 }
 
-func TestCodecNilInc(t *testing.T) {
-	st := &SessionState{Rules: layout.Default90nm()}
-	got, err := Decode(Encode(st))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(st, got) {
-		t.Fatalf("round trip diverged: %+v vs %+v", st, got)
-	}
-}
-
 // reseal recomputes the trailing checksum after tampering with the payload,
 // so decode failures exercise the structural validation, not just the CRC.
 func reseal(data []byte) []byte {
@@ -108,11 +95,13 @@ func TestCodecRejectsCorruption(t *testing.T) {
 	}
 
 	// Version skew with a valid checksum must be ErrVersion, so callers can
-	// distinguish "snapshot from a newer build" from damage.
-	skew := append([]byte(nil), data...)
-	binary.LittleEndian.PutUint16(skew[len(snapMagic):], Version+1)
-	if _, err := Decode(reseal(skew)); !errors.Is(err, ErrVersion) {
-		t.Fatalf("version skew: got %v, want ErrVersion", err)
+	// distinguish a snapshot from an older or newer build from damage.
+	for _, v := range []uint16{Version - 1, Version + 1} {
+		skew := append([]byte(nil), data...)
+		binary.LittleEndian.PutUint16(skew[len(snapMagic):], v)
+		if _, err := Decode(reseal(skew)); !errors.Is(err, ErrVersion) {
+			t.Fatalf("version %d: got %v, want ErrVersion", v, err)
+		}
 	}
 
 	// Trailing garbage with a resealed checksum is still corrupt.

@@ -1,7 +1,8 @@
 // Package persist is the session persistence subsystem: a versioned,
 // checksummed binary codec for pipeline session snapshots (the layout plus
-// the incremental engine's caches) and a Store interface with memory and disk
-// implementations for the snapshot index. aapsmd uses it to survive restarts: sessions
+// the incremental engine's overlap pairs, crossing pairs, cluster results
+// and DRC cache, all naming features by layout index) and a Store interface
+// with memory and disk implementations for the snapshot index. aapsmd uses it to survive restarts: sessions
 // are snapshotted on eviction and on periodic/drain-time flushes, and a
 // restarted replica rehydrates a session from its snapshot instead of
 // re-detecting from scratch.
@@ -52,5 +53,5 @@ type SessionState struct {
 	// bits).
 	Memo uint8
 
-	Inc *core.IncrementalState
+	Inc core.IncrementalState
 }

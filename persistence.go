@@ -43,7 +43,7 @@ func (s *Session) Snapshot() ([]byte, error) {
 		Profile:    s.engine.profile,
 		DetectRuns: s.detectRuns,
 		Edits:      s.edits,
-		Inc:        inc.ExportState(),
+		Inc:        *inc.ExportState(),
 	}
 	st.Opt.Workers = 0 // parallelism never affects results
 	if s.detect.done {
@@ -90,18 +90,19 @@ func (e *Engine) RestoreSessionWithParallelism(ctx context.Context, data []byte,
 	if err != nil {
 		return nil, flowErr(StagePersist, "", err)
 	}
-	if st.Inc == nil {
-		return nil, flowErr(StagePersist, "", fmt.Errorf("%w: snapshot carries no engine state", persist.ErrCorrupt))
-	}
 	opt := e.opts.coreOptions()
 	opt.Workers = 0
 	if st.Rules != e.rules || st.Kind != e.opts.Graph || st.Opt != opt || st.Profile != e.profile {
 		return nil, flowErr(StagePersist, "", fmt.Errorf("%w (snapshot: rules=%+v kind=%d opt=%+v profile=%q; engine: rules=%+v kind=%d opt=%+v profile=%q)",
 			ErrSnapshotMismatch, st.Rules, st.Kind, st.Opt, st.Profile, e.rules, e.opts.Graph, opt, e.profile))
 	}
-	inc, err := core.RestoreIncremental(st.Inc, e.rules, e.opts.Graph, e.opts.coreOptions())
+	inc, err := core.RestoreIncremental(ctx, &st.Inc, e.rules, e.opts.Graph, e.opts.coreOptions())
 	if err != nil {
-		return nil, err
+		// A cancelled rebuild says nothing about the snapshot.
+		if !isContextErr(err) {
+			err = fmt.Errorf("%w: %w", persist.ErrCorrupt, err)
+		}
+		return nil, flowErr(StagePersist, "", err)
 	}
 	s := &Session{engine: e, layout: inc.Layout(), inc: inc}
 	if n > 0 {

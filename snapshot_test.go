@@ -8,6 +8,7 @@ import (
 	"maps"
 	"math/rand"
 	"reflect"
+	"runtime"
 	"slices"
 	"testing"
 
@@ -190,6 +191,18 @@ func runSnapshotScript(t *testing.T, seed int64, workers int) {
 		assertSessionsIdentical(t, ctx, label, s, r)
 	}
 
+	// Second generation: the restored session's engine numbers its features
+	// afresh, and a snapshot of it must restore just as faithfully.
+	gen2, err := r.Snapshot()
+	if err != nil {
+		t.Fatalf("seed %d: second-generation snapshot: %v", seed, err)
+	}
+	r3, err := restartEng.RestoreSessionWithParallelism(ctx, gen2, workers)
+	if err != nil {
+		t.Fatalf("seed %d: second-generation restore: %v", seed, err)
+	}
+	assertSessionsIdentical(t, ctx, fmt.Sprintf("seed %d second generation", seed), s, r3)
+
 	// Snapshot with uncommitted edits (the degraded path: the pre-edit
 	// caches describe geometry that no longer exists, so the restored
 	// session re-detects from scratch — but must land on identical results).
@@ -202,6 +215,17 @@ func runSnapshotScript(t *testing.T, seed int64, workers int) {
 	r2, err := restartEng.RestoreSessionWithParallelism(ctx, dirty, workers)
 	if err != nil {
 		t.Fatalf("seed %d: dirty restore: %v", seed, err)
+	}
+	// The DRC cache survives the degraded export: the restored session's
+	// next DRC reuses and re-probes exactly the pairs the live one does.
+	ls0, rs0 := s.Stats().Incremental, r2.Stats().Incremental
+	if lv, rv := s.DRC(), r2.DRC(); !slices.Equal(lv, rv) {
+		t.Fatalf("seed %d dirty: DRC diverged:\n live %v\n rest %v", seed, lv, rv)
+	}
+	ls1, rs1 := s.Stats().Incremental, r2.Stats().Incremental
+	if ls1.DRCPairsReused-ls0.DRCPairsReused != rs1.DRCPairsReused-rs0.DRCPairsReused ||
+		ls1.DRCPairsSolved-ls0.DRCPairsSolved != rs1.DRCPairsSolved-rs0.DRCPairsSolved {
+		t.Fatalf("seed %d dirty: DRC reuse diverged: live %+v -> %+v, restored %+v -> %+v", seed, ls0, ls1, rs0, rs1)
 	}
 	assertSamePipeline(t, fmt.Sprintf("seed %d dirty", seed), ctx, r2, referenceOf(ctx, s))
 }
@@ -306,5 +330,85 @@ func TestRestoreRejectsCorruptSnapshot(t *testing.T) {
 	flipped[len(flipped)/2] ^= 0x40
 	if _, err := eng.RestoreSession(ctx, flipped); !errors.Is(err, persist.ErrCorrupt) {
 		t.Errorf("bit flip: got %v, want ErrCorrupt", err)
+	}
+}
+
+// TestRestoreRejectsInconsistentSnapshot: a snapshot that passes its checksum
+// but names a feature, edge or cluster its own layout does not have restores
+// to a StagePersist *FlowError matching persist.ErrCorrupt — never a panic,
+// a bare error or a half-restored session — and the rejection allocates no
+// more than a few clean restores would.
+func TestRestoreRejectsInconsistentSnapshot(t *testing.T) {
+	ctx := context.Background()
+	rules := Default90nmRules()
+	d1 := BenchmarkSuite()[0]
+	l := GenerateBenchmark(d1.Name, d1.Params)
+	// A wide feature away from the cells: in the layout, flanked by no
+	// shifter, so no overlap pair may name it.
+	wide := l.Add(R(-20_000, -20_000, -20_000+4*rules.CriticalWidth, -18_000))
+	if rules.IsCritical(l.Features[wide]) {
+		t.Fatal("fixture feature is critical")
+	}
+	eng := NewEngine()
+	s := eng.NewSession(l)
+	if _, err := s.Detect(ctx); err != nil {
+		t.Fatal(err)
+	}
+	s.DRC()
+	data, err := s.Snapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	restore := func(data []byte) (allocated uint64, err error) {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		_, err = eng.RestoreSession(ctx, data)
+		runtime.ReadMemStats(&after)
+		return after.TotalAlloc - before.TotalAlloc, err
+	}
+	clean, err := restore(data)
+	if err != nil {
+		t.Fatalf("clean restore: %v", err)
+	}
+
+	base, err := persist.Decode(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	nf := int32(len(base.Inc.Features))
+	shard := slices.IndexFunc(base.Inc.Shards, func(sh *core.ShardState) bool { return sh != nil && len(sh.Final) > 0 })
+	if len(base.Inc.Pairs) == 0 || len(base.Inc.CrossPairs) == 0 || shard < 0 {
+		t.Fatalf("fixture lacks pairs, crossings or conflicts: %d pairs, %d crossings, shard %d",
+			len(base.Inc.Pairs), len(base.Inc.CrossPairs), shard)
+	}
+	for _, tc := range []struct {
+		name   string
+		mutate func(st *core.IncrementalState)
+	}{
+		{"pair feature past the end", func(st *core.IncrementalState) { st.Pairs[0].FeatB = nf }},
+		{"pair feature negative", func(st *core.IncrementalState) { st.Pairs[0].FeatA = -1 }},
+		{"pair non-critical feature", func(st *core.IncrementalState) { st.Pairs[0].FeatA = int32(wide) }},
+		{"crossing pair outside the graph", func(st *core.IncrementalState) { st.CrossPairs[0][1] = 1 << 30 }},
+		{"one cluster too many", func(st *core.IncrementalState) { st.NShards++ }},
+		{"one cluster too few", func(st *core.IncrementalState) { st.NShards-- }},
+		{"cluster-local edge out of range", func(st *core.IncrementalState) { st.Shards[shard].Final[0] = 1 << 20 }},
+		{"drc pair out of range", func(st *core.IncrementalState) { st.DRCPairs = append(st.DRCPairs, [2]int32{0, nf}) }},
+		{"drc dirty mark out of range", func(st *core.IncrementalState) { st.DRCDirty = append(st.DRCDirty, nf) }},
+		{"hierarchy length mismatch", func(st *core.IncrementalState) { st.HierFeatureInstance = make([]int32, nf+1) }},
+	} {
+		st, err := persist.Decode(data)
+		if err != nil {
+			t.Fatal(err)
+		}
+		tc.mutate(&st.Inc)
+		allocated, err := restore(persist.Encode(st))
+		var fe *FlowError
+		if !errors.As(err, &fe) || fe.Stage != StagePersist || !errors.Is(err, persist.ErrCorrupt) {
+			t.Errorf("%s: got %v, want a %s FlowError matching persist.ErrCorrupt", tc.name, err, StagePersist)
+		}
+		if allocated > 4*clean {
+			t.Errorf("%s: rejection allocated %d bytes, clean restore %d", tc.name, allocated, clean)
+		}
 	}
 }
