@@ -16,7 +16,6 @@ package compact
 
 import (
 	"fmt"
-	"sort"
 
 	"repro/internal/core"
 	"repro/internal/geom"
@@ -260,12 +259,5 @@ func expandAxis(l *layout.Layout, rules layout.Rules, reqs []Requirement, axis A
 			l.Features[i].Rect = l.Features[i].Rect.Translate(geom.Pt(0, d))
 		}
 	}
-	sortStable(l)
 	return moved, nil
 }
-
-// sortStable keeps feature order deterministic after moves (indices are
-// meaningful to callers, so this is a no-op placeholder kept for clarity).
-func sortStable(*layout.Layout) {}
-
-var _ = sort.Ints // reserved for future deterministic ordering needs

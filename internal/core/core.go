@@ -68,7 +68,8 @@ type EdgeMeta struct {
 }
 
 // ConflictGraph is a drawn layout graph whose bipartiteness is equivalent to
-// phase-assignability (Theorem 1).
+// phase-assignability (Theorem 1). Shifter i of Set is graph node i; the
+// overlap (aux) nodes follow, one per Set.Overlaps entry.
 type ConflictGraph struct {
 	Kind    GraphKind
 	Drawing *planar.Drawing
@@ -76,8 +77,6 @@ type ConflictGraph struct {
 	Rules   layout.Rules
 	// Meta is indexed like Drawing.G.Edges().
 	Meta []EdgeMeta
-	// ShifterNode maps shifter index -> graph node.
-	ShifterNode []int
 	// AuxNodes counts overlap/conflict nodes (nodes beyond the shifters).
 	AuxNodes int
 	// BendNodes counts drawing-only bend points (FG feature detours).
@@ -111,12 +110,9 @@ func BuildGraphFromSet(l *layout.Layout, r layout.Rules, set *shifter.Set, kind 
 	reg := newPosRegistry()
 	pos := make([]geom.Point, 0, len(set.Shifters)*2)
 
-	cg.ShifterNode = make([]int, len(set.Shifters))
-	for i, sh := range set.Shifters {
-		n := g.AddNode()
-		p := reg.claim(sh.Center())
-		pos = append(pos, p)
-		cg.ShifterNode[i] = n
+	for _, sh := range set.Shifters {
+		g.AddNode()
+		pos = append(pos, reg.claim(sh.Center()))
 	}
 
 	// Condition-2 constraints: overlap node + two edges per overlapping
@@ -126,7 +122,7 @@ func BuildGraphFromSet(l *layout.Layout, r layout.Rules, set *shifter.Set, kind 
 		if kind == PCG {
 			// Paper §3.1.1: "place it at the center of the line connecting"
 			// the two edge shifter nodes — collinear, crossing-minimal.
-			q = geom.Seg(pos[cg.ShifterNode[ov.A]], pos[cg.ShifterNode[ov.B]]).Midpoint()
+			q = geom.Seg(pos[ov.A], pos[ov.B]).Midpoint()
 		} else {
 			// FG detour: geometric center of the overlap region.
 			q = overlapRegionCenter(set.Shifters[ov.A].Rect, set.Shifters[ov.B].Rect, r)
@@ -135,23 +131,20 @@ func BuildGraphFromSet(l *layout.Layout, r layout.Rules, set *shifter.Set, kind 
 		pos = append(pos, reg.claim(q))
 		cg.AuxNodes++
 		w := ov.Deficit
-		g.AddEdge(cg.ShifterNode[ov.A], n, w)
+		g.AddEdge(ov.A, n, w)
 		cg.Meta = append(cg.Meta, EdgeMeta{Kind: OverlapEdge, S1: ov.A, S2: ov.B, Overlap: oi, Feature: -1})
-		g.AddEdge(n, cg.ShifterNode[ov.B], w)
+		g.AddEdge(n, ov.B, w)
 		cg.Meta = append(cg.Meta, EdgeMeta{Kind: OverlapEdge, S1: ov.A, S2: ov.B, Overlap: oi, Feature: -1})
 	}
 
 	d := planar.NewDrawing(g, pos)
 
 	// Condition-1 constraints: one edge per critical feature between its
-	// flanks; FG routes it through the feature center.
-	for fi := 0; fi < len(l.Features); fi++ {
-		pair, ok := set.PairOf[fi]
-		if !ok {
-			continue
-		}
-		e := g.AddEdge(cg.ShifterNode[pair[0]], cg.ShifterNode[pair[1]], r.FeatureConflictWeight)
-		cg.Meta = append(cg.Meta, EdgeMeta{Kind: FeatureEdge, S1: pair[0], S2: pair[1], Feature: fi, Overlap: -1})
+	// flanks, in feature order; FG routes it through the feature center.
+	for k := 0; k+1 < len(set.Shifters); k += 2 {
+		fi := set.Shifters[k].Feature
+		e := g.AddEdge(k, k+1, r.FeatureConflictWeight)
+		cg.Meta = append(cg.Meta, EdgeMeta{Kind: FeatureEdge, S1: k, S2: k + 1, Feature: fi, Overlap: -1})
 		if kind == FG {
 			d.SetBends(e, l.Features[fi].Rect.Center())
 			cg.BendNodes++

@@ -64,10 +64,10 @@ func TestChainOfWiresAssignable(t *testing.T) {
 		t.Fatalf("violations: %v", v)
 	}
 	// Adjacent wires' facing shifters must carry equal phases, flanks of
-	// one wire opposite phases.
+	// one wire opposite phases. All four wires are critical, so wire f's
+	// flanks sit in slots 2f and 2f+1.
 	for f := 0; f < 4; f++ {
-		p := cg.Set.PairOf[f]
-		if a.Phases[p[0]] == a.Phases[p[1]] {
+		if a.Phases[2*f] == a.Phases[2*f+1] {
 			t.Errorf("feature %d flanks share phase", f)
 		}
 	}
@@ -220,8 +220,8 @@ func bruteAssignable(cg *ConflictGraph) bool {
 	}
 	for mask := 0; mask < 1<<n; mask++ {
 		ok := true
-		for _, pair := range cg.Set.PairOf {
-			if (mask>>pair[0])&1 == (mask>>pair[1])&1 {
+		for k := 0; k < n; k += 2 {
+			if (mask>>k)&1 == (mask>>(k+1))&1 {
 				ok = false
 				break
 			}

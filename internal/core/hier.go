@@ -47,19 +47,19 @@ func hierDedupPlan(cg *ConflictGraph, labels []int, nShards int, jobs []shardJob
 		return nil
 	}
 	// Fold each feature's placement tag into its cluster, over the shifters
-	// in index order (both flanks of a feature share its feature edge, hence
-	// its cluster): -2 = no features seen yet, -1 = mixed instances or
-	// top-level geometry, >= 0 = every feature so far belongs to that one
-	// placement. placed records whether any feature of the cluster carries a
-	// placement tag, which separates a genuine instance-boundary fallback
-	// from purely top-level geometry.
+	// in index order (shifter i is graph node i; both flanks of a feature
+	// share its feature edge, hence its cluster): -2 = no features seen
+	// yet, -1 = mixed instances or top-level geometry, >= 0 = every feature
+	// so far belongs to that one placement. placed records whether any
+	// feature of the cluster carries a placement tag, which separates a
+	// genuine instance-boundary fallback from purely top-level geometry.
 	inst := make([]int32, nShards)
 	for c := range inst {
 		inst[c] = -2
 	}
 	placed := make([]bool, nShards)
 	for i, sh := range cg.Set.Shifters {
-		c := labels[cg.ShifterNode[i]]
+		c := labels[i]
 		tag := int32(-1)
 		if sh.Feature < len(h.FeatureInstance) {
 			tag = h.FeatureInstance[sh.Feature]

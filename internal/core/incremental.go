@@ -1,8 +1,10 @@
 package core
 
 import (
+	"cmp"
 	"context"
 	"fmt"
+	"slices"
 	"sort"
 	"time"
 
@@ -18,14 +20,16 @@ import (
 //
 // Exactness is the design invariant: an Incremental Detect returns a
 // Detection bit-identical to BuildGraph + DetectContext on the current
-// layout. It achieves that by tracking stable identities for features and
-// shifter-overlap pairs, patching the overlap set and the crossing-pair set
-// from the geometric neighborhood of each edit (a persistent geom.Grid over
-// feature rectangles prunes the candidates), and re-running the expensive
-// planarize → bipartize → recheck pipeline only on conflict clusters that
-// contain a changed edge or inherit taint from a changed previous cluster.
-// Clean clusters keep their previous shard results, which are re-merged
-// through freshly computed edge index maps.
+// layout. It achieves that with one identity space: every feature has a
+// stable uid, and every conflict-graph edge is named by the features it
+// constrains (edgeKey), so an edge survives an edit exactly when none of its
+// features was edited. The engine patches the overlap set and the
+// crossing-pair set from the geometric neighborhood of each edit (a
+// persistent geom.Grid over feature rectangles prunes the candidates), and
+// re-runs the expensive planarize → bipartize → recheck pipeline only on
+// conflict clusters that contain a changed edge or inherit taint from a
+// changed previous cluster. Clean clusters keep their previous shard
+// results, which are re-merged through freshly computed edge index maps.
 //
 // There is one detection routine: DetectContext, an engine's first Detect,
 // every re-detect and a restore all run the same cluster partition, solve
@@ -50,8 +54,7 @@ type Incremental struct {
 
 	grid *geom.Grid // live feature rectangles, keyed by feature uid
 
-	pairs     []pairRec // live overlap-pair records, unordered
-	nextOvUID int32
+	pairs []pairRec // live overlap-pair records, unordered
 
 	// Pending edit effects since the last successful Detect.
 	dirty   map[int32]bool // uids of features whose constraints must be recomputed
@@ -72,36 +75,31 @@ type Incremental struct {
 	stats IncStats
 }
 
-// pairRec is the stable identity of one shifter-overlap constraint: the two
-// flanking shifters are named by (feature uid, side), so the record survives
-// any renumbering of untouched features.
+// pairRec is one shifter-overlap constraint: the two flanking shifters are
+// named by (feature uid, side), so the record survives any renumbering of
+// untouched features.
 type pairRec struct {
 	uidA, uidB   int32
 	sideA, sideB shifter.Side
 	deficit      int64
-	uid          int32 // stable pair-instance uid
+}
+
+// edgeKey names a conflict-graph edge by the features it constrains. An
+// overlap edge carries its two shifters' (feature uid, side), lower uid
+// first, and its half (0 or 1); a feature edge carries its feature uid in
+// uidA and -1 in uidB.
+type edgeKey struct {
+	uidA, uidB   int32
+	sideA, sideB shifter.Side
+	half         int8
 }
 
 // incSnapshot captures everything a later Detect needs to decide reuse.
 type incSnapshot struct {
 	clusterRun
 	det      *Detection
-	nodeKeys []int64 // stable identity per graph node
-	edgeKeys []int64 // stable identity per graph edge
+	edgeKeys []edgeKey // identity per graph edge
 }
-
-// Identity-key tags (low 2 bits): 0/1 carry a shifter side or an overlap
-// edge half, 2 marks overlap (aux) nodes, 3 marks feature edges. The high
-// bits carry the feature or pair uid; the two uid spaces never meet under
-// the same tag, so keys are collision-free.
-func shifterNodeKey(featUID int32, side shifter.Side) int64 {
-	return int64(featUID)<<2 | int64(side)
-}
-func auxNodeKey(ovUID int32) int64 { return int64(ovUID)<<2 | 2 }
-func overlapEdgeKey(ovUID int32, half int) int64 {
-	return int64(ovUID)<<2 | int64(half)
-}
-func featureEdgeKey(featUID int32) int64 { return int64(featUID)<<2 | 3 }
 
 // IncStats reports the cumulative work profile of an Incremental engine.
 // The JSON tags are the wire form served by aapsmd's session-info endpoint.
@@ -293,7 +291,7 @@ func (inc *Incremental) DeleteFeature(i int) error {
 // Detect re-runs the detection flow on the current layout, reusing every
 // cluster result the pending edits did not invalidate. It patches the
 // overlap pairs, rebuilds the shifter set and the conflict graph, matches
-// surviving nodes and edges against the previous generation, and hands the
+// surviving edges against the previous generation, and hands the
 // cluster solve and merge to the routine behind DetectContext, so the
 // returned Detection is bit-identical to a from-scratch BuildGraph +
 // DetectContext on the same layout. With no pending edits the previous
@@ -315,16 +313,15 @@ func (inc *Incremental) runDetect(ctx context.Context, seed *IncrementalState) (
 	}
 
 	// --- 1. Patch the overlap-pair records from the edit neighborhood. ---
-	records, set, droppedOv, freshOvMark, err := inc.patchPairs()
+	records, set, err := inc.patchPairs()
 	if err != nil {
 		return nil, err
 	}
 
 	// --- 2. Rebuild the shifter set in from-scratch order (the first run
 	// already holds shifter.Generate's own set). ---
-	ovRecs := records
 	if set == nil {
-		set, ovRecs = inc.buildSet(records)
+		set = inc.buildSet(records)
 	}
 
 	// --- 3. Rebuild the conflict graph (same constructor as from-scratch,
@@ -335,56 +332,17 @@ func (inc *Incremental) runDetect(ctx context.Context, seed *IncrementalState) (
 	}
 	g := cg.Drawing.G
 
-	// --- 4. Stable identities and survivor matching against the previous
-	// generation. ---
-	nodeKeys, edgeKeys := inc.identityKeys(set, ovRecs)
-	isNewEdge := func(key int64) bool {
-		if key&3 == 3 {
-			return inc.dirty[int32(key>>2)]
-		}
-		return int32(key>>2) >= freshOvMark
-	}
-	isDeadEdge := func(key int64) bool {
-		if key&3 == 3 {
-			uid := int32(key >> 2)
-			return inc.dirty[uid] || inc.deleted[uid]
-		}
-		return droppedOv[int32(key>>2)]
-	}
-	isNewNode := func(key int64) bool {
-		if key&3 == 2 {
-			return int32(key>>2) >= freshOvMark
-		}
-		return inc.dirty[int32(key>>2)]
-	}
-	isDeadNode := func(key int64) bool {
-		if key&3 == 2 {
-			return droppedOv[int32(key>>2)]
-		}
-		uid := int32(key >> 2)
-		return inc.dirty[uid] || inc.deleted[uid]
-	}
+	// --- 4. Survivor matching against the previous generation. Edges are
+	// the only identities: an edge named by its features dies when one of
+	// them was edited or deleted and is new when one was edited. ---
+	keys := inc.edgeKeys(set)
+	isDead := func(k edgeKey) bool { return inc.touched(k.uidA) || inc.touched(k.uidB) }
+	isNew := func(k edgeKey) bool { return inc.dirty[k.uidA] || inc.dirty[k.uidB] }
 
 	var oldToNewEdge, newToOldEdge []int
-	var changedNode []bool
 	full := inc.prev == nil
 	if !full {
-		oldToNewEdge, newToOldEdge, err = matchSurvivors(inc.prev.edgeKeys, edgeKeys, isDeadEdge, isNewEdge)
-		if err == nil {
-			var newToOldNode []int
-			_, newToOldNode, err = matchSurvivors(inc.prev.nodeKeys, nodeKeys, isDeadNode, isNewNode)
-			if err == nil {
-				changedNode = make([]bool, g.N())
-				oldPos := inc.prev.det.Graph.Drawing.Pos
-				for nv, ov := range newToOldNode {
-					if ov < 0 {
-						changedNode[nv] = true
-					} else if oldPos[ov] != cg.Drawing.Pos[nv] {
-						changedNode[nv] = true
-					}
-				}
-			}
-		}
+		oldToNewEdge, newToOldEdge, err = matchSurvivors(inc.prev.edgeKeys, keys, isDead, isNew)
 		if err != nil {
 			// A survivor-matching inconsistency means a reuse invariant is
 			// broken; fall back to a full recompute rather than risk a wrong
@@ -412,10 +370,17 @@ func (inc *Incremental) runDetect(ctx context.Context, seed *IncrementalState) (
 		}
 		det, run, err = detect(ctx, cg, cross, cached, inc.opt)
 	} else {
+		// A new edge is dirty, and so is a surviving one whose endpoints
+		// (surviving nodes) moved in the drawing.
+		oldD := inc.prev.det.Graph.Drawing
 		dirtyEdge := make([]bool, g.M())
-		for e := range dirtyEdge {
-			ed := g.Edge(e)
-			dirtyEdge[e] = newToOldEdge[e] < 0 || changedNode[ed.U] || changedNode[ed.V]
+		for e, oe := range newToOldEdge {
+			if oe < 0 {
+				dirtyEdge[e] = true
+				continue
+			}
+			ed, od := g.Edge(e), oldD.G.Edge(oe)
+			dirtyEdge[e] = oldD.Pos[od.U] != cg.Drawing.Pos[ed.U] || oldD.Pos[od.V] != cg.Drawing.Pos[ed.V]
 		}
 		det, run, err = detect(ctx, cg,
 			func() [][2]int { return inc.patchCrossings(cg, dirtyEdge, oldToNewEdge) },
@@ -443,7 +408,7 @@ func (inc *Incremental) runDetect(ctx context.Context, seed *IncrementalState) (
 
 	// --- 6. Commit the new state. ---
 	inc.pairs = records
-	inc.prev = &incSnapshot{clusterRun: *run, det: det, nodeKeys: nodeKeys, edgeKeys: edgeKeys}
+	inc.prev = &incSnapshot{clusterRun: *run, det: det, edgeKeys: keys}
 	inc.dirty = make(map[int32]bool)
 	inc.deleted = make(map[int32]bool)
 	inc.stats.Detects++
@@ -525,18 +490,20 @@ func (inc *Incremental) reusable(edgeCluster []int32, nShards int, dirtyEdge []b
 	return cached
 }
 
+// touched reports whether feature uid was edited or deleted since the last
+// Detect.
+func (inc *Incremental) touched(uid int32) bool { return inc.dirty[uid] || inc.deleted[uid] }
+
 // patchPairs drops every overlap-pair record touching an edited or deleted
 // feature and re-enumerates the pairs of each edited feature against its
 // geometric neighborhood. On the first run it enumerates everything via the
 // same generator the from-scratch flow uses and also returns that generator's
 // set, whose overlaps the records parallel; otherwise set is nil.
-func (inc *Incremental) patchPairs() (records []pairRec, set *shifter.Set, droppedOv map[int32]bool, freshOvMark int32, err error) {
-	droppedOv = make(map[int32]bool)
-	freshOvMark = inc.nextOvUID
+func (inc *Incremental) patchPairs() (records []pairRec, set *shifter.Set, err error) {
 	if inc.prev == nil && len(inc.pairs) == 0 {
 		set, err := shifter.Generate(inc.lay, inc.rules)
 		if err != nil {
-			return nil, nil, nil, 0, err
+			return nil, nil, err
 		}
 		records = make([]pairRec, 0, len(set.Overlaps))
 		for _, ov := range set.Overlaps {
@@ -545,20 +512,16 @@ func (inc *Incremental) patchPairs() (records []pairRec, set *shifter.Set, dropp
 				uidA: inc.featUID[a.Feature], sideA: a.Side,
 				uidB: inc.featUID[b.Feature], sideB: b.Side,
 				deficit: ov.Deficit,
-				uid:     inc.newOvUID(),
 			})
 		}
-		return records, set, droppedOv, freshOvMark, nil
+		return records, set, nil
 	}
 
-	touched := func(uid int32) bool { return inc.dirty[uid] || inc.deleted[uid] }
 	records = make([]pairRec, 0, len(inc.pairs)+8)
 	for _, rec := range inc.pairs {
-		if touched(rec.uidA) || touched(rec.uidB) {
-			droppedOv[rec.uid] = true
-			continue
+		if !inc.touched(rec.uidA) && !inc.touched(rec.uidB) {
+			records = append(records, rec)
 		}
-		records = append(records, rec)
 	}
 
 	// Deterministic processing order: dirty features by current index.
@@ -601,91 +564,48 @@ func (inc *Incremental) patchPairs() (records []pairRec, set *shifter.Set, dropp
 						uidA: fUID, sideA: shifter.Side(sa),
 						uidB: gUID, sideB: shifter.Side(sb),
 						deficit: deficit,
-						uid:     inc.newOvUID(),
 					})
 				}
 			}
 		})
 	}
-	return records, nil, droppedOv, freshOvMark, nil
-}
-
-func (inc *Incremental) newOvUID() int32 {
-	uid := inc.nextOvUID
-	inc.nextOvUID++
-	return uid
+	return records, nil, nil
 }
 
 // buildSet materializes the shifter set of the current layout from the pair
 // records, in exactly the order shifter.Generate produces: shifters by
-// (feature, side), overlaps sorted by (A, B). ovRecs parallels set.Overlaps.
-func (inc *Incremental) buildSet(records []pairRec) (*shifter.Set, []pairRec) {
-	set := &shifter.Set{PairOf: make(map[int][2]int)}
-	base := make([]int32, len(inc.lay.Features))
-	for fi, f := range inc.lay.Features {
-		base[fi] = -1
-		if !inc.rules.IsCritical(f) {
-			continue
-		}
-		lo, hi := shifter.Flanks(f, inc.rules)
-		a := len(set.Shifters)
-		set.Shifters = append(set.Shifters,
-			shifter.Shifter{Rect: lo, Feature: fi, Side: shifter.LowSide},
-			shifter.Shifter{Rect: hi, Feature: fi, Side: shifter.HighSide},
-		)
-		set.PairOf[fi] = [2]int{a, a + 1}
-		base[fi] = int32(a)
-	}
-	type ovTmp struct {
-		ov  shifter.Overlap
-		rec pairRec
-	}
-	tmp := make([]ovTmp, 0, len(records))
-	for _, rec := range records {
+// (feature, side), overlaps sorted by (A, B).
+func (inc *Incremental) buildSet(records []pairRec) *shifter.Set {
+	set, base := shifter.Synthesize(inc.lay, inc.rules)
+	set.Overlaps = make([]shifter.Overlap, len(records))
+	for i, rec := range records {
 		a := int(base[inc.featOf[rec.uidA]]) + int(rec.sideA)
 		b := int(base[inc.featOf[rec.uidB]]) + int(rec.sideB)
-		if a > b {
-			a, b = b, a
-		}
-		tmp = append(tmp, ovTmp{shifter.Overlap{A: a, B: b, Deficit: rec.deficit}, rec})
+		set.Overlaps[i] = shifter.Overlap{A: min(a, b), B: max(a, b), Deficit: rec.deficit}
 	}
-	sort.Slice(tmp, func(i, j int) bool {
-		if tmp[i].ov.A != tmp[j].ov.A {
-			return tmp[i].ov.A < tmp[j].ov.A
-		}
-		return tmp[i].ov.B < tmp[j].ov.B
+	slices.SortFunc(set.Overlaps, func(p, q shifter.Overlap) int {
+		return cmp.Or(cmp.Compare(p.A, q.A), cmp.Compare(p.B, q.B))
 	})
-	ovRecs := make([]pairRec, len(tmp))
-	set.Overlaps = make([]shifter.Overlap, len(tmp))
-	for i, t := range tmp {
-		set.Overlaps[i] = t.ov
-		ovRecs[i] = t.rec
-	}
-	return set, ovRecs
+	return set
 }
 
-// identityKeys computes the stable node and edge identity keys of the graph
-// BuildGraphFromSet constructs from this set: shifter nodes, then one aux
-// node per overlap; overlap edges (two per overlap, in overlap order), then
-// one feature edge per critical feature in feature order.
-func (inc *Incremental) identityKeys(set *shifter.Set, ovRecs []pairRec) (nodeKeys, edgeKeys []int64) {
-	nodeKeys = make([]int64, 0, len(set.Shifters)+len(set.Overlaps))
-	for _, sh := range set.Shifters {
-		nodeKeys = append(nodeKeys, shifterNodeKey(inc.featUID[sh.Feature], sh.Side))
+// edgeKeys names the edges of the graph BuildGraphFromSet constructs from
+// this set, in edge order: two per overlap, in overlap order, then one
+// feature edge per flanked feature, in feature order. Slots, and so uids,
+// ascend with feature index, so an overlap's A shifter has the lower uid.
+func (inc *Incremental) edgeKeys(set *shifter.Set) []edgeKey {
+	keys := make([]edgeKey, 0, 2*len(set.Overlaps)+len(set.Shifters)/2)
+	for _, ov := range set.Overlaps {
+		a, b := set.Shifters[ov.A], set.Shifters[ov.B]
+		k := edgeKey{uidA: inc.featUID[a.Feature], sideA: a.Side, uidB: inc.featUID[b.Feature], sideB: b.Side}
+		keys = append(keys, k)
+		k.half = 1
+		keys = append(keys, k)
 	}
-	for _, rec := range ovRecs {
-		nodeKeys = append(nodeKeys, auxNodeKey(rec.uid))
+	for k := 0; k < len(set.Shifters); k += 2 {
+		keys = append(keys, edgeKey{uidA: inc.featUID[set.Shifters[k].Feature], uidB: -1})
 	}
-	edgeKeys = make([]int64, 0, 2*len(set.Overlaps)+len(set.PairOf))
-	for _, rec := range ovRecs {
-		edgeKeys = append(edgeKeys, overlapEdgeKey(rec.uid, 0), overlapEdgeKey(rec.uid, 1))
-	}
-	for fi := range inc.lay.Features {
-		if _, ok := set.PairOf[fi]; ok {
-			edgeKeys = append(edgeKeys, featureEdgeKey(inc.featUID[fi]))
-		}
-	}
-	return nodeKeys, edgeKeys
+	return keys
 }
 
 // matchSurvivors aligns two identity-key sequences whose surviving elements
@@ -693,7 +613,7 @@ func (inc *Incremental) identityKeys(set *shifter.Set, ovRecs []pairRec) (nodeKe
 // elements for which isNew holds are unmatched; the remainders must zip
 // one-to-one with equal keys. It returns oldToNew and newToOld index maps
 // (-1 where unmatched) or an error when the zip invariant fails.
-func matchSurvivors(oldKeys, newKeys []int64, isDead, isNew func(int64) bool) (oldToNew, newToOld []int, err error) {
+func matchSurvivors(oldKeys, newKeys []edgeKey, isDead, isNew func(edgeKey) bool) (oldToNew, newToOld []int, err error) {
 	oldToNew = make([]int, len(oldKeys))
 	newToOld = make([]int, len(newKeys))
 	for i := range oldToNew {

@@ -96,56 +96,63 @@ func TestDetectEntryPointsAgree(t *testing.T) {
 	}
 }
 
+// mixedEditSteps drives an Incremental through seeded add, move and delete
+// edits that add and resize features across the critical-width threshold,
+// so non-critical features sit between the flanked ones, and hands visit
+// the detection after each of its eight steps.
+func mixedEditSteps(t *testing.T, seed int64, visit func(tag string, inc *Incremental, det *Detection)) {
+	t.Helper()
+	rng := rand.New(rand.NewSource(seed))
+	d := shardGrid()[seed%2]
+	l := bench.Generate(d.Name, d.Params)
+	// A wide, non-critical feature in the middle of the feature order.
+	l.Features = slices.Insert(l.Features, len(l.Features)/2, layout.Feature{Rect: geom.R(0, -5000, 400, -3000)})
+	inc, err := NewIncremental(l, rules(), PCG, Options{Workers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	randRect := func() geom.Rect {
+		x, y := rng.Int63n(20000), rng.Int63n(4000)
+		w, n := 80+rng.Int63n(200), 300+rng.Int63n(1500) // critical below 150
+		if rng.Intn(2) == 0 {
+			return geom.R(x, y, x+w, y+n)
+		}
+		return geom.R(x, y, x+n, y+w)
+	}
+	for step := 0; step < 8; step++ {
+		for op := 0; op < 1+rng.Intn(4); op++ {
+			nf := len(inc.Layout().Features)
+			switch k := rng.Intn(3); {
+			case k == 0 || nf < 2:
+				inc.AddFeature(randRect(), 0)
+			case k == 1:
+				if err := inc.MoveFeature(rng.Intn(nf), randRect()); err != nil {
+					t.Fatal(err)
+				}
+			default:
+				if err := inc.DeleteFeature(rng.Intn(nf)); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		det, err := inc.Detect(context.Background())
+		if err != nil {
+			t.Fatalf("seed %d step %d: %v", seed, step, err)
+		}
+		visit(fmt.Sprintf("seed %d step %d", seed, step), inc, det)
+	}
+}
+
 // TestIncrementalSetPairLayout: the shifter set an Incremental rebuilds after
 // seeded add, move and delete edits keeps the pair layout Assignment.Verify
 // and mask.Validate walk — Shifters[2k] and Shifters[2k+1] are the LowSide
-// and HighSide flanks of one feature, features ascend, and the pair is
-// PairOf[feature] — and matches shifter.Generate on the edited layout. Edits
-// add and resize features across the critical-width threshold, so
-// non-critical features sit between the flanked ones.
+// and HighSide flanks of one critical feature, and features ascend — and
+// matches shifter.Generate on the edited layout.
 func TestIncrementalSetPairLayout(t *testing.T) {
-	ctx := context.Background()
 	r := rules()
 	for seed := int64(0); seed < 6; seed++ {
-		rng := rand.New(rand.NewSource(seed))
-		d := shardGrid()[seed%2]
-		l := bench.Generate(d.Name, d.Params)
-		// A wide, non-critical feature in the middle of the feature order.
-		l.Features = slices.Insert(l.Features, len(l.Features)/2, layout.Feature{Rect: geom.R(0, -5000, 400, -3000)})
-		inc, err := NewIncremental(l, r, PCG, Options{Workers: 1})
-		if err != nil {
-			t.Fatal(err)
-		}
-		randRect := func() geom.Rect {
-			x, y := rng.Int63n(20000), rng.Int63n(4000)
-			w, n := 80+rng.Int63n(200), 300+rng.Int63n(1500) // critical below 150
-			if rng.Intn(2) == 0 {
-				return geom.R(x, y, x+w, y+n)
-			}
-			return geom.R(x, y, x+n, y+w)
-		}
 		mixed := 0 // steps whose layout holds a non-critical feature
-		for step := 0; step < 8; step++ {
-			for op := 0; op < 1+rng.Intn(4); op++ {
-				nf := len(inc.Layout().Features)
-				switch k := rng.Intn(3); {
-				case k == 0 || nf < 2:
-					inc.AddFeature(randRect(), 0)
-				case k == 1:
-					if err := inc.MoveFeature(rng.Intn(nf), randRect()); err != nil {
-						t.Fatal(err)
-					}
-				default:
-					if err := inc.DeleteFeature(rng.Intn(nf)); err != nil {
-						t.Fatal(err)
-					}
-				}
-			}
-			det, err := inc.Detect(ctx)
-			if err != nil {
-				t.Fatalf("seed %d step %d: %v", seed, step, err)
-			}
-			tag := fmt.Sprintf("seed %d step %d", seed, step)
+		mixedEditSteps(t, seed, func(tag string, inc *Incremental, det *Detection) {
 			set := det.Graph.Set
 			prev, critical := -1, 0
 			for _, f := range inc.Layout().Features {
@@ -153,8 +160,8 @@ func TestIncrementalSetPairLayout(t *testing.T) {
 					critical++
 				}
 			}
-			if len(set.Shifters) != 2*critical || len(set.PairOf) != critical {
-				t.Fatalf("%s: %d shifters, %d pairs for %d critical features", tag, len(set.Shifters), len(set.PairOf), critical)
+			if len(set.Shifters) != 2*critical {
+				t.Fatalf("%s: %d shifters for %d critical features", tag, len(set.Shifters), critical)
 			}
 			if critical < len(inc.Layout().Features) {
 				mixed++
@@ -162,8 +169,8 @@ func TestIncrementalSetPairLayout(t *testing.T) {
 			for k := 0; k < len(set.Shifters); k += 2 {
 				lo, hi := set.Shifters[k], set.Shifters[k+1]
 				if lo.Side != shifter.LowSide || hi.Side != shifter.HighSide || lo.Feature != hi.Feature ||
-					lo.Feature <= prev || set.PairOf[lo.Feature] != [2]int{k, k + 1} {
-					t.Fatalf("%s: pair %d breaks the layout: %v %v, PairOf %v", tag, k/2, lo, hi, set.PairOf[lo.Feature])
+					lo.Feature <= prev || !r.IsCritical(inc.Layout().Features[lo.Feature]) {
+					t.Fatalf("%s: pair %d breaks the layout: %v %v", tag, k/2, lo, hi)
 				}
 				prev = lo.Feature
 			}
@@ -171,12 +178,75 @@ func TestIncrementalSetPairLayout(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if !reflect.DeepEqual(set.Shifters, want.Shifters) || !reflect.DeepEqual(set.PairOf, want.PairOf) {
+			if !reflect.DeepEqual(set.Shifters, want.Shifters) {
 				t.Fatalf("%s: rebuilt shifters differ from shifter.Generate", tag)
 			}
-		}
+		})
 		if mixed == 0 {
 			t.Fatalf("seed %d: no step had a non-critical feature", seed)
 		}
+	}
+}
+
+// TestShifterSlotIsGraphNode pins the invariant that lets the conflict graph
+// and phase assignment do without a shifter-to-node map: graph node i is
+// drawn at shifter i's claimed center, every feature edge joins nodes 2k and
+// 2k+1 and names shifters 2k and 2k+1 and their feature, and AssignPhases
+// gives shifter i the color of node i. It runs on d1–d3, from scratch, and
+// on the seeded edit sessions of TestIncrementalSetPairLayout.
+func TestShifterSlotIsGraphNode(t *testing.T) {
+	check := func(tag string, det *Detection) {
+		t.Helper()
+		cg := det.Graph
+		sh := cg.Set.Shifters
+		reg := newPosRegistry()
+		for i, s := range sh {
+			if want := reg.claim(s.Center()); cg.Drawing.Pos[i] != want {
+				t.Fatalf("%s: node %d at %v, shifter %d claims %v", tag, i, cg.Drawing.Pos[i], i, want)
+			}
+		}
+		features := 0
+		for e, m := range cg.Meta {
+			if m.Kind != FeatureEdge {
+				continue
+			}
+			k := 2 * features
+			features++
+			ed := cg.Drawing.G.Edge(e)
+			want := EdgeMeta{Kind: FeatureEdge, S1: k, S2: k + 1, Feature: sh[k].Feature, Overlap: -1}
+			if ed.U != k || ed.V != k+1 || m != want {
+				t.Fatalf("%s: feature edge %d joins %d-%d with %+v, want %d-%d with %+v", tag, e, ed.U, ed.V, m, k, k+1, want)
+			}
+		}
+		if 2*features != len(sh) {
+			t.Fatalf("%s: %d feature edges for %d shifters", tag, features, len(sh))
+		}
+		a, err := AssignPhases(det)
+		if err != nil {
+			t.Fatalf("%s: %v", tag, err)
+		}
+		colors, ok := cg.Drawing.G.VerifyBipartition(det.ConflictEdgeSet())
+		if !ok {
+			t.Fatalf("%s: conflict set leaves the graph non-bipartite", tag)
+		}
+		for i := range sh {
+			if int8(a.Phases[i]) != colors[i] {
+				t.Fatalf("%s: shifter %d has phase %v, node %d color %d", tag, i, a.Phases[i], i, colors[i])
+			}
+		}
+	}
+	for _, d := range bench.Suite()[:3] {
+		cg, err := BuildGraph(bench.Generate(d.Name, d.Params), rules(), PCG)
+		if err != nil {
+			t.Fatal(err)
+		}
+		det, err := DetectContext(context.Background(), cg, Options{})
+		if err != nil {
+			t.Fatalf("%s: %v", d.Name, err)
+		}
+		check(d.Name, det)
+	}
+	for seed := int64(0); seed < 6; seed++ {
+		mixedEditSteps(t, seed, func(tag string, _ *Incremental, det *Detection) { check(tag, det) })
 	}
 }

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"slices"
 
+	"repro/internal/geom"
 	"repro/internal/layout"
 	"repro/internal/shifter"
 )
@@ -158,10 +159,12 @@ func (inc *Incremental) RestoreStats(s IncStats) { inc.stats = s }
 
 // RestoreIncremental reconstructs an Incremental engine from its exported
 // state under the given configuration: NewIncremental on the serialized
-// layout, range-checked pairs and DRC cache, and, when the state carries a
-// committed detection, the Detect body seeded with it, which cross-checks
-// the serialized clusters against the partition it derives and ends with the
-// bipartiteness self-check. ctx bounds that rebuild.
+// layout, a range-checked DRC cache, overlap pairs checked against the
+// layout's own shifters (each must overlap with the stored deficit, and
+// appear once), and, when the state carries a committed detection, the
+// Detect body seeded with it, which cross-checks the serialized clusters
+// against the partition it derives and ends with the bipartiteness
+// self-check. ctx bounds that rebuild.
 func RestoreIncremental(ctx context.Context, st *IncrementalState, r layout.Rules, kind GraphKind, opt Options) (*Incremental, error) {
 	l := &layout.Layout{Name: st.LayoutName, Features: st.Features}
 	if len(st.HierCells) > 0 || len(st.HierPlacementCell) > 0 || len(st.HierFeatureInstance) > 0 {
@@ -182,22 +185,43 @@ func RestoreIncremental(ctx context.Context, st *IncrementalState, r layout.Rule
 	}
 	nf := int32(len(st.Features))
 	inc.pairs = make([]pairRec, len(st.Pairs))
+	seen := make(map[edgeKey]bool, len(st.Pairs))
 	for i, p := range st.Pairs {
 		if p.SideA > 1 || p.SideB > 1 {
 			return nil, fmt.Errorf("core: restore: pair %d has invalid shifter side", i)
 		}
-		for _, fi := range [2]int32{p.FeatA, p.FeatB} {
+		var flanks [2][2]geom.Rect
+		for j, fi := range [2]int32{p.FeatA, p.FeatB} {
 			if fi < 0 || fi >= nf {
 				return nil, fmt.Errorf("core: restore: pair %d references feature %d outside [0,%d)", i, fi, nf)
 			}
 			if !r.IsCritical(l.Features[fi]) {
 				return nil, fmt.Errorf("core: restore: pair %d references non-critical feature %d", i, fi)
 			}
+			flanks[j][0], flanks[j][1] = shifter.Flanks(l.Features[fi], r)
 		}
+		if p.FeatA == p.FeatB {
+			return nil, fmt.Errorf("core: restore: pair %d joins the two flanks of feature %d", i, p.FeatA)
+		}
+		deficit, ok := shifter.OverlapDeficit(flanks[0][p.SideA], flanks[1][p.SideB], r)
+		if !ok {
+			return nil, fmt.Errorf("core: restore: pair %d names shifters that do not overlap", i)
+		}
+		if deficit != p.Deficit {
+			return nil, fmt.Errorf("core: restore: pair %d stores deficit %d, its shifters give %d", i, p.Deficit, deficit)
+		}
+		key := edgeKey{uidA: p.FeatA, sideA: shifter.Side(p.SideA), uidB: p.FeatB, sideB: shifter.Side(p.SideB)}
+		if key.uidA > key.uidB {
+			key = edgeKey{uidA: key.uidB, sideA: key.sideB, uidB: key.uidA, sideB: key.sideA}
+		}
+		if seen[key] {
+			return nil, fmt.Errorf("core: restore: pair %d repeats an earlier pair", i)
+		}
+		seen[key] = true
 		inc.pairs[i] = pairRec{
 			uidA: p.FeatA, uidB: p.FeatB,
 			sideA: shifter.Side(p.SideA), sideB: shifter.Side(p.SideB),
-			deficit: p.Deficit, uid: inc.newOvUID(),
+			deficit: p.Deficit,
 		}
 	}
 

@@ -49,8 +49,9 @@ func AssignPhases(det *Detection) (*Assignment, error) {
 		Waived:         make(map[int]bool),
 		WaivedFeatures: make(map[int]bool),
 	}
-	for si, node := range cg.ShifterNode {
-		if colors[node] == 1 {
+	// Shifter i is graph node i.
+	for si := range a.Phases {
+		if colors[si] == 1 {
 			a.Phases[si] = Phase180
 		}
 	}
@@ -85,7 +86,7 @@ func (v Violation) String() string {
 func (a *Assignment) Verify(cg *ConflictGraph) []Violation {
 	var out []Violation
 	// Shifters 2k and 2k+1 flank one critical feature, in ascending feature
-	// order (see shifter.Set), so this walk visits PairOf in key order.
+	// order (see shifter.Set).
 	sh := cg.Set.Shifters
 	for k := 0; k+1 < len(sh); k += 2 {
 		if a.WaivedFeatures[sh[k].Feature] {

@@ -43,12 +43,11 @@ type Overlap struct {
 type Set struct {
 	// Shifters holds two flanks per critical feature, in ascending feature
 	// order: Shifters[2k] is the LowSide and Shifters[2k+1] the HighSide
-	// shifter of feature Shifters[2k].Feature. Constraint checks rely on
-	// this layout to walk the feature pairs in order without PairOf.
+	// shifter of feature Shifters[2k].Feature. This slot is the one
+	// (feature, side) -> index mapping: conflict-graph construction,
+	// constraint checks and mask validation walk the pairs in order, and
+	// shifter i is conflict-graph node i.
 	Shifters []Shifter
-	// PairOf[f] gives the two shifter indices flanking critical feature f;
-	// absent for non-critical features.
-	PairOf   map[int][2]int
 	Overlaps []Overlap
 }
 
@@ -58,21 +57,31 @@ func Generate(l *layout.Layout, r layout.Rules) (*Set, error) {
 	if err := r.Validate(); err != nil {
 		return nil, err
 	}
-	s := &Set{PairOf: make(map[int][2]int)}
+	s, _ := Synthesize(l, r)
+	s.findOverlaps(r)
+	return s, nil
+}
+
+// Synthesize returns the set of l's shifters without overlaps: two flanks
+// per critical feature, in the slot order Set documents. base[f] is the slot
+// of feature f's LowSide shifter (its HighSide shifter is base[f]+1), or -1
+// for a non-critical feature.
+func Synthesize(l *layout.Layout, r layout.Rules) (s *Set, base []int32) {
+	s = &Set{}
+	base = make([]int32, len(l.Features))
 	for fi, f := range l.Features {
+		base[fi] = -1
 		if !r.IsCritical(f) {
 			continue
 		}
 		lo, hi := Flanks(f, r)
-		a := len(s.Shifters)
+		base[fi] = int32(len(s.Shifters))
 		s.Shifters = append(s.Shifters,
 			Shifter{Rect: lo, Feature: fi, Side: LowSide},
 			Shifter{Rect: hi, Feature: fi, Side: HighSide},
 		)
-		s.PairOf[fi] = [2]int{a, a + 1}
 	}
-	s.findOverlaps(r)
-	return s, nil
+	return s, base
 }
 
 // Flanks computes the two shifter rectangles for critical feature f: they
@@ -94,8 +103,9 @@ func Flanks(f layout.Feature, r layout.Rules) (lo, hi geom.Rect) {
 // rectangles: it reports whether the pair is closer than the minimum
 // shifter spacing, and if so the extra space needed to legalize it (the
 // edge weight conflict detection uses). Every overlap enumeration —
-// the full generator below and the incremental engine's neighborhood
-// patching — must go through this single definition.
+// the full generator below, the incremental engine's neighborhood
+// patching and its snapshot restore check — must go through this single
+// definition.
 func OverlapDeficit(a, b geom.Rect, r layout.Rules) (int64, bool) {
 	sep := geom.Separation(a, b)
 	if sep >= r.MinShifterSpacing {

@@ -35,8 +35,8 @@ func TestFlanksVertical(t *testing.T) {
 	if len(s.Overlaps) != 0 {
 		t.Errorf("overlaps = %v", s.Overlaps)
 	}
-	if p, ok := s.PairOf[0]; !ok || p != [2]int{0, 1} {
-		t.Errorf("PairOf = %v", s.PairOf)
+	if lo.Feature != 0 || hi.Feature != 0 {
+		t.Errorf("slots 0 and 1 flank features %d and %d, want 0", lo.Feature, hi.Feature)
 	}
 }
 
@@ -72,8 +72,10 @@ func TestNonCriticalSkipped(t *testing.T) {
 	if s.Shifters[0].Feature != 1 {
 		t.Error("wrong feature index")
 	}
-	if _, ok := s.PairOf[0]; ok {
-		t.Error("non-critical feature must not appear in PairOf")
+	for _, sh := range s.Shifters {
+		if sh.Feature == 0 {
+			t.Error("non-critical feature must not be flanked")
+		}
 	}
 }
 
@@ -179,10 +181,10 @@ func TestBadRulesRejected(t *testing.T) {
 }
 
 // checkPairLayout reports the first break of the shifter-pair layout that
-// constraint checks walk instead of PairOf: Shifters[2k] and Shifters[2k+1]
-// are the LowSide and HighSide flanks of one critical feature, features
-// ascend with k, PairOf maps that feature to {2k, 2k+1}, and PairOf holds
-// exactly the critical features of l.
+// graph construction and constraint checks walk: Shifters[2k] and
+// Shifters[2k+1] are the LowSide and HighSide flanks of one critical
+// feature, features ascend with k, and the pairs cover exactly the critical
+// features of l.
 func checkPairLayout(l *layout.Layout, r layout.Rules, s *Set) error {
 	if len(s.Shifters)%2 != 0 {
 		return fmt.Errorf("%d shifters, want an even count", len(s.Shifters))
@@ -200,8 +202,8 @@ func checkPairLayout(l *layout.Layout, r layout.Rules, s *Set) error {
 			return fmt.Errorf("pair %d: feature %d after feature %d", k/2, lo.Feature, prev)
 		}
 		prev = lo.Feature
-		if got := s.PairOf[lo.Feature]; got != [2]int{k, k + 1} {
-			return fmt.Errorf("PairOf[%d] = %v, want [%d %d]", lo.Feature, got, k, k+1)
+		if !r.IsCritical(l.Features[lo.Feature]) {
+			return fmt.Errorf("pair %d flanks non-critical feature %d", k/2, lo.Feature)
 		}
 	}
 	critical := 0
@@ -210,8 +212,8 @@ func checkPairLayout(l *layout.Layout, r layout.Rules, s *Set) error {
 			critical++
 		}
 	}
-	if len(s.PairOf) != critical || len(s.Shifters) != 2*critical {
-		return fmt.Errorf("%d pairs and %d shifters for %d critical features", len(s.PairOf), len(s.Shifters), critical)
+	if len(s.Shifters) != 2*critical {
+		return fmt.Errorf("%d shifters for %d critical features", len(s.Shifters), critical)
 	}
 	return nil
 }

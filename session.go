@@ -224,49 +224,20 @@ func (s *Session) AddFeature(r Rect) (int, error) {
 // AddFeatureOnLayer appends a feature on an explicit layer and returns its
 // index.
 func (s *Session) AddFeatureOnLayer(r Rect, layer int) (int, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	inc, err := s.incLocked()
-	if err != nil {
-		return 0, flowErr(StageEdit, s.layout.Name, err)
-	}
-	i := inc.AddFeature(r, layer)
-	s.edits++
-	s.invalidateLocked()
-	return i, nil
+	var i int
+	err := s.Edit(func(ed *LayoutEditor) { i = ed.AddOnLayer(r, layer) })
+	return i, err
 }
 
 // MoveFeature moves (or resizes) feature i to rectangle r.
 func (s *Session) MoveFeature(i int, r Rect) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	inc, err := s.incLocked()
-	if err != nil {
-		return flowErr(StageEdit, s.layout.Name, err)
-	}
-	if err := inc.MoveFeature(i, r); err != nil {
-		return flowErr(StageEdit, s.layout.Name, err)
-	}
-	s.edits++
-	s.invalidateLocked()
-	return nil
+	return s.Edit(func(ed *LayoutEditor) { ed.Move(i, r) })
 }
 
 // DeleteFeature removes feature i; features after it shift down one index,
 // as with a slice deletion.
 func (s *Session) DeleteFeature(i int) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	inc, err := s.incLocked()
-	if err != nil {
-		return flowErr(StageEdit, s.layout.Name, err)
-	}
-	if err := inc.DeleteFeature(i); err != nil {
-		return flowErr(StageEdit, s.layout.Name, err)
-	}
-	s.edits++
-	s.invalidateLocked()
-	return nil
+	return s.Edit(func(ed *LayoutEditor) { ed.Delete(i) })
 }
 
 // LayoutEditor applies a batch of mutations inside Session.Edit. Operations

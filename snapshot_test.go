@@ -334,10 +334,11 @@ func TestRestoreRejectsCorruptSnapshot(t *testing.T) {
 }
 
 // TestRestoreRejectsInconsistentSnapshot: a snapshot that passes its checksum
-// but names a feature, edge or cluster its own layout does not have restores
-// to a StagePersist *FlowError matching persist.ErrCorrupt — never a panic,
-// a bare error or a half-restored session — and the rejection allocates no
-// more than a few clean restores would.
+// but names a feature, edge or cluster its own layout does not have, or an
+// overlap pair its layout's shifters do not form, restores to a StagePersist
+// *FlowError matching persist.ErrCorrupt — never a panic, a bare error or a
+// half-restored session — and the rejection allocates no more than a few
+// clean restores would.
 func TestRestoreRejectsInconsistentSnapshot(t *testing.T) {
 	ctx := context.Background()
 	rules := Default90nmRules()
@@ -348,6 +349,12 @@ func TestRestoreRejectsInconsistentSnapshot(t *testing.T) {
 	wide := l.Add(R(-20_000, -20_000, -20_000+4*rules.CriticalWidth, -18_000))
 	if rules.IsCritical(l.Features[wide]) {
 		t.Fatal("fixture feature is critical")
+	}
+	// A narrow feature away from the cells: flanked, but its shifters
+	// overlap no other shifter.
+	lone := l.Add(R(-20_000, 20_000, -20_000+rules.CriticalWidth/2, 22_000))
+	if !rules.IsCritical(l.Features[lone]) {
+		t.Fatal("fixture feature is not critical")
 	}
 	eng := NewEngine()
 	s := eng.NewSession(l)
@@ -389,6 +396,20 @@ func TestRestoreRejectsInconsistentSnapshot(t *testing.T) {
 		{"pair feature past the end", func(st *core.IncrementalState) { st.Pairs[0].FeatB = nf }},
 		{"pair feature negative", func(st *core.IncrementalState) { st.Pairs[0].FeatA = -1 }},
 		{"pair non-critical feature", func(st *core.IncrementalState) { st.Pairs[0].FeatA = int32(wide) }},
+		{"pair whose shifters do not overlap", func(st *core.IncrementalState) { st.Pairs[0].FeatB = int32(lone) }},
+		{"pair joining one feature's flanks", func(st *core.IncrementalState) {
+			st.Pairs[0].FeatB, st.Pairs[0].SideB = st.Pairs[0].FeatA, 1-st.Pairs[0].SideA
+		}},
+		{"pair deficit altered", func(st *core.IncrementalState) {
+			for i := range st.Pairs {
+				st.Pairs[i].Deficit *= 3
+			}
+		}},
+		{"duplicate pair", func(st *core.IncrementalState) { st.Pairs = append(st.Pairs, st.Pairs[0]) }},
+		{"duplicate pair reversed", func(st *core.IncrementalState) {
+			p := st.Pairs[0]
+			st.Pairs = append(st.Pairs, core.PairState{FeatA: p.FeatB, SideA: p.SideB, FeatB: p.FeatA, SideB: p.SideA, Deficit: p.Deficit})
+		}},
 		{"crossing pair outside the graph", func(st *core.IncrementalState) { st.CrossPairs[0][1] = 1 << 30 }},
 		{"one cluster too many", func(st *core.IncrementalState) { st.NShards++ }},
 		{"one cluster too few", func(st *core.IncrementalState) { st.NShards-- }},
