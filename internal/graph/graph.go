@@ -280,77 +280,6 @@ func (g *Graph) IsBipartite() bool {
 	return ok
 }
 
-// OddCycle returns one odd cycle as a sequence of edge indices, or nil when
-// the graph is bipartite. A self-loop is returned as a length-1 cycle.
-func (g *Graph) OddCycle() []int {
-	g.build()
-	color := make([]int8, g.n)
-	parentArc := make([]Arc, g.n) // arc used to reach each node
-	for i := range color {
-		color[i] = -1
-	}
-	for s := 0; s < g.n; s++ {
-		if color[s] >= 0 {
-			continue
-		}
-		color[s] = 0
-		parentArc[s] = Arc{-1, -1}
-		queue := []int{s}
-		for len(queue) > 0 {
-			u := queue[0]
-			queue = queue[1:]
-			for _, a := range g.adj[u] {
-				if a.To == u {
-					return []int{a.Edge}
-				}
-				if color[a.To] < 0 {
-					color[a.To] = 1 - color[u]
-					parentArc[a.To] = Arc{u, a.Edge}
-					queue = append(queue, a.To)
-					continue
-				}
-				if color[a.To] != color[u] {
-					continue
-				}
-				// Same-color contact: combine the two tree paths plus this
-				// edge into an odd closed walk, then trim to the lowest
-				// common ancestor to obtain a simple odd cycle.
-				return oddCycleFrom(u, a.To, a.Edge, parentArc)
-			}
-		}
-	}
-	return nil
-}
-
-// oddCycleFrom builds the odd cycle through BFS-tree ancestors of u and v
-// joined by edge uv (edge index e).
-func oddCycleFrom(u, v, e int, parentArc []Arc) []int {
-	pathEdges := func(x int) (nodes []int, edges []int) {
-		for parentArc[x].To >= 0 {
-			nodes = append(nodes, x)
-			edges = append(edges, parentArc[x].Edge)
-			x = parentArc[x].To
-		}
-		nodes = append(nodes, x)
-		return
-	}
-	un, ue := pathEdges(u)
-	vn, ve := pathEdges(v)
-	// Find LCA: walk from the roots (ends of the slices) while equal.
-	i, j := len(un)-1, len(vn)-1
-	for i > 0 && j > 0 && un[i-1] == vn[j-1] {
-		i--
-		j--
-	}
-	// Cycle: u ... lca via ue[0..i-1], then lca ... v reversed via ve, then e.
-	cycle := append([]int{}, ue[:i]...)
-	for k := j - 1; k >= 0; k-- {
-		cycle = append(cycle, ve[k])
-	}
-	cycle = append(cycle, e)
-	return cycle
-}
-
 // VerifyBipartition checks that removing the edges in removed leaves a
 // bipartite graph; it returns the resulting 2-coloring of the remaining
 // graph and ok.

@@ -102,87 +102,6 @@ func TestTwoColor(t *testing.T) {
 	}
 }
 
-func TestOddCycle(t *testing.T) {
-	if got := cycle(4).OddCycle(); got != nil {
-		t.Errorf("even cycle returned odd cycle %v", got)
-	}
-	for _, n := range []int{3, 5, 7, 9} {
-		g := cycle(n)
-		oc := g.OddCycle()
-		if len(oc)%2 == 0 || len(oc) == 0 {
-			t.Fatalf("cycle(%d): odd cycle len %d", n, len(oc))
-		}
-		checkClosedOddWalk(t, g, oc)
-	}
-	// Self loop.
-	g := New(2)
-	g.AddEdge(0, 1, 1)
-	g.AddEdge(1, 1, 1)
-	oc := g.OddCycle()
-	if len(oc) != 1 || g.Edge(oc[0]).U != g.Edge(oc[0]).V {
-		t.Errorf("self loop odd cycle = %v", oc)
-	}
-	// Two triangles sharing a node.
-	h := New(5)
-	h.AddEdge(0, 1, 1)
-	h.AddEdge(1, 2, 1)
-	h.AddEdge(2, 0, 1)
-	h.AddEdge(2, 3, 1)
-	h.AddEdge(3, 4, 1)
-	h.AddEdge(4, 2, 1)
-	oc = h.OddCycle()
-	if len(oc)%2 == 0 || oc == nil {
-		t.Fatalf("odd cycle %v", oc)
-	}
-	checkClosedOddWalk(t, h, oc)
-}
-
-// checkClosedOddWalk verifies the returned edge sequence is a closed walk of
-// odd length whose consecutive edges share endpoints.
-func checkClosedOddWalk(t *testing.T, g *Graph, cyc []int) {
-	t.Helper()
-	if len(cyc)%2 == 0 {
-		t.Fatalf("cycle length %d is even", len(cyc))
-	}
-	// Each node must be touched an even number of times by cycle edge
-	// endpoints (it is a closed walk).
-	touch := map[int]int{}
-	for _, ei := range cyc {
-		e := g.Edge(ei)
-		touch[e.U]++
-		touch[e.V]++
-	}
-	for n, c := range touch {
-		if c%2 != 0 {
-			t.Fatalf("node %d touched %d times; not a closed walk: %v", n, c, cyc)
-		}
-	}
-}
-
-func TestOddCycleQuick(t *testing.T) {
-	rng := rand.New(rand.NewSource(5))
-	f := func() bool {
-		n := rng.Intn(12) + 2
-		g := New(n)
-		m := rng.Intn(2 * n)
-		for i := 0; i < m; i++ {
-			g.AddEdge(rng.Intn(n), rng.Intn(n), int64(rng.Intn(10)+1))
-		}
-		oc := g.OddCycle()
-		bip := g.IsBipartite()
-		if bip != (oc == nil) {
-			return false
-		}
-		if oc != nil && len(oc)%2 == 0 {
-			return false
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 2000}); err != nil {
-		t.Error(err)
-	}
-}
-
 func TestSubgraphWithoutEdges(t *testing.T) {
 	g := cycle(5)
 	sub, oldIdx := g.SubgraphWithoutEdges(map[int]bool{2: true})
@@ -249,10 +168,6 @@ func TestGreedyBipartization(t *testing.T) {
 	// Even cycle: nothing rejected.
 	if got := GreedyBipartization(cycle(6)); len(got) != 0 {
 		t.Errorf("even cycle conflicts = %v", got)
-	}
-	// Tree variant rejects chords of even cycles too.
-	if got := GreedyTreeBipartization(cycle(6)); len(got) != 1 {
-		t.Errorf("tree baseline on even cycle = %v, want one chord", got)
 	}
 }
 

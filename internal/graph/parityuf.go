@@ -83,29 +83,6 @@ func GreedyBipartization(g *Graph) (conflicts []int) {
 			conflicts = append(conflicts, i)
 		}
 	}
-	sortInts(conflicts)
+	sort.Ints(conflicts)
 	return conflicts
 }
-
-// GreedyTreeBipartization is the literal reading of the paper's GB
-// description: build a maximum-weight spanning forest greedily and report
-// every non-tree edge as a conflict. It is strictly weaker than
-// GreedyBipartization (it also deletes even-cycle chords) and is kept as an
-// ablation baseline.
-func GreedyTreeBipartization(g *Graph) (conflicts []int) {
-	uf := NewParityUF(g.N()) // parity unused; acts as plain union-find
-	for _, i := range g.SortedEdgeIndicesByWeightDesc() {
-		e := g.Edge(i)
-		ru, _ := uf.Find(e.U)
-		rv, _ := uf.Find(e.V)
-		if ru == rv {
-			conflicts = append(conflicts, i)
-			continue
-		}
-		uf.UnionDiffer(e.U, e.V)
-	}
-	sortInts(conflicts)
-	return conflicts
-}
-
-func sortInts(a []int) { sort.Ints(a) }

@@ -162,17 +162,6 @@ func (em *Embedding) head(h int) int {
 	return em.segA[s]
 }
 
-// FirstHalfEdges returns, for logical edge e, the twin pair of half-edges of
-// its first segment (the two sides of the edge).
-func (em *Embedding) FirstHalfEdges(e int) (int, int) {
-	for s, le := range em.segEdge {
-		if le == e {
-			return 2 * s, 2*s + 1
-		}
-	}
-	panic(fmt.Sprintf("planar: edge %d has no segments", e))
-}
-
 // OddFaces returns the ids of faces whose logical length is odd.
 func (em *Embedding) OddFaces() []int {
 	var t []int

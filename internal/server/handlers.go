@@ -262,10 +262,9 @@ func (s *Server) handleFlush(w http.ResponseWriter, _ *http.Request, ent *sessio
 	}
 	if err := s.snapshotWrite(ent); err != nil {
 		// The client's checkpoint did not land, and the error detail says
-		// why; an asynchronous retry keeps trying in the background.
-		s.scheduleRetry(ent.ID)
+		// why; the periodic flush keeps trying in the background.
 		writeError(w, http.StatusInternalServerError, "snapshot_failed", "", "",
-			"snapshot write failed (async retry queued): "+err.Error())
+			"snapshot write failed: "+err.Error())
 		return
 	}
 	writeJSON(w, map[string]any{"flushed": true, "id": ent.ID})
@@ -623,14 +622,13 @@ func (s *Server) handleHealthz(w http.ResponseWriter, _ *http.Request) {
 }
 
 // readyResponse is the /readyz body. Status is "ok", "draining", or
-// "degraded" (the persistence store is failing writes; sessions are pinned
-// in memory and retried).
+// "degraded" (the persistence store is failing writes; sessions whose
+// eviction failed are pinned in memory until a flush writes them).
 type readyResponse struct {
-	Status         string `json:"status"`
-	Sessions       int    `json:"sessions"`
-	Pinned         int    `json:"pinned"`
-	RetriesPending int    `json:"retries_pending"`
-	StoreError     string `json:"store_error,omitempty"`
+	Status     string `json:"status"`
+	Sessions   int    `json:"sessions"`
+	Pinned     int    `json:"pinned"`
+	StoreError string `json:"store_error,omitempty"`
 }
 
 // handleReadyz reports readiness, distinct from /healthz liveness: a daemon
@@ -640,10 +638,9 @@ type readyResponse struct {
 func (s *Server) handleReadyz(w http.ResponseWriter, _ *http.Request) {
 	streak, lastErr := s.health.snapshot()
 	resp := readyResponse{
-		Status:         "ok",
-		Sessions:       s.store.len(),
-		Pinned:         s.store.pinnedCount(),
-		RetriesPending: s.pendingRetries(),
+		Status:   "ok",
+		Sessions: s.store.len(),
+		Pinned:   s.store.pinnedCount(),
 	}
 	switch {
 	case s.Draining():

@@ -37,14 +37,12 @@ type metrics struct {
 	snapshotCorrupt  atomic.Int64
 	restoreNanos     atomic.Int64
 
-	// Robustness counters: failed snapshot writes, async retry attempts,
-	// requests shed by admission control (global and per-session), recovered
-	// panics (handler scope = HTTP handler panics caught by the middleware;
-	// shard scope = requests answered with a shard-panic quarantine error),
-	// and queue-wait accounting for admitted requests that had to wait for a
-	// slot.
+	// Robustness counters: failed snapshot writes, requests shed by
+	// admission control (global and per-session), recovered panics (handler
+	// scope = HTTP handler panics caught by the middleware; shard scope =
+	// requests answered with a shard-panic quarantine error), and queue-wait
+	// accounting for admitted requests that had to wait for a slot.
 	snapshotWriteErrors atomic.Int64
-	snapshotRetries     atomic.Int64
 	shedGlobal          atomic.Int64
 	shedSession         atomic.Int64
 	shedClientGone      atomic.Int64
@@ -378,9 +376,7 @@ func (s *Server) declareMetrics() *registry {
 	r.summary("aapsmd_snapshot_restore_seconds", "Snapshot restore latency.", &m.restoreNanos, &m.snapshotRestores)
 	r.gauge("aapsmd_ready", "Whether the readiness probe would pass (serving and persistence healthy).", func() int64 { return b2i(s.Ready()) })
 	r.gauge("aapsmd_sessions_pinned", "Sessions pinned in memory because their snapshot could not be persisted.", func() int64 { return int64(s.store.pinnedCount()) })
-	r.gauge("aapsmd_snapshot_retries_pending", "Snapshot writes queued for asynchronous retry.", func() int64 { return int64(s.pendingRetries()) })
 	r.counter("aapsmd_snapshot_write_errors_total", "Snapshot writes that failed against the persistence store.", m.snapshotWriteErrors.Load)
-	r.counter("aapsmd_snapshot_write_retries_total", "Asynchronous snapshot write retry attempts.", m.snapshotRetries.Load)
 	r.counters("aapsmd_requests_shed_total", "Requests rejected by admission control with 429 (client_gone = the client disconnected while queued; not an overload signal).", "scope",
 		labelValue{"global", m.shedGlobal.Load},
 		labelValue{"session", m.shedSession.Load},

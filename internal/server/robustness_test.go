@@ -26,14 +26,6 @@ func waitFor(t *testing.T, d time.Duration, cond func() bool, msg string) {
 	t.Fatal("timed out waiting for " + msg)
 }
 
-// fastRetries are retry backoff bounds short enough for tests to watch a
-// full fail-retry-recover cycle.
-func fastRetries(cfg Config) Config {
-	cfg.SnapshotRetryMin = 5 * time.Millisecond
-	cfg.SnapshotRetryMax = 20 * time.Millisecond
-	return cfg
-}
-
 // TestEvictionWriteFailurePinsSession: a session whose eviction-time
 // snapshot write fails must stay in memory (pinned, over capacity) and keep
 // serving, the store must report degraded on /readyz while /healthz stays
@@ -41,11 +33,10 @@ func fastRetries(cfg Config) Config {
 func TestEvictionWriteFailurePinsSession(t *testing.T) {
 	fs := persist.NewFaultStore(persist.NewMemStore(), persist.FaultConfig{})
 	srv, tc := newTestServer(t, Config{
-		Engine:             persistEngine(),
-		StoreCapacity:      1,
-		Snapshots:          fs,
-		FlushInterval:      -1,
-		SnapshotRetryQueue: -1, // no background recovery: observe the degraded state deterministically
+		Engine:        persistEngine(),
+		StoreCapacity: 1,
+		Snapshots:     fs,
+		FlushInterval: -1, // no background recovery: observe the degraded state deterministically
 	})
 
 	var a createResponse
@@ -95,60 +86,70 @@ func TestEvictionWriteFailurePinsSession(t *testing.T) {
 	tc.must("GET", "/readyz", nil, 200)
 }
 
-// TestEvictionWriteFailureRetriesAsync: with the retry queue enabled, a
-// failed eviction write recovers on its own — capped-backoff retries run
-// until the store accepts the snapshot, then the pin lifts.
-func TestEvictionWriteFailureRetriesAsync(t *testing.T) {
+// hasSnapshot reports whether store lists a snapshot of session id.
+func hasSnapshot(store persist.Store, id string) bool {
+	refs, _ := store.List()
+	for _, r := range refs {
+		if r.ID == id {
+			return true
+		}
+	}
+	return false
+}
+
+// TestEvictionWriteFailureRecoversOnFlush: a failed eviction write recovers
+// on its own — the periodic flush rewrites the pinned session until the
+// store accepts the snapshot, then the pin lifts.
+func TestEvictionWriteFailureRecoversOnFlush(t *testing.T) {
 	inner := persist.NewMemStore()
 	fs := persist.NewFaultStore(inner, persist.FaultConfig{})
-	srv, tc := newTestServer(t, fastRetries(Config{
+	srv, tc := newTestServer(t, Config{
 		Engine:        persistEngine(),
 		StoreCapacity: 1,
 		Snapshots:     fs,
-		FlushInterval: -1,
-	}))
+		FlushInterval: 5 * time.Millisecond,
+	})
 
 	var a createResponse
 	if err := json.Unmarshal(tc.must("POST", "/v1/sessions", layoutText(t, loadLayout(62)), 200), &a); err != nil {
 		t.Fatal(err)
 	}
-	// Eviction write fails, plus the first two retries.
-	fs.FailNextPuts(3, nil)
+	// Every write fails until the store is cleared below, so the eviction of
+	// a fails however the flush ticks interleave with the create.
+	fs.SetConfig(persist.FaultConfig{WriteFail: 1})
 	tc.must("POST", "/v1/sessions", layoutText(t, loadLayout(63)), 200)
-
+	// A flush sweep holding a delays its eviction to the sweep's release.
 	waitFor(t, 5*time.Second, func() bool {
-		return srv.store.pinnedCount() == 0 && srv.pendingRetries() == 0
-	}, "async retry to land the snapshot and unpin")
-	if n := srv.metrics.snapshotRetries.Load(); n < 1 {
-		t.Fatalf("snapshot retries = %d, want >= 1", n)
+		return srv.store.pinnedCount() == 1
+	}, "the failed eviction to pin the session")
+	// Three failures: the eviction write and two periodic retries.
+	waitFor(t, 5*time.Second, func() bool {
+		return srv.metrics.snapshotWriteErrors.Load() >= 3
+	}, "the periodic flush to retry the failed write")
+	if srv.Ready() {
+		t.Fatal("server ready while every snapshot write fails")
 	}
-	refs, err := inner.List()
-	if err != nil || len(refs) == 0 {
-		t.Fatalf("no snapshot reached the store after retries: %v, %v", refs, err)
-	}
-	found := false
-	for _, r := range refs {
-		found = found || r.ID == a.ID
-	}
-	if !found {
-		t.Fatalf("snapshot of evicted session %s missing from %v", a.ID, refs)
-	}
+
+	fs.SetConfig(persist.FaultConfig{})
+	waitFor(t, 5*time.Second, func() bool {
+		return srv.store.pinnedCount() == 0 && hasSnapshot(inner, a.ID)
+	}, "the periodic flush to land the snapshot and unpin")
 	if !srv.Ready() {
 		t.Fatal("server not ready after the store recovered")
 	}
 }
 
-// TestFlushAllSchedulesRetries: FlushAll against a failing store queues
-// every failed session for retry, and the queue drains once the store
-// recovers.
-func TestFlushAllSchedulesRetries(t *testing.T) {
+// TestFlushAllRetriesFailedWrites: a FlushAll sweep against a failing store
+// leaves the server unready, and the next sweep persists every session and
+// restores readiness.
+func TestFlushAllRetriesFailedWrites(t *testing.T) {
 	inner := persist.NewMemStore()
 	fs := persist.NewFaultStore(inner, persist.FaultConfig{})
-	srv, tc := newTestServer(t, fastRetries(Config{
+	srv, tc := newTestServer(t, Config{
 		Engine:        persistEngine(),
 		Snapshots:     fs,
 		FlushInterval: -1,
-	}))
+	})
 	const n = 3
 	ids := make([]string, n)
 	for i := 0; i < n; i++ {
@@ -163,31 +164,41 @@ func TestFlushAllSchedulesRetries(t *testing.T) {
 	if got := srv.metrics.snapshotWriteErrors.Load(); got != n {
 		t.Fatalf("snapshot write errors after failed sweep = %d, want %d", got, n)
 	}
-	if srv.pendingRetries() == 0 {
-		t.Fatal("no retries queued after a failed flush sweep")
+	if srv.Ready() {
+		t.Fatal("server ready after a failed flush sweep")
 	}
-	waitFor(t, 5*time.Second, func() bool {
-		refs, err := inner.List()
-		return err == nil && len(refs) == n && srv.pendingRetries() == 0
-	}, "flush retries to persist every session")
+	srv.FlushAll()
+	if refs, err := inner.List(); err != nil || len(refs) != n {
+		t.Fatalf("snapshots after the second sweep = %v, %v; want %d", refs, err, n)
+	}
+	if !srv.Ready() {
+		t.Fatal("server not ready after the second sweep persisted every session")
+	}
+	for _, id := range ids {
+		if !hasSnapshot(inner, id) {
+			t.Fatalf("snapshot of session %s missing", id)
+		}
+	}
 }
 
 // TestFlushEndpointReportsWriteFailure: the flush endpoint must surface a
 // failed snapshot write as a typed 500 with the store's error detail, and
-// queue a retry.
+// the periodic flush must then land the checkpoint.
 func TestFlushEndpointReportsWriteFailure(t *testing.T) {
 	inner := persist.NewMemStore()
 	fs := persist.NewFaultStore(inner, persist.FaultConfig{})
-	srv, tc := newTestServer(t, fastRetries(Config{
+	srv, tc := newTestServer(t, Config{
 		Engine:        persistEngine(),
 		Snapshots:     fs,
-		FlushInterval: -1,
-	}))
+		FlushInterval: 5 * time.Millisecond,
+	})
 	var c createResponse
 	if err := json.Unmarshal(tc.must("POST", "/v1/sessions", layoutText(t, loadLayout(67)), 200), &c); err != nil {
 		t.Fatal(err)
 	}
-	fs.FailNextPuts(1, nil)
+	// Every write fails until cleared, so a flush tick cannot take the
+	// failure meant for the endpoint.
+	fs.SetConfig(persist.FaultConfig{WriteFail: 1})
 	var eb errorBody
 	if err := json.Unmarshal(tc.must("POST", "/v1/sessions/"+c.ID+"/flush", nil, 500), &eb); err != nil {
 		t.Fatal(err)
@@ -195,11 +206,14 @@ func TestFlushEndpointReportsWriteFailure(t *testing.T) {
 	if eb.Error.Code != "snapshot_failed" || !strings.Contains(eb.Error.Message, "injected") {
 		t.Fatalf("flush failure error = %+v", eb.Error)
 	}
-	// The queued retry lands the checkpoint without further client action.
+	if srv.Ready() {
+		t.Fatal("server ready after a failed checkpoint")
+	}
+	// The periodic flush lands the checkpoint without further client action.
+	fs.SetConfig(persist.FaultConfig{})
 	waitFor(t, 5*time.Second, func() bool {
-		refs, err := inner.List()
-		return err == nil && len(refs) == 1 && srv.pendingRetries() == 0
-	}, "flush retry to land")
+		return srv.Ready() && hasSnapshot(inner, c.ID)
+	}, "the periodic flush to land the checkpoint")
 	tc.must("POST", "/v1/sessions/"+c.ID+"/flush", nil, 200)
 }
 

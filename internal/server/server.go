@@ -70,8 +70,11 @@ type Config struct {
 	// count as corrupt and are ignored).
 	Snapshots persist.Store
 	// FlushInterval is the period of the background snapshot flush of live
-	// sessions. 0 means the default 30s (when Snapshots is set); negative
-	// disables periodic flushing (eviction and drain still snapshot).
+	// sessions. The flush is also the retry for failed snapshot writes: it
+	// rewrites pinned sessions too, and the first success unpins them.
+	// 0 means the default 30s (when Snapshots is set); negative disables
+	// periodic flushing (eviction and drain still snapshot, and a pinned
+	// session then waits for an explicit flush or the drain).
 	FlushInterval time.Duration
 
 	// MaxInflight bounds concurrently admitted API requests (health, ready
@@ -110,17 +113,6 @@ type Config struct {
 	// StreamHeartbeat is the idle keep-alive period of streaming
 	// connections (`: ping` comments). 0 means the default 15s.
 	StreamHeartbeat time.Duration
-
-	// SnapshotRetryMin and SnapshotRetryMax bound the capped exponential
-	// backoff of asynchronous snapshot-write retries. Zero values mean the
-	// defaults 100ms and 10s.
-	SnapshotRetryMin time.Duration
-	SnapshotRetryMax time.Duration
-	// SnapshotRetryQueue bounds how many sessions may be queued for an
-	// asynchronous snapshot retry at once (the periodic flush is the
-	// backstop past the bound). 0 means the default 256; negative disables
-	// the retry queue.
-	SnapshotRetryQueue int
 
 	// now overrides the clock in tests.
 	now func() time.Time
@@ -196,21 +188,6 @@ func (c Config) withDefaults() Config {
 	if c.StreamHeartbeat <= 0 {
 		c.StreamHeartbeat = 15 * time.Second
 	}
-	if c.SnapshotRetryMin <= 0 {
-		c.SnapshotRetryMin = 100 * time.Millisecond
-	}
-	if c.SnapshotRetryMax <= 0 {
-		c.SnapshotRetryMax = 10 * time.Second
-	}
-	if c.SnapshotRetryMax < c.SnapshotRetryMin {
-		c.SnapshotRetryMax = c.SnapshotRetryMin
-	}
-	if c.SnapshotRetryQueue == 0 {
-		c.SnapshotRetryQueue = 256
-	}
-	if c.SnapshotRetryQueue < 0 {
-		c.SnapshotRetryQueue = 0
-	}
 	if c.now == nil {
 		c.now = time.Now
 	}
@@ -229,11 +206,10 @@ type Server struct {
 	stop       chan struct{}
 
 	// Admission semaphore (nil when admission control is disabled), the
-	// concurrent-stream bound, the bounded async snapshot-retry queue, and
-	// the persistence health the readiness probe reports.
+	// concurrent-stream bound, and the persistence health the readiness
+	// probe reports.
 	sem       chan struct{}
 	streamSem chan struct{}
-	retry     snapRetry
 	health    storeHealth
 
 	// Snapshot index: which snapshot the store holds per session ID, and —
@@ -264,7 +240,6 @@ func New(cfg Config) *Server {
 		snapByHash: make(map[string]persist.Ref),
 		engines:    make(map[string]*aapsm.Engine),
 	}
-	s.retry.pending = make(map[string]int)
 	if cfg.MaxInflight > 0 {
 		s.sem = make(chan struct{}, cfg.MaxInflight)
 	}
@@ -319,23 +294,21 @@ func (s *Server) Sessions() int { return s.store.len() }
 
 // FlushAll snapshots every live session to the snapshot store (no-op
 // without one). aapsmd calls it after the connection drain so a graceful
-// shutdown persists even sessions that were never evicted. A session whose
-// write fails is queued for an asynchronous retry; the next periodic flush
-// is the backstop when the queue is full.
+// shutdown persists even sessions that were never evicted. The next flush
+// retries a failed write; a pinned session stays live until one succeeds.
 func (s *Server) FlushAll() {
 	if s.cfg.Snapshots == nil {
 		return
 	}
 	for _, e := range s.store.snapshotEntries() {
-		if s.snapshotWrite(e) != nil {
-			s.scheduleRetry(e.ID)
-		}
+		s.snapshotWrite(e)
 		s.store.release(e)
 	}
 }
 
 // flushLoop periodically persists live sessions so a crash loses at most
-// one flush interval of session work.
+// one flush interval of session work. It is also the background retry of
+// failed snapshot writes.
 func (s *Server) flushLoop() {
 	t := time.NewTicker(s.cfg.FlushInterval)
 	defer t.Stop()
@@ -366,11 +339,9 @@ func (s *Server) onEvict(e *sessionEntry, why evictReason) {
 	if s.snapshotWrite(e) != nil {
 		// Graceful degradation: the store refused the snapshot, so evicting
 		// now would lose the session. Readmit it pinned (exempt from LRU and
-		// TTL eviction) and retry the write asynchronously; the first
-		// successful write unpins it.
-		if s.store.readmit(e) {
-			s.scheduleRetry(e.ID)
-		}
+		// TTL eviction); the first successful write — periodic flush,
+		// flush endpoint or drain — unpins it.
+		s.store.readmit(e)
 	}
 }
 
@@ -388,10 +359,8 @@ func (s *Server) snapshotWrite(e *sessionEntry) error {
 	}
 	s.metrics.snapshotWrites.Add(1)
 	s.health.noteOK()
-	// A successful write releases any degraded-mode state the session
-	// accumulated: the persistence pin and its retry-queue slot.
+	// A successful write releases the session's persistence pin, if any.
 	s.store.unpin(e)
-	s.clearRetry(e.ID)
 	s.snapMu.Lock()
 	if old, ok := s.snapByID[ref.ID]; ok && !old.Edited && ref.Edited {
 		if cur, ok := s.snapByHash[old.Hash]; ok && cur.ID == ref.ID {

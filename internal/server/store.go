@@ -256,14 +256,14 @@ func (st *sessionStore) markEdited(e *sessionEntry) {
 // readmit reinserts an evicted entry whose eviction-time snapshot write
 // failed, pinned: graceful degradation keeps the unpersistable session in
 // memory (exempt from LRU/TTL, possibly over capacity) instead of dropping
-// its work. It reports false when the ID is live again under a different
-// entry (a concurrent request rehydrated an older snapshot first); the
-// caller's entry is then abandoned.
-func (st *sessionStore) readmit(e *sessionEntry) bool {
+// its work. When the ID is live again under a different entry (a concurrent
+// request rehydrated an older snapshot first), the caller's entry is
+// abandoned.
+func (st *sessionStore) readmit(e *sessionEntry) {
 	st.mu.Lock()
 	defer st.mu.Unlock()
-	if cur, ok := st.byID[e.ID]; ok {
-		return cur == e
+	if _, ok := st.byID[e.ID]; ok {
+		return
 	}
 	e.gone, e.finalized = false, false
 	if !e.pinned {
@@ -276,7 +276,6 @@ func (st *sessionStore) readmit(e *sessionEntry) bool {
 	if !e.edited && st.byHash[e.Hash] == nil {
 		st.byHash[e.Hash] = e
 	}
-	return true
 }
 
 // unpin lifts the persistence pin after a successful snapshot write; the
