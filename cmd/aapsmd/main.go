@@ -80,7 +80,7 @@ func main() {
 		imp      = flag.Bool("improved-recheck", false, "use parity-based crossing recheck")
 		drainTO  = flag.Duration("drain-timeout", 15*time.Second, "max wait for in-flight requests on shutdown")
 		storeDir = flag.String("store-dir", "", "persistence root: session snapshots survive restarts (empty = in-memory only)")
-		flushInt = flag.Duration("flush-interval", 30*time.Second, "period of the background snapshot flush, which also retries failed writes (negative = eviction/shutdown only)")
+		flushInt = flag.Duration("flush-interval", 30*time.Second, "period of the background snapshot flush, which also retries failed writes and so clears a degraded /readyz (negative = eviction/shutdown only: after a write failure /readyz stays degraded until an explicit flush succeeds)")
 		maxInfl  = flag.Int("max-inflight", 256, "max concurrently admitted requests; past it requests queue then 429 (negative = unlimited)")
 		maxSess  = flag.Int("max-session-inflight", 16, "max concurrent requests per session (negative = unlimited)")
 		qWait    = flag.Duration("queue-wait", time.Second, "how long a request may queue for an admission slot before a 429 (negative = shed immediately)")

@@ -72,9 +72,12 @@ type Config struct {
 	// FlushInterval is the period of the background snapshot flush of live
 	// sessions. The flush is also the retry for failed snapshot writes: it
 	// rewrites pinned sessions too, and the first success unpins them.
-	// 0 means the default 30s (when Snapshots is set); negative disables
-	// periodic flushing (eviction and drain still snapshot, and a pinned
-	// session then waits for an explicit flush or the drain).
+	// A failed write marks /readyz degraded until the next successful write,
+	// so with the default the daemon reports ready again at most one
+	// interval after the store recovers. 0 means the default 30s (when
+	// Snapshots is set); negative disables periodic flushing: eviction and
+	// drain still snapshot, but after a write failure a pinned session and
+	// the degraded /readyz both wait for an explicit flush that succeeds.
 	FlushInterval time.Duration
 
 	// MaxInflight bounds concurrently admitted API requests (health, ready
