@@ -127,7 +127,7 @@ func benchmarkGadget(b *testing.B, method tjoin.Method) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := tjoin.Solve(dual, T, tjoin.Options{Method: method}); err != nil {
+		if _, err := tjoin.SolveContext(context.Background(), dual, T, tjoin.Options{Method: method}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -620,7 +620,7 @@ func BenchmarkGadgetGroupCapSweep(b *testing.B) {
 		b.Run(name, func(b *testing.B) {
 			var nodes int
 			for i := 0; i < b.N; i++ {
-				r, err := tjoin.Solve(dual, T, tjoin.Options{GroupCap: cap})
+				r, err := tjoin.SolveContext(context.Background(), dual, T, tjoin.Options{GroupCap: cap})
 				if err != nil {
 					b.Fatal(err)
 				}

@@ -2,9 +2,10 @@ package aapsm
 
 import (
 	"context"
-	"errors"
 	"runtime"
-	"sync"
+	"slices"
+
+	"repro/internal/fanout"
 )
 
 // Engine is an immutable configuration of the AAPSM flow: process rules,
@@ -61,12 +62,13 @@ func WithImprovedRecheck(on bool) EngineOption {
 	return func(e *Engine) { e.opts.ImprovedRecheck = on }
 }
 
-// WithParallelism bounds the engine's worker pools (n <= 0 means
-// runtime.GOMAXPROCS(0), the default). The bound applies independently at
-// two levels: DetectBatch runs up to n layouts concurrently, and within one
-// detection up to n conflict clusters of the layout are processed
-// concurrently (detection shards the flow by cluster; results are
-// bit-identical for any n).
+// WithParallelism bounds the engine's fan-out (n <= 0 means
+// runtime.GOMAXPROCS(0), the default). Both levels of fan-out share one
+// bounded worker pool implementation and one budget: a detection processes
+// up to n conflict clusters concurrently (detection shards the flow by
+// cluster; results are bit-identical for any n), and DetectBatch runs up to
+// n layouts concurrently, each detection then getting n divided by the
+// batch width as its cluster workers.
 func WithParallelism(n int) EngineOption {
 	return func(e *Engine) { e.workers = n }
 }
@@ -128,11 +130,11 @@ func (e *Engine) Detect(ctx context.Context, l *Layout) (*Result, error) {
 	return e.NewSession(l).Detect(ctx)
 }
 
-// DetectBatch runs detection over many layouts on a bounded worker pool of
-// at most Parallelism() goroutines. Results are returned in input order. On
-// failure the remaining work is cancelled and the first causal error is
-// returned (a *FlowError naming the failing layout); results computed before
-// the failure are still present in the returned slice.
+// DetectBatch runs detection over many layouts on the shared bounded worker
+// pool of at most Parallelism() goroutines. Results are returned in input
+// order. On failure the remaining work is cancelled and the first causal
+// error is returned (a *FlowError naming the failing layout); results
+// computed before the failure are still present in the returned slice.
 //
 // The worker budget is shared, not compounded: each batch-invoked detection
 // gets Parallelism()/batchWidth shard workers (at least 1), so the total
@@ -141,58 +143,23 @@ func (e *Engine) DetectBatch(ctx context.Context, layouts []*Layout) ([]*Result,
 	if len(layouts) == 0 {
 		return nil, nil
 	}
-	ctx, cancel := context.WithCancel(ctx)
-	defer cancel()
-
 	results := make([]*Result, len(layouts))
-	errs := make([]error, len(layouts))
-	jobs := make(chan int)
-	var wg sync.WaitGroup
-	workers := e.workers
-	if workers > len(layouts) {
-		workers = len(layouts)
-	}
-	inner := e.workers / workers
-	if inner < 1 {
-		inner = 1
-	}
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range jobs {
-				s := e.NewSession(layouts[i])
-				s.detectWorkers = inner
-				r, err := s.Detect(ctx)
-				if err != nil {
-					errs[i] = err
-					cancel() // stop the rest of the batch promptly
-					continue
-				}
-				results[i] = r
-			}
-		}()
-	}
-	for i := range layouts {
-		jobs <- i
-	}
-	close(jobs)
-	wg.Wait()
-
-	// Prefer a causal error over the context errors it provoked in sibling
-	// workers; among causal errors, return the lowest input index.
-	var first error
-	for _, err := range errs {
-		if err == nil {
-			continue
+	inner := max(1, e.workers/min(e.workers, len(layouts)))
+	err := fanout.Run(ctx, len(layouts), e.workers, func(ctx context.Context, i int) error {
+		s := e.NewSession(layouts[i])
+		s.detectWorkers = inner
+		r, err := s.Detect(ctx)
+		if err != nil {
+			return err
 		}
-		if first == nil || (isContextErr(first) && !isContextErr(err)) {
-			first = err
-		}
+		results[i] = r
+		return nil
+	})
+	if err != nil {
+		// flowErr keeps a detection's own *FlowError. A bare context error
+		// comes from a skipped layout: the first one left without a result.
+		i := slices.IndexFunc(results, func(r *Result) bool { return r == nil })
+		err = flowErr(StageDetect, layouts[i].Name, err)
 	}
-	return results, first
-}
-
-func isContextErr(err error) bool {
-	return errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded)
+	return results, err
 }

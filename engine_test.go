@@ -4,10 +4,14 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"fmt"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
+
+	"repro/internal/core"
 )
 
 // TestSessionMemoization: detect → assign → correct → mask on one session
@@ -186,6 +190,49 @@ func TestDetectBatchCancelled(t *testing.T) {
 	_, err := eng.DetectBatch(ctx, layouts)
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
+	}
+	var fe *FlowError
+	if !errors.As(err, &fe) || fe.Stage != StageDetect || fe.Layout != "bc" {
+		t.Fatalf("err = %#v, want a *FlowError at StageDetect naming layout bc", err)
+	}
+}
+
+// TestDetectBatchPartialResults: on one worker the layouts run in input
+// order, so a shard panic in the third layout leaves the first two results
+// in place, skips the fourth, and surfaces as the third layout's
+// *FlowError rather than as the cancellation it caused.
+func TestDetectBatchPartialResults(t *testing.T) {
+	ctx := context.Background()
+	var shards atomic.Int64
+	count := func() { shards.Add(1) }
+	core.FaultHook.Store(&count)
+	defer core.FaultHook.Store(nil)
+	if _, err := NewEngine().Detect(ctx, Figure1Layout()); err != nil {
+		t.Fatal(err)
+	}
+	perLayout := shards.Load()
+
+	shards.Store(0)
+	poison := func() {
+		if shards.Add(1) == 2*perLayout+1 {
+			panic("injected shard panic")
+		}
+	}
+	core.FaultHook.Store(&poison)
+	layouts := make([]*Layout, 4)
+	for i := range layouts {
+		layouts[i] = Figure1Layout()
+		layouts[i].Name = fmt.Sprintf("l%d", i)
+	}
+	res, err := NewEngine(WithParallelism(1)).DetectBatch(ctx, layouts)
+	var fe *FlowError
+	if !errors.Is(err, core.ErrPanic) || !errors.As(err, &fe) || fe.Layout != "l2" {
+		t.Fatalf("err = %v, want layout l2's shard panic", err)
+	}
+	for i, want := range []bool{true, true, false, false} {
+		if got := res[i] != nil; got != want {
+			t.Errorf("result %d present = %v, want %v", i, got, want)
+		}
 	}
 }
 

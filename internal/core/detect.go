@@ -6,10 +6,10 @@ import (
 	"fmt"
 	"runtime/debug"
 	"sort"
-	"sync"
 	"sync/atomic"
 	"time"
 
+	"repro/internal/fanout"
 	"repro/internal/graph"
 	"repro/internal/planar"
 	"repro/internal/tjoin"
@@ -338,83 +338,25 @@ func shardErr(cluster int, err error) error {
 	return fmt.Errorf("core: cluster %d: %w", cluster, err)
 }
 
-// runShards solves the non-nil jobs on a bounded worker pool of at most
-// workers goroutines, writing results[i] for job i. Results are
-// deterministic per job, so any worker count produces the same outcome.
+// runShards solves the non-nil jobs on the shared bounded worker pool
+// (fanout.Run), writing results[i] for job i. Results are deterministic per
+// job, so any worker count produces the same outcome.
 func runShards(ctx context.Context, jobs []shardJob, results []*shardResult, workers int, opt Options) error {
-	n := 0
-	for _, j := range jobs {
-		if j.d != nil {
-			n++
-		}
-	}
-	if workers > n {
-		workers = n
-	}
-	if workers <= 1 {
-		for i, j := range jobs {
-			if j.d == nil {
-				continue
-			}
-			if err := ctx.Err(); err != nil {
-				return err
-			}
-			r, err := detectShardSafe(ctx, i, j.d, j.pairs, opt)
-			if err != nil {
-				return shardErr(i, err)
-			}
-			results[i] = r
-		}
-		return nil
-	}
-	pctx, cancel := context.WithCancel(ctx)
-	queue := make(chan int)
-	errs := make([]error, len(jobs))
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range queue {
-				if err := pctx.Err(); err != nil {
-					errs[i] = err
-					continue
-				}
-				r, err := detectShardSafe(pctx, i, jobs[i].d, jobs[i].pairs, opt)
-				if err != nil {
-					errs[i] = shardErr(i, err)
-					cancel() // stop the remaining shards promptly
-					continue
-				}
-				results[i] = r
-			}
-		}()
-	}
+	var live []int
 	for i, j := range jobs {
 		if j.d != nil {
-			queue <- i
+			live = append(live, i)
 		}
 	}
-	close(queue)
-	wg.Wait()
-	cancel()
-	// Prefer a causal (non-context) error over the context errors it
-	// provoked in sibling shards; among the causal errors recorded, return
-	// the lowest shard index. (Which shards get to record a causal error
-	// before the cancellation lands is scheduling-dependent.)
-	var first error
-	for _, err := range errs {
-		if err == nil {
-			continue
+	return fanout.Run(ctx, len(live), workers, func(ctx context.Context, k int) error {
+		i := live[k]
+		r, err := detectShardSafe(ctx, i, jobs[i].d, jobs[i].pairs, opt)
+		if err != nil {
+			return shardErr(i, err)
 		}
-		if first == nil || (isCtxErr(first) && !isCtxErr(err)) {
-			first = err
-		}
-	}
-	if first != nil {
-		return first
-	}
-	return ctx.Err()
+		results[i] = r
+		return nil
+	})
 }
 
 // mergeShards folds per-cluster results into det through the edge index
@@ -467,10 +409,6 @@ func mergeShards(det *Detection, cg *ConflictGraph, edgeOf [][]int, results []*s
 		return fmt.Errorf("core: final conflict set does not bipartize the graph")
 	}
 	return nil
-}
-
-func isCtxErr(err error) bool {
-	return errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded)
 }
 
 // conflictClusters partitions the graph's nodes into detection shards: the

@@ -124,7 +124,7 @@ func unshardedReference(t *testing.T, cg *ConflictGraph, mode RecheckMode) (remo
 	for i := range edges {
 		edges[i].Weight = edges[i].Weight*scaleK + 1
 	}
-	join, err := tjoin.Solve(dual, T, tjoin.Options{})
+	join, err := tjoin.SolveContext(context.Background(), dual, T, tjoin.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -161,14 +161,28 @@ func NewIncremental(l *layout.Layout, r layout.Rules, kind GraphKind, opt Option
 		inc.featUID[i] = uid
 		inc.featOf = append(inc.featOf, int32(i))
 		inc.grid.Insert(uid, f.Rect)
-		inc.cutSpanInsert(f)
 	}
+	inc.cutV, inc.cutH = CutSpans(inc.lay.Features)
 	return inc, nil
 }
 
-// cutSpanInsert registers a feature in the correction cut-position indexes:
-// a vertical feature's x-span blocks vertical cuts (they would stretch its
-// width), a horizontal feature's y-span blocks horizontal cuts.
+// CutSpans builds the correction cut-position indexes over features in one
+// sort each: a vertical feature's x-span blocks vertical cuts (they would
+// stretch its width), a horizontal feature's y-span blocks horizontal cuts.
+func CutSpans(features []layout.Feature) (v, h geom.SpanSet) {
+	var vlo, vhi, hlo, hhi []int64
+	for _, f := range features {
+		if f.Orient() == layout.Vertical {
+			vlo, vhi = append(vlo, f.Rect.X0), append(vhi, f.Rect.X1)
+		} else {
+			hlo, hhi = append(hlo, f.Rect.Y0), append(hhi, f.Rect.Y1)
+		}
+	}
+	return geom.NewSpanSet(vlo, vhi), geom.NewSpanSet(hlo, hhi)
+}
+
+// cutSpanInsert registers a feature in the correction cut-position indexes
+// (see CutSpans).
 func (inc *Incremental) cutSpanInsert(f layout.Feature) {
 	if f.Orient() == layout.Vertical {
 		inc.cutV.Insert(f.Rect.X0, f.Rect.X1)

@@ -86,19 +86,13 @@ type interval struct {
 type CutChecker func(dir Direction, pos int64) bool
 
 // NewCutChecker builds a CutChecker over the layout's current features using
-// per-direction span indexes: a vertical cut is invalid when it stabs the
-// x-span of any vertical feature, and symmetrically. O(log n) per query after
-// one O(n log n) build; an edit session maintains the same two span sets
-// persistently across edits and hands them to BuildPlanWith instead.
+// per-direction span indexes (core.CutSpans): a vertical cut is invalid when
+// it stabs the x-span of any vertical feature, and symmetrically. O(log n)
+// per query after one O(n log n) build; an edit session maintains the same
+// two span sets persistently across edits and hands them to BuildPlanWith
+// instead.
 func NewCutChecker(l *layout.Layout) CutChecker {
-	var v, h geom.SpanSet
-	for _, f := range l.Features {
-		if f.Orient() == layout.Vertical {
-			v.Insert(f.Rect.X0, f.Rect.X1)
-		} else {
-			h.Insert(f.Rect.Y0, f.Rect.Y1)
-		}
-	}
+	v, h := core.CutSpans(l.Features)
 	return func(dir Direction, pos int64) bool {
 		if dir == VerticalCut {
 			return !v.Stab(pos)

@@ -2,15 +2,13 @@ package geom
 
 import (
 	"slices"
-	"sort"
 )
 
 // SpanSet is a multiset of 1-D spans supporting stabbing queries of the form
 // "does any span (lo, hi] contain pos" under incremental insert and remove.
-// Like Grid, it keeps sorted base arrays plus pending mutation logs folded in
-// on the first query after a change, so a long-lived set mutated by an edit
-// stream pays one O(n) merge per query generation instead of a full re-sort,
-// and a one-shot build-then-query caller pays a single sort.
+// It keeps the span low ends and high ends in two sorted slices updated in
+// place: a mutation is a binary search plus one shift of the tail, and a
+// query is two binary searches. NewSpanSet bulk-loads a set with one sort.
 //
 // The layout-correction step uses one SpanSet per cut direction to decide
 // whether an end-to-end cut position would stretch a feature's width: the
@@ -19,111 +17,53 @@ import (
 //
 // The zero SpanSet is empty and ready to use.
 type SpanSet struct {
-	starts sortedLog // span low ends
-	ends   sortedLog // span high ends
+	starts []int64 // span low ends, sorted
+	ends   []int64 // span high ends, sorted
+}
+
+// NewSpanSet returns the set of spans [lo[i], hi[i]]. It takes ownership of
+// both slices, which must have equal length.
+func NewSpanSet(lo, hi []int64) SpanSet {
+	slices.Sort(lo)
+	slices.Sort(hi)
+	return SpanSet{starts: lo, ends: hi}
 }
 
 // Insert adds the span [lo, hi].
 func (s *SpanSet) Insert(lo, hi int64) {
-	s.starts.insert(lo)
-	s.ends.insert(hi)
+	s.starts = insertSorted(s.starts, lo)
+	s.ends = insertSorted(s.ends, hi)
 }
 
 // Remove cancels one previous Insert(lo, hi). Removing a span that was never
 // inserted leaves the set in an unspecified (but safe) state; callers are
 // expected to pair removes with inserts exactly.
 func (s *SpanSet) Remove(lo, hi int64) {
-	s.starts.remove(lo)
-	s.ends.remove(hi)
+	s.starts = removeSorted(s.starts, lo)
+	s.ends = removeSorted(s.ends, hi)
 }
 
 // Stab reports whether any span (lo, hi] contains pos, i.e. lo < pos <= hi.
 func (s *SpanSet) Stab(pos int64) bool {
 	// Spans with lo < pos, minus those already closed (hi < pos), are exactly
 	// the spans whose half-open interval (lo, hi] contains pos.
-	return s.starts.countLess(pos) > s.ends.countLess(pos)
+	opened, _ := slices.BinarySearch(s.starts, pos)
+	closed, _ := slices.BinarySearch(s.ends, pos)
+	return opened > closed
 }
 
 // Len returns the number of spans in the set.
-func (s *SpanSet) Len() int { return s.starts.len() }
+func (s *SpanSet) Len() int { return len(s.starts) }
 
-// sortedLog is a multiset of int64 values: a sorted base plus pending
-// insert/remove logs merged in lazily (the Grid pattern in one dimension).
-type sortedLog struct {
-	base []int64 // sorted
-	adds []int64 // pending inserts, unsorted
-	dels []int64 // pending removes, unsorted
+func insertSorted(xs []int64, v int64) []int64 {
+	i, _ := slices.BinarySearch(xs, v)
+	return slices.Insert(xs, i, v)
 }
 
-func (c *sortedLog) insert(v int64) {
-	c.adds = append(c.adds, v)
-	c.maybeCompact()
-}
-
-func (c *sortedLog) remove(v int64) {
-	c.dels = append(c.dels, v)
-	c.maybeCompact()
-}
-
-// spanCompactMinPending is the pending-log size below which mutations never
-// trigger a compaction, so one-shot build-then-query callers still pay a
-// single sort at the first query.
-const spanCompactMinPending = 1 << 9
-
-// maybeCompact folds the pending logs into the base once they grow past a
-// threshold — the Grid.maybeCompact guard in one dimension. Without it a
-// long-lived set mutated by an edit stream that never queries (an aapsmd
-// session that edits and detects but never corrects) would accumulate an
-// unbounded log, since only queries call build.
-func (c *sortedLog) maybeCompact() {
-	pending := len(c.adds) + len(c.dels)
-	if pending >= spanCompactMinPending && pending >= len(c.base)/4 {
-		c.build()
+// removeSorted deletes one copy of v; a value not present is left alone.
+func removeSorted(xs []int64, v int64) []int64 {
+	if i, ok := slices.BinarySearch(xs, v); ok {
+		return slices.Delete(xs, i, i+1)
 	}
-}
-
-func (c *sortedLog) len() int {
-	c.build()
-	return len(c.base)
-}
-
-// countLess returns the number of values strictly below v.
-func (c *sortedLog) countLess(v int64) int {
-	c.build()
-	return sort.Search(len(c.base), func(i int) bool { return c.base[i] >= v })
-}
-
-// build folds the pending logs into the sorted base; each pending remove
-// cancels one equal live value.
-func (c *sortedLog) build() {
-	if len(c.adds) == 0 && len(c.dels) == 0 {
-		return
-	}
-	slices.Sort(c.adds)
-	if len(c.dels) == 0 && len(c.base) == 0 {
-		c.base, c.adds = c.adds, nil
-		return
-	}
-	slices.Sort(c.dels)
-	merged := make([]int64, 0, len(c.base)+len(c.adds))
-	bi, ai, di := 0, 0, 0
-	for bi < len(c.base) || ai < len(c.adds) {
-		var v int64
-		if bi < len(c.base) && (ai >= len(c.adds) || c.base[bi] <= c.adds[ai]) {
-			v = c.base[bi]
-			bi++
-		} else {
-			v = c.adds[ai]
-			ai++
-		}
-		for di < len(c.dels) && c.dels[di] < v {
-			di++
-		}
-		if di < len(c.dels) && c.dels[di] == v {
-			di++
-			continue
-		}
-		merged = append(merged, v)
-	}
-	c.base, c.adds, c.dels = merged, nil, nil
+	return xs
 }

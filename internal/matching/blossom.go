@@ -4,7 +4,7 @@
 //
 // The implementation is the classical O(V³) primal–dual blossom algorithm
 // on a dense edge matrix (Galil's exposition of Edmonds' algorithm). It
-// maximizes total weight internally; MinWeightPerfectMatching negates
+// maximizes total weight internally; MinWeightPerfectMatchingCtx negates
 // weights against a large constant so that any perfect matching dominates
 // any non-perfect one and minimum weight is recovered exactly. All
 // arithmetic is int64 and weights are doubled internally so dual variables
@@ -33,20 +33,14 @@ type WeightedEdge struct {
 	Weight int64
 }
 
-// MinWeightPerfectMatching computes an exact minimum-weight perfect matching
-// of the undirected graph with n nodes (0-indexed) and the given edges.
-// Parallel edges are allowed (the cheapest is used); self-loops are ignored
-// (they can never be matched). It returns mate[u] = v for every node and the
-// total weight. Weights may be any non-negative int64 small enough that
-// n*maxWeight does not overflow.
-func MinWeightPerfectMatching(n int, edges []WeightedEdge) (mate []int, total int64, err error) {
-	//aapsmvet:allow ctxflow compatibility wrapper for non-cancellable callers; MinWeightPerfectMatchingCtx is the ctx-aware entry point
-	return MinWeightPerfectMatchingCtx(context.Background(), n, edges)
-}
-
-// MinWeightPerfectMatchingCtx is MinWeightPerfectMatching with cooperative
-// cancellation: the solver polls ctx between primal-dual rounds (the O(V³)
-// hot loop) and aborts with ctx.Err() once it is done.
+// MinWeightPerfectMatchingCtx computes an exact minimum-weight perfect
+// matching of the undirected graph with n nodes (0-indexed) and the given
+// edges. Parallel edges are allowed (the cheapest is used); self-loops are
+// ignored (they can never be matched). It returns mate[u] = v for every node
+// and the total weight. Weights may be any non-negative int64 small enough
+// that n*maxWeight does not overflow. The solver polls ctx between
+// primal-dual rounds (the O(V³) hot loop) and aborts with ctx.Err() once it
+// is done.
 func MinWeightPerfectMatchingCtx(ctx context.Context, n int, edges []WeightedEdge) (mate []int, total int64, err error) {
 	if n == 0 {
 		return nil, 0, nil

@@ -1,6 +1,7 @@
 package matching
 
 import (
+	"context"
 	"errors"
 	"math/rand"
 	"testing"
@@ -91,28 +92,28 @@ func checkPerfect(t *testing.T, n int, edges []WeightedEdge, mate []int, total i
 
 func TestTinyCases(t *testing.T) {
 	// Single edge.
-	mate, total, err := MinWeightPerfectMatching(2, []WeightedEdge{{0, 1, 7}})
+	mate, total, err := MinWeightPerfectMatchingCtx(context.Background(), 2, []WeightedEdge{{0, 1, 7}})
 	if err != nil || total != 7 || mate[0] != 1 || mate[1] != 0 {
 		t.Fatalf("single edge: mate=%v total=%d err=%v", mate, total, err)
 	}
 	// Zero nodes.
-	if _, total, err := MinWeightPerfectMatching(0, nil); err != nil || total != 0 {
+	if _, total, err := MinWeightPerfectMatchingCtx(context.Background(), 0, nil); err != nil || total != 0 {
 		t.Fatal("empty graph should trivially match")
 	}
 	// Odd node count.
-	if _, _, err := MinWeightPerfectMatching(3, []WeightedEdge{{0, 1, 1}}); !errors.Is(err, ErrNoPerfectMatching) {
+	if _, _, err := MinWeightPerfectMatchingCtx(context.Background(), 3, []WeightedEdge{{0, 1, 1}}); !errors.Is(err, ErrNoPerfectMatching) {
 		t.Fatalf("odd n should fail, got %v", err)
 	}
 	// Disconnected pair.
-	if _, _, err := MinWeightPerfectMatching(4, []WeightedEdge{{0, 1, 1}}); !errors.Is(err, ErrNoPerfectMatching) {
+	if _, _, err := MinWeightPerfectMatchingCtx(context.Background(), 4, []WeightedEdge{{0, 1, 1}}); !errors.Is(err, ErrNoPerfectMatching) {
 		t.Fatalf("unmatchable graph should fail, got %v", err)
 	}
 	// Self loop ignored.
-	if _, _, err := MinWeightPerfectMatching(2, []WeightedEdge{{0, 0, 1}}); !errors.Is(err, ErrNoPerfectMatching) {
+	if _, _, err := MinWeightPerfectMatchingCtx(context.Background(), 2, []WeightedEdge{{0, 0, 1}}); !errors.Is(err, ErrNoPerfectMatching) {
 		t.Fatalf("self loop only should fail, got %v", err)
 	}
 	// Negative weight rejected.
-	if _, _, err := MinWeightPerfectMatching(2, []WeightedEdge{{0, 1, -3}}); err == nil {
+	if _, _, err := MinWeightPerfectMatchingCtx(context.Background(), 2, []WeightedEdge{{0, 1, -3}}); err == nil {
 		t.Fatal("negative weight should be rejected")
 	}
 }
@@ -122,7 +123,7 @@ func TestSquareChoosesCheapSides(t *testing.T) {
 	edges := []WeightedEdge{
 		{0, 1, 1}, {1, 2, 10}, {2, 3, 1}, {3, 0, 10},
 	}
-	mate, total, err := MinWeightPerfectMatching(4, edges)
+	mate, total, err := MinWeightPerfectMatchingCtx(context.Background(), 4, edges)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -139,7 +140,7 @@ func TestForcedBlossom(t *testing.T) {
 		{0, 1, 5}, {1, 2, 5}, {2, 0, 5},
 		{2, 3, 1}, {0, 4, 1}, {1, 5, 1},
 	}
-	mate, total, err := MinWeightPerfectMatching(6, edges)
+	mate, total, err := MinWeightPerfectMatchingCtx(context.Background(), 6, edges)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -151,7 +152,7 @@ func TestForcedBlossom(t *testing.T) {
 
 func TestParallelEdgesUseCheapest(t *testing.T) {
 	edges := []WeightedEdge{{0, 1, 9}, {0, 1, 4}, {0, 1, 6}}
-	_, total, err := MinWeightPerfectMatching(2, edges)
+	_, total, err := MinWeightPerfectMatchingCtx(context.Background(), 2, edges)
 	if err != nil || total != 4 {
 		t.Fatalf("total=%d err=%v, want 4", total, err)
 	}
@@ -159,7 +160,7 @@ func TestParallelEdgesUseCheapest(t *testing.T) {
 
 func TestZeroWeightsAllowed(t *testing.T) {
 	edges := []WeightedEdge{{0, 1, 0}, {2, 3, 0}, {0, 2, 5}, {1, 3, 5}}
-	_, total, err := MinWeightPerfectMatching(4, edges)
+	_, total, err := MinWeightPerfectMatchingCtx(context.Background(), 4, edges)
 	if err != nil || total != 0 {
 		t.Fatalf("total=%d err=%v, want 0", total, err)
 	}
@@ -180,7 +181,7 @@ func TestRandomAgainstBruteForce(t *testing.T) {
 		}
 		want := bruteMinPerfect(n, w)
 		edges := edgesFromMap(w)
-		mate, total, err := MinWeightPerfectMatching(n, edges)
+		mate, total, err := MinWeightPerfectMatchingCtx(context.Background(), n, edges)
 		if want < 0 {
 			if !errors.Is(err, ErrNoPerfectMatching) {
 				t.Fatalf("trial %d: expected no matching, got total=%d err=%v (n=%d w=%v)",
@@ -212,7 +213,7 @@ func TestRandomDenseLarger(t *testing.T) {
 		}
 		want := bruteMinPerfect(n, w)
 		edges := edgesFromMap(w)
-		mate, total, err := MinWeightPerfectMatching(n, edges)
+		mate, total, err := MinWeightPerfectMatchingCtx(context.Background(), n, edges)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -229,7 +230,7 @@ func TestRandomDenseLarger(t *testing.T) {
 			edges = append(edges, WeightedEdge{u, v, int64(rng.Intn(10000))})
 		}
 	}
-	mate, total, err := MinWeightPerfectMatching(n, edges)
+	mate, total, err := MinWeightPerfectMatchingCtx(context.Background(), n, edges)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -257,7 +258,7 @@ func TestSparseStructuredGraphs(t *testing.T) {
 		if odd < even {
 			want = odd
 		}
-		mate, total, err := MinWeightPerfectMatching(n, edges)
+		mate, total, err := MinWeightPerfectMatchingCtx(context.Background(), n, edges)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -273,7 +274,7 @@ func TestLargeWeights(t *testing.T) {
 	edges := []WeightedEdge{
 		{0, 1, big}, {2, 3, big + 5}, {0, 2, big + 1}, {1, 3, big + 1},
 	}
-	_, total, err := MinWeightPerfectMatching(4, edges)
+	_, total, err := MinWeightPerfectMatchingCtx(context.Background(), 4, edges)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -293,7 +294,7 @@ func BenchmarkBlossomComplete64(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, _, err := MinWeightPerfectMatching(n, edges); err != nil {
+		if _, _, err := MinWeightPerfectMatchingCtx(context.Background(), n, edges); err != nil {
 			b.Fatal(err)
 		}
 	}

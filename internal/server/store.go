@@ -279,14 +279,18 @@ func (st *sessionStore) readmit(e *sessionEntry) {
 }
 
 // unpin lifts the persistence pin after a successful snapshot write; the
-// entry resumes the normal LRU/TTL lifecycle.
+// entry resumes the normal LRU/TTL lifecycle, and the store, which the pin
+// may have held over capacity, is trimmed back to it.
 func (st *sessionStore) unpin(e *sessionEntry) {
 	st.mu.Lock()
-	defer st.mu.Unlock()
+	var fire []*sessionEntry
 	if e.pinned {
 		e.pinned = false
 		st.pinnedN--
+		fire = st.evictOverflowLocked()
 	}
+	st.mu.Unlock()
+	st.fire(fire)
 }
 
 // pinnedCount returns how many live entries are pinned (readiness and

@@ -267,6 +267,41 @@ func TestStoreDeferredEvictionWhileHeld(t *testing.T) {
 	}
 }
 
+// TestStoreUnpinTrimsToCapacity: a session readmitted pinned after a failed
+// eviction write holds the store over capacity only while the pin lasts;
+// lifting it trims the store back to capacity at once.
+func TestStoreUnpinTrimsToCapacity(t *testing.T) {
+	var st *sessionStore
+	fired := 0
+	st = newSessionStore(1, time.Hour, nil, func(e *sessionEntry, _ evictReason) {
+		fired++
+		if fired == 1 {
+			st.readmit(e) // the first eviction write fails
+		}
+	})
+	a, _, err := st.getOrCreate(context.Background(), testHash(1), mkSession)
+	if err != nil {
+		t.Fatal(err)
+	}
+	st.release(a)
+	b, _, err := st.getOrCreate(context.Background(), testHash(2), mkSession)
+	if err != nil {
+		t.Fatal(err)
+	}
+	st.release(b)
+	if st.len() != 2 || st.pinnedCount() != 1 || fired != 1 {
+		t.Fatalf("after the failed eviction: len %d, pinned %d, fired %d; want 2, 1, 1",
+			st.len(), st.pinnedCount(), fired)
+	}
+	st.unpin(a)
+	if st.len() != 1 || st.pinnedCount() != 0 {
+		t.Fatalf("after unpin: len %d, pinned %d; want capacity 1, 0", st.len(), st.pinnedCount())
+	}
+	if fired != 2 {
+		t.Fatalf("eviction callback fired %d times, want 2", fired)
+	}
+}
+
 // TestStoreAdopt: adoption revives a session under its original ID, advances
 // the ID sequence past it, and respects the edited flag for create-by-hash.
 func TestStoreAdopt(t *testing.T) {

@@ -41,16 +41,10 @@ func (o Options) groupCap() int {
 	}
 }
 
-// Solve computes a minimum-weight T-join of g, decomposing the problem per
-// connected component so that the matching instances stay small (conflict
-// graphs of real layouts consist of many local components). Gadget
-// statistics are accumulated across components.
-func Solve(g *graph.Graph, T []int, opt Options) (Result, error) {
-	//aapsmvet:allow ctxflow compatibility wrapper for non-cancellable callers; SolveContext is the ctx-aware entry point
-	return SolveContext(context.Background(), g, T, opt)
-}
-
-// SolveContext is Solve with cooperative cancellation: it polls ctx between
+// SolveContext computes a minimum-weight T-join of g, decomposing the
+// problem per connected component so that the matching instances stay small
+// (conflict graphs of real layouts consist of many local components). Gadget
+// statistics are accumulated across components. It polls ctx between
 // components and threads it into the matching solver's primal-dual rounds,
 // returning ctx.Err() promptly once the context is done.
 func SolveContext(ctx context.Context, g *graph.Graph, T []int, opt Options) (Result, error) {

@@ -11,9 +11,10 @@
 //     reproduces the "optimized gadgets" of Berman et al. (TCAD'99); an
 //     unbounded cap is this paper's "generalized gadget", which materializes
 //     fewer nodes and is measurably faster (the Table 1 runtime columns).
-//   - SolveLawler: the classical reduction via shortest-path metric closure
-//     over T — the correctness reference.
-//   - SolveExhaustive: brute force over edge subsets for tiny graphs (tests).
+//   - solveLawler (MethodLawler in SolveContext): the classical reduction
+//     via shortest-path metric closure over T — the correctness reference.
+//   - SolveExhaustiveContext: brute force over edge subsets for tiny graphs
+//     (tests).
 //
 // All solvers require non-negative weights and return the selected edge
 // indices of G.
@@ -254,14 +255,10 @@ func solveGadget(ctx context.Context, g *graph.Graph, T []int, groupCap int) (Re
 	return res, nil
 }
 
-// SolveLawler solves the T-join via shortest paths: build the metric closure
+// solveLawler solves the T-join via shortest paths: build the metric closure
 // over T, find its minimum-weight perfect matching, and take the symmetric
-// difference of the matched shortest paths.
-func SolveLawler(g *graph.Graph, T []int) (Result, error) {
-	//aapsmvet:allow ctxflow compatibility wrapper for non-cancellable callers; the ctx-aware path is solveLawler via SolveContext
-	return solveLawler(context.Background(), g, T)
-}
-
+// difference of the matched shortest paths. SolveContext runs it per
+// component for MethodLawler.
 func solveLawler(ctx context.Context, g *graph.Graph, T []int) (Result, error) {
 	if err := validate(g, T); err != nil {
 		return Result{}, err
@@ -381,17 +378,10 @@ func solveLawler(ctx context.Context, g *graph.Graph, T []int) (Result, error) {
 	return res, nil
 }
 
-// SolveExhaustive enumerates all edge subsets; only usable for tiny graphs
-// (m <= ~20). Exported for cross-validation in tests.
-func SolveExhaustive(g *graph.Graph, T []int) (Result, error) {
-	//aapsmvet:allow ctxflow test-only cross-validation wrapper; SolveExhaustiveContext is the ctx-aware entry point
-	return SolveExhaustiveContext(context.Background(), g, T)
-}
-
-// SolveExhaustiveContext is SolveExhaustive with cooperative cancellation,
-// following the same Ctx-variant pattern as the other solvers: even a
-// 22-edge instance spins through 2^22 subset masks, so the mask loop polls
-// ctx periodically and returns ctx.Err() promptly once it is done.
+// SolveExhaustiveContext enumerates all edge subsets; only usable for tiny
+// graphs (m <= ~20). Exported for cross-validation in tests. Even a 22-edge
+// instance spins through 2^22 subset masks, so the mask loop polls ctx
+// periodically and returns ctx.Err() promptly once it is done.
 func SolveExhaustiveContext(ctx context.Context, g *graph.Graph, T []int) (Result, error) {
 	if g.M() > 22 {
 		return Result{}, fmt.Errorf("tjoin: %d edges too many for exhaustive solve", g.M())

@@ -2,6 +2,7 @@ package tjoin
 
 import (
 	"container/heap"
+	"context"
 	"testing"
 
 	"repro/internal/graph"
@@ -121,7 +122,7 @@ func BenchmarkSolveLawler(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := SolveLawler(g, T); err != nil {
+		if _, err := solveLawler(context.Background(), g, T); err != nil {
 			b.Fatal(err)
 		}
 	}

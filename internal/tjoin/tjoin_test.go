@@ -27,7 +27,7 @@ func TestEmptyTerminalSet(t *testing.T) {
 			t.Errorf("cap %d: empty T should give empty join, got %v", cap, r)
 		}
 	}
-	r := mustSolve(t, func() (Result, error) { return SolveLawler(g, nil) })
+	r := mustSolve(t, func() (Result, error) { return solveLawler(context.Background(), g, nil) })
 	if len(r.Edges) != 0 {
 		t.Error("lawler empty T")
 	}
@@ -61,7 +61,7 @@ func TestPathJoin(t *testing.T) {
 			t.Fatalf("cap %d: %+v", cap, r)
 		}
 	}
-	r := mustSolve(t, func() (Result, error) { return SolveLawler(g, T) })
+	r := mustSolve(t, func() (Result, error) { return solveLawler(context.Background(), g, T) })
 	if r.Weight != 6 {
 		t.Fatalf("lawler: %+v", r)
 	}
@@ -95,10 +95,10 @@ func TestNoJoinOddComponent(t *testing.T) {
 	if _, err := SolveGadget(g, T, Unbounded); !errors.Is(err, ErrNoTJoin) {
 		t.Fatalf("gadget err = %v", err)
 	}
-	if _, err := SolveLawler(g, T); !errors.Is(err, ErrNoTJoin) {
+	if _, err := solveLawler(context.Background(), g, T); !errors.Is(err, ErrNoTJoin) {
 		t.Fatalf("lawler err = %v", err)
 	}
-	if _, err := SolveExhaustive(g, T); !errors.Is(err, ErrNoTJoin) {
+	if _, err := SolveExhaustiveContext(context.Background(), g, T); !errors.Is(err, ErrNoTJoin) {
 		t.Fatalf("exhaustive err = %v", err)
 	}
 }
@@ -197,7 +197,7 @@ func TestRandomCrossValidation(t *testing.T) {
 	caps := []int{1, 2, 3, 5, Unbounded}
 	for trial := 0; trial < 300; trial++ {
 		g, T := randGraph(rng, 7, 12)
-		want, errW := SolveExhaustive(g, T)
+		want, errW := SolveExhaustiveContext(context.Background(), g, T)
 		for _, cap := range caps {
 			got, err := SolveGadget(g, T, cap)
 			if errW != nil {
@@ -217,7 +217,7 @@ func TestRandomCrossValidation(t *testing.T) {
 				t.Fatalf("trial %d cap %d: %v", trial, cap, err)
 			}
 		}
-		gotL, errL := SolveLawler(g, T)
+		gotL, errL := solveLawler(context.Background(), g, T)
 		if errW != nil {
 			if errL == nil {
 				t.Fatalf("trial %d lawler: expected error", trial)
@@ -254,7 +254,7 @@ func TestLargerRandomAgreement(t *testing.T) {
 		if len(T)%2 == 1 {
 			T = T[:len(T)-1]
 		}
-		rl, errL := SolveLawler(g, T)
+		rl, errL := solveLawler(context.Background(), g, T)
 		rg, errG := SolveGadget(g, T, Unbounded)
 		ro, errO := SolveGadget(g, T, 3)
 		if (errL != nil) != (errG != nil) || (errL != nil) != (errO != nil) {
@@ -331,9 +331,9 @@ func TestSolveComponentsMatchesWhole(t *testing.T) {
 		if g.M() > 20 {
 			continue
 		}
-		want, errW := SolveExhaustive(g, T)
+		want, errW := SolveExhaustiveContext(context.Background(), g, T)
 		for _, m := range []Method{MethodGeneralizedGadget, MethodOptimizedGadget, MethodLawler} {
-			got, err := Solve(g, T, Options{Method: m})
+			got, err := SolveContext(context.Background(), g, T, Options{Method: m})
 			if errW != nil {
 				if err == nil {
 					t.Fatalf("trial %d m=%d: expected error", trial, m)
@@ -411,8 +411,8 @@ func TestLawlerSparsificationStress(t *testing.T) {
 		if g.M() > 20 {
 			continue
 		}
-		want, errW := SolveExhaustive(g, T)
-		got, err := SolveLawler(g, T)
+		want, errW := SolveExhaustiveContext(context.Background(), g, T)
+		got, err := solveLawler(context.Background(), g, T)
 		if errW != nil {
 			if err == nil {
 				t.Fatalf("trial %d: expected error", trial)

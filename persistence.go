@@ -6,6 +6,7 @@ import (
 	"fmt"
 
 	"repro/internal/core"
+	"repro/internal/fanout"
 	"repro/internal/persist"
 )
 
@@ -99,7 +100,7 @@ func (e *Engine) RestoreSessionWithParallelism(ctx context.Context, data []byte,
 	inc, err := core.RestoreIncremental(ctx, &st.Inc, e.rules, e.opts.Graph, e.opts.coreOptions())
 	if err != nil {
 		// A cancelled rebuild says nothing about the snapshot.
-		if !isContextErr(err) {
+		if !fanout.IsContextErr(err) {
 			err = fmt.Errorf("%w: %w", persist.ErrCorrupt, err)
 		}
 		return nil, flowErr(StagePersist, "", err)
@@ -158,7 +159,7 @@ func (s *Session) rerunMemo(ctx context.Context, memo uint8) error {
 		if memo&step.bit == 0 {
 			continue
 		}
-		if err := step.run(); err != nil && isContextErr(err) {
+		if err := step.run(); err != nil && fanout.IsContextErr(err) {
 			return err
 		}
 	}

@@ -9,6 +9,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/correct"
 	"repro/internal/drc"
+	"repro/internal/fanout"
 	"repro/internal/mask"
 	"repro/internal/tshape"
 )
@@ -101,7 +102,7 @@ func memoLocked[T any](s *Session, st *stage[T], ctx context.Context, fs FlowSta
 	v, err := f(ctx)
 	if err != nil {
 		err = flowErr(fs, s.layout.Name, err)
-		if isContextErr(err) {
+		if fanout.IsContextErr(err) {
 			return zero, err // retryable: do not poison the session
 		}
 		st.done, st.err = true, err
