@@ -135,110 +135,6 @@ const (
 	faultReadCorrupt
 )
 
-// faultCore is the decision engine of FaultStore: a seeded rng consumed one
-// roll per operation under a mutex, plus an explicit override queue for
-// scripted tests (fail/tear the next N writes).
-type faultCore struct {
-	mu        sync.Mutex
-	cfg       FaultConfig
-	rng       *rand.Rand
-	forceN    int
-	forceErr  error
-	forceTorn int
-	stats     FaultStats
-}
-
-func newFaultCore(cfg FaultConfig) *faultCore {
-	return &faultCore{cfg: cfg, rng: rand.New(rand.NewSource(cfg.Seed))}
-}
-
-// decideWrite consumes one decision for a write op. frac parameterizes the
-// torn-write cut point in (0,1).
-func (f *faultCore) decideWrite() (kind int, frac float64, forced error) {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	f.stats.Puts++
-	if f.forceTorn > 0 {
-		f.forceTorn--
-		f.stats.ForcedFaults++
-		f.stats.TornWrites++
-		return faultTorn, f.rng.Float64(), nil
-	}
-	if f.forceN > 0 {
-		f.forceN--
-		f.stats.ForcedFaults++
-		f.stats.WriteFails++
-		return faultWriteFail, 0, f.forceErr
-	}
-	r := f.rng.Float64()
-	switch {
-	case r < f.cfg.WriteTorn:
-		f.stats.TornWrites++
-		return faultTorn, f.rng.Float64(), nil
-	case r < f.cfg.WriteTorn+f.cfg.WriteENOSPC:
-		f.stats.ENOSPCs++
-		return faultENOSPC, 0, nil
-	case r < f.cfg.WriteTorn+f.cfg.WriteENOSPC+f.cfg.WriteFail:
-		f.stats.WriteFails++
-		return faultWriteFail, 0, nil
-	}
-	return faultNone, 0, nil
-}
-
-// decideRead consumes one decision for a read op. frac parameterizes the
-// corrupted byte position in [0,1).
-func (f *faultCore) decideRead() (kind int, frac float64) {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	f.stats.Gets++
-	r := f.rng.Float64()
-	switch {
-	case r < f.cfg.ReadFail:
-		f.stats.ReadFails++
-		return faultReadFail, 0
-	case r < f.cfg.ReadFail+f.cfg.ReadCorrupt:
-		f.stats.ReadCorrupts++
-		return faultReadCorrupt, f.rng.Float64()
-	}
-	return faultNone, 0
-}
-
-func (f *faultCore) sleep() {
-	if d := f.latency(); d > 0 {
-		time.Sleep(d)
-	}
-}
-
-func (f *faultCore) latency() time.Duration {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	return f.cfg.Latency
-}
-
-func (f *faultCore) failNext(n int, err error) {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	f.forceN, f.forceErr = n, err
-}
-
-func (f *faultCore) tearNext(n int) {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	f.forceTorn = n
-}
-
-func (f *faultCore) setConfig(cfg FaultConfig) {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	f.cfg = cfg
-}
-
-func (f *faultCore) snapshot() FaultStats {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	return f.stats
-}
-
 // corrupt returns a copy of data with one byte flipped at a position chosen
 // by frac. Empty data is returned unchanged.
 func corrupt(data []byte, frac float64) []byte {
@@ -272,9 +168,19 @@ func tearAt(n int, frac float64) int {
 // failures, ENOSPC, torn partial writes, read failures, read corruption, and
 // latency, on the schedule programmed by its FaultConfig. It is the test and
 // -chaos harness for every persistence failure path.
+//
+// Each operation consumes one roll of a seeded rng under mu; an override
+// queue scripts tests ahead of it (fail or tear the next N writes).
 type FaultStore struct {
 	inner Store
-	core  *faultCore
+
+	mu        sync.Mutex
+	cfg       FaultConfig
+	rng       *rand.Rand
+	forceN    int
+	forceErr  error
+	forceTorn int
+	stats     FaultStats
 }
 
 // NewFaultStore wraps inner with the fault schedule cfg. cfg is validated
@@ -283,16 +189,24 @@ func NewFaultStore(inner Store, cfg FaultConfig) *FaultStore {
 	if err := cfg.check(); err != nil {
 		panic(err)
 	}
-	return &FaultStore{inner: inner, core: newFaultCore(cfg)}
+	return &FaultStore{inner: inner, cfg: cfg, rng: rand.New(rand.NewSource(cfg.Seed))}
 }
 
 // FailNextPuts scripts the next n Put calls to fail with err (a generic
 // injected error when err is nil), ahead of any probabilistic schedule.
-func (f *FaultStore) FailNextPuts(n int, err error) { f.core.failNext(n, err) }
+func (f *FaultStore) FailNextPuts(n int, err error) {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	f.forceN, f.forceErr = n, err
+}
 
 // TearNextPuts scripts the next n Put calls to persist a truncated prefix
 // and then fail — the deterministic kill-during-write primitive.
-func (f *FaultStore) TearNextPuts(n int) { f.core.tearNext(n) }
+func (f *FaultStore) TearNextPuts(n int) {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	f.forceTorn = n
+}
 
 // SetConfig replaces the probabilistic schedule (e.g. to clear faults for a
 // recovery phase).
@@ -300,15 +214,21 @@ func (f *FaultStore) SetConfig(cfg FaultConfig) {
 	if err := cfg.check(); err != nil {
 		panic(err)
 	}
-	f.core.setConfig(cfg)
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	f.cfg = cfg
 }
 
 // Stats returns a snapshot of the injected-fault counters.
-func (f *FaultStore) Stats() FaultStats { return f.core.snapshot() }
+func (f *FaultStore) Stats() FaultStats {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	return f.stats
+}
 
 func (f *FaultStore) Put(ref Ref, data []byte) error {
-	f.core.sleep()
-	kind, frac, forced := f.core.decideWrite()
+	f.sleep()
+	kind, frac, forced := f.decideWrite()
 	switch kind {
 	case faultWriteFail:
 		if forced != nil {
@@ -326,12 +246,12 @@ func (f *FaultStore) Put(ref Ref, data []byte) error {
 }
 
 func (f *FaultStore) Get(ref Ref) ([]byte, error) {
-	f.core.sleep()
+	f.sleep()
 	data, err := f.inner.Get(ref)
 	if err != nil {
 		return nil, err
 	}
-	switch kind, frac := f.core.decideRead(); kind {
+	switch kind, frac := f.decideRead(); kind {
 	case faultReadFail:
 		return nil, fmt.Errorf("%w: read of %s failed", ErrInjected, ref.ID)
 	case faultReadCorrupt:
@@ -341,13 +261,74 @@ func (f *FaultStore) Get(ref Ref) ([]byte, error) {
 }
 
 func (f *FaultStore) List() ([]Ref, error) {
-	f.core.sleep()
+	f.sleep()
 	return f.inner.List()
 }
 
 func (f *FaultStore) Delete(ref Ref) error {
-	f.core.sleep()
+	f.sleep()
 	return f.inner.Delete(ref)
 }
 
 func (f *FaultStore) Close() error { return f.inner.Close() }
+
+// decideWrite consumes one decision for a write op. frac parameterizes the
+// torn-write cut point in (0,1).
+func (f *FaultStore) decideWrite() (kind int, frac float64, forced error) {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	f.stats.Puts++
+	if f.forceTorn > 0 {
+		f.forceTorn--
+		f.stats.ForcedFaults++
+		f.stats.TornWrites++
+		return faultTorn, f.rng.Float64(), nil
+	}
+	if f.forceN > 0 {
+		f.forceN--
+		f.stats.ForcedFaults++
+		f.stats.WriteFails++
+		return faultWriteFail, 0, f.forceErr
+	}
+	r := f.rng.Float64()
+	switch {
+	case r < f.cfg.WriteTorn:
+		f.stats.TornWrites++
+		return faultTorn, f.rng.Float64(), nil
+	case r < f.cfg.WriteTorn+f.cfg.WriteENOSPC:
+		f.stats.ENOSPCs++
+		return faultENOSPC, 0, nil
+	case r < f.cfg.WriteTorn+f.cfg.WriteENOSPC+f.cfg.WriteFail:
+		f.stats.WriteFails++
+		return faultWriteFail, 0, nil
+	}
+	return faultNone, 0, nil
+}
+
+// decideRead consumes one decision for a read op. frac parameterizes the
+// corrupted byte position in [0,1).
+func (f *FaultStore) decideRead() (kind int, frac float64) {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	f.stats.Gets++
+	r := f.rng.Float64()
+	switch {
+	case r < f.cfg.ReadFail:
+		f.stats.ReadFails++
+		return faultReadFail, 0
+	case r < f.cfg.ReadFail+f.cfg.ReadCorrupt:
+		f.stats.ReadCorrupts++
+		return faultReadCorrupt, f.rng.Float64()
+	}
+	return faultNone, 0
+}
+
+// sleep injects the configured latency.
+func (f *FaultStore) sleep() {
+	f.mu.Lock()
+	d := f.cfg.Latency
+	f.mu.Unlock()
+	if d > 0 {
+		time.Sleep(d)
+	}
+}

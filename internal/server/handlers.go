@@ -231,17 +231,19 @@ func (s *Server) handleInfo(w http.ResponseWriter, _ *http.Request, ent *session
 
 func (s *Server) handleDelete(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
-	live := s.store.delete(id) // eviction callback also deletes the snapshot
-	if !live && s.cfg.Snapshots != nil {
-		// Not live, but a dormant snapshot still answers by this ID; delete
-		// must kill that too or the session would resurrect on next access.
-		s.snapMu.Lock()
-		_, hasSnap := s.snapByID[id]
-		s.snapMu.Unlock()
-		if hasSnap {
-			s.snapshotDelete(id)
-			live = true
-		}
+	ent := s.store.delete(id)
+	live := ent != nil
+	if live {
+		s.metrics.evicted(evictExplicit)
+		// After a write of this session already in flight, so the
+		// deletion is what the snapshot store keeps.
+		ent.persistMu.Lock()
+		defer ent.persistMu.Unlock()
+	}
+	// A dormant session (snapshot only) answers by this ID too; delete must
+	// remove its snapshot or the session would resurrect on next access.
+	if s.cfg.Snapshots != nil && s.snapshotDelete(id) {
+		live = true
 	}
 	if !live {
 		writeError(w, http.StatusNotFound, "unknown_session", "", "",
@@ -260,13 +262,14 @@ func (s *Server) handleFlush(w http.ResponseWriter, _ *http.Request, ent *sessio
 			"server runs without a snapshot store (-store-dir)")
 		return
 	}
-	if err := s.snapshotWrite(ent); err != nil {
+	if err := s.snapshotWrite(ent, false); err != nil {
 		// The client's checkpoint did not land, and the error detail says
 		// why; the periodic flush keeps trying in the background.
 		writeError(w, http.StatusInternalServerError, "snapshot_failed", "", "",
 			"snapshot write failed: "+err.Error())
 		return
 	}
+	s.store.unpin(ent)
 	writeJSON(w, map[string]any{"flushed": true, "id": ent.ID})
 }
 

@@ -231,8 +231,8 @@ func TestEvictionSnapshotCapturesInFlightEdit(t *testing.T) {
 	}
 	// Capacity 1: creating another session evicts the held one.
 	tc.must("POST", "/v1/sessions", layoutText(t, loadLayout(45)), 200)
-	if _, live := srv.store.get(a.ID); live {
-		t.Fatal("session still live after capacity eviction")
+	if n := srv.Sessions(); n != 1 {
+		t.Fatalf("live sessions = %d after capacity eviction, want 1", n)
 	}
 	if n := srv.metrics.snapshotWrites.Load(); n != 0 {
 		t.Fatalf("snapshot written while a request still held the session (writes = %d)", n)
@@ -261,12 +261,12 @@ func TestEvictionSnapshotCapturesInFlightEdit(t *testing.T) {
 }
 
 // TestEvictionRehydrationChurn hammers a tiny store with concurrent session
-// flows while persistence is on, so eviction, deferred snapshot writes, and
-// single-flighted rehydration race continuously under -race. Requests may
-// observe a clean 404 (evicted before its first snapshot, or a snapshot not
-// yet written by a deferred callback) but never an internal error.
+// flows while persistence is on, so eviction, snapshot writes, and
+// single-flighted rehydration race continuously under -race. A session is
+// unlinked only once its snapshot is stored, so every request finds its
+// session (no 404), and each flow ends with exactly its own three moves.
 func TestEvictionRehydrationChurn(t *testing.T) {
-	const flows = 48
+	const flows, steps = 48, 3
 	srv, tc := newTestServer(t, Config{
 		Engine:        persistEngine(),
 		StoreCapacity: 3,
@@ -290,21 +290,30 @@ func TestEvictionRehydrationChurn(t *testing.T) {
 				return
 			}
 			base := "/v1/sessions/" + created.ID
-			for step := 0; step < 3; step++ {
-				ops := encodeJSON(t, moveOp(l, step))
+			oracle := persistEngine().NewSession(l)
+			for step := 0; step < steps; step++ {
+				op := moveOp(l, step).Ops[0]
+				r := aapsm.R(op.Rect[0], op.Rect[1], op.Rect[2], op.Rect[3])
+				if err := oracle.Edit(func(ed *aapsm.LayoutEditor) { ed.Move(step, r) }); err != nil {
+					t.Error(err)
+					return
+				}
 				for _, req := range []struct {
 					method, path string
 					body         []byte
 				}{
-					{"POST", base + "/edits", ops},
+					{"POST", base + "/edits", encodeJSON(t, moveOp(l, step))},
 					{"GET", base + "/detect", nil},
 				} {
-					code, data := tc.do(req.method, req.path, req.body)
-					if code != 200 && code != 404 {
+					if code, data := tc.do(req.method, req.path, req.body); code != 200 {
 						t.Errorf("flow %d step %d %s = %d: %s", i, step, req.path, code, data)
 						return
 					}
 				}
+			}
+			code, got := tc.do("GET", base+"/layout", nil)
+			if want := layoutText(t, oracle.SnapshotLayout()); code != 200 || !bytes.Equal(got, want) {
+				t.Errorf("flow %d final layout (%d) differs from its own %d moves", i, code, steps)
 			}
 		}(i)
 	}

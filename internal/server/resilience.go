@@ -6,10 +6,11 @@ import "sync"
 // health tracker behind /readyz.
 //
 // The invariant it serves: a session whose snapshot cannot be persisted is
-// never silently dropped. The eviction path readmits it pinned (exempt from
-// LRU/TTL eviction), and the first successful write — from the periodic
-// flush, the flush endpoint or the drain-time FlushAll — unpins it. The
-// periodic flush is the one background retry of failed writes.
+// never silently dropped. A failed eviction write keeps the session in the
+// store, pinned in place (exempt from LRU/TTL eviction), and the first
+// successful write — from the periodic flush, the flush endpoint or the
+// drain-time FlushAll — unpins it. The periodic flush is the one background
+// retry of failed writes.
 
 // storeHealth summarizes recent persistence-store behavior for the
 // readiness probe: consecutive write failures mark the store degraded, one

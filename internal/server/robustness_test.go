@@ -119,13 +119,15 @@ func TestEvictionWriteFailureRecoversOnFlush(t *testing.T) {
 		FlushInterval: 5 * time.Millisecond,
 	})
 
+	// Every write fails from before a exists until the store is cleared
+	// below. So no flush tick stores a first (an eviction whose bytes are
+	// already stored needs no write), and the eviction of a writes and fails
+	// however the flush ticks interleave with the creates.
+	fs.SetConfig(persist.FaultConfig{WriteFail: 1})
 	var a createResponse
 	if err := json.Unmarshal(tc.must("POST", "/v1/sessions", layoutText(t, loadLayout(62)), 200), &a); err != nil {
 		t.Fatal(err)
 	}
-	// Every write fails until the store is cleared below, so the eviction of
-	// a fails however the flush ticks interleave with the create.
-	fs.SetConfig(persist.FaultConfig{WriteFail: 1})
 	tc.must("POST", "/v1/sessions", layoutText(t, loadLayout(63)), 200)
 	// A flush sweep holding a delays its eviction to the sweep's release.
 	waitFor(t, 5*time.Second, func() bool {

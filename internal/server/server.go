@@ -27,6 +27,7 @@ package server
 
 import (
 	"context"
+	"crypto/sha256"
 	"errors"
 	"fmt"
 	"net/http"
@@ -48,7 +49,9 @@ type Config struct {
 	// it). Default 1024.
 	StoreCapacity int
 	// SessionTTL is the idle lifetime of a stored session; every access
-	// refreshes it. 0 means the default 30m; negative disables expiry.
+	// refreshes it. A background sweep enforces it every TTL/4 (at least
+	// every second), so an access before the sweep keeps the session.
+	// 0 means the default 30m; negative disables expiry.
 	SessionTTL time.Duration
 	// RequestTimeout bounds each request's pipeline work via context
 	// cancellation. 0 means the default 60s; negative disables the limit.
@@ -304,7 +307,9 @@ func (s *Server) FlushAll() {
 		return
 	}
 	for _, e := range s.store.snapshotEntries() {
-		s.snapshotWrite(e)
+		if s.snapshotWrite(e, false) == nil {
+			s.store.unpin(e)
+		}
 		s.store.release(e)
 	}
 }
@@ -326,44 +331,48 @@ func (s *Server) flushLoop() {
 }
 
 // onEvict is the store's eviction callback: metrics, then — with
-// persistence configured — a final snapshot (LRU/TTL) or snapshot removal
-// (explicit delete). It runs outside the store mutex and only after the
-// last in-flight request released the entry, so taking the session lock
-// here is safe.
-func (s *Server) onEvict(e *sessionEntry, why evictReason) {
+// persistence configured — a final snapshot. It runs outside the store
+// mutex and only while no request holds the entry, so taking the session
+// lock here is safe. A false result keeps the session in the store, pinned
+// (exempt from LRU and TTL eviction): the store refused the snapshot, and
+// evicting now would lose the session. The first successful write —
+// periodic flush, flush endpoint or drain — unpins it.
+func (s *Server) onEvict(e *sessionEntry, why evictReason) bool {
 	s.metrics.evicted(why)
-	if s.cfg.Snapshots == nil {
-		return
-	}
-	if why == evictExplicit {
-		s.snapshotDelete(e.ID)
-		return
-	}
-	if s.snapshotWrite(e) != nil {
-		// Graceful degradation: the store refused the snapshot, so evicting
-		// now would lose the session. Readmit it pinned (exempt from LRU and
-		// TTL eviction); the first successful write — periodic flush,
-		// flush endpoint or drain — unpins it.
-		s.store.readmit(e)
-	}
+	return s.cfg.Snapshots == nil || s.snapshotWrite(e, true) == nil
 }
 
-// snapshotWrite persists one session and updates the snapshot index.
-func (s *Server) snapshotWrite(e *sessionEntry) error {
+// snapshotWrite persists one session and updates the snapshot index. An
+// eviction write (evicting) whose bytes equal the last snapshot this entry
+// stored skips the Put; flushes always write, as they are the store-health
+// probe behind /readyz. A deleted session is not written. The flush paths
+// unpin the session after a successful write, outside e.persistMu: the trim
+// unpin starts may evict e itself, and that eviction writes e again.
+func (s *Server) snapshotWrite(e *sessionEntry, evicting bool) error {
+	e.persistMu.Lock()
+	defer e.persistMu.Unlock()
+	if !s.store.indexed(e) {
+		return nil
+	}
 	data, err := e.Sess.Snapshot()
 	if err != nil {
 		return err
 	}
+	sum := sha256.Sum256(data)
+	if evicting && sum == e.stored {
+		return nil
+	}
 	ref := persist.Ref{ID: e.ID, Hash: e.Hash, Edited: s.store.isEdited(e)}
 	if err := s.cfg.Snapshots.Put(ref, data); err != nil {
+		// What the store holds now is unknown (a torn write lands a prefix).
+		e.stored = [sha256.Size]byte{}
 		s.metrics.snapshotWriteErrors.Add(1)
 		s.health.noteErr(err)
 		return err
 	}
+	e.stored = sum
 	s.metrics.snapshotWrites.Add(1)
 	s.health.noteOK()
-	// A successful write releases the session's persistence pin, if any.
-	s.store.unpin(e)
 	s.snapMu.Lock()
 	if old, ok := s.snapByID[ref.ID]; ok && !old.Edited && ref.Edited {
 		if cur, ok := s.snapByHash[old.Hash]; ok && cur.ID == ref.ID {
@@ -378,8 +387,9 @@ func (s *Server) snapshotWrite(e *sessionEntry) error {
 	return nil
 }
 
-// snapshotDelete removes a session's snapshot (explicit session deletion).
-func (s *Server) snapshotDelete(id string) {
+// snapshotDelete removes a session's snapshot (explicit session deletion)
+// and reports whether the index held one.
+func (s *Server) snapshotDelete(id string) bool {
 	s.snapMu.Lock()
 	ref, ok := s.snapByID[id]
 	if ok {
@@ -392,6 +402,7 @@ func (s *Server) snapshotDelete(id string) {
 	if ok {
 		s.cfg.Snapshots.Delete(ref)
 	}
+	return ok
 }
 
 // dropSnapshot forgets an unusable (corrupt, version-skewed, or

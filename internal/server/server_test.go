@@ -394,7 +394,7 @@ func TestEditAddedIndices(t *testing.T) {
 // typed 404.
 func TestSessionTTLOverHTTP(t *testing.T) {
 	clock := newFakeClock()
-	_, tc := newTestServer(t, Config{
+	srv, tc := newTestServer(t, Config{
 		Engine:     aapsm.NewEngine(),
 		SessionTTL: 10 * time.Minute,
 		now:        clock.Now,
@@ -405,6 +405,7 @@ func TestSessionTTLOverHTTP(t *testing.T) {
 	}
 	tc.must("GET", "/v1/sessions/"+created.ID, nil, 200)
 	clock.Advance(11 * time.Minute)
+	srv.store.sweep() // the sweep loop's tick
 	data := tc.must("GET", "/v1/sessions/"+created.ID, nil, 404)
 	var eb errorBody
 	if err := json.Unmarshal(data, &eb); err != nil {

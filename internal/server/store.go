@@ -3,6 +3,7 @@ package server
 import (
 	"container/list"
 	"context"
+	"crypto/sha256"
 	"fmt"
 	"strconv"
 	"strings"
@@ -14,7 +15,7 @@ import (
 
 // sessionEntry is one stored session plus its bookkeeping. The session
 // itself is concurrency-safe; the entry's mutable fields (expiry, LRU
-// position, edited flag, refcount) are guarded by the store mutex.
+// position, edited flag, refcount, exit state) are guarded by the store mutex.
 type sessionEntry struct {
 	ID   string
 	Hash string // content hash of the layout the session was created from
@@ -22,27 +23,36 @@ type sessionEntry struct {
 
 	Created time.Time
 	// expires, edited and elem are index state, guarded by st.mu (the
-	// owning store's lock).
+	// owning store's lock). elem is nil while the entry is leaving.
 	expires time.Time     // guarded by st.mu
 	edited  bool          // once true, the entry no longer satisfies create-by-hash; guarded by st.mu
 	elem    *list.Element // guarded by st.mu
 
 	// refs counts in-flight requests holding the entry (acquired by
-	// get/getOrCreate/adopt, dropped by release). An entry evicted while
-	// refs > 0 stays fully usable by those requests — only the indexes
-	// forget it — and its eviction callback is deferred to the last release,
-	// so eviction can never race a request mid-stage. refs, gone,
-	// finalized and why are all guarded by st.mu (the owning store's lock).
-	refs      int         // guarded by st.mu
-	gone      bool        // removed from the indexes; finalize at refs == 0; guarded by st.mu
-	finalized bool        // guarded by st.mu
-	why       evictReason // guarded by st.mu
+	// get/getOrCreate/adopt, dropped by release). Guarded by st.mu.
+	refs int
+	// leaving is why the LRU trim or the TTL sweep moved the entry out of
+	// the LRU list ("" while it is in it). A leaving entry stays in byID
+	// and byHash; its eviction callback runs once refs is 0, and only a
+	// successful callback unlinks it. Guarded by st.mu.
+	leaving evictReason
+	// firing is set while the eviction callback runs, and retaken when a
+	// lookup takes the entry back meanwhile: the callback's success then
+	// no longer unlinks it. Both guarded by st.mu.
+	firing, retaken bool
 
 	// pinned marks an entry whose state could not be persisted: it is exempt
 	// from LRU overflow and TTL expiry until a snapshot write succeeds
 	// (unpin), so store faults degrade to higher memory use, never to lost
 	// session work. Guarded by st.mu (the owning store's lock).
 	pinned bool
+
+	// persistMu orders this session's snapshot writes and the deletion of
+	// its snapshot: one runs at a time, and a write snapshots the session
+	// only once it holds the mutex, so an older write never lands last.
+	persistMu sync.Mutex
+	stored    [sha256.Size]byte // SHA-256 of the bytes last written, zero when unknown; guarded by persistMu
+
 	// slots bounds requests concurrently inside handlers for this session
 	// (per-session admission control; distinct from refs, which also counts
 	// flush loops and short index holds). Nil when the bound is disabled.
@@ -75,14 +85,19 @@ const (
 // contents have diverged from the uploaded bytes, so a fresh upload of the
 // original layout gets a fresh session.
 //
-// Every access refreshes both the TTL and the LRU position. Capacity
-// overflow evicts the least recently used entry; expiry is enforced lazily
-// on access and eagerly by sweep (driven by the server's ticker).
+// Every access refreshes both the TTL and the LRU position. An entry leaves
+// the store one way: the LRU trim (capacity overflow) or the TTL sweep
+// (driven by the server's ticker) marks it leaving, which takes it out of
+// the LRU list but leaves it addressable; once no request holds it, its
+// eviction callback runs, outside the store mutex and never alongside
+// another callback for the same entry, so it may take the session lock
+// (snapshot-on-evict does). Success unlinks the entry; failure keeps it,
+// pinned in place; a lookup meanwhile takes it back. Only delete unlinks at
+// once, and lookups never expire anything. So an ID resolves to one live
+// session for as long as the session is alive.
 //
 // Lookups hand back refcounted entries: callers MUST pair every successful
-// get/getOrCreate/adopt with release. The eviction callback runs outside the
-// store mutex, exactly once per entry, and only once no request holds it —
-// so it may take the session lock (snapshot-on-evict does).
+// get/getOrCreate/adopt with release.
 type sessionStore struct {
 	mu       sync.Mutex
 	capacity int
@@ -93,17 +108,19 @@ type sessionStore struct {
 	slotCap int
 	now     func() time.Time
 	// The session indexes and counters: all guarded by mu.
-	byID    map[string]*sessionEntry // guarded by mu
-	byHash  map[string]*sessionEntry // pristine sessions only; guarded by mu
-	lru     *list.List               // front = most recently used; values are *sessionEntry; guarded by mu
-	seq     int64                    // guarded by mu
-	pinnedN int                      // entries currently pinned (persistence degraded); guarded by mu
-	onEvict func(*sessionEntry, evictReason)
+	byID   map[string]*sessionEntry // every entry still in the store, leaving ones too; guarded by mu
+	byHash map[string]*sessionEntry // pristine sessions only; guarded by mu
+	lru    *list.List               // front = most recently used; values are *sessionEntry; guarded by mu
+	seq    int64                    // guarded by mu
+	due    []*sessionEntry          // entries whose eviction callback may be due; unlock runs them; guarded by mu
+	// onEvict persists a leaving entry and reports whether it may be
+	// unlinked; false pins it in place.
+	onEvict func(*sessionEntry, evictReason) bool
 	// creating single-flights session construction per content hash.
 	creating flight[string, *sessionEntry]
 }
 
-func newSessionStore(capacity int, ttl time.Duration, now func() time.Time, onEvict func(*sessionEntry, evictReason)) *sessionStore {
+func newSessionStore(capacity int, ttl time.Duration, now func() time.Time, onEvict func(*sessionEntry, evictReason) bool) *sessionStore {
 	if capacity < 1 {
 		capacity = 1
 	}
@@ -111,7 +128,7 @@ func newSessionStore(capacity int, ttl time.Duration, now func() time.Time, onEv
 		now = time.Now
 	}
 	if onEvict == nil {
-		onEvict = func(*sessionEntry, evictReason) {}
+		onEvict = func(*sessionEntry, evictReason) bool { return true }
 	}
 	return &sessionStore{
 		capacity: capacity,
@@ -154,9 +171,8 @@ func (st *sessionStore) getOrCreate(ctx context.Context, hash string, mk func() 
 			st.mu.Lock()
 			st.seq++
 			e := st.newEntryLocked(fmt.Sprintf("%s-%d", hash[:12], st.seq), hash, sess)
-			fire := st.insertLocked(e)
-			st.mu.Unlock()
-			st.fire(fire)
+			st.insertLocked(e)
+			st.unlock()
 			return e, nil
 		})
 		if err != nil {
@@ -165,12 +181,12 @@ func (st *sessionStore) getOrCreate(ctx context.Context, hash string, mk func() 
 		if !shared {
 			return e, reused, nil
 		}
-		// The leader's entry may already have been evicted (or expired)
-		// between its insertion and this wake-up; re-check liveness under
-		// the lock and fall back to a fresh attempt.
+		// The leader's entry may already have been unlinked or deleted
+		// between its insertion and this wake-up; re-check under the lock
+		// and fall back to a fresh attempt.
 		st.mu.Lock()
 		e = st.acquireLocked(e)
-		st.mu.Unlock()
+		st.unlock()
 		if e != nil {
 			return e, true, nil
 		}
@@ -179,13 +195,13 @@ func (st *sessionStore) getOrCreate(ctx context.Context, hash string, mk func() 
 
 // adopt inserts a session rehydrated from a snapshot under its original ID,
 // so clients holding the ID across a server restart keep working. If the ID
-// is (again) live — a concurrent rehydration won — the existing entry is
-// returned with adopted=false. The returned entry is acquired; the caller
-// must release it.
+// is (again) in the store — a concurrent rehydration won — the existing
+// entry is returned with adopted=false. The returned entry is acquired; the
+// caller must release it.
 func (st *sessionStore) adopt(id, hash string, edited bool, sess *aapsm.Session) (ent *sessionEntry, adopted bool) {
 	st.mu.Lock()
 	if e := st.acquireLocked(st.byID[id]); e != nil {
-		st.mu.Unlock()
+		st.unlock()
 		return e, false
 	}
 	// Keep new IDs unique: IDs are "<hash12>-<seq>", and a restarted process
@@ -197,51 +213,36 @@ func (st *sessionStore) adopt(id, hash string, edited bool, sess *aapsm.Session)
 	}
 	ent = st.newEntryLocked(id, hash, sess)
 	ent.edited = edited
-	fire := st.insertLocked(ent)
-	st.mu.Unlock()
-	st.fire(fire)
+	st.insertLocked(ent)
+	st.unlock()
 	return ent, true
 }
 
-// get returns the live entry for id, refreshing its TTL and LRU position.
-// The returned entry is acquired; the caller must release it.
+// get returns the entry stored for id, refreshing its TTL and LRU position
+// and taking it back if it was leaving. The returned entry is acquired; the
+// caller must release it.
 func (st *sessionStore) get(id string) (*sessionEntry, bool) {
 	st.mu.Lock()
-	e, ok := st.byID[id]
-	if !ok {
-		st.mu.Unlock()
-		return nil, false
-	}
-	if st.expiredLocked(e) {
-		fire := st.removeLocked(e, evictTTL)
-		st.mu.Unlock()
-		st.fire(fire)
-		return nil, false
-	}
-	st.touchLocked(e)
-	e.refs++
-	st.mu.Unlock()
-	return e, true
+	e := st.acquireLocked(st.byID[id])
+	st.unlock()
+	return e, e != nil
 }
 
-// release drops one in-flight reference. The entry's eviction callback runs
-// here — exactly once — if the entry was evicted while this caller held it.
+// release drops one in-flight reference; the last release of a leaving
+// entry runs its eviction callback.
 func (st *sessionStore) release(e *sessionEntry) {
 	st.mu.Lock()
 	e.refs--
-	var fire []*sessionEntry
-	if e.gone && e.refs == 0 && !e.finalized {
-		e.finalized = true
-		fire = append(fire, e)
+	if e.leaving != "" {
+		st.due = append(st.due, e)
 	}
-	st.mu.Unlock()
-	st.fire(fire)
+	st.unlock()
 }
 
 // markEdited drops the entry from the hash index: its layout has diverged
 // from the content it was created from. It takes the entry, not the ID, so
-// an edit landing on an evicted-but-held entry still flips the flag — the
-// deferred eviction snapshot must not be stored as pristine.
+// an edit landing on a leaving entry flips the flag its eviction snapshot
+// is stored under.
 func (st *sessionStore) markEdited(e *sessionEntry) {
 	st.mu.Lock()
 	defer st.mu.Unlock()
@@ -253,52 +254,31 @@ func (st *sessionStore) markEdited(e *sessionEntry) {
 	}
 }
 
-// readmit reinserts an evicted entry whose eviction-time snapshot write
-// failed, pinned: graceful degradation keeps the unpersistable session in
-// memory (exempt from LRU/TTL, possibly over capacity) instead of dropping
-// its work. When the ID is live again under a different entry (a concurrent
-// request rehydrated an older snapshot first), the caller's entry is
-// abandoned.
-func (st *sessionStore) readmit(e *sessionEntry) {
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	if _, ok := st.byID[e.ID]; ok {
-		return
-	}
-	e.gone, e.finalized = false, false
-	if !e.pinned {
-		e.pinned = true
-		st.pinnedN++
-	}
-	e.elem = st.lru.PushFront(e)
-	e.expires = st.now().Add(st.ttl)
-	st.byID[e.ID] = e
-	if !e.edited && st.byHash[e.Hash] == nil {
-		st.byHash[e.Hash] = e
-	}
-}
-
 // unpin lifts the persistence pin after a successful snapshot write; the
 // entry resumes the normal LRU/TTL lifecycle, and the store, which the pin
 // may have held over capacity, is trimmed back to it.
 func (st *sessionStore) unpin(e *sessionEntry) {
 	st.mu.Lock()
-	var fire []*sessionEntry
 	if e.pinned {
 		e.pinned = false
-		st.pinnedN--
-		fire = st.evictOverflowLocked()
+		st.trimLocked()
 	}
-	st.mu.Unlock()
-	st.fire(fire)
+	st.unlock()
 }
 
-// pinnedCount returns how many live entries are pinned (readiness and
-// metrics: non-zero means persistence is degraded).
+// pinnedCount returns how many entries are pinned (readiness and metrics:
+// non-zero means persistence is degraded). Pinned entries are never leaving,
+// so they are all in the LRU list.
 func (st *sessionStore) pinnedCount() int {
 	st.mu.Lock()
 	defer st.mu.Unlock()
-	return st.pinnedN
+	n := 0
+	for el := st.lru.Front(); el != nil; el = el.Next() {
+		if el.Value.(*sessionEntry).pinned {
+			n++
+		}
+	}
+	return n
 }
 
 // newEntryLocked builds a fresh entry with its per-session admission
@@ -318,37 +298,45 @@ func (st *sessionStore) newEntryLocked(id, hash string, sess *aapsm.Session) *se
 }
 
 // insertLocked indexes a fresh entry — by hash too when it is pristine and
-// no live entry holds the hash — acquired for the caller, and returns the
-// entries whose eviction callback the overflow made due. The store mutex
-// must be held.
-func (st *sessionStore) insertLocked(e *sessionEntry) []*sessionEntry {
+// no stored entry holds the hash — acquired for the caller, and trims the
+// store back to capacity. The store mutex must be held.
+func (st *sessionStore) insertLocked(e *sessionEntry) {
 	st.byID[e.ID] = e
-	if cur := st.byHash[e.Hash]; !e.edited && (cur == nil || st.expiredLocked(cur)) {
+	if !e.edited && st.byHash[e.Hash] == nil {
 		st.byHash[e.Hash] = e
 	}
 	e.elem = st.lru.PushFront(e)
 	e.expires = st.now().Add(st.ttl)
 	e.refs++
-	return st.evictOverflowLocked()
+	st.trimLocked()
 }
 
-// pristine returns the live pristine session stored for hash, acquired, or
-// nil.
+// pristine returns the pristine session stored for hash, acquired, or nil.
 func (st *sessionStore) pristine(hash string) *sessionEntry {
 	st.mu.Lock()
-	defer st.mu.Unlock()
-	return st.acquireLocked(st.byHash[hash])
+	e := st.acquireLocked(st.byHash[hash])
+	st.unlock()
+	return e
 }
 
 // acquireLocked takes a reference on e, refreshing its TTL and LRU
-// position, when e is non-nil and still live; otherwise it returns nil. The
-// store mutex must be held.
+// position, when e is non-nil and still in the store; otherwise it returns
+// nil. A leaving entry is taken back into the LRU list, which may trim
+// another entry. The store mutex must be held.
 func (st *sessionStore) acquireLocked(e *sessionEntry) *sessionEntry {
-	if e == nil || e.gone || st.expiredLocked(e) {
+	if e == nil || st.byID[e.ID] != e {
 		return nil
 	}
-	st.touchLocked(e)
 	e.refs++
+	e.expires = st.now().Add(st.ttl)
+	if e.leaving == "" {
+		st.lru.MoveToFront(e.elem)
+		return e
+	}
+	e.leaving = ""
+	e.retaken = e.firing
+	e.elem = st.lru.PushFront(e)
+	st.trimLocked()
 	return e
 }
 
@@ -360,43 +348,40 @@ func (st *sessionStore) hold(e *sessionEntry) {
 	st.mu.Unlock()
 }
 
-// delete removes the entry explicitly; it reports whether the id was live.
-func (st *sessionStore) delete(id string) bool {
+// delete unlinks the entry stored for id at once, held or leaving, and
+// returns it (nil when the id is not stored). The caller owns what follows:
+// metrics and the removal of the session's snapshot.
+func (st *sessionStore) delete(id string) *sessionEntry {
 	st.mu.Lock()
-	e, ok := st.byID[id]
-	if !ok {
-		st.mu.Unlock()
-		return false
+	defer st.mu.Unlock()
+	e := st.byID[id]
+	if e == nil {
+		return nil
 	}
-	live := !st.expiredLocked(e)
-	why := evictExplicit
-	if !live {
-		why = evictTTL
+	if e.leaving == "" {
+		st.lru.Remove(e.elem)
 	}
-	fire := st.removeLocked(e, why)
-	st.mu.Unlock()
-	st.fire(fire)
-	return live
+	e.pinned = false
+	st.unlinkLocked(e)
+	return e
 }
 
-// sweep removes every expired entry; the server calls it periodically so
-// idle sessions release memory without waiting for an access.
+// sweep marks every expired entry leaving; the server calls it periodically
+// so idle sessions release memory. It is the only place expiry is enforced.
 func (st *sessionStore) sweep() {
 	st.mu.Lock()
-	var fire []*sessionEntry
 	for el := st.lru.Back(); el != nil; {
 		prev := el.Prev()
 		if e := el.Value.(*sessionEntry); st.expiredLocked(e) {
-			fire = append(fire, st.removeLocked(e, evictTTL)...)
+			st.leaveLocked(e, evictTTL)
 		}
 		el = prev
 	}
-	st.mu.Unlock()
-	st.fire(fire)
+	st.unlock()
 }
 
-// snapshotEntries returns every live entry acquired, for flush loops; the
-// caller must release each one.
+// snapshotEntries returns every stored entry acquired, leaving ones
+// included, for flush loops; the caller must release each one.
 func (st *sessionStore) snapshotEntries() []*sessionEntry {
 	st.mu.Lock()
 	defer st.mu.Unlock()
@@ -408,12 +393,20 @@ func (st *sessionStore) snapshotEntries() []*sessionEntry {
 	return out
 }
 
-// len returns the live session count (expired entries not yet swept count
-// until observed).
+// len returns the live session count: the entries in the LRU list, which
+// excludes leaving ones.
 func (st *sessionStore) len() int {
 	st.mu.Lock()
 	defer st.mu.Unlock()
-	return len(st.byID)
+	return st.lru.Len()
+}
+
+// indexed reports whether e is still in the store (not deleted, not
+// unlinked after its eviction).
+func (st *sessionStore) indexed(e *sessionEntry) bool {
+	st.mu.Lock()
+	defer st.mu.Unlock()
+	return st.byID[e.ID] == e
 }
 
 // expires returns the entry's current deadline (for session info responses).
@@ -434,58 +427,71 @@ func (st *sessionStore) expiredLocked(e *sessionEntry) bool {
 	return !e.pinned && st.ttl > 0 && st.now().After(e.expires)
 }
 
-func (st *sessionStore) touchLocked(e *sessionEntry) {
-	e.expires = st.now().Add(st.ttl)
-	st.lru.MoveToFront(e.elem)
-}
-
-// evictOverflowLocked trims the store to capacity and returns the entries
-// whose eviction callback is due now (none were held by requests). Pinned
-// entries are skipped — they cannot be persisted, so evicting them would
-// lose work; the store runs over capacity until they unpin.
-func (st *sessionStore) evictOverflowLocked() []*sessionEntry {
-	var fire []*sessionEntry
-	el := st.lru.Back()
-	for el != nil && len(st.byID) > st.capacity {
+// trimLocked marks least recently used entries leaving until the LRU list
+// holds at most capacity entries. Pinned entries are skipped — they cannot
+// be persisted, so evicting them would lose work; the store runs over
+// capacity until they unpin.
+func (st *sessionStore) trimLocked() {
+	for el := st.lru.Back(); el != nil && st.lru.Len() > st.capacity; {
 		prev := el.Prev()
 		if e := el.Value.(*sessionEntry); !e.pinned {
-			fire = append(fire, st.removeLocked(e, evictLRU)...)
+			st.leaveLocked(e, evictLRU)
 		}
 		el = prev
 	}
-	return fire
 }
 
-// removeLocked unlinks the entry from every index. Its eviction callback is
-// due immediately when no request holds it, and otherwise deferred to the
-// last release; either way the returned slice (at most one entry) is what
-// the caller must fire after unlocking.
-func (st *sessionStore) removeLocked(e *sessionEntry, why evictReason) []*sessionEntry {
-	if e.gone {
-		return nil
-	}
-	e.gone = true
-	e.why = why
-	if e.pinned { // explicit delete overrides the persistence pin
-		e.pinned = false
-		st.pinnedN--
-	}
+// leaveLocked moves e out of the LRU list and queues its eviction callback.
+func (st *sessionStore) leaveLocked(e *sessionEntry, why evictReason) {
+	st.lru.Remove(e.elem)
+	e.elem = nil
+	e.leaving = why
+	st.due = append(st.due, e)
+}
+
+// unlinkLocked drops e, already out of the LRU list, from both indexes.
+func (st *sessionStore) unlinkLocked(e *sessionEntry) {
 	delete(st.byID, e.ID)
 	if st.byHash[e.Hash] == e {
 		delete(st.byHash, e.Hash)
 	}
-	st.lru.Remove(e.elem)
-	if e.refs == 0 && !e.finalized {
-		e.finalized = true
-		return []*sessionEntry{e}
-	}
-	return nil
 }
 
-// fire runs deferred eviction callbacks outside the store mutex.
-func (st *sessionStore) fire(entries []*sessionEntry) {
-	for _, e := range entries {
-		//aapsmvet:allow guardedby why is written before finalization and immutable after; fire only sees finalized entries
-		st.onEvict(e, e.why)
+// unlock releases st.mu after running, one at a time and outside the
+// mutex, the eviction callbacks that came due while it was held: those of
+// leaving entries that no request holds and whose callback is not already
+// running. A failed write pins the entry in place (back in the LRU list if
+// it is still leaving); a success unlinks it unless a lookup took it back
+// or a request holds it meanwhile, and a deleted entry is left alone.
+//
+//aapsmvet:holds mu
+func (st *sessionStore) unlock() {
+	for len(st.due) > 0 {
+		e := st.due[len(st.due)-1]
+		st.due = st.due[:len(st.due)-1]
+		if e.leaving == "" || e.refs > 0 || e.firing || st.byID[e.ID] != e {
+			continue
+		}
+		why := e.leaving
+		e.firing = true
+		st.mu.Unlock()
+		ok := st.onEvict(e, why)
+		st.mu.Lock()
+		retaken := e.retaken
+		e.firing, e.retaken = false, false
+		switch {
+		case st.byID[e.ID] != e:
+		case !ok:
+			e.pinned = true
+			if e.leaving != "" {
+				e.leaving = ""
+				e.elem = st.lru.PushFront(e)
+			}
+		case !retaken && e.refs == 0:
+			st.unlinkLocked(e)
+		case e.leaving != "":
+			st.due = append(st.due, e) // held or marked again: due once more
+		}
 	}
+	st.mu.Unlock()
 }

@@ -98,7 +98,7 @@ func TestStoreSingleFlightErrorNotCached(t *testing.T) {
 
 func TestStoreLRUEviction(t *testing.T) {
 	evicted := map[evictReason]int{}
-	st := newSessionStore(3, time.Hour, nil, func(_ *sessionEntry, r evictReason) { evicted[r]++ })
+	st := newSessionStore(3, time.Hour, nil, func(_ *sessionEntry, r evictReason) bool { evicted[r]++; return true })
 	var ids []string
 	for i := 0; i < 5; i++ {
 		ent, _, err := st.getOrCreate(context.Background(), testHash(i), mkSession)
@@ -144,7 +144,7 @@ func TestStoreLRUEviction(t *testing.T) {
 func TestStoreTTL(t *testing.T) {
 	clock := newFakeClock()
 	evicted := map[evictReason]int{}
-	st := newSessionStore(16, 10*time.Minute, clock.Now, func(_ *sessionEntry, r evictReason) { evicted[r]++ })
+	st := newSessionStore(16, 10*time.Minute, clock.Now, func(_ *sessionEntry, r evictReason) bool { evicted[r]++; return true })
 	ent, _, err := st.getOrCreate(context.Background(), testHash(1), mkSession)
 	if err != nil {
 		t.Fatal(err)
@@ -163,9 +163,12 @@ func TestStoreTTL(t *testing.T) {
 	} else {
 		st.release(e)
 	}
+	// Expiry is the sweep's job: past the TTL the session is still served
+	// until a sweep runs, and then it is gone.
 	clock.Advance(11 * time.Minute)
+	st.sweep()
 	if _, ok := st.get(ent.ID); ok {
-		t.Fatal("session alive past its TTL")
+		t.Fatal("session alive past its TTL and a sweep")
 	}
 	if evicted[evictTTL] != 1 {
 		t.Fatalf("ttl evictions = %d, want 1", evicted[evictTTL])
@@ -178,6 +181,7 @@ func TestStoreTTL(t *testing.T) {
 	if reused || ent2.ID == ent.ID {
 		t.Fatal("expired session reattached on create")
 	}
+	st.release(ent2)
 	// sweep removes expired entries without an access.
 	clock.Advance(11 * time.Minute)
 	st.sweep()
@@ -215,11 +219,11 @@ func TestStoreDelete(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !st.delete(ent.ID) {
-		t.Fatal("delete of live session reported false")
+	if st.delete(ent.ID) != ent {
+		t.Fatal("delete of live session did not return it")
 	}
-	if st.delete(ent.ID) {
-		t.Fatal("double delete reported true")
+	if st.delete(ent.ID) != nil {
+		t.Fatal("double delete returned an entry")
 	}
 	if _, ok := st.get(ent.ID); ok {
 		t.Fatal("session alive after delete")
@@ -227,12 +231,14 @@ func TestStoreDelete(t *testing.T) {
 }
 
 // TestStoreDeferredEvictionWhileHeld: evicting an entry a request still holds
-// removes it from the indexes immediately but defers the eviction callback to
-// the last release, so snapshot-on-evict can never race the in-flight work.
+// takes it out of the LRU list but leaves it resolvable by ID, and defers the
+// eviction callback to the last release, so snapshot-on-evict can never race
+// the in-flight work and no second copy of the session can appear.
 func TestStoreDeferredEvictionWhileHeld(t *testing.T) {
 	var fired []string
-	st := newSessionStore(1, time.Hour, nil, func(e *sessionEntry, r evictReason) {
+	st := newSessionStore(1, time.Hour, nil, func(e *sessionEntry, r evictReason) bool {
 		fired = append(fired, e.ID+":"+string(r))
+		return true
 	})
 	a, _, err := st.getOrCreate(context.Background(), testHash(1), mkSession)
 	if err != nil {
@@ -244,14 +250,17 @@ func TestStoreDeferredEvictionWhileHeld(t *testing.T) {
 		t.Fatal(err)
 	}
 	st.release(b)
-	if _, ok := st.get(a.ID); ok {
-		t.Fatal("evicted entry still resolvable by ID")
+	if !st.indexed(a) {
+		t.Fatal("evicted-but-held entry no longer resolvable by ID")
+	}
+	if st.len() != 1 {
+		t.Fatalf("live sessions = %d, want 1 (the leaving entry is out of the LRU)", st.len())
 	}
 	if len(fired) != 0 {
 		t.Fatalf("eviction callback fired while the entry was held: %v", fired)
 	}
 	// The held entry stays fully usable; marking it edited must stick so the
-	// deferred snapshot is not stored as pristine.
+	// eviction snapshot is not stored as pristine.
 	st.markEdited(a)
 	if !st.isEdited(a) {
 		t.Fatal("markEdited on an evicted-but-held entry did not stick")
@@ -260,6 +269,9 @@ func TestStoreDeferredEvictionWhileHeld(t *testing.T) {
 	if want := []string{a.ID + ":lru"}; !reflect.DeepEqual(fired, want) {
 		t.Fatalf("fired = %v, want %v", fired, want)
 	}
+	if st.indexed(a) {
+		t.Fatal("entry still stored after its eviction callback succeeded")
+	}
 	// Idempotent: explicit delete of the already-gone entry must not re-fire.
 	st.delete(a.ID)
 	if len(fired) != 1 {
@@ -267,17 +279,14 @@ func TestStoreDeferredEvictionWhileHeld(t *testing.T) {
 	}
 }
 
-// TestStoreUnpinTrimsToCapacity: a session readmitted pinned after a failed
+// TestStoreUnpinTrimsToCapacity: a session pinned in place after a failed
 // eviction write holds the store over capacity only while the pin lasts;
 // lifting it trims the store back to capacity at once.
 func TestStoreUnpinTrimsToCapacity(t *testing.T) {
-	var st *sessionStore
 	fired := 0
-	st = newSessionStore(1, time.Hour, nil, func(e *sessionEntry, _ evictReason) {
+	st := newSessionStore(1, time.Hour, nil, func(e *sessionEntry, _ evictReason) bool {
 		fired++
-		if fired == 1 {
-			st.readmit(e) // the first eviction write fails
-		}
+		return fired > 1 // the first eviction write fails
 	})
 	a, _, err := st.getOrCreate(context.Background(), testHash(1), mkSession)
 	if err != nil {
@@ -346,28 +355,4 @@ func TestStoreAdopt(t *testing.T) {
 	}
 	st.release(e5)
 	st.release(edited)
-}
-
-// TestStoreCreateReplacesExpiredHashEntry: an expired but not yet swept
-// session does not shadow its replacement in the hash index, so the next
-// create of the same content reuses the replacement.
-func TestStoreCreateReplacesExpiredHashEntry(t *testing.T) {
-	clk := newFakeClock()
-	st := newSessionStore(16, time.Minute, clk.Now, nil)
-	old, _, err := st.getOrCreate(t.Context(), testHash(1), mkSession)
-	if err != nil {
-		t.Fatal(err)
-	}
-	st.release(old)
-	clk.Advance(2 * time.Minute)
-	fresh, reused, err := st.getOrCreate(t.Context(), testHash(1), mkSession)
-	if err != nil || reused || fresh == old {
-		t.Fatalf("create after expiry: reused=%v same=%v err=%v, want a new session", reused, fresh == old, err)
-	}
-	st.release(fresh)
-	again, reused, err := st.getOrCreate(t.Context(), testHash(1), mkSession)
-	if err != nil || !reused || again != fresh {
-		t.Fatalf("create of the same content: reused=%v same=%v err=%v, want the replacement", reused, again == fresh, err)
-	}
-	st.release(again)
 }
