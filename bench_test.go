@@ -479,10 +479,9 @@ func runPipeline(ctx context.Context, b *testing.B, s *aapsm.Session) {
 // BenchmarkEditRepipeline contrasts the full from-scratch pipeline
 // (detect + assign + correct + mask + DRC) on d3 with the incremental
 // re-pipeline after a single-feature move on an edit session. The
-// re-pipeline reuses clean clusters' detection results, the persistent
-// cut-span index and the cached DRC pairs; assignment, verification,
-// correction intervals and mask validation rerun in full, since they are
-// linear passes beside the cluster solve. The acceptance target is ≥ 3×
+// re-pipeline reuses clean clusters' detection results and the cached DRC
+// pairs; assignment, verification, correction and mask validation rerun in
+// full, since they are linear or n log n passes beside the cluster solve. The acceptance target is ≥ 3×
 // (recorded per design in BENCH_detect.json by cmd/benchtab -json).
 func BenchmarkEditRepipeline(b *testing.B) {
 	ctx := context.Background()
@@ -620,7 +619,7 @@ func BenchmarkGadgetGroupCapSweep(b *testing.B) {
 		b.Run(name, func(b *testing.B) {
 			var nodes int
 			for i := 0; i < b.N; i++ {
-				r, err := tjoin.SolveContext(context.Background(), dual, T, tjoin.Options{GroupCap: cap})
+				r, err := tjoin.SolveGadget(dual, T, cap)
 				if err != nil {
 					b.Fatal(err)
 				}

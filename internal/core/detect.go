@@ -104,7 +104,7 @@ const (
 
 // Options configures the detection flow.
 type Options struct {
-	// Method/GroupCap select the T-join reduction (see tjoin.Options).
+	// TJoin.Method selects the T-join reduction (see tjoin.Options).
 	TJoin tjoin.Options
 	// Recheck selects the flow step 3 strategy.
 	Recheck RecheckMode

@@ -6,30 +6,17 @@ import (
 	"repro/internal/drc"
 )
 
-// This file holds the two pieces of incremental state the engine keeps for
-// the stages after detection, the only two whose reuse pays for itself:
+// This file holds the one piece of incremental state the engine keeps for
+// the stages after detection, the only one whose reuse pays for itself:
+// DRC keeps the set of violating feature pairs keyed by stable uids and
+// re-probes only the geometric neighborhood of edited features.
 //
-//   - CutValid answers correction cut-legality queries from span indexes
-//     maintained across edits, which saves rebuilding them per plan.
-//   - DRC keeps the set of violating feature pairs keyed by stable uids and
-//     re-probes only the geometric neighborhood of edited features.
-//
-// Phase assignment, its verification, correction intervals and mask
-// validation are linear passes next to the cluster solve, so the Session
-// layer runs them from scratch on every generation. Both paths here are
-// bit-identical to their from-scratch counterparts; the differential harness
+// Phase assignment, its verification, correction (cut legality included)
+// and mask validation are linear or n log n passes next to the cluster
+// solve, so the Session layer runs them from scratch on every generation.
+// The DRC path here is bit-identical to drc.Check; the differential harness
 // (TestIncrementalDifferential) enforces this after every step of its edit
 // scripts.
-
-// CutValid reports whether an end-to-end cut at pos only stretches feature
-// lengths, answered from the span indexes maintained across edits. Matches
-// correct.NewCutChecker on the engine's current layout exactly.
-func (inc *Incremental) CutValid(vertical bool, pos int64) bool {
-	if vertical {
-		return !inc.cutV.Stab(pos)
-	}
-	return !inc.cutH.Stab(pos)
-}
 
 // packUIDPair normalizes a feature-uid pair into one map key.
 func packUIDPair(a, b int32) uint64 {

@@ -62,11 +62,8 @@ type Incremental struct {
 
 	prev *incSnapshot // last successful detection state; nil before the first
 
-	// Downstream-stage state: correction keeps persistent cut-position span
-	// indexes, and DRC keeps the violating feature pairs keyed by stable
-	// uids.
-	cutV, cutH geom.SpanSet // vertical-feature x-spans / horizontal-feature y-spans
-
+	// Downstream-stage state: DRC keeps the violating feature pairs keyed by
+	// stable uids. It is the only stage after detection with reuse state.
 	drcReady bool            // drcPairs reflects the layout as of the last DRC
 	drcPairs map[uint64]bool // packed uid pairs with a live spacing violation
 	drcDirty map[int32]bool  // uids edited since the last DRC
@@ -162,42 +159,7 @@ func NewIncremental(l *layout.Layout, r layout.Rules, kind GraphKind, opt Option
 		inc.featOf = append(inc.featOf, int32(i))
 		inc.grid.Insert(uid, f.Rect)
 	}
-	inc.cutV, inc.cutH = CutSpans(inc.lay.Features)
 	return inc, nil
-}
-
-// CutSpans builds the correction cut-position indexes over features in one
-// sort each: a vertical feature's x-span blocks vertical cuts (they would
-// stretch its width), a horizontal feature's y-span blocks horizontal cuts.
-func CutSpans(features []layout.Feature) (v, h geom.SpanSet) {
-	var vlo, vhi, hlo, hhi []int64
-	for _, f := range features {
-		if f.Orient() == layout.Vertical {
-			vlo, vhi = append(vlo, f.Rect.X0), append(vhi, f.Rect.X1)
-		} else {
-			hlo, hhi = append(hlo, f.Rect.Y0), append(hhi, f.Rect.Y1)
-		}
-	}
-	return geom.NewSpanSet(vlo, vhi), geom.NewSpanSet(hlo, hhi)
-}
-
-// cutSpanInsert registers a feature in the correction cut-position indexes
-// (see CutSpans).
-func (inc *Incremental) cutSpanInsert(f layout.Feature) {
-	if f.Orient() == layout.Vertical {
-		inc.cutV.Insert(f.Rect.X0, f.Rect.X1)
-	} else {
-		inc.cutH.Insert(f.Rect.Y0, f.Rect.Y1)
-	}
-}
-
-// cutSpanRemove cancels a cutSpanInsert for the feature's previous shape.
-func (inc *Incremental) cutSpanRemove(f layout.Feature) {
-	if f.Orient() == layout.Vertical {
-		inc.cutV.Remove(f.Rect.X0, f.Rect.X1)
-	} else {
-		inc.cutH.Remove(f.Rect.Y0, f.Rect.Y1)
-	}
 }
 
 // featureGridCell sizes the persistent feature grid near the interaction
@@ -246,7 +208,6 @@ func (inc *Incremental) AddFeature(r geom.Rect, layer int) int {
 	inc.featUID = append(inc.featUID, uid)
 	inc.featOf = append(inc.featOf, int32(fi))
 	inc.grid.Insert(uid, r)
-	inc.cutSpanInsert(inc.lay.Features[fi])
 	inc.dirty[uid] = true
 	inc.drcDirty[uid] = true
 	inc.stats.Edits++
@@ -261,10 +222,8 @@ func (inc *Incremental) MoveFeature(i int, r geom.Rect) error {
 	f := &inc.lay.Features[i]
 	uid := inc.featUID[i]
 	inc.grid.Remove(uid, f.Rect)
-	inc.cutSpanRemove(*f)
 	f.Rect = r
 	inc.grid.Insert(uid, r)
-	inc.cutSpanInsert(*f)
 	if h := inc.lay.Hier; h != nil {
 		// Provenance is lost once a placed feature moves: the cluster it
 		// lands in no longer matches its cell's canonical shape.
@@ -284,7 +243,6 @@ func (inc *Incremental) DeleteFeature(i int) error {
 	}
 	uid := inc.featUID[i]
 	inc.grid.Remove(uid, inc.lay.Features[i].Rect)
-	inc.cutSpanRemove(inc.lay.Features[i])
 	inc.lay.Features = append(inc.lay.Features[:i], inc.lay.Features[i+1:]...)
 	if h := inc.lay.Hier; h != nil {
 		h.FeatureInstance = append(h.FeatureInstance[:i], h.FeatureInstance[i+1:]...)

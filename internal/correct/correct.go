@@ -86,13 +86,11 @@ type interval struct {
 type CutChecker func(dir Direction, pos int64) bool
 
 // NewCutChecker builds a CutChecker over the layout's current features using
-// per-direction span indexes (core.CutSpans): a vertical cut is invalid when
-// it stabs the x-span of any vertical feature, and symmetrically. O(log n)
-// per query after one O(n log n) build; an edit session maintains the same
-// two span sets persistently across edits and hands them to BuildPlanWith
-// instead.
+// per-direction span indexes (cutSpans): a vertical cut is invalid when it
+// stabs the x-span of any vertical feature, and symmetrically. O(log n) per
+// query after one O(n log n) build, which every plan pays afresh.
 func NewCutChecker(l *layout.Layout) CutChecker {
-	v, h := core.CutSpans(l.Features)
+	v, h := cutSpans(l.Features)
 	return func(dir Direction, pos int64) bool {
 		if dir == VerticalCut {
 			return !v.Stab(pos)
@@ -101,25 +99,32 @@ func NewCutChecker(l *layout.Layout) CutChecker {
 	}
 }
 
+// cutSpans builds the cut-position indexes over features in one sort each:
+// a vertical feature's x-span blocks vertical cuts (they would stretch its
+// width), a horizontal feature's y-span blocks horizontal cuts.
+func cutSpans(features []layout.Feature) (v, h geom.SpanSet) {
+	var vlo, vhi, hlo, hhi []int64
+	for _, f := range features {
+		if f.Orient() == layout.Vertical {
+			vlo, vhi = append(vlo, f.Rect.X0), append(vhi, f.Rect.X1)
+		} else {
+			hlo, hhi = append(hlo, f.Rect.Y0), append(hhi, f.Rect.Y1)
+		}
+	}
+	return geom.NewSpanSet(vlo, vhi), geom.NewSpanSet(hlo, hhi)
+}
+
 // BuildPlan chooses cuts correcting the given conflicts on layout l.
 // Conflicts must come from a detection on the same layout and rules.
 func BuildPlan(l *layout.Layout, r layout.Rules, set *shifter.Set, conflicts []core.Conflict) (*Plan, error) {
-	return BuildPlanWith(l, r, set, conflicts, NewCutChecker(l))
+	return plan(l, r, set, conflicts, CutRegions{}), nil
 }
 
-// BuildPlanWith is BuildPlan with cut legality answered by valid instead of
-// a fresh NewCutChecker(l). An edit session passes the span indexes it keeps
-// across edits; any checker that agrees with NewCutChecker(l) yields the
-// same plan.
-func BuildPlanWith(l *layout.Layout, r layout.Rules, set *shifter.Set, conflicts []core.Conflict, valid CutChecker) (*Plan, error) {
-	return plan(l, r, set, conflicts, valid, CutRegions{}), nil
-}
-
-// plan is the one planner behind BuildPlan, BuildPlanWith and
-// BuildPlanRestricted: correction intervals per conflict (paper step 2),
-// candidate grid lines at their endpoints (step 3) that are legal under
-// valid and inside regions, then a weighted set cover choosing the cuts.
-func plan(l *layout.Layout, r layout.Rules, set *shifter.Set, conflicts []core.Conflict, valid CutChecker, regions CutRegions) *Plan {
+// plan is the one planner behind BuildPlan and BuildPlanRestricted:
+// correction intervals per conflict (paper step 2), candidate grid lines at
+// their endpoints (step 3) that are legal on l and inside regions, then a
+// weighted set cover choosing the cuts.
+func plan(l *layout.Layout, r layout.Rules, set *shifter.Set, conflicts []core.Conflict, regions CutRegions) *Plan {
 	p := &Plan{Conflicts: conflicts}
 	var ivs []interval
 	for ci, c := range conflicts {
@@ -143,6 +148,7 @@ func plan(l *layout.Layout, r layout.Rules, set *shifter.Set, conflicts []core.C
 		dir Direction
 		pos int64
 	}
+	valid := NewCutChecker(l)
 	cands := map[lineKey]bool{}
 	var clipped []int64
 	for _, iv := range ivs {

@@ -64,5 +64,5 @@ func (cr CutRegions) clip(dst []int64, dir Direction, iv geom.Interval) []int64 
 // regions. Conflicts whose whole correction interval falls outside every
 // window become Unfixable (to be handled by widening or mask splitting).
 func BuildPlanRestricted(l *layout.Layout, r layout.Rules, set *shifter.Set, conflicts []core.Conflict, regions CutRegions) (*Plan, error) {
-	return plan(l, r, set, conflicts, NewCutChecker(l), regions), nil
+	return plan(l, r, set, conflicts, regions), nil
 }

@@ -22,8 +22,10 @@ import (
 //     before anything applies, preserving the all-or-nothing contract within
 //     each submitted request), while every other item in the batch lands.
 //   - a per-stage read single-flight keyed on the session generation, so
-//     identical detect/assign/correct/drc/mask/layout/svg requests arriving
-//     at the same edit epoch compute and encode the response exactly once.
+//     identical detect/assign/correct/drc/mask/layout/svg requests in flight
+//     together at the same edit epoch compute and encode the response once.
+//     Nothing is kept once the leader returns: the session memoizes each
+//     stage's result, so a later read pays only the encoding again.
 //   - the edit-notification broadcast streaming connections wait on.
 
 // editItem is one enqueued edit request: its parsed ops going in, and the
@@ -83,12 +85,10 @@ type editBatcher struct {
 	// connections fetch it, re-read the generation, and wait. Guarded by mu.
 	notify chan struct{}
 
-	// Read single-flight: identical read-stage requests at one session
-	// generation share a single computation + encoding. Successful reads of
-	// the newest generation, readGen, stay kept in reads until the
-	// generation advances.
-	readGen int64 // guarded by mu
-	reads   flight[readKey, *captureWriter]
+	// reads is the read single-flight: identical read-stage requests in
+	// flight together at one session generation share a single computation
+	// and encoding.
+	reads flight[readKey, *captureWriter]
 }
 
 func newEditBatcher() *editBatcher {
@@ -361,9 +361,9 @@ func (s *Server) processBatch(ent *sessionEntry, seq int64, items []*editItem) {
 
 // ---- read-stage single-flight ----
 
-// readKey identifies one cacheable read: the stage, its request variant (the
-// raw query string — format, include_layout, …), and the session generation
-// the response was computed at.
+// readKey identifies one coalescible read: the stage, its request variant
+// (the raw query string — format, include_layout, …), and the session
+// generation the response is computed at.
 type readKey struct {
 	stage   string
 	variant string
@@ -371,14 +371,13 @@ type readKey struct {
 }
 
 // errReadNotOK marks a read that did not answer 200: its bytes go to the
-// leader and current followers but are never kept, so a transient answer is
-// not replayed (errors are memoized inside the session where applicable, so
-// recomputing is cheap).
+// leader and its current followers, and a follower retries instead when the
+// leader's own context ended (see flight).
 var errReadNotOK = errors.New("read answered non-200")
 
 // coalesced wraps a read-stage handler in the per-stage single-flight:
-// identical requests at the same session generation run the handler (and its
-// JSON/SVG encoding) once and share the bytes.
+// identical requests in flight together at the same session generation run
+// the handler (and its JSON/SVG encoding) once and share the bytes.
 func (s *Server) coalesced(stage string, h func(http.ResponseWriter, *http.Request, *sessionEntry)) func(http.ResponseWriter, *http.Request, *sessionEntry) {
 	return func(w http.ResponseWriter, r *http.Request, ent *sessionEntry) {
 		code, ctype, body, ok := s.readCoalesced(r, ent, stage, r.URL.RawQuery, h)
@@ -408,24 +407,8 @@ func (s *Server) readCoalesced(r *http.Request, ent *sessionEntry, stage, varian
 		}
 		return rec, nil
 	}
-	b := ent.batch
-	gen := ent.Sess.Generation()
-	b.mu.Lock()
-	if gen > b.readGen {
-		// A new edit generation obsoletes every kept read; only the current
-		// generation is worth keeping (bounded: stages × variants).
-		b.readGen = gen
-		b.reads.reset()
-	}
-	current := gen == b.readGen
-	b.mu.Unlock()
-	if !current {
-		// A reader that raced an edit: compute directly, don't keep a read
-		// under a generation that is already stale.
-		rec, _ := run()
-		return rec.code, rec.h.Get("Content-Type"), rec.buf.Bytes(), true
-	}
-	rec, shared, err := b.reads.do(r.Context(), readKey{stage: stage, variant: variant, gen: gen}, true, run)
+	key := readKey{stage: stage, variant: variant, gen: ent.Sess.Generation()}
+	rec, shared, err := ent.batch.reads.do(r.Context(), key, run)
 	if shared {
 		s.metrics.readsCoalesced.Add(1)
 	}
@@ -435,8 +418,8 @@ func (s *Server) readCoalesced(r *http.Request, ent *sessionEntry, stage, varian
 	return rec.code, rec.h.Get("Content-Type"), rec.buf.Bytes(), true
 }
 
-// captureWriter buffers a handler's response so the single-flight can store
-// and replay it.
+// captureWriter buffers a handler's response so the single-flight can hand
+// it to every waiting caller.
 type captureWriter struct {
 	h    http.Header
 	code int

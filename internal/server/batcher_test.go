@@ -256,9 +256,11 @@ func TestBatchedEditErrorAttribution(t *testing.T) {
 	}
 }
 
-// TestReadSingleFlight: identical read-stage requests at one session
-// generation run the pipeline (and response encoding) once; followers share
-// the leader's bytes and are counted as coalesced reads.
+// TestReadSingleFlight: identical read-stage requests in flight together at
+// one session generation run the pipeline (and response encoding) once;
+// followers share the leader's bytes and are counted as coalesced reads. The
+// leader's handler is held until every follower has parked on its call, so
+// all of them provably join it.
 func TestReadSingleFlight(t *testing.T) {
 	const readers = 8
 	srv, tc := newTestServer(t, Config{
@@ -269,15 +271,41 @@ func TestReadSingleFlight(t *testing.T) {
 	if err := json.Unmarshal(tc.must("POST", "/v1/sessions", layoutText(t, loadLayout(81)), 200), &created); err != nil {
 		t.Fatal(err)
 	}
-	bodies := make([][]byte, readers)
-	var wg sync.WaitGroup
-	for i := 0; i < readers; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			bodies[i] = tc.must("GET", "/v1/sessions/"+created.ID+"/detect", nil, 200)
-		}(i)
+	ent, ok := srv.store.get(created.ID)
+	if !ok {
+		t.Fatal("created session not in the store")
 	}
+	defer srv.store.release(ent)
+
+	var once sync.Once
+	entered, release := make(chan struct{}), make(chan struct{})
+	h := func(w http.ResponseWriter, r *http.Request, ent *sessionEntry) {
+		once.Do(func() {
+			close(entered)
+			<-release
+		})
+		srv.handleDetect(w, r, ent)
+	}
+	bodies := make([][]byte, readers)
+	read := func(ctx context.Context, i int) {
+		code, _, body, ok := srv.readCoalesced(httptest.NewRequest("GET", "/", nil).WithContext(ctx), ent, "detect", "", h)
+		if !ok || code != http.StatusOK {
+			t.Errorf("reader %d: ok=%v code=%d", i, ok, code)
+		}
+		bodies[i] = body
+	}
+	var wg sync.WaitGroup
+	wg.Add(readers)
+	go func() { defer wg.Done(); read(t.Context(), 0) }()
+	<-entered
+	parked := &parkCounter{Context: t.Context(), parked: make(chan struct{}, readers)}
+	for i := 1; i < readers; i++ {
+		go func(i int) { defer wg.Done(); read(parked, i) }(i)
+	}
+	for i := 1; i < readers; i++ {
+		<-parked.parked
+	}
+	close(release)
 	wg.Wait()
 	for i := 1; i < readers; i++ {
 		if !bytes.Equal(bodies[0], bodies[i]) {
@@ -285,7 +313,7 @@ func TestReadSingleFlight(t *testing.T) {
 		}
 	}
 	if n := srv.metrics.detects.Load(); n != 1 {
-		t.Fatalf("detect pipeline ran %d times for %d identical reads, want 1", n, readers)
+		t.Fatalf("detect handler ran %d times for %d identical reads, want 1", n, readers)
 	}
 	if n := srv.metrics.readsCoalesced.Load(); n != readers-1 {
 		t.Fatalf("coalesced reads = %d, want %d", n, readers-1)
@@ -296,6 +324,54 @@ func TestReadSingleFlight(t *testing.T) {
 	asGDS := tc.must("GET", "/v1/sessions/"+created.ID+"/layout?format=gds", nil, 200)
 	if bytes.Equal(asText, asGDS) {
 		t.Fatal("distinct variants served identical bytes — variant missing from the single-flight key")
+	}
+}
+
+// TestSequentialReadsNotCoalesced: a read that arrives after an identical
+// one has returned, at the same generation, runs the handler again and is
+// not counted as coalesced. Only reads in flight together share work.
+func TestSequentialReadsNotCoalesced(t *testing.T) {
+	srv, tc := newTestServer(t, Config{Engine: aapsm.NewEngine()})
+	var created createResponse
+	if err := json.Unmarshal(tc.must("POST", "/v1/sessions", layoutText(t, loadLayout(81)), 200), &created); err != nil {
+		t.Fatal(err)
+	}
+	first := tc.must("GET", "/v1/sessions/"+created.ID+"/detect", nil, 200)
+	second := tc.must("GET", "/v1/sessions/"+created.ID+"/detect", nil, 200)
+	if !bytes.Equal(normalizeDetect(t, first), normalizeDetect(t, second)) {
+		t.Fatal("two reads at one generation disagree")
+	}
+	if n := srv.metrics.detects.Load(); n != 2 {
+		t.Fatalf("detect handler ran %d times for two sequential reads, want 2", n)
+	}
+	if n := srv.metrics.readsCoalesced.Load(); n != 0 {
+		t.Fatalf("coalesced reads = %d, want 0", n)
+	}
+}
+
+// TestReadFlightKeepsNothing: after one GET of every read stage, the
+// session's read flight holds no call, so no response bytes outlive their
+// request.
+func TestReadFlightKeepsNothing(t *testing.T) {
+	srv, tc := newTestServer(t, Config{Engine: aapsm.NewEngine()})
+	var created createResponse
+	if err := json.Unmarshal(tc.must("POST", "/v1/sessions", layoutText(t, loadLayout(81)), 200), &created); err != nil {
+		t.Fatal(err)
+	}
+	for _, stage := range []string{"detect", "assign", "correct", "drc", "mask", "layout", "svg"} {
+		tc.must("GET", "/v1/sessions/"+created.ID+"/"+stage, nil, 200)
+	}
+	ent, ok := srv.store.get(created.ID)
+	if !ok {
+		t.Fatal("created session not in the store")
+	}
+	defer srv.store.release(ent)
+	f := &ent.batch.reads
+	f.mu.Lock()
+	n := len(f.calls)
+	f.mu.Unlock()
+	if n != 0 {
+		t.Fatalf("read flight holds %d calls after every read returned, want 0", n)
 	}
 }
 

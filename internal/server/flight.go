@@ -11,18 +11,18 @@ import (
 //
 // Concurrent do calls for one key run fn exactly once; the others wait and
 // share its value and error. A waiting follower gives up with its own
-// ctx.Err() when its context ends first. A failed call is never kept, and a
-// follower is never handed the leader's own failure: when fn failed after
-// the leader's context ended (or panicked), a follower whose context is live
-// retries and may become the next leader. A successful call is kept when its
-// leader asks for it, and then answers later calls for its key until reset.
+// ctx.Err() when its context ends first. Nothing outlives the call: once fn
+// returns, its key is free and the next do runs fn again. A follower is
+// never handed the leader's own failure: when fn failed after the leader's
+// context ended (or panicked), a follower whose context is live retries and
+// may become the next leader.
 type flight[K comparable, V any] struct {
 	mu    sync.Mutex
 	calls map[K]*flightCall[V] // guarded by mu
 }
 
-// flightCall is one in-flight (or kept) call. val, err and retry are written
-// by the leader before done is closed and only read after it.
+// flightCall is one in-flight call. val, err and retry are written by the
+// leader before done is closed and only read after it.
 type flightCall[V any] struct {
 	done  chan struct{}
 	val   V
@@ -31,9 +31,9 @@ type flightCall[V any] struct {
 }
 
 // do returns fn's outcome for key, running fn only if no call for key is in
-// flight or kept. shared reports that the outcome (or the wait for it) came
-// from another caller's call.
-func (f *flight[K, V]) do(ctx context.Context, key K, keep bool, fn func() (V, error)) (v V, shared bool, err error) {
+// flight. shared reports that the outcome (or the wait for it) came from
+// another caller's call.
+func (f *flight[K, V]) do(ctx context.Context, key K, fn func() (V, error)) (v V, shared bool, err error) {
 	f.mu.Lock()
 	for {
 		c, ok := f.calls[key]
@@ -65,21 +65,11 @@ func (f *flight[K, V]) do(ctx context.Context, key K, keep bool, fn func() (V, e
 	// and frees the key.
 	defer func() {
 		f.mu.Lock()
-		if (c.err != nil || c.retry || !keep) && f.calls[key] == c {
-			delete(f.calls, key)
-		}
+		delete(f.calls, key)
 		f.mu.Unlock()
 		close(c.done)
 	}()
 	c.val, c.err = fn()
 	c.retry = c.err != nil && ctx.Err() != nil
 	return c.val, false, c.err
-}
-
-// reset drops every kept call. Calls still in flight finish for the callers
-// already waiting on them, but are no longer joined.
-func (f *flight[K, V]) reset() {
-	f.mu.Lock()
-	clear(f.calls)
-	f.mu.Unlock()
 }

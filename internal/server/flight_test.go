@@ -41,7 +41,7 @@ func TestFlightSharesOneCall(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			v, shared, err := f.do(ctx, "k", false, fn)
+			v, shared, err := f.do(ctx, "k", fn)
 			if err != nil {
 				t.Error(err)
 			}
@@ -69,15 +69,15 @@ func TestFlightSharesOneCall(t *testing.T) {
 	}
 }
 
-// TestFlightErrorNotKept: a failed call frees its key even when its leader
-// asked to keep the result, so the next call runs fn again.
+// TestFlightErrorNotKept: a failed call frees its key, so the next call
+// runs fn again.
 func TestFlightErrorNotKept(t *testing.T) {
 	var f flight[string, int]
 	boom := errors.New("boom")
-	if _, _, err := f.do(t.Context(), "k", true, func() (int, error) { return 0, boom }); !errors.Is(err, boom) {
+	if _, _, err := f.do(t.Context(), "k", func() (int, error) { return 0, boom }); !errors.Is(err, boom) {
 		t.Fatalf("err = %v, want boom", err)
 	}
-	v, shared, err := f.do(t.Context(), "k", true, func() (int, error) { return 7, nil })
+	v, shared, err := f.do(t.Context(), "k", func() (int, error) { return 7, nil })
 	if err != nil || shared || v != 7 {
 		t.Fatalf("call after a failure = %d shared=%v err=%v, want a fresh 7", v, shared, err)
 	}
@@ -91,7 +91,7 @@ func TestFlightFollowerGivesUp(t *testing.T) {
 	entered := make(chan struct{})
 	leader := make(chan int, 1)
 	go func() {
-		v, _, _ := f.do(t.Context(), "k", false, func() (int, error) {
+		v, _, _ := f.do(t.Context(), "k", func() (int, error) {
 			close(entered)
 			<-release
 			return 9, nil
@@ -103,7 +103,7 @@ func TestFlightFollowerGivesUp(t *testing.T) {
 	probe := &parkCounter{Context: fctx, parked: make(chan struct{}, 1)}
 	follower := make(chan error, 1)
 	go func() {
-		_, _, err := f.do(probe, "k", false, func() (int, error) { return 0, errors.New("follower ran fn") })
+		_, _, err := f.do(probe, "k", func() (int, error) { return 0, errors.New("follower ran fn") })
 		follower <- err
 	}()
 	<-probe.parked
@@ -137,7 +137,7 @@ func TestFlightRetriesLeaderFailure(t *testing.T) {
 			go func() {
 				defer close(leaderDone)
 				defer func() { recover() }()
-				f.do(lctx, "k", true, func() (int, error) {
+				f.do(lctx, "k", func() (int, error) {
 					close(entered)
 					<-proceed
 					return c.fail(lctx)
@@ -147,7 +147,7 @@ func TestFlightRetriesLeaderFailure(t *testing.T) {
 			probe := &parkCounter{Context: t.Context(), parked: make(chan struct{}, 2)}
 			follower := make(chan int, 1)
 			go func() {
-				v, shared, err := f.do(probe, "k", true, func() (int, error) { return 5, nil })
+				v, shared, err := f.do(probe, "k", func() (int, error) { return 5, nil })
 				if err != nil || shared {
 					t.Errorf("follower: shared=%v err=%v, want its own successful run", shared, err)
 				}
@@ -161,21 +161,5 @@ func TestFlightRetriesLeaderFailure(t *testing.T) {
 				t.Fatalf("follower got %d, want 5 from its own run", v)
 			}
 		})
-	}
-}
-
-// TestFlightResetDropsKept: a kept result answers later calls without
-// running fn until reset drops it.
-func TestFlightResetDropsKept(t *testing.T) {
-	var f flight[string, int]
-	var runs atomic.Int32
-	fn := func() (int, error) { return int(runs.Add(1)), nil }
-	f.do(t.Context(), "k", true, fn)
-	if v, shared, _ := f.do(t.Context(), "k", true, fn); v != 1 || !shared {
-		t.Fatalf("second call = %d shared=%v, want the kept 1", v, shared)
-	}
-	f.reset()
-	if v, shared, _ := f.do(t.Context(), "k", true, fn); v != 2 || shared {
-		t.Fatalf("call after reset = %d shared=%v, want a fresh 2", v, shared)
 	}
 }

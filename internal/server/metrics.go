@@ -59,7 +59,7 @@ type metrics struct {
 	// Edit-coalescing telemetry: batches committed, items that rode in them,
 	// items that actually shared a batch with another request, per-item
 	// queue time and per-batch solve time (summary pairs), plus read-stage
-	// requests served from the per-generation single-flight.
+	// requests that joined an identical read in flight.
 	editBatches     atomic.Int64
 	editBatchItems  atomic.Int64
 	editsCoalesced  atomic.Int64
@@ -387,7 +387,7 @@ func (s *Server) declareMetrics() *registry {
 	r.counter("aapsmd_edits_coalesced_total", "Edit requests that shared their batch (and its single re-pipeline) with at least one other request.", m.editsCoalesced.Load)
 	r.summary("aapsmd_edit_batch_queue_seconds", "Per-item wait between arrival and batch collection (includes the coalescing linger).", &m.batchQueueNanos, &m.batchQueueCount)
 	r.summary("aapsmd_edit_batch_solve_seconds", "Merged batch apply + shared re-pipeline time, per batch.", &m.batchSolveNanos, &m.editBatches)
-	r.counter("aapsmd_reads_coalesced_total", "Read-stage requests served by an identical in-flight or cached computation at the same session generation.", m.readsCoalesced.Load)
+	r.counter("aapsmd_reads_coalesced_total", "Read-stage requests served by an identical computation in flight at the same session generation.", m.readsCoalesced.Load)
 	r.gauge("aapsmd_streams_active", "Streaming connections currently open.", m.streamsActive.Load)
 	r.counter("aapsmd_streams_total", "Streaming connections accepted.", m.streamsTotal.Load)
 	r.counter("aapsmd_streams_rejected_total", "Streaming connections shed at the MaxStreams bound.", m.streamsRejected.Load)

@@ -20,7 +20,7 @@ var secondsSumRE = regexp.MustCompile(`(?m)^(aapsmd_[a-z0-9_]*_seconds_sum(\{[^}
 // TestMetricsGolden pins the full /metrics body — names, HELP text, types,
 // series order, label sets and value formats — against
 // testdata/metrics.golden. A server on a fixed clock serves a fixed request
-// script covering create, a reused create, detect (computed and coalesced),
+// script covering create, a reused create, detect (twice: nothing is kept),
 // edits with a batch re-detect, a shed request, an LRU eviction and an
 // explicit delete. After an intentional exposition change, replace the
 // golden file with the masked body the failure prints.
@@ -47,7 +47,7 @@ func TestMetricsGolden(t *testing.T) {
 		t.Fatalf("second create of the same layout = %+v, want reuse of %s", again, a.ID)
 	}
 	tc.must("GET", "/v1/sessions/"+a.ID+"/detect", nil, 200)
-	tc.must("GET", "/v1/sessions/"+a.ID+"/detect", nil, 200) // served from the read flight
+	tc.must("GET", "/v1/sessions/"+a.ID+"/detect", nil, 200) // runs the handler again
 	tc.must("POST", "/v1/sessions/"+a.ID+"/edits", encodeJSON(t, moveOp(la, 0)), 200)
 	tc.must("POST", "/v1/sessions/"+a.ID+"/edits?detect=1", encodeJSON(t, moveOp(la, 1)), 200)
 	tc.must("GET", "/v1/sessions/"+a.ID+"/detect", nil, 200)

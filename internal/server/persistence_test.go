@@ -171,6 +171,43 @@ func TestSnapshotReattachByHash(t *testing.T) {
 	}
 }
 
+// TestFreshUploadAfterRestartGetsNewID: after a restart, a fresh upload of a
+// layout whose dormant snapshot is an edited session must not be minted
+// that session's ID. The old ID keeps serving the edited session, and the
+// new session's writes cannot replace its snapshot.
+func TestFreshUploadAfterRestartGetsNewID(t *testing.T) {
+	store := persist.NewMemStore()
+	srvA := New(Config{Engine: persistEngine(), Snapshots: store, FlushInterval: -1})
+	tsA := newTestClientServer(t, srvA)
+	l := loadLayout(44)
+	body := layoutText(t, l)
+	var created createResponse
+	if err := json.Unmarshal(tsA.must("POST", "/v1/sessions", body, 200), &created); err != nil {
+		t.Fatal(err)
+	}
+	tsA.must("POST", "/v1/sessions/"+created.ID+"/edits", encodeJSON(t, moveOp(l, 0)), 200)
+	tsA.must("POST", "/v1/sessions/"+created.ID+"/flush", nil, 200)
+	srvA.Close()
+	tsA.shutdown()
+
+	_, tb := newTestServer(t, Config{Engine: persistEngine(), Snapshots: store, FlushInterval: -1})
+	var fresh createResponse
+	if err := json.Unmarshal(tb.must("POST", "/v1/sessions", body, 200), &fresh); err != nil {
+		t.Fatal(err)
+	}
+	if fresh.ID == created.ID || fresh.Reused {
+		t.Fatalf("fresh upload after restart = %+v, want a new session, not %q", fresh, created.ID)
+	}
+	tb.must("POST", "/v1/sessions/"+fresh.ID+"/flush", nil, 200)
+	var info infoResponse
+	if err := json.Unmarshal(tb.must("GET", "/v1/sessions/"+created.ID, nil, 200), &info); err != nil {
+		t.Fatal(err)
+	}
+	if info.Edits != 1 {
+		t.Fatalf("old ID serves a session with %d edits, want the edited session's 1", info.Edits)
+	}
+}
+
 // TestGDSSessionSurvivesRestart: a session created from a hierarchical GDS
 // upload restores from its snapshot alone. The snapshot's layout and
 // hierarchy sidecar are all a restart needs to serve the same detection and

@@ -258,6 +258,7 @@ func New(cfg Config) *Server {
 	if cfg.Snapshots != nil {
 		if refs, err := cfg.Snapshots.List(); err == nil {
 			for _, ref := range refs {
+				s.store.reserve(ref.ID)
 				s.snapByID[ref.ID] = ref
 				if !ref.Edited {
 					s.snapByHash[ref.Hash] = ref
@@ -441,7 +442,7 @@ func (s *Server) rehydrate(ctx context.Context, id string) (*sessionEntry, bool)
 		return nil, false
 	}
 	for {
-		ent, shared, err := s.rehydrating.do(ctx, id, false, func() (*sessionEntry, error) {
+		ent, shared, err := s.rehydrating.do(ctx, id, func() (*sessionEntry, error) {
 			return s.rehydrateLeader(ctx, id)
 		})
 		if err != nil {
@@ -553,7 +554,8 @@ func (s *Server) routes() {
 	s.mux.HandleFunc("POST /v1/sessions/{id}/edits", s.route("edits", true, s.session(s.handleEdits)))
 	s.mux.HandleFunc("POST /v1/sessions/{id}/flush", s.route("flush", true, s.session(s.handleFlush)))
 	// Read stages go through the per-stage single-flight: identical requests
-	// at one session generation compute and encode the response once.
+	// in flight together at one session generation compute and encode the
+	// response once; nothing is kept after they return.
 	s.mux.HandleFunc("GET /v1/sessions/{id}/detect", s.route("detect", true, s.session(s.coalesced("detect", s.handleDetect))))
 	s.mux.HandleFunc("GET /v1/sessions/{id}/assign", s.route("assign", true, s.session(s.coalesced("assign", s.handleAssign))))
 	s.mux.HandleFunc("GET /v1/sessions/{id}/correct", s.route("correct", true, s.session(s.coalesced("correct", s.handleCorrect))))

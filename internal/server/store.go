@@ -157,7 +157,7 @@ func (st *sessionStore) getOrCreate(ctx context.Context, hash string, mk func() 
 		if e := st.pristine(hash); e != nil {
 			return e, true, nil
 		}
-		e, shared, err := st.creating.do(ctx, hash, false, func() (*sessionEntry, error) {
+		e, shared, err := st.creating.do(ctx, hash, func() (*sessionEntry, error) {
 			// A leader that finished between this caller's miss above and
 			// its win of the flight has already stored the session.
 			if e := st.pristine(hash); e != nil {
@@ -199,23 +199,35 @@ func (st *sessionStore) getOrCreate(ctx context.Context, hash string, mk func() 
 // entry is returned with adopted=false. The returned entry is acquired; the
 // caller must release it.
 func (st *sessionStore) adopt(id, hash string, edited bool, sess *aapsm.Session) (ent *sessionEntry, adopted bool) {
+	st.reserve(id)
 	st.mu.Lock()
 	if e := st.acquireLocked(st.byID[id]); e != nil {
 		st.unlock()
 		return e, false
-	}
-	// Keep new IDs unique: IDs are "<hash12>-<seq>", and a restarted process
-	// starts over at seq 0, so adopting an old ID must advance seq past it.
-	if i := strings.LastIndexByte(id, '-'); i >= 0 {
-		if n, err := strconv.ParseInt(id[i+1:], 10, 64); err == nil && n > st.seq {
-			st.seq = n
-		}
 	}
 	ent = st.newEntryLocked(id, hash, sess)
 	ent.edited = edited
 	st.insertLocked(ent)
 	st.unlock()
 	return ent, true
+}
+
+// reserve advances the ID sequence past id. IDs are "<hash12>-<seq>", and a
+// restarted process starts over at seq 0, so every ID a snapshot still
+// holds must be reserved before new IDs are minted, or a fresh session could
+// take a dormant session's ID and overwrite its snapshot.
+func (st *sessionStore) reserve(id string) {
+	i := strings.LastIndexByte(id, '-')
+	if i < 0 {
+		return
+	}
+	n, err := strconv.ParseInt(id[i+1:], 10, 64)
+	if err != nil {
+		return
+	}
+	st.mu.Lock()
+	st.seq = max(st.seq, n)
+	st.mu.Unlock()
 }
 
 // get returns the entry stored for id, refreshing its TTL and LRU position

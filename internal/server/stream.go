@@ -127,7 +127,8 @@ func (s *Server) handleStream(w http.ResponseWriter, r *http.Request, ent *sessi
 
 // streamEmitGeneration pushes one generation's worth of events: the hello (or
 // edit) header, then every subscribed stage through the read single-flight —
-// so a stream and concurrent GETs of the same stage share one computation.
+// so a stream and GETs of the same stage in flight with it share one
+// computation.
 func (s *Server) streamEmitGeneration(w io.Writer, r *http.Request, ent *sessionEntry, stages []string, gen int64, edited bool) error {
 	if !edited {
 		if err := sseJSON(w, "hello", gen, streamHello{ID: ent.ID, Gen: gen, Stages: stages}); err != nil {

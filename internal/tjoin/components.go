@@ -7,7 +7,7 @@ import (
 	"repro/internal/graph"
 )
 
-// Method selects a T-join algorithm for Solve.
+// Method selects a T-join algorithm for SolveContext.
 type Method int
 
 const (
@@ -21,18 +21,13 @@ const (
 	MethodLawler
 )
 
-// Options configures Solve.
+// Options configures SolveContext.
 type Options struct {
 	Method Method
-	// GroupCap overrides the gadget group size when positive (ablation
-	// studies); ignored for MethodLawler.
-	GroupCap int
 }
 
+// groupCap is the gadget group size of the selected gadget method.
 func (o Options) groupCap() int {
-	if o.GroupCap > 0 {
-		return o.GroupCap
-	}
 	switch o.Method {
 	case MethodOptimizedGadget:
 		return 3

@@ -57,16 +57,16 @@ type Session struct {
 	// gen counts invalidation epochs: it advances once per mutation batch
 	// (Edit) or standalone mutation, so two reads of equal generation are
 	// guaranteed to observe the same layout state. Servers use it to key
-	// response caches and to tag streamed stage results. Guarded by mu
-	// (read via Generation).
+	// coalesced in-flight reads and to tag streamed stage results. Guarded
+	// by mu (read via Generation).
 	gen int64
 	// inc is the incremental engine every stage runs through, armed by
 	// incLocked on the session's first detect, DRC, snapshot or edit; once
 	// set, s.layout aliases inc.Layout(). Detection re-solves only the
-	// conflict clusters an edit touched, correction reads cut legality from
-	// the engine's persistent span indexes, and DRC re-probes only edited
-	// neighborhoods. Assignment, verification, interval derivation and mask
-	// validation are linear passes and rerun in full. Guarded by mu.
+	// conflict clusters an edit touched, and DRC re-probes only edited
+	// neighborhoods. Assignment, verification, correction and mask
+	// validation are linear or n log n passes and rerun in full. Guarded by
+	// mu.
 	inc *core.Incremental
 
 	// The memoized stage outcomes. All guarded by mu.
@@ -422,10 +422,7 @@ func (s *Session) correctionLocked(ctx context.Context) (*Correction, error) {
 		if err != nil {
 			return nil, err
 		}
-		// Cut legality comes from the span indexes the engine keeps across
-		// edits instead of a fresh per-plan feature scan.
-		plan, err := correct.BuildPlanWith(s.layout, s.engine.rules, res.Graph.Set, res.Detection.FinalConflicts,
-			func(dir correct.Direction, pos int64) bool { return s.inc.CutValid(dir == correct.VerticalCut, pos) })
+		plan, err := correct.BuildPlan(s.layout, s.engine.rules, res.Graph.Set, res.Detection.FinalConflicts)
 		if err != nil {
 			return nil, err
 		}
