@@ -113,12 +113,11 @@ func benchmarkGadget(b *testing.B, method tjoin.Method) {
 	}
 	// Pre-planarize once; time only the dual T-join (the paper's matching
 	// runtime columns).
-	removed := cg.Drawing.Planarize()
-	removedSet := make(map[int]bool, len(removed))
-	for _, e := range removed {
+	removedSet := make([]bool, cg.Edges())
+	for _, e := range cg.Drawing.PlanarizeGiven(cg.Drawing.Crossings()) {
 		removedSet[e] = true
 	}
-	pd, _ := cg.Drawing.WithoutEdges(removedSet)
+	pd, _ := cg.Drawing.WithoutEdgeSet(removedSet)
 	em, err := planar.BuildEmbedding(pd)
 	if err != nil {
 		b.Fatal(err)
@@ -339,32 +338,18 @@ func BenchmarkDetectParallel(b *testing.B) {
 
 // BenchmarkEngineDetect_d5 times the one-shot library detection,
 // Engine.Detect at WithParallelism(1), on d5 (≈18 K polygons): layout copy,
-// shifter synthesis, graph build, crossing sweep and the serial cluster
-// solve. hier-toplevel attaches a hierarchy sidecar whose features are all
-// top-level, which walks the instance-aware classification of every cluster
-// and then solves flat.
+// shifter synthesis, graph build, crossing sweep, cluster signing and the
+// serial cluster solve.
 func BenchmarkEngineDetect_d5(b *testing.B) {
 	ctx := context.Background()
-	flat := suiteLayout(b, 4)
-	hier := suiteLayout(b, 4)
-	hier.Hier = &layout.Hierarchy{FeatureInstance: make([]int32, len(hier.Features))}
-	for i := range hier.Hier.FeatureInstance {
-		hier.Hier.FeatureInstance[i] = -1
-	}
-	for _, bc := range []struct {
-		name string
-		l    *layout.Layout
-	}{{"flat", flat}, {"hier-toplevel", hier}} {
-		b.Run(bc.name, func(b *testing.B) {
-			eng := aapsm.NewEngine(aapsm.WithParallelism(1))
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, err := eng.Detect(ctx, bc.l); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
+	l := suiteLayout(b, 4)
+	eng := aapsm.NewEngine(aapsm.WithParallelism(1))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := eng.Detect(ctx, l); err != nil {
+			b.Fatal(err)
+		}
 	}
 }
 
@@ -600,12 +585,11 @@ func BenchmarkGadgetGroupCapSweep(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	removed := cg.Drawing.Planarize()
-	removedSet := make(map[int]bool, len(removed))
-	for _, e := range removed {
+	removedSet := make([]bool, cg.Edges())
+	for _, e := range cg.Drawing.PlanarizeGiven(cg.Drawing.Crossings()) {
 		removedSet[e] = true
 	}
-	pd, _ := cg.Drawing.WithoutEdges(removedSet)
+	pd, _ := cg.Drawing.WithoutEdgeSet(removedSet)
 	em, err := planar.BuildEmbedding(pd)
 	if err != nil {
 		b.Fatal(err)

@@ -167,8 +167,8 @@ func polyLibrary(rows, gates int) *gds.Library {
 // arrayLibrary adds a TOP cell placing the library's first cell in a
 // cols x rows AREF grid. The pitch leaves enough margin past the cell's
 // bounding box that shifters of neighboring placements cannot interact, so
-// every conflict cluster stays instance-pure and the detection fast path can
-// reuse one solved placement for all of them.
+// every conflict cluster stays inside one placement and detection can share
+// one solved placement's clusters with all the others.
 func arrayLibrary(lib *gds.Library, cols, rows int) {
 	cell := lib.Cells[0]
 	minX, minY := int64(1<<62), int64(1<<62)

@@ -29,7 +29,7 @@ func crossPoly(cx, cy int64) gds.Poly {
 // plus two plain gate rectangles, placed from TOP as a 2x2 AREF, one rotated
 // SREF and one reflected SREF — six placements, three distinct transforms.
 // Placement pitch keeps every placement outside shifter-interaction range of
-// its neighbors, so all conflict clusters are instance-pure.
+// its neighbors, so each placement's clusters are its own.
 func hierTestLibrary() *gds.Library {
 	cell := &gds.Cell{Name: "CELL"}
 	for j := int64(0); j < 2; j++ {
@@ -79,10 +79,11 @@ func flattenPair(t *testing.T, lib *gds.Library) (hier, flat *Layout) {
 	return hier, flat
 }
 
-// TestHierDifferential is the tentpole acceptance test: the instance-aware
-// fast path must be bit-identical to flat solving at every pipeline stage,
-// for both rules profiles and across worker counts, while actually reusing
-// cluster results between placements.
+// TestHierDifferential requires a read with the hierarchy sidecar to be
+// bit-identical to the flat read at every pipeline stage, for both rules
+// profiles and across worker counts, while identical placements share
+// cluster solves. Sharing is by content, so the flat read, which carries no
+// sidecar, shares exactly as many solves.
 func TestHierDifferential(t *testing.T) {
 	ctx := context.Background()
 	lib := hierTestLibrary()
@@ -100,15 +101,16 @@ func TestHierDifferential(t *testing.T) {
 				}
 				st := gr.Detection.Stats
 				if st.HierReusedShards == 0 || st.HierSolvedShards == 0 {
-					t.Fatalf("fast path did not engage: %+v", st)
+					t.Fatalf("no cluster solve was shared: %+v", st)
 				}
 				// The 2x2 AREF alone guarantees >1 identical placements.
 				if st.HierReusedShards < st.HierSolvedShards {
 					t.Fatalf("expected reuse to dominate on a repeated-cell layout: reused %d solved %d",
 						st.HierReusedShards, st.HierSolvedShards)
 				}
-				if wst := ref.res.Detection.Stats; wst.HierReusedShards != 0 || wst.HierSolvedShards != 0 {
-					t.Fatalf("flat reference engaged the fast path: %+v", wst)
+				if wst := ref.res.Detection.Stats; wst.HierReusedShards != st.HierReusedShards || wst.HierSolvedShards != st.HierSolvedShards {
+					t.Fatalf("flat read shared %d/%d solves, hierarchical read %d/%d",
+						wst.HierReusedShards, wst.HierSolvedShards, st.HierReusedShards, st.HierSolvedShards)
 				}
 			})
 		}
@@ -116,8 +118,9 @@ func TestHierDifferential(t *testing.T) {
 }
 
 // TestHierFallbackDifferential places two cells inside shifter-interaction
-// range, so their clusters merge across instance boundaries. Those clusters
-// must fall back to flat solving — and the results must still be identical.
+// range, so their clusters merge across instance boundaries. The fused
+// cluster solves on its own, the far placements still share a solve, and
+// the results must be identical to the flat read.
 func TestHierFallbackDifferential(t *testing.T) {
 	ctx := context.Background()
 	cell := &gds.Cell{Name: "CELL", Polys: []gds.Poly{crossPoly(0, 0)}}
@@ -127,8 +130,8 @@ func TestHierFallbackDifferential(t *testing.T) {
 			// 1150 nm apart: arm tips are 150 apart, well inside
 			// shifter-interaction range, fusing the two placements' clusters.
 			{Cell: "CELL", Origin: geom.Pt(1150, 0)},
-			// A third placement far away stays pure and keeps the fast path
-			// exercised in the same run.
+			// Two placements far away stay apart and share a solve in the
+			// same run.
 			{Cell: "CELL", Origin: geom.Pt(20000, 0)},
 			{Cell: "CELL", Origin: geom.Pt(20000, 20000)},
 		}},
@@ -142,11 +145,7 @@ func TestHierFallbackDifferential(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	st := r.Detection.Stats
-	if st.HierFallbackShards == 0 {
-		t.Fatalf("expected instance-crossing clusters to fall back: %+v", st)
-	}
-	if st.HierReusedShards == 0 {
+	if st := r.Detection.Stats; st.HierReusedShards == 0 {
 		t.Fatalf("expected the far placements to still reuse: %+v", st)
 	}
 }

@@ -81,10 +81,6 @@ type ConflictGraph struct {
 	AuxNodes int
 	// BendNodes counts drawing-only bend points (FG feature detours).
 	BendNodes int
-	// Hier is the source layout's hierarchy sidecar (nil for flat layouts).
-	// It never changes detection results — it only marks which clusters are
-	// candidates for the instance-aware solve-once fast path.
-	Hier *layout.Hierarchy
 }
 
 // Nodes returns the graph node count (drawing bends excluded).
@@ -106,7 +102,7 @@ func BuildGraph(l *layout.Layout, r layout.Rules, kind GraphKind) (*ConflictGrap
 // BuildGraphFromSet constructs the graph from an existing shifter set.
 func BuildGraphFromSet(l *layout.Layout, r layout.Rules, set *shifter.Set, kind GraphKind) (*ConflictGraph, error) {
 	g := graph.New(0)
-	cg := &ConflictGraph{Kind: kind, Set: set, Rules: r, Hier: l.Hier}
+	cg := &ConflictGraph{Kind: kind, Set: set, Rules: r}
 	reg := newPosRegistry()
 	pos := make([]geom.Point, 0, len(set.Shifters)*2)
 

@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"runtime/debug"
@@ -10,6 +11,7 @@ import (
 	"time"
 
 	"repro/internal/fanout"
+	"repro/internal/geom"
 	"repro/internal/graph"
 	"repro/internal/planar"
 	"repro/internal/tjoin"
@@ -65,14 +67,13 @@ type Stats struct {
 	// ReusedShards counts clusters whose cached result was reused instead of
 	// re-solved (always 0 for DetectContext; see Incremental).
 	ReusedShards int
-	// HierReusedShards / HierSolvedShards tally the instance-aware fast
-	// path: instance-pure clusters whose result was spliced from an
-	// identical representative vs. representatives actually solved.
-	// HierFallbackShards counts clusters that cross instance boundaries and
-	// therefore solve flat. All zero for layouts without hierarchy.
-	HierReusedShards   int
-	HierSolvedShards   int
-	HierFallbackShards int
+	// HierReusedShards counts clusters this run solved by taking the result
+	// of an identical cluster (equal clusterSignature) solved in the same
+	// run; HierSolvedShards counts the representatives whose result at
+	// least one such cluster took. Both are 0 on a layout without repeated
+	// clusters.
+	HierReusedShards int
+	HierSolvedShards int
 	// LargestShardEdges is the edge count of the largest cluster — the
 	// wall-clock bound of the parallel flow.
 	LargestShardEdges int
@@ -145,8 +146,8 @@ type clusterRun struct {
 	edgeCluster []int32 // cluster per edge
 	nShards     int
 	results     []*shardResult // per cluster; nil for edge-less parts
-	// solved marks the clusters this run solved (or spliced from a solved
-	// hierarchy representative) rather than took from the cache.
+	// solved marks the clusters this run solved (or took from an identical
+	// cluster solved in the same run) rather than took from the cache.
 	solved []bool
 }
 
@@ -165,10 +166,10 @@ func (run *clusterRun) partition(g *graph.Graph) {
 // every cluster once the partition is known and returns one entry per
 // cluster, nil where the cluster must be solved, or an error that aborts the
 // run before anything is solved. Only the clusters without a cached result
-// are induced as standalone drawings and solved; the instance-aware dedup
-// runs only when nothing is cached, so its job list is complete. Results are
-// merged in cluster order, so the Detection does not depend on the worker
-// count or on which clusters came from the cache.
+// are induced as standalone drawings, and of those only one per distinct
+// clusterSignature is solved (see shareSolves). Results are merged in
+// cluster order, so the Detection does not depend on the worker count, on
+// which clusters came from the cache or on which shared a solve.
 func detect(ctx context.Context, cg *ConflictGraph, cross func() [][2]int, cached func(edgeCluster []int32, nShards int) ([]*shardResult, error), opt Options) (*Detection, *clusterRun, error) {
 	start := time.Now() //aapsmvet:allow determinism stage-timing telemetry only; durations land in Stats, never in results
 	det := &Detection{Graph: cg}
@@ -240,14 +241,7 @@ func detect(ctx context.Context, cg *ConflictGraph, cross func() [][2]int, cache
 		}
 	}
 
-	// Instance-aware fast path: solve each distinct instance-pure cluster
-	// shape once and splice the result into every other placement.
-	var plan *hierPlan
-	if reuse == nil {
-		if plan = hierDedupPlan(cg, run.labels, nShards, jobs); plan != nil {
-			plan.blankDuplicates(jobs)
-		}
-	}
+	rep := shareSolves(jobs, &det.Stats)
 	run.results = make([]*shardResult, nShards)
 	if err := runShards(ctx, jobs, run.results, opt.Workers, opt); err != nil {
 		return nil, nil, err
@@ -256,11 +250,11 @@ func detect(ctx context.Context, cg *ConflictGraph, cross func() [][2]int, cache
 	// fresh marks the clusters whose solve this run performed, so merge-time
 	// duration accounting counts each solve once.
 	fresh := append([]bool(nil), run.solved...)
-	if plan != nil {
-		plan.spliceResults(run.results, fresh)
-		det.Stats.HierReusedShards = plan.reused
-		det.Stats.HierSolvedShards = plan.solved
-		det.Stats.HierFallbackShards = plan.fallback
+	for c, r := range rep {
+		if r >= 0 {
+			run.results[c] = run.results[r]
+			fresh[c] = false
+		}
 	}
 	for c, r := range reuse {
 		if r != nil {
@@ -285,6 +279,86 @@ func detect(ctx context.Context, cg *ConflictGraph, cross func() [][2]int, cache
 type shardJob struct {
 	d     *planar.Drawing
 	pairs [][2]int
+}
+
+// shareSolves makes each distinct cluster solve once. Two clusters whose
+// clusterSignature bytes are equal present identical inputs to the
+// deterministic detectShard, so the later one's job is cleared and rep[c]
+// names the earlier cluster whose result it takes (-1 where cluster c keeps
+// its job). It tallies the sharing in st's HierReusedShards and
+// HierSolvedShards.
+func shareSolves(jobs []shardJob, st *Stats) (rep []int32) {
+	rep = make([]int32, len(jobs))
+	shared := make([]bool, len(jobs))
+	bySig := make(map[string]int32)
+	var buf []byte
+	for c := range jobs {
+		rep[c] = -1
+		if jobs[c].d == nil {
+			continue
+		}
+		buf = clusterSignature(buf[:0], jobs[c].d, jobs[c].pairs)
+		r, ok := bySig[string(buf)]
+		if !ok {
+			bySig[string(buf)] = int32(c)
+			continue
+		}
+		rep[c] = r
+		jobs[c] = shardJob{}
+		st.HierReusedShards++
+		if !shared[r] {
+			shared[r] = true
+			st.HierSolvedShards++
+		}
+	}
+	return rep
+}
+
+// clusterSignature appends to buf a canonical byte form of one cluster's
+// detection input: node positions and bend points translated to the
+// cluster's minimum corner, edge endpoints and weights in edge order, and
+// the crossing-pair list. Two clusters with equal signatures present
+// identical inputs to detectShard; a rotated or reflected copy signs
+// differently and solves on its own.
+func clusterSignature(buf []byte, d *planar.Drawing, pairs [][2]int) []byte {
+	g := d.G
+	n, m := g.N(), g.M()
+	minX, minY := int64(1<<62), int64(1<<62)
+	note := func(p geom.Point) {
+		minX, minY = min(minX, p.X), min(minY, p.Y)
+	}
+	for _, p := range d.Pos[:n] {
+		note(p)
+	}
+	for e := 0; e < m; e++ {
+		for _, p := range d.Bends[e] {
+			note(p)
+		}
+	}
+	buf = binary.AppendVarint(buf, int64(n))
+	buf = binary.AppendVarint(buf, int64(m))
+	for _, p := range d.Pos[:n] {
+		buf = binary.AppendVarint(buf, p.X-minX)
+		buf = binary.AppendVarint(buf, p.Y-minY)
+	}
+	for e := 0; e < m; e++ {
+		ed := g.Edge(e)
+		buf = binary.AppendVarint(buf, int64(ed.U))
+		buf = binary.AppendVarint(buf, int64(ed.V))
+		buf = binary.AppendVarint(buf, ed.Weight)
+		bends := d.Bends[e]
+		buf = binary.AppendVarint(buf, int64(len(bends)))
+		for _, p := range bends {
+			buf = binary.AppendVarint(buf, p.X-minX)
+			buf = binary.AppendVarint(buf, p.Y-minY)
+		}
+	}
+	buf = binary.AppendVarint(buf, int64(len(pairs)))
+	for _, pr := range pairs {
+		buf = binary.AppendVarint(buf, int64(pr[0]))
+		buf = binary.AppendVarint(buf, int64(pr[1]))
+	}
+	return buf
 }
 
 // ErrPanic marks a panic recovered inside a shard solver. A poisoned cluster
@@ -363,7 +437,7 @@ func runShards(ctx context.Context, jobs []shardJob, results []*shardResult, wor
 // maps, in cluster order: edgeOf[i] maps cluster i's local edge indices to
 // global ones. Size counters are summed over every result; stage durations
 // are summed only over clusters marked in fresh, so a run reusing cached or
-// spliced results reports only the work it performed.
+// shared results reports only the work it performed.
 // It finishes with the bipartiteness self-check on the merged conflict set.
 func mergeShards(det *Detection, cg *ConflictGraph, edgeOf [][]int, results []*shardResult, fresh []bool) error {
 	finalSet := make(map[int]bool)

@@ -2,12 +2,14 @@ package core
 
 import (
 	"context"
+	"fmt"
 	"runtime"
 	"sort"
 	"sync"
 	"testing"
 
 	"repro/internal/bench"
+	"repro/internal/geom"
 	"repro/internal/planar"
 	"repro/internal/tjoin"
 )
@@ -66,6 +68,127 @@ func zeroDurations(s Stats) Stats {
 	return s
 }
 
+// unsharedDetect is the oracle for detect's solve sharing: it partitions cg
+// into the same conflict clusters, solves every cluster with detectShard on
+// its own, identical or not, and merges the results with mergeShards. A
+// clusterSignature that missed one of detectShard's inputs would let detect
+// hand some cluster a wrong result, which this oracle does not.
+func unsharedDetect(t *testing.T, cg *ConflictGraph, opt Options) *Detection {
+	t.Helper()
+	det := &Detection{Graph: cg}
+	det.Stats.GraphNodes = cg.Nodes()
+	det.Stats.GraphEdges = cg.Edges()
+	run := &clusterRun{crossPairs: cg.Drawing.Crossings()}
+	det.Stats.CrossingPairs = len(run.crossPairs)
+	run.partition(cg.Drawing.G)
+	all := make([]bool, run.nShards)
+	for c := range all {
+		all[c] = true
+	}
+	shards := cg.Drawing.InducedComponentsSubset(run.labels, run.nShards, all)
+	localEdge := make([]int, cg.Edges())
+	edgeOf := make([][]int, run.nShards)
+	for c, sh := range shards {
+		edgeOf[c] = sh.EdgeOf
+		for le, ge := range sh.EdgeOf {
+			localEdge[ge] = le
+		}
+	}
+	pairs := make([][][2]int, run.nShards)
+	for _, p := range run.crossPairs {
+		c := run.edgeCluster[p[0]]
+		pairs[c] = append(pairs[c], [2]int{localEdge[p[0]], localEdge[p[1]]})
+	}
+	results := make([]*shardResult, run.nShards)
+	for c, sh := range shards {
+		if len(sh.EdgeOf) == 0 {
+			continue
+		}
+		det.Stats.Shards++
+		det.Stats.LargestShardEdges = max(det.Stats.LargestShardEdges, len(sh.EdgeOf))
+		r, err := detectShard(context.Background(), sh.D, pairs[c], opt)
+		if err != nil {
+			t.Fatalf("cluster %d: %v", c, err)
+		}
+		results[c] = r
+	}
+	if err := mergeShards(det, cg, edgeOf, results, all); err != nil {
+		t.Fatal(err)
+	}
+	return det
+}
+
+// assertMatchesUnshared requires det, from DetectContext, to equal the
+// unshared oracle on the same graph in every conflict set and counter but
+// the two that tally the sharing, and returns det's reuse count.
+func assertMatchesUnshared(t *testing.T, tag string, cg *ConflictGraph, det *Detection, opt Options) int {
+	t.Helper()
+	shared := *det
+	reused := shared.Stats.HierReusedShards
+	shared.Stats.HierReusedShards, shared.Stats.HierSolvedShards = 0, 0
+	detectionsEqual(t, tag+"/unshared", unsharedDetect(t, cg, opt), &shared)
+	return reused
+}
+
+// TestSharedSolveByContent pins the solve-sharing rule on a flat layout: a
+// cluster and its translated copy share one solve, while a copy with one
+// feature moved by 10 nm solves on its own. Pitch-500 wires fuse into one
+// cluster; copies 100 000 apart stay separate.
+func TestSharedSolveByContent(t *testing.T) {
+	cases := []struct {
+		name           string
+		copy           []geom.Rect
+		reused, solved int
+	}{
+		{"translated copy", []geom.Rect{geom.R(100_000, 0, 100_100, 1000), geom.R(100_500, 0, 100_600, 1000)}, 1, 1},
+		{"one feature moved 10 nm", []geom.Rect{geom.R(100_000, 0, 100_100, 1000), geom.R(100_500, 10, 100_600, 1010)}, 0, 0},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			l := wireLayout(tc.name, 0, 500)
+			for _, r := range tc.copy {
+				l.Add(r)
+			}
+			cg, err := BuildGraph(l, rules(), PCG)
+			if err != nil {
+				t.Fatal(err)
+			}
+			det, err := DetectContext(context.Background(), cg, Options{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			st := det.Stats
+			if st.Shards != 2 || st.HierReusedShards != tc.reused || st.HierSolvedShards != tc.solved {
+				t.Fatalf("shards/reused/solved = %d/%d/%d, want 2/%d/%d",
+					st.Shards, st.HierReusedShards, st.HierSolvedShards, tc.reused, tc.solved)
+			}
+			assertMatchesUnshared(t, tc.name, cg, det, Options{})
+		})
+	}
+}
+
+// TestSharedSolveMatchesUnshared checks detect against the unshared oracle
+// on the generator grid, both graph kinds and both recheck modes.
+func TestSharedSolveMatchesUnshared(t *testing.T) {
+	for _, d := range shardGrid() {
+		l := bench.Generate(d.Name, d.Params)
+		for _, kind := range []GraphKind{PCG, FG} {
+			for _, mode := range []RecheckMode{RecheckColoring, RecheckParity} {
+				opt := Options{Recheck: mode, Workers: 2}
+				cg, err := BuildGraph(l, rules(), kind)
+				if err != nil {
+					t.Fatal(err)
+				}
+				det, err := DetectContext(context.Background(), cg, opt)
+				if err != nil {
+					t.Fatal(err)
+				}
+				assertMatchesUnshared(t, fmt.Sprintf("%s/%v/%d", d.Name, kind, mode), cg, det, opt)
+			}
+		}
+	}
+}
+
 // TestShardedDetectionWorkerEquivalence asserts the tentpole invariant: the
 // sharded flow is bit-identical in conflict sets and stat counts for any
 // worker count, across the generator grid, both graph kinds and both
@@ -106,7 +229,7 @@ func TestShardedDetectionWorkerEquivalence(t *testing.T) {
 // dual T-join, one global recheck — as an independent oracle for the merge.
 func unshardedReference(t *testing.T, cg *ConflictGraph, mode RecheckMode) (removed, bipart, final []int) {
 	t.Helper()
-	removed = cg.Drawing.Planarize()
+	removed = cg.Drawing.PlanarizeGiven(cg.Drawing.Crossings())
 	removedSet := make([]bool, cg.Drawing.G.M())
 	for _, e := range removed {
 		removedSet[e] = true

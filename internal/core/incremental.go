@@ -115,15 +115,13 @@ type IncStats struct {
 	// invariant check failed; it should stay 0.
 	FallbackDirty int `json:"fallback_dirty"`
 
-	// Instance-aware fast-path tallies (full detects on hierarchical
-	// layouts): HierClustersReused counts instance-pure clusters whose
-	// result was spliced from an identical representative,
-	// HierClustersSolved the representatives actually solved, and
-	// HierFallbackClusters those crossing instance boundaries that solved
-	// flat.
-	HierClustersReused   int `json:"hier_clusters_reused"`
-	HierClustersSolved   int `json:"hier_clusters_solved"`
-	HierFallbackClusters int `json:"hier_fallback_clusters"`
+	// Solve-sharing tallies, cumulative over Detects: HierClustersReused
+	// counts clusters that took the result of an identical cluster solved
+	// in the same Detect, HierClustersSolved the representatives whose
+	// result at least one such cluster took (Stats.HierReusedShards and
+	// HierSolvedShards summed). ShardsSolved excludes the takers.
+	HierClustersReused int `json:"hier_clusters_reused"`
+	HierClustersSolved int `json:"hier_clusters_solved"`
 
 	// DRCPairs count spacing-pair evaluations of the incremental DRC
 	// (reused = cached violating pairs carried over a re-check), cumulative
@@ -365,8 +363,8 @@ func (inc *Incremental) runDetect(ctx context.Context, seed *IncrementalState) (
 		return nil, err
 	}
 	det.Stats.TotalTime = time.Since(start)
-	// A solved cluster spliced from a hierarchy representative is counted
-	// once, as a hierarchy reuse.
+	// A cluster that took an identical cluster's result is counted once, as
+	// a shared solve.
 	for c, r := range run.results {
 		if run.solved[c] && r != nil {
 			inc.stats.ShardsSolved++
@@ -376,7 +374,6 @@ func (inc *Incremental) runDetect(ctx context.Context, seed *IncrementalState) (
 	inc.stats.ShardsReused += det.Stats.ReusedShards
 	inc.stats.HierClustersReused += det.Stats.HierReusedShards
 	inc.stats.HierClustersSolved += det.Stats.HierSolvedShards
-	inc.stats.HierFallbackClusters += det.Stats.HierFallbackShards
 
 	// --- 6. Commit the new state. ---
 	inc.pairs = records

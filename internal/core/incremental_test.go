@@ -18,7 +18,8 @@ import (
 // placement of a single cell in a hierarchy sidecar. Every copy after the
 // first also adds an untagged top-level copy of base's first feature half a
 // pitch back, inside the previous copy, so some clusters mix top-level and
-// placed geometry.
+// placed geometry. Detection never reads the sidecar; the repeated copies
+// are what let identical clusters share a solve.
 func tiledHierLayout(base *layout.Layout, n int) *layout.Layout {
 	var box geom.Rect
 	for _, f := range base.Features {
@@ -49,7 +50,8 @@ func tiledHierLayout(base *layout.Layout, n int) *layout.Layout {
 // an Incremental engine's first Detect, and RestoreIncremental, which
 // re-enters the Detect body seeded with the exported crossing pairs and
 // cluster results. Conflict sets and every Stats counter — the
-// instance-aware and reuse tallies included — must be equal.
+// shared-solve and reuse tallies included — must be equal, and
+// DetectContext must match the unshared oracle.
 func TestDetectEntryPointsAgree(t *testing.T) {
 	ctx := context.Background()
 	d := shardGrid()[1]
@@ -68,8 +70,8 @@ func TestDetectEntryPointsAgree(t *testing.T) {
 				if err != nil {
 					t.Fatalf("%s: %v", tag, err)
 				}
-				if st := want.Stats; l.Hier != nil && (st.HierReusedShards == 0 || st.HierFallbackShards == 0) {
-					t.Fatalf("%s: tiled layout does not exercise the instance-aware path: %+v", tag, st)
+				if reused := assertMatchesUnshared(t, tag, cg, want, opt); l.Hier != nil && reused == 0 {
+					t.Fatalf("%s: tiled layout shares no solve: %+v", tag, want.Stats)
 				}
 
 				inc, err := NewIncremental(l, rules(), kind, opt)

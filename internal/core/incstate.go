@@ -52,8 +52,8 @@ type IncrementalState struct {
 	LayoutName string
 	Features   []layout.Feature
 
-	// Hierarchy sidecar of the working layout (all empty when flat). The
-	// instance tags feed only the instance-aware fast path, never results.
+	// Hierarchy sidecar of the working layout (all empty when flat): layout
+	// provenance that detection does not read.
 	HierCells           []string
 	HierPlacementCell   []int32
 	HierFeatureInstance []int32

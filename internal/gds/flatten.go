@@ -45,8 +45,8 @@ type ReadOptions struct {
 	// Flatten discards instance provenance: the result carries no
 	// layout.Hierarchy sidecar, exactly as if the layout had been drawn
 	// flat. When false (the default) the sidecar is attached whenever the
-	// stream contains placements, enabling the instance-aware detection
-	// fast path.
+	// stream contains placements. Detection results and solve sharing are
+	// the same either way.
 	Flatten bool
 	// MaxDepth bounds reference nesting (0: DefaultMaxDepth).
 	MaxDepth int

@@ -109,8 +109,8 @@ func (r Rect) Empty() bool { return r.X0 >= r.X1 || r.Y0 >= r.Y1 }
 // Center returns the center point, rounded toward negative infinity.
 // Center rounds halves toward negative infinity (arithmetic shift), not
 // toward zero: floor((v+2t)>>1) == (v>>1)+t, so centers translate with the
-// rectangle even across the origin. The hierarchy fast path's cluster
-// signatures rely on this covariance.
+// rectangle even across the origin. The cluster signatures that let
+// identical clusters share a solve rely on this covariance.
 func (r Rect) Center() Point { return Point{(r.X0 + r.X1) >> 1, (r.Y0 + r.Y1) >> 1} }
 
 // Contains reports whether p lies in the closed rectangle.

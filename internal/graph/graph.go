@@ -109,21 +109,9 @@ func (g *Graph) Clone() *Graph {
 	return out
 }
 
-// SubgraphWithoutEdges returns a copy of g with the given edge indices
-// removed and a mapping from new edge index to old edge index.
-func (g *Graph) SubgraphWithoutEdges(removed map[int]bool) (*Graph, []int) {
-	skip := make([]bool, len(g.edges))
-	for e := range removed {
-		if e >= 0 && e < len(skip) {
-			skip[e] = true
-		}
-	}
-	return g.SubgraphWithoutEdgeSet(skip)
-}
-
-// SubgraphWithoutEdgeSet is SubgraphWithoutEdges with the removed set as a
-// boolean slice indexed by edge — the allocation-light form used by the
-// per-cluster detection flow.
+// SubgraphWithoutEdgeSet returns a copy of g without the edges marked in
+// skip (a boolean slice indexed by edge) and a mapping from new edge index
+// to old edge index.
 func (g *Graph) SubgraphWithoutEdgeSet(skip []bool) (*Graph, []int) {
 	kept := 0
 	for i := range g.edges {
@@ -165,7 +153,7 @@ type Induced struct {
 // Node and edge order is preserved inside each part, so algorithms whose
 // tie-breaking depends on index order behave identically on the parts and on
 // the whole. The entire extraction is a single O(N+M) pass, unlike repeated
-// per-component SubgraphWithoutEdges-style filtering.
+// per-component SubgraphWithoutEdgeSet-style filtering.
 func (g *Graph) InducedComponents(labels []int, count int) ([]Induced, []int) {
 	return g.InducedComponentsSubset(labels, count, nil)
 }
@@ -295,7 +283,7 @@ func (g *Graph) VerifyBipartition(removed map[int]bool) ([]int8, bool) {
 
 // TwoColorWithoutEdges two-colors the graph as if the edges marked in skip
 // were deleted, without materializing the subgraph. The coloring is
-// identical to SubgraphWithoutEdges + TwoColor (component roots in node
+// identical to SubgraphWithoutEdgeSet + TwoColor (component roots in node
 // order get color 0); ok is false when the remaining graph is not
 // bipartite, with colors holding the partial coloring at failure.
 func (g *Graph) TwoColorWithoutEdges(skip []bool) (colors []int8, ok bool) {

@@ -104,7 +104,7 @@ func TestTwoColor(t *testing.T) {
 
 func TestSubgraphWithoutEdges(t *testing.T) {
 	g := cycle(5)
-	sub, oldIdx := g.SubgraphWithoutEdges(map[int]bool{2: true})
+	sub, oldIdx := g.SubgraphWithoutEdgeSet([]bool{2: true})
 	if sub.M() != 4 {
 		t.Fatalf("subgraph edges = %d", sub.M())
 	}

@@ -51,9 +51,10 @@ type Layout struct {
 	Name     string
 	Features []Feature
 	// Hier, when non-nil, records the cell hierarchy this flat layout was
-	// expanded from. It never changes detection results — it only enables the
-	// instance-aware fast path to reuse per-cluster work across repeated
-	// placements. The plain-text interchange format does not carry it.
+	// expanded from: provenance for readers and snapshots. Detection does not
+	// read it; identical conflict clusters share a solve by content whether
+	// or not it is present. The plain-text interchange format does not carry
+	// it.
 	Hier *Hierarchy
 }
 

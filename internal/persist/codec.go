@@ -44,7 +44,11 @@ var snapMagic = [8]byte{'A', 'A', 'P', 'S', 'M', 'S', 'N', 'P'}
 // are gone, the DRC cache is index pairs plus dirty indices, overlap pairs
 // travel only with the committed detection, and the unused T-join group cap
 // and the always-set engine-state presence byte are dropped.
-const Version uint16 = 4
+//
+// Version 5 drops the hierarchy-fallback counter from both stats blocks:
+// identical clusters share a solve by content alone, so no cluster falls
+// back, and the two reuse counters keep their slots with the new meaning.
+const Version uint16 = 5
 
 var (
 	// ErrCorrupt marks a snapshot that failed structural or checksum
@@ -234,10 +238,10 @@ func (w *writer) incState(inc *core.IncrementalState) {
 }
 
 func (w *writer) detStats(s core.Stats) {
-	for _, v := range [14]int{s.GraphNodes, s.GraphEdges, s.CrossingPairs,
+	for _, v := range [13]int{s.GraphNodes, s.GraphEdges, s.CrossingPairs,
 		s.DualNodes, s.DualEdges, s.OddFaces, s.GadgetNodes, s.GadgetEdges,
 		s.Shards, s.ReusedShards, s.LargestShardEdges,
-		s.HierReusedShards, s.HierSolvedShards, s.HierFallbackShards} {
+		s.HierReusedShards, s.HierSolvedShards} {
 		w.i64(int64(v))
 	}
 	for _, d := range [6]time.Duration{s.CrossTime, s.PlanarTime, s.EmbedTime,
@@ -247,9 +251,9 @@ func (w *writer) detStats(s core.Stats) {
 }
 
 func (w *writer) incStats(s core.IncStats) {
-	for _, v := range [11]int{s.Edits, s.Detects, s.FullDetects,
+	for _, v := range [10]int{s.Edits, s.Detects, s.FullDetects,
 		s.ShardsReused, s.ShardsSolved, s.FallbackDirty,
-		s.HierClustersReused, s.HierClustersSolved, s.HierFallbackClusters,
+		s.HierClustersReused, s.HierClustersSolved,
 		s.DRCPairsReused, s.DRCPairsSolved} {
 		w.i64(int64(v))
 	}
@@ -434,10 +438,10 @@ func (r *reader) incState(inc *core.IncrementalState) {
 
 func (r *reader) detStats() core.Stats {
 	var s core.Stats
-	for _, p := range [14]*int{&s.GraphNodes, &s.GraphEdges, &s.CrossingPairs,
+	for _, p := range [13]*int{&s.GraphNodes, &s.GraphEdges, &s.CrossingPairs,
 		&s.DualNodes, &s.DualEdges, &s.OddFaces, &s.GadgetNodes, &s.GadgetEdges,
 		&s.Shards, &s.ReusedShards, &s.LargestShardEdges,
-		&s.HierReusedShards, &s.HierSolvedShards, &s.HierFallbackShards} {
+		&s.HierReusedShards, &s.HierSolvedShards} {
 		*p = int(r.i64())
 	}
 	for _, p := range [6]*time.Duration{&s.CrossTime, &s.PlanarTime, &s.EmbedTime,
@@ -449,9 +453,9 @@ func (r *reader) detStats() core.Stats {
 
 func (r *reader) incStats() core.IncStats {
 	var s core.IncStats
-	for _, p := range [11]*int{&s.Edits, &s.Detects, &s.FullDetects,
+	for _, p := range [10]*int{&s.Edits, &s.Detects, &s.FullDetects,
 		&s.ShardsReused, &s.ShardsSolved, &s.FallbackDirty,
-		&s.HierClustersReused, &s.HierClustersSolved, &s.HierFallbackClusters,
+		&s.HierClustersReused, &s.HierClustersSolved,
 		&s.DRCPairsReused, &s.DRCPairsSolved} {
 		*p = int(r.i64())
 	}

@@ -211,20 +211,14 @@ func (d *Drawing) Crossings() [][2]int {
 	return out
 }
 
-// Planarize greedily removes crossing edges until the drawing is
+// PlanarizeGiven greedily removes crossing edges until the drawing is
 // crossing-free, returning the removed edge indices in removal order. At
 // each step the crossing edge with minimum weight is removed (ties: more
 // remaining crossings first, then lower index), per the paper's "greedily
-// removing minimum weight edges that cross other edges".
-func (d *Drawing) Planarize() []int {
-	return d.PlanarizeGiven(d.Crossings())
-}
-
-// PlanarizeGiven is Planarize on a precomputed crossing-pair list (as
-// returned by Crossings), letting callers that already paid for the
-// geometric sweep — or that partition one global sweep across subdrawings —
-// skip recomputing it. The greedy selection is purely combinatorial, so the
-// result only depends on pairs and the edge weights.
+// removing minimum weight edges that cross other edges". pairs is the
+// drawing's crossing-pair list (as returned by Crossings, or one cluster's
+// share of a global sweep); the greedy selection is purely combinatorial,
+// so the result only depends on pairs and the edge weights.
 func (d *Drawing) PlanarizeGiven(pairs [][2]int) []int {
 	if len(pairs) == 0 {
 		return nil
@@ -274,21 +268,11 @@ func (d *Drawing) PlanarizeGiven(pairs [][2]int) []int {
 	return removed
 }
 
-// WithoutEdges returns a new Drawing with the given edges removed, plus the
-// mapping from new edge index to old edge index.
-func (d *Drawing) WithoutEdges(removed map[int]bool) (*Drawing, []int) {
-	sub, oldIdx := d.G.SubgraphWithoutEdges(removed)
-	return d.withSubgraph(sub, oldIdx)
-}
-
-// WithoutEdgeSet is WithoutEdges with the removed set as a boolean slice
-// indexed by edge.
+// WithoutEdgeSet returns a new Drawing without the edges marked in skip (a
+// boolean slice indexed by edge), plus the mapping from new edge index to
+// old edge index.
 func (d *Drawing) WithoutEdgeSet(skip []bool) (*Drawing, []int) {
 	sub, oldIdx := d.G.SubgraphWithoutEdgeSet(skip)
-	return d.withSubgraph(sub, oldIdx)
-}
-
-func (d *Drawing) withSubgraph(sub *graph.Graph, oldIdx []int) (*Drawing, []int) {
 	nd := NewDrawing(sub, d.Pos)
 	for newI, oldI := range oldIdx {
 		if pts := d.Bends[oldI]; len(pts) > 0 {

@@ -11,7 +11,7 @@ import (
 
 // ErrNotPlanarDrawing is returned by BuildEmbedding when the drawing still
 // contains crossings.
-var ErrNotPlanarDrawing = errors.New("planar: drawing has crossings; Planarize first")
+var ErrNotPlanarDrawing = errors.New("planar: drawing has crossings; planarize first")
 
 // Embedding is the combinatorial embedding induced by a crossing-free
 // drawing: faces traced from the geometric rotation system, with face

@@ -77,11 +77,11 @@ func TestEdgesCrossCoincidentDistinctNodes(t *testing.T) {
 
 func TestPlanarizeRemovesCheapDiagonal(t *testing.T) {
 	d := k4Crossing()
-	removed := d.Planarize()
+	removed := d.PlanarizeGiven(d.Crossings())
 	if len(removed) != 1 || removed[0] != 4 {
 		t.Fatalf("removed = %v, want [4] (the weight-3 diagonal)", removed)
 	}
-	nd, oldIdx := d.WithoutEdges(map[int]bool{4: true})
+	nd, oldIdx := d.WithoutEdgeSet([]bool{4: true})
 	if len(nd.Crossings()) != 0 {
 		t.Error("drawing should be crossing-free after removal")
 	}
@@ -108,7 +108,7 @@ func TestPlanarizeTieBreaksByCrossingCount(t *testing.T) {
 	g.AddEdge(2, 3, 1)
 	g.AddEdge(4, 5, 1)
 	d := NewDrawing(g, pos)
-	removed := d.Planarize()
+	removed := d.PlanarizeGiven(d.Crossings())
 	if len(removed) != 1 || removed[0] != 2 {
 		t.Fatalf("removed = %v, want [2]", removed)
 	}

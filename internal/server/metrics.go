@@ -81,14 +81,11 @@ type metrics struct {
 	// within one stage is the interesting signal.
 	reuse [stageCount]struct{ reused, solved atomic.Int64 }
 
-	// Hierarchy fast-path counters, accumulated from the same per-request
-	// IncStats deltas: clusters that received a spliced result from an
-	// identical sibling placement, distinct representative clusters solved
-	// for them, and instance-touching clusters that fell back to flat
-	// solving because they crossed an instance boundary.
-	hierReused   atomic.Int64
-	hierSolved   atomic.Int64
-	hierFallback atomic.Int64
+	// Shared-solve counters, accumulated from the same per-request IncStats
+	// deltas: clusters that took the result of an identical cluster solved
+	// in the same detect, and the representatives whose result was taken.
+	hierReused atomic.Int64
+	hierSolved atomic.Int64
 
 	mu       sync.Mutex
 	requests map[requestKey]int64
@@ -122,9 +119,6 @@ func (m *metrics) observeReuse(before, after aapsm.IncrementalStats) {
 	}
 	if d := after.HierClustersSolved - before.HierClustersSolved; d > 0 {
 		m.hierSolved.Add(int64(d))
-	}
-	if d := after.HierFallbackClusters - before.HierFallbackClusters; d > 0 {
-		m.hierFallback.Add(int64(d))
 	}
 }
 
@@ -403,9 +397,8 @@ func (s *Server) declareMetrics() *registry {
 	}
 	r.counters("aapsmd_incremental_reused_total", "Pipeline work units served from session cluster caches, by stage.", "stage", reused...)
 	r.counters("aapsmd_incremental_solved_total", "Pipeline work units actually computed, by stage.", "stage", solved...)
-	r.counter("aapsmd_hier_clusters_reused_total", "Conflict clusters whose detection result was spliced from an identical sibling placement by the instance-aware fast path.", m.hierReused.Load)
-	r.counter("aapsmd_hier_clusters_solved_total", "Distinct representative clusters solved for instance-pure cluster groups.", m.hierSolved.Load)
-	r.counter("aapsmd_hier_clusters_fallback_total", "Instance-touching clusters solved flat because they cross instance boundaries.", m.hierFallback.Load)
+	r.counter("aapsmd_hier_clusters_reused_total", "Conflict clusters that took the detection result of an identical cluster solved in the same detect.", m.hierReused.Load)
+	r.counter("aapsmd_hier_clusters_solved_total", "Solved conflict clusters whose detection result at least one identical cluster took.", m.hierSolved.Load)
 	r.add(family{name: "aapsmd_requests_total", help: "Finished HTTP requests.", kind: kindCounter, series: m.requestSeries})
 	r.add(family{name: "aapsmd_request_seconds", help: "Request latency.", kind: kindSummary, series: m.latencySeries})
 	return r

@@ -542,6 +542,29 @@ func (s *Server) rehydrateLeader(ctx context.Context, id string) (*sessionEntry,
 	return ent, nil
 }
 
+// readStage is one session read stage: GET /v1/sessions/{id}/<name> serves
+// it through the read single-flight, and a stream may subscribe to it.
+type readStage struct {
+	name  string
+	serve func(*Server, http.ResponseWriter, *http.Request, *sessionEntry)
+}
+
+// readStages lists every read stage, in stream emit order.
+var readStages = []readStage{
+	{"detect", (*Server).handleDetect},
+	{"assign", (*Server).handleAssign},
+	{"correct", (*Server).handleCorrect},
+	{"drc", (*Server).handleDRC},
+	{"mask", (*Server).handleMask},
+	{"layout", (*Server).handleLayout},
+	{"svg", (*Server).handleSVG},
+}
+
+// handler binds the stage's handler to s.
+func (st readStage) handler(s *Server) func(http.ResponseWriter, *http.Request, *sessionEntry) {
+	return func(w http.ResponseWriter, r *http.Request, ent *sessionEntry) { st.serve(s, w, r, ent) }
+}
+
 func (s *Server) routes() {
 	// Probes and metrics are exempt from admission control: an overloaded
 	// instance must still answer its orchestrator.
@@ -556,13 +579,9 @@ func (s *Server) routes() {
 	// Read stages go through the per-stage single-flight: identical requests
 	// in flight together at one session generation compute and encode the
 	// response once; nothing is kept after they return.
-	s.mux.HandleFunc("GET /v1/sessions/{id}/detect", s.route("detect", true, s.session(s.coalesced("detect", s.handleDetect))))
-	s.mux.HandleFunc("GET /v1/sessions/{id}/assign", s.route("assign", true, s.session(s.coalesced("assign", s.handleAssign))))
-	s.mux.HandleFunc("GET /v1/sessions/{id}/correct", s.route("correct", true, s.session(s.coalesced("correct", s.handleCorrect))))
-	s.mux.HandleFunc("GET /v1/sessions/{id}/drc", s.route("drc", true, s.session(s.coalesced("drc", s.handleDRC))))
-	s.mux.HandleFunc("GET /v1/sessions/{id}/mask", s.route("mask", true, s.session(s.coalesced("mask", s.handleMask))))
-	s.mux.HandleFunc("GET /v1/sessions/{id}/layout", s.route("layout", true, s.session(s.coalesced("layout", s.handleLayout))))
-	s.mux.HandleFunc("GET /v1/sessions/{id}/svg", s.route("svg", true, s.session(s.coalesced("svg", s.handleSVG))))
+	for _, st := range readStages {
+		s.mux.HandleFunc("GET /v1/sessions/{id}/"+st.name, s.route(st.name, true, s.session(s.coalesced(st.name, st.handler(s)))))
+	}
 	// Streams are long-lived: no global admission slot, no per-session slot,
 	// no request timeout — bounded instead by MaxStreams and the client.
 	s.mux.HandleFunc("GET /v1/sessions/{id}/stream", s.routeStream("stream", s.sessionWith(s.handleStream, false)))

@@ -785,10 +785,9 @@ func hierGDS(t *testing.T, cell *aapsm.Layout) []byte {
 	return buf.Bytes()
 }
 
-// TestHierUploadMetrics pins that a hierarchical GDS upload takes the
-// instance-aware fast path end to end: the flattened layout keeps its
-// provenance sidecar through the upload, detection reuses cluster solves
-// across placements, and /metrics exposes the reuse counters.
+// TestHierUploadMetrics pins that a GDS upload placing one cell four times
+// shares cluster solves end to end: detection solves each distinct cluster
+// once, and /metrics exposes the shared-solve counters.
 func TestHierUploadMetrics(t *testing.T) {
 	_, tc := newTestServer(t, Config{Engine: aapsm.NewEngine()})
 

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"slices"
 	"strings"
 	"time"
 
@@ -30,9 +31,6 @@ import (
 // connections alive through proxies. Streams are bounded by -stream-max and
 // exempt from global/per-session admission (they are long-lived; counting
 // them against the request budget would starve the edits they watch).
-
-// streamStages are the read stages a stream may subscribe to, in emit order.
-var streamStages = []string{"detect", "assign", "correct", "drc", "mask", "layout", "svg"}
 
 // streamHello is the first event on a stream.
 type streamHello struct {
@@ -129,9 +127,9 @@ func (s *Server) handleStream(w http.ResponseWriter, r *http.Request, ent *sessi
 // edit) header, then every subscribed stage through the read single-flight —
 // so a stream and GETs of the same stage in flight with it share one
 // computation.
-func (s *Server) streamEmitGeneration(w io.Writer, r *http.Request, ent *sessionEntry, stages []string, gen int64, edited bool) error {
+func (s *Server) streamEmitGeneration(w io.Writer, r *http.Request, ent *sessionEntry, stages []readStage, gen int64, edited bool) error {
 	if !edited {
-		if err := sseJSON(w, "hello", gen, streamHello{ID: ent.ID, Gen: gen, Stages: stages}); err != nil {
+		if err := sseJSON(w, "hello", gen, streamHello{ID: ent.ID, Gen: gen, Stages: readStageNames(stages)}); err != nil {
 			return err
 		}
 	} else {
@@ -142,22 +140,21 @@ func (s *Server) streamEmitGeneration(w io.Writer, r *http.Request, ent *session
 		}
 	}
 	s.metrics.streamEvents.Add(1)
-	for _, stage := range stages {
-		h, _ := s.stageHandler(stage)
+	for _, st := range stages {
 		req := r.Clone(r.Context())
 		req.URL.RawQuery = ""
-		code, _, body, ok := s.readCoalesced(req, ent, stage, "", h)
+		code, _, body, ok := s.readCoalesced(req, ent, st.name, "", st.handler(s))
 		if !ok {
 			return r.Context().Err()
 		}
 		if code != http.StatusOK {
-			if err := sseJSON(w, "error", gen, streamError{Stage: stage, Status: code, Body: json.RawMessage(bytes.TrimSpace(body))}); err != nil {
+			if err := sseJSON(w, "error", gen, streamError{Stage: st.name, Status: code, Body: json.RawMessage(bytes.TrimSpace(body))}); err != nil {
 				return err
 			}
 			s.metrics.streamEvents.Add(1)
 			continue
 		}
-		if err := sseEvent(w, stage, gen, body); err != nil {
+		if err := sseEvent(w, st.name, gen, body); err != nil {
 			return err
 		}
 		s.metrics.streamEvents.Add(1)
@@ -165,48 +162,30 @@ func (s *Server) streamEmitGeneration(w io.Writer, r *http.Request, ent *session
 	return nil
 }
 
-// stageHandler maps a stream/read stage name to its underlying handler.
-func (s *Server) stageHandler(stage string) (func(http.ResponseWriter, *http.Request, *sessionEntry), bool) {
-	switch stage {
-	case "detect":
-		return s.handleDetect, true
-	case "assign":
-		return s.handleAssign, true
-	case "correct":
-		return s.handleCorrect, true
-	case "drc":
-		return s.handleDRC, true
-	case "mask":
-		return s.handleMask, true
-	case "layout":
-		return s.handleLayout, true
-	case "svg":
-		return s.handleSVG, true
-	}
-	return nil, false
-}
-
 // parseStreamStages validates the ?stages= list (default: detect).
-func parseStreamStages(q string) ([]string, error) {
+func parseStreamStages(q string) ([]readStage, error) {
 	if q == "" {
-		return []string{"detect"}, nil
+		return readStages[:1], nil
 	}
-	var out []string
-	for _, st := range strings.Split(q, ",") {
-		st = strings.TrimSpace(st)
-		valid := false
-		for _, known := range streamStages {
-			if st == known {
-				valid = true
-				break
-			}
+	var out []readStage
+	for _, name := range strings.Split(q, ",") {
+		name = strings.TrimSpace(name)
+		i := slices.IndexFunc(readStages, func(st readStage) bool { return st.name == name })
+		if i < 0 {
+			return nil, fmt.Errorf("unknown stage %q (want any of %s)", name, strings.Join(readStageNames(readStages), ", "))
 		}
-		if !valid {
-			return nil, fmt.Errorf("unknown stage %q (want any of %s)", st, strings.Join(streamStages, ", "))
-		}
-		out = append(out, st)
+		out = append(out, readStages[i])
 	}
 	return out, nil
+}
+
+// readStageNames returns the names of stages, in order.
+func readStageNames(stages []readStage) []string {
+	names := make([]string, len(stages))
+	for i, st := range stages {
+		names[i] = st.name
+	}
+	return names
 }
 
 // sseEvent writes one Server-Sent Event, framing multi-line payloads (mask
