@@ -262,8 +262,9 @@ func BenchmarkFig5SharedSpace(b *testing.B) {
 
 // --- Ablations ---
 
-// BenchmarkRecheckModes contrasts the paper's coloring recheck with the
-// parity-based improvement (DESIGN.md §3.6 ablation).
+// BenchmarkRecheckModes contrasts the paper's coloring recheck (flow step 3)
+// with the parity-based improvement; it is the ablation that
+// core.RecheckParity's doc cites.
 func BenchmarkRecheckModes(b *testing.B) {
 	l := suiteLayout(b, 1)
 	for _, mode := range []struct {

@@ -146,8 +146,8 @@ type clusterRun struct {
 	edgeCluster []int32 // cluster per edge
 	nShards     int
 	results     []*shardResult // per cluster; nil for edge-less parts
-	// solved marks the clusters this run solved (or took from an identical
-	// cluster solved in the same run) rather than took from the cache.
+	// solved marks the clusters whose solve this run performed, as opposed
+	// to those that took a cached result or an identical cluster's result.
 	solved []bool
 }
 
@@ -165,10 +165,12 @@ func (run *clusterRun) partition(g *graph.Graph) {
 // whole drawing); cached, when non-nil, is asked for the reusable result of
 // every cluster once the partition is known and returns one entry per
 // cluster, nil where the cluster must be solved, or an error that aborts the
-// run before anything is solved. Only the clusters without a cached result
-// are induced as standalone drawings, and of those only one per distinct
-// clusterSignature is solved (see shareSolves). Results are merged in
-// cluster order, so the Detection does not depend on the worker count, on
+// run before anything is solved. One pass over the partition then decides
+// every cluster before any is built: it takes the cached result, or the
+// result of an earlier cluster with the same clusterSignature, or queues the
+// cluster for a solve. Only queued clusters are induced as standalone
+// drawings, each inside the worker call that solves it. Results are merged
+// in cluster order, so the Detection does not depend on the worker count, on
 // which clusters came from the cache or on which shared a solve.
 func detect(ctx context.Context, cg *ConflictGraph, cross func() [][2]int, cached func(edgeCluster []int32, nShards int) ([]*shardResult, error), opt Options) (*Detection, *clusterRun, error) {
 	start := time.Now() //aapsmvet:allow determinism stage-timing telemetry only; durations land in Stats, never in results
@@ -193,13 +195,9 @@ func detect(ctx context.Context, cg *ConflictGraph, cross func() [][2]int, cache
 	}
 
 	g := cg.Drawing.G
-	m := g.M()
 	run.partition(g)
 	nShards := run.nShards
-	size := make([]int, nShards)
-	for _, c := range run.edgeCluster {
-		size[c]++
-	}
+	parts, localOf := g.Partition(run.labels, nShards)
 	var reuse []*shardResult
 	if cached != nil {
 		var err error
@@ -207,150 +205,123 @@ func detect(ctx context.Context, cg *ConflictGraph, cross func() [][2]int, cache
 			return nil, nil, err
 		}
 	}
+	uncached := func(c int32) bool { return reuse == nil || reuse[c] == nil }
+
+	// Distribute the crossing pairs of the uncached clusters into their
+	// local edge index space. A crossing pair is always intra-cluster:
+	// clusters are closed under the crossing relation by construction.
+	localEdge := make([]int32, g.M())
+	for _, p := range parts {
+		for le, ge := range p.Edges {
+			localEdge[ge] = int32(le)
+		}
+	}
+	pairs := make([][][2]int, nShards)
+	for _, p := range run.crossPairs {
+		if c := run.edgeCluster[p[0]]; uncached(c) {
+			pairs[c] = append(pairs[c], [2]int{int(localEdge[p[0]]), int(localEdge[p[1]])})
+		}
+	}
+
+	// Decide every cluster: take its cached result, take the result of an
+	// earlier cluster with equal signature bytes (it presents identical
+	// inputs to the deterministic detectShard), or solve it.
+	run.results = make([]*shardResult, nShards)
 	run.solved = make([]bool, nShards)
-	for c, n := range size {
-		run.solved[c] = reuse == nil || (reuse[c] == nil && n > 0)
-		if n > 0 {
+	var solve []int
+	var taken [][2]int // {cluster, earlier identical cluster}
+	bySig := make(map[string]int)
+	shared := make([]bool, nShards)
+	var buf []byte
+	for c, p := range parts {
+		if n := len(p.Edges); n > 0 {
 			det.Stats.Shards++
 			det.Stats.LargestShardEdges = max(det.Stats.LargestShardEdges, n)
 		}
-	}
-
-	// Induce the clusters to solve and distribute the crossing pairs into
-	// their local edge index space. A crossing pair is always intra-cluster:
-	// clusters are closed under the crossing relation by construction.
-	shards := cg.Drawing.InducedComponentsSubset(run.labels, nShards, run.solved)
-	localEdge := make([]int32, m)
-	for c, sh := range shards {
-		if run.solved[c] {
-			for le, ge := range sh.EdgeOf {
-				localEdge[ge] = int32(le)
+		if !uncached(int32(c)) {
+			run.results[c] = reuse[c]
+			det.Stats.ReusedShards++
+			continue
+		}
+		if len(p.Edges) == 0 {
+			continue
+		}
+		buf = clusterSignature(buf[:0], cg.Drawing, p, localOf, pairs[c])
+		if r, ok := bySig[string(buf)]; ok {
+			taken = append(taken, [2]int{c, r})
+			det.Stats.HierReusedShards++
+			if !shared[r] {
+				shared[r] = true
+				det.Stats.HierSolvedShards++
 			}
+			continue
 		}
-	}
-	pairsByShard := make([][][2]int, nShards)
-	for _, p := range run.crossPairs {
-		if c := run.edgeCluster[p[0]]; run.solved[c] {
-			pairsByShard[c] = append(pairsByShard[c], [2]int{int(localEdge[p[0]]), int(localEdge[p[1]])})
-		}
-	}
-	jobs := make([]shardJob, nShards)
-	for c, sh := range shards {
-		if run.solved[c] && size[c] > 0 {
-			jobs[c] = shardJob{d: sh.D, pairs: pairsByShard[c]}
-		}
+		bySig[string(buf)] = c
+		run.solved[c] = true
+		solve = append(solve, c)
 	}
 
-	rep := shareSolves(jobs, &det.Stats)
-	run.results = make([]*shardResult, nShards)
-	if err := runShards(ctx, jobs, run.results, opt.Workers, opt); err != nil {
+	err := fanout.Run(ctx, len(solve), opt.Workers, func(ctx context.Context, k int) error {
+		c := solve[k]
+		build := func() *planar.Drawing { return cg.Drawing.Induce(parts[c], localOf) }
+		r, err := detectShardSafe(ctx, c, build, pairs[c], opt)
+		if err != nil {
+			return shardErr(c, err)
+		}
+		run.results[c] = r
+		return nil
+	})
+	if err != nil {
 		return nil, nil, err
 	}
-
-	// fresh marks the clusters whose solve this run performed, so merge-time
-	// duration accounting counts each solve once.
-	fresh := append([]bool(nil), run.solved...)
-	for c, r := range rep {
-		if r >= 0 {
-			run.results[c] = run.results[r]
-			fresh[c] = false
-		}
-	}
-	for c, r := range reuse {
-		if r != nil {
-			run.results[c] = r
-			det.Stats.ReusedShards++
-		}
+	for _, t := range taken {
+		run.results[t[0]] = run.results[t[1]]
 	}
 
-	edgeOf := make([][]int, nShards)
-	for c := range shards {
-		edgeOf[c] = shards[c].EdgeOf
-	}
-	if err := mergeShards(det, cg, edgeOf, run.results, fresh); err != nil {
+	if err := mergeShards(det, cg, parts, run.results, run.solved); err != nil {
 		return nil, nil, err
 	}
 	det.Stats.TotalTime = time.Since(start)
 	return det, run, nil
 }
 
-// shardJob couples one cluster's standalone drawing with its crossing pairs
-// in shard-local edge indices. A zero job (nil drawing) is skipped.
-type shardJob struct {
-	d     *planar.Drawing
-	pairs [][2]int
-}
-
-// shareSolves makes each distinct cluster solve once. Two clusters whose
-// clusterSignature bytes are equal present identical inputs to the
-// deterministic detectShard, so the later one's job is cleared and rep[c]
-// names the earlier cluster whose result it takes (-1 where cluster c keeps
-// its job). It tallies the sharing in st's HierReusedShards and
-// HierSolvedShards.
-func shareSolves(jobs []shardJob, st *Stats) (rep []int32) {
-	rep = make([]int32, len(jobs))
-	shared := make([]bool, len(jobs))
-	bySig := make(map[string]int32)
-	var buf []byte
-	for c := range jobs {
-		rep[c] = -1
-		if jobs[c].d == nil {
-			continue
-		}
-		buf = clusterSignature(buf[:0], jobs[c].d, jobs[c].pairs)
-		r, ok := bySig[string(buf)]
-		if !ok {
-			bySig[string(buf)] = int32(c)
-			continue
-		}
-		rep[c] = r
-		jobs[c] = shardJob{}
-		st.HierReusedShards++
-		if !shared[r] {
-			shared[r] = true
-			st.HierSolvedShards++
-		}
-	}
-	return rep
-}
-
 // clusterSignature appends to buf a canonical byte form of one cluster's
-// detection input: node positions and bend points translated to the
-// cluster's minimum corner, edge endpoints and weights in edge order, and
-// the crossing-pair list. Two clusters with equal signatures present
-// identical inputs to detectShard; a rotated or reflected copy signs
-// differently and solves on its own.
-func clusterSignature(buf []byte, d *planar.Drawing, pairs [][2]int) []byte {
-	g := d.G
-	n, m := g.N(), g.M()
+// detection input, read from the parent drawing d through the cluster's
+// partition part p (localOf is the partition's node map), so a cluster is
+// signed without being built: node positions and bend points translated to
+// the cluster's minimum corner, local edge endpoints and weights in edge
+// order, and the crossing-pair list in local edge indices. Two clusters with
+// equal signatures present identical inputs to detectShard; a rotated or
+// reflected copy signs differently and solves on its own.
+func clusterSignature(buf []byte, d *planar.Drawing, p graph.Part, localOf []int, pairs [][2]int) []byte {
 	minX, minY := int64(1<<62), int64(1<<62)
-	note := func(p geom.Point) {
-		minX, minY = min(minX, p.X), min(minY, p.Y)
+	note := func(q geom.Point) {
+		minX, minY = min(minX, q.X), min(minY, q.Y)
 	}
-	for _, p := range d.Pos[:n] {
-		note(p)
+	for _, v := range p.Nodes {
+		note(d.Pos[v])
 	}
-	for e := 0; e < m; e++ {
-		for _, p := range d.Bends[e] {
-			note(p)
+	for _, e := range p.Edges {
+		for _, q := range d.Bends[e] {
+			note(q)
 		}
 	}
-	buf = binary.AppendVarint(buf, int64(n))
-	buf = binary.AppendVarint(buf, int64(m))
-	for _, p := range d.Pos[:n] {
-		buf = binary.AppendVarint(buf, p.X-minX)
-		buf = binary.AppendVarint(buf, p.Y-minY)
+	buf = binary.AppendVarint(buf, int64(len(p.Nodes)))
+	buf = binary.AppendVarint(buf, int64(len(p.Edges)))
+	for _, v := range p.Nodes {
+		buf = binary.AppendVarint(buf, d.Pos[v].X-minX)
+		buf = binary.AppendVarint(buf, d.Pos[v].Y-minY)
 	}
-	for e := 0; e < m; e++ {
-		ed := g.Edge(e)
-		buf = binary.AppendVarint(buf, int64(ed.U))
-		buf = binary.AppendVarint(buf, int64(ed.V))
+	for _, e := range p.Edges {
+		ed := d.G.Edge(e)
+		buf = binary.AppendVarint(buf, int64(localOf[ed.U]))
+		buf = binary.AppendVarint(buf, int64(localOf[ed.V]))
 		buf = binary.AppendVarint(buf, ed.Weight)
 		bends := d.Bends[e]
 		buf = binary.AppendVarint(buf, int64(len(bends)))
-		for _, p := range bends {
-			buf = binary.AppendVarint(buf, p.X-minX)
-			buf = binary.AppendVarint(buf, p.Y-minY)
+		for _, q := range bends {
+			buf = binary.AppendVarint(buf, q.X-minX)
+			buf = binary.AppendVarint(buf, q.Y-minY)
 		}
 	}
 	buf = binary.AppendVarint(buf, int64(len(pairs)))
@@ -387,10 +358,10 @@ func (e *PanicError) Unwrap() error { return ErrPanic }
 // use. Production leaves it nil (one atomic load per shard).
 var FaultHook atomic.Pointer[func()]
 
-// detectShardSafe runs one shard solve with panic isolation: a panic inside
-// the solver (or the fault hook) is recovered into a *PanicError rather than
-// tearing down the worker pool's process.
-func detectShardSafe(ctx context.Context, cluster int, d *planar.Drawing, pairs [][2]int, opt Options) (res *shardResult, err error) {
+// detectShardSafe builds one cluster's drawing and solves it with panic
+// isolation: a panic inside build, the solver or the fault hook is recovered
+// into a *PanicError rather than tearing down the worker pool's process.
+func detectShardSafe(ctx context.Context, cluster int, build func() *planar.Drawing, pairs [][2]int, opt Options) (res *shardResult, err error) {
 	defer func() {
 		if v := recover(); v != nil {
 			err = &PanicError{Cluster: cluster, Value: v, Stack: string(debug.Stack())}
@@ -399,7 +370,7 @@ func detectShardSafe(ctx context.Context, cluster int, d *planar.Drawing, pairs 
 	if f := FaultHook.Load(); f != nil {
 		(*f)()
 	}
-	return detectShard(ctx, d, pairs, opt)
+	return detectShard(ctx, build(), pairs, opt)
 }
 
 // shardErr tags a shard failure with its cluster index; a *PanicError
@@ -412,40 +383,19 @@ func shardErr(cluster int, err error) error {
 	return fmt.Errorf("core: cluster %d: %w", cluster, err)
 }
 
-// runShards solves the non-nil jobs on the shared bounded worker pool
-// (fanout.Run), writing results[i] for job i. Results are deterministic per
-// job, so any worker count produces the same outcome.
-func runShards(ctx context.Context, jobs []shardJob, results []*shardResult, workers int, opt Options) error {
-	var live []int
-	for i, j := range jobs {
-		if j.d != nil {
-			live = append(live, i)
-		}
-	}
-	return fanout.Run(ctx, len(live), workers, func(ctx context.Context, k int) error {
-		i := live[k]
-		r, err := detectShardSafe(ctx, i, jobs[i].d, jobs[i].pairs, opt)
-		if err != nil {
-			return shardErr(i, err)
-		}
-		results[i] = r
-		return nil
-	})
-}
-
-// mergeShards folds per-cluster results into det through the edge index
-// maps, in cluster order: edgeOf[i] maps cluster i's local edge indices to
+// mergeShards folds per-cluster results into det through the partition, in
+// cluster order: parts[i].Edges maps cluster i's local edge indices to
 // global ones. Size counters are summed over every result; stage durations
 // are summed only over clusters marked in fresh, so a run reusing cached or
 // shared results reports only the work it performed.
 // It finishes with the bipartiteness self-check on the merged conflict set.
-func mergeShards(det *Detection, cg *ConflictGraph, edgeOf [][]int, results []*shardResult, fresh []bool) error {
+func mergeShards(det *Detection, cg *ConflictGraph, parts []graph.Part, results []*shardResult, fresh []bool) error {
 	finalSet := make(map[int]bool)
 	for i, r := range results {
 		if r == nil {
 			continue
 		}
-		eo := edgeOf[i]
+		eo := parts[i].Edges
 		for _, le := range r.removed {
 			det.CrossingsRemoved = append(det.CrossingsRemoved, eo[le])
 		}

@@ -4,12 +4,14 @@ import (
 	"context"
 	"fmt"
 	"runtime"
+	"slices"
 	"sort"
 	"sync"
 	"testing"
 
 	"repro/internal/bench"
 	"repro/internal/geom"
+	"repro/internal/graph"
 	"repro/internal/planar"
 	"repro/internal/tjoin"
 )
@@ -81,16 +83,10 @@ func unsharedDetect(t *testing.T, cg *ConflictGraph, opt Options) *Detection {
 	run := &clusterRun{crossPairs: cg.Drawing.Crossings()}
 	det.Stats.CrossingPairs = len(run.crossPairs)
 	run.partition(cg.Drawing.G)
-	all := make([]bool, run.nShards)
-	for c := range all {
-		all[c] = true
-	}
-	shards := cg.Drawing.InducedComponentsSubset(run.labels, run.nShards, all)
+	parts, localOf := cg.Drawing.G.Partition(run.labels, run.nShards)
 	localEdge := make([]int, cg.Edges())
-	edgeOf := make([][]int, run.nShards)
-	for c, sh := range shards {
-		edgeOf[c] = sh.EdgeOf
-		for le, ge := range sh.EdgeOf {
+	for _, p := range parts {
+		for le, ge := range p.Edges {
 			localEdge[ge] = le
 		}
 	}
@@ -99,20 +95,22 @@ func unsharedDetect(t *testing.T, cg *ConflictGraph, opt Options) *Detection {
 		c := run.edgeCluster[p[0]]
 		pairs[c] = append(pairs[c], [2]int{localEdge[p[0]], localEdge[p[1]]})
 	}
+	all := make([]bool, run.nShards)
 	results := make([]*shardResult, run.nShards)
-	for c, sh := range shards {
-		if len(sh.EdgeOf) == 0 {
+	for c, p := range parts {
+		if len(p.Edges) == 0 {
 			continue
 		}
+		all[c] = true
 		det.Stats.Shards++
-		det.Stats.LargestShardEdges = max(det.Stats.LargestShardEdges, len(sh.EdgeOf))
-		r, err := detectShard(context.Background(), sh.D, pairs[c], opt)
+		det.Stats.LargestShardEdges = max(det.Stats.LargestShardEdges, len(p.Edges))
+		r, err := detectShard(context.Background(), cg.Drawing.Induce(p, localOf), pairs[c], opt)
 		if err != nil {
 			t.Fatalf("cluster %d: %v", c, err)
 		}
 		results[c] = r
 	}
-	if err := mergeShards(det, cg, edgeOf, results, all); err != nil {
+	if err := mergeShards(det, cg, parts, results, all); err != nil {
 		t.Fatal(err)
 	}
 	return det
@@ -132,16 +130,19 @@ func assertMatchesUnshared(t *testing.T, tag string, cg *ConflictGraph, det *Det
 
 // TestSharedSolveByContent pins the solve-sharing rule on a flat layout: a
 // cluster and its translated copy share one solve, while a copy with one
-// feature moved by 10 nm solves on its own. Pitch-500 wires fuse into one
-// cluster; copies 100 000 apart stay separate.
+// feature moved by 10 nm, or with one edge weight raised, solves on its own.
+// Pitch-500 wires fuse into one cluster; copies 100 000 apart stay separate.
 func TestSharedSolveByContent(t *testing.T) {
+	copied := []geom.Rect{geom.R(100_000, 0, 100_100, 1000), geom.R(100_500, 0, 100_600, 1000)}
 	cases := []struct {
 		name           string
 		copy           []geom.Rect
+		reweigh        bool // raise the weight of one edge of the copy
 		reused, solved int
 	}{
-		{"translated copy", []geom.Rect{geom.R(100_000, 0, 100_100, 1000), geom.R(100_500, 0, 100_600, 1000)}, 1, 1},
-		{"one feature moved 10 nm", []geom.Rect{geom.R(100_000, 0, 100_100, 1000), geom.R(100_500, 10, 100_600, 1010)}, 0, 0},
+		{"translated copy", copied, false, 1, 1},
+		{"one feature moved 10 nm", []geom.Rect{geom.R(100_000, 0, 100_100, 1000), geom.R(100_500, 10, 100_600, 1010)}, false, 0, 0},
+		{"one edge reweighted", copied, true, 0, 0},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -152,6 +153,11 @@ func TestSharedSolveByContent(t *testing.T) {
 			cg, err := BuildGraph(l, rules(), PCG)
 			if err != nil {
 				t.Fatal(err)
+			}
+			if tc.reweigh {
+				edges := cg.Drawing.G.Edges()
+				e := slices.IndexFunc(edges, func(e graph.Edge) bool { return cg.Drawing.Pos[e.U].X >= 100_000 })
+				edges[e].Weight++
 			}
 			det, err := DetectContext(context.Background(), cg, Options{})
 			if err != nil {

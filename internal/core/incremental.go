@@ -363,14 +363,13 @@ func (inc *Incremental) runDetect(ctx context.Context, seed *IncrementalState) (
 		return nil, err
 	}
 	det.Stats.TotalTime = time.Since(start)
-	// A cluster that took an identical cluster's result is counted once, as
-	// a shared solve.
-	for c, r := range run.results {
-		if run.solved[c] && r != nil {
+	// ShardsSolved counts the solves this run performed; a cluster that took
+	// an identical cluster's result is tallied in HierClustersReused.
+	for _, solved := range run.solved {
+		if solved {
 			inc.stats.ShardsSolved++
 		}
 	}
-	inc.stats.ShardsSolved -= det.Stats.HierReusedShards
 	inc.stats.ShardsReused += det.Stats.ReusedShards
 	inc.stats.HierClustersReused += det.Stats.HierReusedShards
 	inc.stats.HierClustersSolved += det.Stats.HierSolvedShards

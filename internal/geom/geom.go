@@ -27,17 +27,6 @@ func (p Point) Sub(q Point) Point { return Point{p.X - q.X, p.Y - q.Y} }
 // Cross returns the z component of the cross product p × q.
 func (p Point) Cross(q Point) int64 { return p.X*q.Y - p.Y*q.X }
 
-// Dot returns the dot product p · q.
-func (p Point) Dot(q Point) int64 { return p.X*q.X + p.Y*q.Y }
-
-// Less orders points lexicographically by (X, Y).
-func (p Point) Less(q Point) bool {
-	if p.X != q.X {
-		return p.X < q.X
-	}
-	return p.Y < q.Y
-}
-
 // String implements fmt.Stringer.
 func (p Point) String() string { return fmt.Sprintf("(%d,%d)", p.X, p.Y) }
 
@@ -138,8 +127,8 @@ func (r Rect) Overlaps(s Rect) bool {
 // normalized to an empty rectangle at the origin when they do not overlap.
 func (r Rect) Intersect(s Rect) Rect {
 	out := Rect{
-		X0: max64(r.X0, s.X0), Y0: max64(r.Y0, s.Y0),
-		X1: min64(r.X1, s.X1), Y1: min64(r.Y1, s.Y1),
+		X0: max(r.X0, s.X0), Y0: max(r.Y0, s.Y0),
+		X1: min(r.X1, s.X1), Y1: min(r.Y1, s.Y1),
 	}
 	if out.X0 > out.X1 || out.Y0 > out.Y1 {
 		return Rect{}
@@ -157,8 +146,8 @@ func (r Rect) Union(s Rect) Rect {
 		return r
 	}
 	return Rect{
-		X0: min64(r.X0, s.X0), Y0: min64(r.Y0, s.Y0),
-		X1: max64(r.X1, s.X1), Y1: max64(r.Y1, s.Y1),
+		X0: min(r.X0, s.X0), Y0: min(r.Y0, s.Y0),
+		X1: max(r.X1, s.X1), Y1: max(r.Y1, s.Y1),
 	}
 }
 
@@ -238,7 +227,7 @@ func (iv Interval) Intersects(jv Interval) bool { return iv.Lo <= jv.Hi && jv.Lo
 
 // Intersect returns the common sub-interval; invalid when disjoint.
 func (iv Interval) Intersect(jv Interval) Interval {
-	return Interval{max64(iv.Lo, jv.Lo), min64(iv.Hi, jv.Hi)}
+	return Interval{max(iv.Lo, jv.Lo), min(iv.Hi, jv.Hi)}
 }
 
 // Segment is a straight line segment between two points. Degenerate
@@ -261,8 +250,8 @@ func (s Segment) Midpoint() Point { return Point{(s.A.X + s.B.X) >> 1, (s.A.Y + 
 
 // onSegment reports whether collinear point p lies on segment s.
 func onSegment(s Segment, p Point) bool {
-	return min64(s.A.X, s.B.X) <= p.X && p.X <= max64(s.A.X, s.B.X) &&
-		min64(s.A.Y, s.B.Y) <= p.Y && p.Y <= max64(s.A.Y, s.B.Y)
+	return min(s.A.X, s.B.X) <= p.X && p.X <= max(s.A.X, s.B.X) &&
+		min(s.A.Y, s.B.Y) <= p.Y && p.Y <= max(s.A.Y, s.B.Y)
 }
 
 // SegmentsIntersect reports whether two closed segments share at least one
@@ -292,48 +281,6 @@ func SegmentsIntersect(s, t Segment) bool {
 	return d1 != d2 && d3 != d4
 }
 
-// SegmentsCross reports whether two segments conflict for planar-drawing
-// purposes: they share a point that is not a shared endpoint. Two edges of a
-// drawing that merely meet at a common node do not cross; any other contact
-// (proper crossing, T-touch, or collinear overlap) does.
-func SegmentsCross(s, t Segment) bool {
-	if !SegmentsIntersect(s, t) {
-		return false
-	}
-	shared := func(p Point) bool { return p == t.A || p == t.B }
-	if shared(s.A) || shared(s.B) {
-		// They share an endpoint; they still cross when the contact is not
-		// limited to that endpoint (e.g. collinear overlap, or the other
-		// endpoint touching the segment interior).
-		d1 := Orientation(t.A, t.B, s.A)
-		d2 := Orientation(t.A, t.B, s.B)
-		d3 := Orientation(s.A, s.B, t.A)
-		d4 := Orientation(s.A, s.B, t.B)
-		if d1 == 0 && d2 == 0 && d3 == 0 && d4 == 0 {
-			// Collinear with a shared endpoint: cross only when the overlap
-			// extends beyond the single shared point.
-			return collinearOverlapBeyondPoint(s, t)
-		}
-		// Non-collinear with a shared endpoint: the shared endpoint is the
-		// unique intersection unless another endpoint lies on the other
-		// segment's interior.
-		if d1 == 0 && onSegment(t, s.A) && s.A != t.A && s.A != t.B {
-			return true
-		}
-		if d2 == 0 && onSegment(t, s.B) && s.B != t.A && s.B != t.B {
-			return true
-		}
-		if d3 == 0 && onSegment(s, t.A) && t.A != s.A && t.A != s.B {
-			return true
-		}
-		if d4 == 0 && onSegment(s, t.B) && t.B != s.A && t.B != s.B {
-			return true
-		}
-		return false
-	}
-	return true
-}
-
 // PointOnSegment reports whether p lies on the closed segment s.
 func PointOnSegment(p Point, s Segment) bool {
 	return Orientation(s.A, s.B, p) == 0 && onSegment(s, p)
@@ -360,28 +307,14 @@ func collinearOverlapBeyondPoint(s, t Segment) bool {
 	// Project on the dominant axis.
 	var sLo, sHi, tLo, tHi int64
 	if abs64(s.B.X-s.A.X)+abs64(t.B.X-t.A.X) >= abs64(s.B.Y-s.A.Y)+abs64(t.B.Y-t.A.Y) {
-		sLo, sHi = min64(s.A.X, s.B.X), max64(s.A.X, s.B.X)
-		tLo, tHi = min64(t.A.X, t.B.X), max64(t.A.X, t.B.X)
+		sLo, sHi = min(s.A.X, s.B.X), max(s.A.X, s.B.X)
+		tLo, tHi = min(t.A.X, t.B.X), max(t.A.X, t.B.X)
 	} else {
-		sLo, sHi = min64(s.A.Y, s.B.Y), max64(s.A.Y, s.B.Y)
-		tLo, tHi = min64(t.A.Y, t.B.Y), max64(t.A.Y, t.B.Y)
+		sLo, sHi = min(s.A.Y, s.B.Y), max(s.A.Y, s.B.Y)
+		tLo, tHi = min(t.A.Y, t.B.Y), max(t.A.Y, t.B.Y)
 	}
-	lo, hi := max64(sLo, tLo), min64(sHi, tHi)
+	lo, hi := max(sLo, tLo), min(sHi, tHi)
 	return lo < hi
-}
-
-func min64(a, b int64) int64 {
-	if a < b {
-		return a
-	}
-	return b
-}
-
-func max64(a, b int64) int64 {
-	if a > b {
-		return a
-	}
-	return b
 }
 
 func abs64(a int64) int64 {
@@ -393,9 +326,3 @@ func abs64(a int64) int64 {
 
 // Abs returns |a| for int64.
 func Abs(a int64) int64 { return abs64(a) }
-
-// Min returns the smaller of a and b.
-func Min(a, b int64) int64 { return min64(a, b) }
-
-// Max returns the larger of a and b.
-func Max(a, b int64) int64 { return max64(a, b) }

@@ -168,31 +168,6 @@ func TestSegmentsIntersect(t *testing.T) {
 	}
 }
 
-func TestSegmentsCross(t *testing.T) {
-	tests := []struct {
-		name string
-		s, t Segment
-		want bool
-	}{
-		{"proper crossing", Seg(Pt(0, 0), Pt(10, 10)), Seg(Pt(0, 10), Pt(10, 0)), true},
-		{"shared endpoint only", Seg(Pt(0, 0), Pt(10, 0)), Seg(Pt(10, 0), Pt(20, 5)), false},
-		{"shared endpoint collinear overlap", Seg(Pt(0, 0), Pt(10, 0)), Seg(Pt(10, 0), Pt(5, 0)), true},
-		{"shared endpoint collinear disjoint", Seg(Pt(0, 0), Pt(10, 0)), Seg(Pt(10, 0), Pt(20, 0)), false},
-		{"T-touch interior", Seg(Pt(0, 0), Pt(10, 0)), Seg(Pt(5, -5), Pt(5, 0)), true},
-		{"endpoint into interior with shared other end", Seg(Pt(0, 0), Pt(10, 0)), Seg(Pt(0, 0), Pt(5, 0)), true},
-		{"disjoint", Seg(Pt(0, 0), Pt(1, 1)), Seg(Pt(5, 5), Pt(6, 5)), false},
-		{"collinear overlap no shared endpoint", Seg(Pt(0, 0), Pt(10, 0)), Seg(Pt(3, 0), Pt(7, 0)), true},
-	}
-	for _, tc := range tests {
-		if got := SegmentsCross(tc.s, tc.t); got != tc.want {
-			t.Errorf("%s: SegmentsCross = %v, want %v", tc.name, got, tc.want)
-		}
-		if got := SegmentsCross(tc.t, tc.s); got != tc.want {
-			t.Errorf("%s: not symmetric", tc.name)
-		}
-	}
-}
-
 // segmentsIntersectBrute is an independent slow oracle using rational
 // parameterization over a fine sample plus exact endpoint handling. Instead
 // of floating point we check via the standard bounding-box + orientation
@@ -305,8 +280,8 @@ func TestFloorDiv(t *testing.T) {
 	}
 }
 
-func TestMinMaxAbs(t *testing.T) {
-	if Min(3, -2) != -2 || Max(3, -2) != 3 || Abs(-9) != 9 || Abs(4) != 4 {
-		t.Error("Min/Max/Abs helpers")
+func TestAbs(t *testing.T) {
+	if Abs(-9) != 9 || Abs(4) != 4 {
+		t.Error("Abs helper")
 	}
 }

@@ -133,53 +133,30 @@ func (g *Graph) SubgraphWithoutEdgeSet(skip []bool) (*Graph, []int) {
 	return out, oldIdx
 }
 
-// Induced is one part of a graph partition produced by InducedComponents: a
-// standalone subgraph plus the index maps needed to translate results back to
-// the parent graph.
-type Induced struct {
-	G *Graph
-	// Nodes maps new node index -> old node index (ascending).
+// Part is one part of a graph partition produced by Partition: the parent
+// node and edge indices it holds, both ascending. Local node i of the part is
+// parent node Nodes[i]; local edge j is parent edge Edges[j].
+type Part struct {
 	Nodes []int
-	// EdgeOf maps new edge index -> old edge index (ascending).
-	EdgeOf []int
+	Edges []int
 }
 
-// InducedComponents partitions g by the given node labels (labels[v] must be
-// in [0, count)) and returns one induced subgraph per label together with a
-// shared old-node -> local-node map. Every edge must have both endpoints in
-// the same part (self-loops trivially qualify); the function panics
+// Partition splits g by the given node labels (labels[v] must be in
+// [0, count)) and returns each part's node and edge lists together with the
+// shared parent-node -> local-node map. Every edge must have both endpoints
+// in the same part (self-loops trivially qualify); the function panics
 // otherwise, since a partition that cuts edges has no induced decomposition.
-//
-// Node and edge order is preserved inside each part, so algorithms whose
-// tie-breaking depends on index order behave identically on the parts and on
-// the whole. The entire extraction is a single O(N+M) pass, unlike repeated
-// per-component SubgraphWithoutEdgeSet-style filtering.
-func (g *Graph) InducedComponents(labels []int, count int) ([]Induced, []int) {
-	return g.InducedComponentsSubset(labels, count, nil)
-}
-
-// InducedComponentsSubset is InducedComponents restricted to the parts
-// marked in keep: every part's Nodes and EdgeOf index maps are filled (they
-// cost one shared O(N+M) pass regardless), but the standalone subgraph G is
-// materialized only for kept parts. A nil keep materializes every part.
-// The detection flow uses this to induce only the conflict clusters it
-// solves while still obtaining the edge index maps it needs to merge cached
-// results for the others.
-func (g *Graph) InducedComponentsSubset(labels []int, count int, keep []bool) ([]Induced, []int) {
+// It is one O(N+M) pass and builds no subgraph; Induce builds one part on
+// demand.
+func (g *Graph) Partition(labels []int, count int) ([]Part, []int) {
 	if len(labels) != g.n {
 		panic(fmt.Sprintf("graph: %d labels for %d nodes", len(labels), g.n))
 	}
-	parts := make([]Induced, count)
+	parts := make([]Part, count)
 	localOf := make([]int, g.n)
-	for v := 0; v < g.n; v++ {
-		c := labels[v]
+	for v, c := range labels {
 		localOf[v] = len(parts[c].Nodes)
 		parts[c].Nodes = append(parts[c].Nodes, v)
-	}
-	for c := range parts {
-		if keep == nil || keep[c] {
-			parts[c].G = New(len(parts[c].Nodes))
-		}
 	}
 	for ei, e := range g.edges {
 		c := labels[e.U]
@@ -187,12 +164,25 @@ func (g *Graph) InducedComponentsSubset(labels []int, count int, keep []bool) ([
 			panic(fmt.Sprintf("graph: edge %d (%d,%d) crosses partition labels %d/%d",
 				ei, e.U, e.V, c, labels[e.V]))
 		}
-		if parts[c].G != nil {
-			parts[c].G.AddEdge(localOf[e.U], localOf[e.V], e.Weight)
-		}
-		parts[c].EdgeOf = append(parts[c].EdgeOf, ei)
+		parts[c].Edges = append(parts[c].Edges, ei)
 	}
 	return parts, localOf
+}
+
+// Induce builds the standalone subgraph of one part of a Partition of g,
+// with localOf the partition's node map. Node and edge order is preserved,
+// so algorithms whose tie-breaking depends on index order behave identically
+// on the part and on the whole. It only reads g, so parts of one graph may be
+// induced concurrently.
+func (g *Graph) Induce(p Part, localOf []int) *Graph {
+	sub := New(len(p.Nodes))
+	sub.edges = make([]Edge, len(p.Edges))
+	for i, ei := range p.Edges {
+		e := g.edges[ei]
+		sub.edges[i] = Edge{localOf[e.U], localOf[e.V], e.Weight}
+	}
+	sub.dirty = true
+	return sub
 }
 
 // Components labels each node with a component id in [0, count) and returns

@@ -213,26 +213,27 @@ func TestInducedComponents(t *testing.T) {
 	g.AddEdge(4, 4, 1) // comp B, self-loop
 	g.AddEdge(1, 2, 2) // comp A
 	labels, count := g.Components()
-	parts, localOf := g.InducedComponents(labels, count)
+	parts, localOf := g.Partition(labels, count)
 	if len(parts) != count || count != 3 {
 		t.Fatalf("count = %d, parts = %d, want 3", count, len(parts))
 	}
 	totalNodes, totalEdges := 0, 0
 	for c, p := range parts {
-		totalNodes += p.G.N()
-		totalEdges += p.G.M()
-		if len(p.Nodes) != p.G.N() || len(p.EdgeOf) != p.G.M() {
+		sub := g.Induce(p, localOf)
+		totalNodes += sub.N()
+		totalEdges += sub.M()
+		if len(p.Nodes) != sub.N() || len(p.Edges) != sub.M() {
 			t.Fatalf("part %d: map sizes %d/%d vs graph %d/%d",
-				c, len(p.Nodes), len(p.EdgeOf), p.G.N(), p.G.M())
+				c, len(p.Nodes), len(p.Edges), sub.N(), sub.M())
 		}
 		for newV, oldV := range p.Nodes {
 			if labels[oldV] != c || localOf[oldV] != newV {
 				t.Fatalf("part %d: node map inconsistent at %d->%d", c, newV, oldV)
 			}
 		}
-		for newE, oldE := range p.EdgeOf {
+		for newE, oldE := range p.Edges {
 			want := g.Edge(oldE)
-			got := p.G.Edge(newE)
+			got := sub.Edge(newE)
 			if p.Nodes[got.U] != want.U || p.Nodes[got.V] != want.V || got.Weight != want.Weight {
 				t.Fatalf("part %d: edge %d maps to %v, want %v", c, newE, got, want)
 			}
@@ -243,9 +244,9 @@ func TestInducedComponents(t *testing.T) {
 				t.Fatalf("part %d: node order not preserved: %v", c, p.Nodes)
 			}
 		}
-		for i := 1; i < len(p.EdgeOf); i++ {
-			if p.EdgeOf[i] <= p.EdgeOf[i-1] {
-				t.Fatalf("part %d: edge order not preserved: %v", c, p.EdgeOf)
+		for i := 1; i < len(p.Edges); i++ {
+			if p.Edges[i] <= p.Edges[i-1] {
+				t.Fatalf("part %d: edge order not preserved: %v", c, p.Edges)
 			}
 		}
 	}
@@ -265,14 +266,15 @@ func TestInducedComponentsRandomRoundTrip(t *testing.T) {
 			g.AddEdge(u, v, int64(rng.Intn(9)))
 		}
 		labels, count := g.Components()
-		parts, _ := g.InducedComponents(labels, count)
+		parts, localOf := g.Partition(labels, count)
 		// Each part must be connected and its edge weights must round-trip.
 		for _, p := range parts {
-			if _, pc := p.G.Components(); p.G.N() > 0 && pc != 1 {
+			sub := g.Induce(p, localOf)
+			if _, pc := sub.Components(); sub.N() > 0 && pc != 1 {
 				t.Fatalf("trial %d: part has %d components", trial, pc)
 			}
-			for newE, oldE := range p.EdgeOf {
-				if p.G.Edge(newE).Weight != g.Edge(oldE).Weight {
+			for newE, oldE := range p.Edges {
+				if sub.Edge(newE).Weight != g.Edge(oldE).Weight {
 					t.Fatalf("trial %d: weight mismatch", trial)
 				}
 			}
@@ -288,5 +290,5 @@ func TestInducedComponentsCrossEdgePanics(t *testing.T) {
 			t.Fatal("partition cutting an edge must panic")
 		}
 	}()
-	g.InducedComponents([]int{0, 1}, 2)
+	g.Partition([]int{0, 1}, 2)
 }

@@ -282,41 +282,20 @@ func (d *Drawing) WithoutEdgeSet(skip []bool) (*Drawing, []int) {
 	return nd, oldIdx
 }
 
-// InducedDrawing is one part of a drawing partition: a standalone Drawing
-// over the part's nodes plus the node/edge index maps back into the parent.
-type InducedDrawing struct {
-	D *Drawing
-	// Nodes maps new node index -> old node index (ascending).
-	Nodes []int
-	// EdgeOf maps new edge index -> old edge index (ascending).
-	EdgeOf []int
-}
-
-// InducedComponentsSubset partitions the drawing by node labels (every edge
-// must stay within one part; see graph.InducedComponents). The node and edge
-// index maps are filled for every part, but a standalone drawing D, with
-// positions and bend polylines carried over, is materialized only for the
-// parts marked in keep (all of them when keep is nil). Node and edge order is
-// preserved inside each part.
-func (d *Drawing) InducedComponentsSubset(labels []int, count int, keep []bool) []InducedDrawing {
-	parts, _ := d.G.InducedComponentsSubset(labels, count, keep)
-	out := make([]InducedDrawing, count)
-	for c, p := range parts {
-		out[c] = InducedDrawing{Nodes: p.Nodes, EdgeOf: p.EdgeOf}
-		if p.G == nil {
-			continue
-		}
-		pos := make([]geom.Point, p.G.N())
-		for newV, oldV := range p.Nodes {
-			pos[newV] = d.Pos[oldV]
-		}
-		nd := NewDrawing(p.G, pos)
-		for newE, oldE := range p.EdgeOf {
-			if pts := d.Bends[oldE]; len(pts) > 0 {
-				nd.SetBends(newE, pts...)
-			}
-		}
-		out[c].D = nd
+// Induce builds the standalone drawing of one part of a partition of d.G
+// (see graph.Partition), with positions and bend polylines carried over and
+// node and edge order preserved. It only reads d, so parts of one drawing
+// may be induced concurrently.
+func (d *Drawing) Induce(p graph.Part, localOf []int) *Drawing {
+	pos := make([]geom.Point, len(p.Nodes))
+	for i, v := range p.Nodes {
+		pos[i] = d.Pos[v]
 	}
-	return out
+	nd := NewDrawing(d.G.Induce(p, localOf), pos)
+	for i, e := range p.Edges {
+		if pts := d.Bends[e]; len(pts) > 0 {
+			nd.SetBends(i, pts...)
+		}
+	}
+	return nd
 }

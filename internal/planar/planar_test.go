@@ -1,6 +1,7 @@
 package planar
 
 import (
+	"slices"
 	"testing"
 
 	"repro/internal/geom"
@@ -304,5 +305,64 @@ func TestParallelEdgesFaces(t *testing.T) {
 		if l != 2 {
 			t.Errorf("face length = %d, want 2", l)
 		}
+	}
+}
+
+func TestInduce(t *testing.T) {
+	// Two parts interleaved in node and edge order. Part 0 holds a bent
+	// edge and a parallel pair (one straight, one bent); part 1 holds a
+	// straight edge and a bent one.
+	g := graph.New(5)
+	pos := []geom.Point{geom.Pt(0, 0), geom.Pt(50, 50), geom.Pt(10, 0), geom.Pt(60, 50), geom.Pt(10, 10)}
+	g.AddEdge(0, 2, 4) // 0, part 0, straight
+	g.AddEdge(1, 3, 6) // 1, part 1, straight
+	g.AddEdge(2, 0, 8) // 2, part 0, parallel to 0, bent
+	g.AddEdge(3, 1, 2) // 3, part 1, bent
+	g.AddEdge(2, 4, 5) // 4, part 0, bent twice
+	d := NewDrawing(g, pos)
+	d.SetBends(2, geom.Pt(5, -5))
+	d.SetBends(3, geom.Pt(55, 60))
+	d.SetBends(4, geom.Pt(20, 0), geom.Pt(20, 10))
+	labels := []int{0, 1, 0, 1, 0}
+	parts, localOf := g.Partition(labels, 2)
+
+	for c, p := range parts {
+		sub := d.Induce(p, localOf)
+		if sub.G.N() != len(p.Nodes) || sub.G.M() != len(p.Edges) || len(sub.Pos) != len(p.Nodes) {
+			t.Fatalf("part %d: %d nodes %d edges %d positions, want %d/%d",
+				c, sub.G.N(), sub.G.M(), len(sub.Pos), len(p.Nodes), len(p.Edges))
+		}
+		for i, v := range p.Nodes {
+			if sub.Pos[i] != d.Pos[v] {
+				t.Errorf("part %d node %d at %v, want %v", c, i, sub.Pos[i], d.Pos[v])
+			}
+		}
+		for i, e := range p.Edges {
+			if i > 0 && e <= p.Edges[i-1] {
+				t.Fatalf("part %d: edge order not preserved: %v", c, p.Edges)
+			}
+			got, want := sub.G.Edge(i), g.Edge(e)
+			if p.Nodes[got.U] != want.U || p.Nodes[got.V] != want.V || got.Weight != want.Weight {
+				t.Errorf("part %d edge %d = %v, want parent edge %d %v", c, i, got, e, want)
+			}
+			if gp, wp := sub.Polyline(i), d.Polyline(e); !slices.Equal(gp, wp) {
+				t.Errorf("part %d edge %d polyline %v, want %v", c, i, gp, wp)
+			}
+			if (sub.Bends[i] == nil) != (d.Bends[e] == nil) {
+				t.Errorf("part %d edge %d bends %v, want %v", c, i, sub.Bends[i], d.Bends[e])
+			}
+		}
+	}
+	if want := []int{0, 2, 4}; !slices.Equal(parts[0].Edges, want) {
+		t.Errorf("part 0 edges = %v, want %v", parts[0].Edges, want)
+	}
+	// The parallel lens of part 0 must survive as two faces plus a bridge
+	// to node 4, exactly as in the parent drawing.
+	em, err := BuildEmbedding(d.Induce(parts[0], localOf))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if em.NumFaces != 2 {
+		t.Errorf("part 0 faces = %d, want 2", em.NumFaces)
 	}
 }

@@ -38,7 +38,9 @@ func (o Options) groupCap() int {
 
 // SolveContext computes a minimum-weight T-join of g, decomposing the
 // problem per connected component so that the matching instances stay small
-// (conflict graphs of real layouts consist of many local components). Gadget
+// (conflict graphs of real layouts consist of many local components). One
+// graph.Partition pass splits g; only the components that hold terminals
+// are induced and solved, since the others contribute no edges. Gadget
 // statistics are accumulated across components. It polls ctx between
 // components and threads it into the matching solver's primal-dual rounds,
 // returning ctx.Err() promptly once the context is done.
@@ -49,7 +51,7 @@ func SolveContext(ctx context.Context, g *graph.Graph, T []int, opt Options) (Re
 		c := comp[t]
 		tByComp[c] = append(tByComp[c], t)
 	}
-	parts, localOf := g.InducedComponents(comp, nc)
+	parts, localOf := g.Partition(comp, nc)
 	var total Result
 	for c := 0; c < nc; c++ {
 		if len(tByComp[c]) == 0 {
@@ -58,7 +60,7 @@ func SolveContext(ctx context.Context, g *graph.Graph, T []int, opt Options) (Re
 		if err := ctx.Err(); err != nil {
 			return Result{}, err
 		}
-		sub, edgeOf := parts[c].G, parts[c].EdgeOf
+		sub, edgeOf := g.Induce(parts[c], localOf), parts[c].Edges
 		subT := make([]int, len(tByComp[c]))
 		for i, t := range tByComp[c] {
 			subT[i] = localOf[t]
