@@ -465,8 +465,8 @@ func runPipeline(ctx context.Context, b *testing.B, s *aapsm.Session) {
 // BenchmarkEditRepipeline contrasts the full from-scratch pipeline
 // (detect + assign + correct + mask + DRC) on d3 with the incremental
 // re-pipeline after a single-feature move on an edit session. The
-// re-pipeline reuses clean clusters' detection results and the cached DRC
-// pairs; assignment, verification, correction and mask validation rerun in
+// re-pipeline takes every unchanged cluster's detection result from the
+// store and reuses the cached DRC pairs; assignment, verification, correction and mask validation rerun in
 // full, since they are linear or n log n passes beside the cluster solve. The acceptance target is ≥ 3×
 // (recorded per design in BENCH_detect.json by cmd/benchtab -json).
 func BenchmarkEditRepipeline(b *testing.B) {

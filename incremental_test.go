@@ -207,6 +207,45 @@ func TestIncrementalReusesShards(t *testing.T) {
 	}
 }
 
+// TestIncrementalReusesByContent: cluster results are reused by content, not
+// by which features an edit touched. A batch that moves one feature away and
+// back before the next Detect leaves a dirty feature but every cluster's
+// content unchanged, so the re-detect solves nothing, takes every cluster
+// from the store, and still matches the from-scratch reference chain.
+func TestIncrementalReusesByContent(t *testing.T) {
+	ctx := context.Background()
+	l := GenerateBenchmark("roundtrip", DefaultBenchmarkParams(7, 2, 40))
+	s := NewEngine(WithParallelism(2)).NewSession(l)
+	if _, err := s.Detect(ctx); err != nil {
+		t.Fatal(err)
+	}
+	mid := len(s.Layout().Features) / 2
+	r := s.Layout().Features[mid].Rect
+	err := s.Edit(func(ed *LayoutEditor) {
+		ed.Move(mid, r.Translate(Point{X: 15}))
+		ed.Move(mid, r)
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	before := s.Stats().Incremental
+	assertSamePipeline(t, "moved and back", ctx, s, referenceOf(ctx, s))
+	after := s.Stats().Incremental
+	if solved := after.ShardsSolved - before.ShardsSolved; solved != 0 {
+		t.Fatalf("a layout moved back solved %d clusters, want 0", solved)
+	}
+	res, err := s.Detect(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st := res.Detection.Stats; st.ReusedShards != st.Shards {
+		t.Fatalf("%d of %d clusters reused from the store", st.ReusedShards, st.Shards)
+	}
+	if after.Detects != before.Detects+1 || after.FallbackDirty != 0 {
+		t.Fatalf("want one re-detect and no fallback: %+v -> %+v", before, after)
+	}
+}
+
 // TestEditInvalidatesStages: edits must drop every memoized stage — including
 // memoized errors, so a conflicted layout can be repaired on the same
 // session.

@@ -64,8 +64,9 @@ type Stats struct {
 	// Shards is the number of conflict clusters detected independently
 	// (clusters with at least one edge).
 	Shards int
-	// ReusedShards counts clusters whose cached result was reused instead of
-	// re-solved (always 0 for DetectContext; see Incremental).
+	// ReusedShards counts clusters that took the result the previous
+	// generation of an Incremental engine stored under their signature
+	// bytes, instead of solving (always 0 for DetectContext).
 	ReusedShards int
 	// HierReusedShards counts clusters this run solved by taking the result
 	// of an identical cluster (equal clusterSignature) solved in the same
@@ -134,45 +135,37 @@ type Options struct {
 // matching hot loop, so a cancelled detection returns ctx.Err() promptly
 // instead of finishing a potentially large matching instance.
 func DetectContext(ctx context.Context, cg *ConflictGraph, opt Options) (*Detection, error) {
-	det, _, err := detect(ctx, cg, nil, nil, opt)
+	det, _, err := detect(ctx, cg, nil, nil, false, opt)
 	return det, err
 }
 
-// clusterRun is the per-cluster state of one detection run — what an
-// Incremental engine commits as the reuse baseline of its next Detect.
+// clusterRun is what one detection run leaves for the next: its crossing
+// pairs and its result store. The store maps the clusterSignature bytes of
+// every cluster with edges to that cluster's result, keyed by the full
+// bytes, never by a hash. Detection options that change a result (T-join
+// method, recheck mode) are not part of the key: a store is only read by
+// runs under the options that filled it.
 type clusterRun struct {
-	crossPairs  [][2]int
-	labels      []int   // cluster per node
-	edgeCluster []int32 // cluster per edge
-	nShards     int
-	results     []*shardResult // per cluster; nil for edge-less parts
-	// solved marks the clusters whose solve this run performed, as opposed
-	// to those that took a cached result or an identical cluster's result.
-	solved []bool
-}
-
-// partition splits g into conflict clusters over the run's crossing pairs.
-func (run *clusterRun) partition(g *graph.Graph) {
-	run.labels, run.nShards = conflictClusters(g, run.crossPairs)
-	run.edgeCluster = make([]int32, g.M())
-	for e := range run.edgeCluster {
-		run.edgeCluster[e] = int32(run.labels[g.Edge(e).U])
-	}
+	crossPairs [][2]int
+	store      map[string]*shardResult
 }
 
 // detect is the one detection routine behind DetectContext and every
 // Incremental Detect. cross supplies the crossing-pair list (nil sweeps the
-// whole drawing); cached, when non-nil, is asked for the reusable result of
-// every cluster once the partition is known and returns one entry per
-// cluster, nil where the cluster must be solved, or an error that aborts the
-// run before anything is solved. One pass over the partition then decides
-// every cluster before any is built: it takes the cached result, or the
-// result of an earlier cluster with the same clusterSignature, or queues the
-// cluster for a solve. Only queued clusters are induced as standalone
-// drawings, each inside the worker call that solves it. Results are merged
-// in cluster order, so the Detection does not depend on the worker count, on
-// which clusters came from the cache or on which shared a solve.
-func detect(ctx context.Context, cg *ConflictGraph, cross func() [][2]int, cached func(edgeCluster []int32, nShards int) ([]*shardResult, error), opt Options) (*Detection, *clusterRun, error) {
+// whole drawing); prev is the previous generation's result store (nil when
+// there is none). One pass over the partition decides every cluster with
+// edges before any is built, with one rule: take the result prev holds under
+// the cluster's signature bytes, or else the result of an earlier cluster of
+// this run with equal bytes (it presents identical inputs to the
+// deterministic detectShard), or else solve it. Only solved clusters are
+// induced as standalone drawings, each inside the worker call that solves
+// it. Results are merged in cluster order, so the Detection does not depend
+// on the worker count or on which clusters were reused.
+//
+// exact is a restore's consistency check on prev: the run fails, before
+// anything is solved, unless every cluster takes its result from prev and
+// every entry of prev is taken.
+func detect(ctx context.Context, cg *ConflictGraph, cross func() [][2]int, prev map[string]*shardResult, exact bool, opt Options) (*Detection, *clusterRun, error) {
 	start := time.Now() //aapsmvet:allow determinism stage-timing telemetry only; durations land in Stats, never in results
 	det := &Detection{Graph: cg}
 	det.Stats.GraphNodes = cg.Nodes()
@@ -195,21 +188,12 @@ func detect(ctx context.Context, cg *ConflictGraph, cross func() [][2]int, cache
 	}
 
 	g := cg.Drawing.G
-	run.partition(g)
-	nShards := run.nShards
-	parts, localOf := g.Partition(run.labels, nShards)
-	var reuse []*shardResult
-	if cached != nil {
-		var err error
-		if reuse, err = cached(run.edgeCluster, nShards); err != nil {
-			return nil, nil, err
-		}
-	}
-	uncached := func(c int32) bool { return reuse == nil || reuse[c] == nil }
+	labels, nShards := conflictClusters(g, run.crossPairs)
+	parts, localOf := g.Partition(labels, nShards)
 
-	// Distribute the crossing pairs of the uncached clusters into their
-	// local edge index space. A crossing pair is always intra-cluster:
-	// clusters are closed under the crossing relation by construction.
+	// Distribute the crossing pairs into each cluster's local edge index
+	// space. A crossing pair is always intra-cluster: clusters are closed
+	// under the crossing relation by construction.
 	localEdge := make([]int32, g.M())
 	for _, p := range parts {
 		for le, ge := range p.Edges {
@@ -218,37 +202,34 @@ func detect(ctx context.Context, cg *ConflictGraph, cross func() [][2]int, cache
 	}
 	pairs := make([][][2]int, nShards)
 	for _, p := range run.crossPairs {
-		if c := run.edgeCluster[p[0]]; uncached(c) {
-			pairs[c] = append(pairs[c], [2]int{int(localEdge[p[0]]), int(localEdge[p[1]])})
-		}
+		c := labels[g.Edge(p[0]).U]
+		pairs[c] = append(pairs[c], [2]int{int(localEdge[p[0]]), int(localEdge[p[1]])})
 	}
 
-	// Decide every cluster: take its cached result, take the result of an
-	// earlier cluster with equal signature bytes (it presents identical
-	// inputs to the deterministic detectShard), or solve it.
-	run.results = make([]*shardResult, nShards)
-	run.solved = make([]bool, nShards)
+	// Decide every cluster. A cluster queued for a solve gets an empty
+	// result in the store at once, which its solve fills in place, so a later
+	// cluster with equal bytes takes it by pointer.
+	run.store = make(map[string]*shardResult, len(prev))
+	results := make([]*shardResult, nShards)
+	fresh := make([]bool, nShards)
+	shared := make(map[*shardResult]bool)
 	var solve []int
-	var taken [][2]int // {cluster, earlier identical cluster}
-	bySig := make(map[string]int)
-	shared := make([]bool, nShards)
 	var buf []byte
 	for c, p := range parts {
-		if n := len(p.Edges); n > 0 {
-			det.Stats.Shards++
-			det.Stats.LargestShardEdges = max(det.Stats.LargestShardEdges, n)
-		}
-		if !uncached(int32(c)) {
-			run.results[c] = reuse[c]
-			det.Stats.ReusedShards++
-			continue
-		}
 		if len(p.Edges) == 0 {
 			continue
 		}
+		det.Stats.Shards++
+		det.Stats.LargestShardEdges = max(det.Stats.LargestShardEdges, len(p.Edges))
 		buf = clusterSignature(buf[:0], cg.Drawing, p, localOf, pairs[c])
-		if r, ok := bySig[string(buf)]; ok {
-			taken = append(taken, [2]int{c, r})
+		if r, ok := prev[string(buf)]; ok {
+			run.store[string(buf)] = r
+			results[c] = r
+			det.Stats.ReusedShards++
+			continue
+		}
+		if r, ok := run.store[string(buf)]; ok {
+			results[c] = r
 			det.Stats.HierReusedShards++
 			if !shared[r] {
 				shared[r] = true
@@ -256,9 +237,19 @@ func detect(ctx context.Context, cg *ConflictGraph, cross func() [][2]int, cache
 			}
 			continue
 		}
-		bySig[string(buf)] = c
-		run.solved[c] = true
+		r := new(shardResult)
+		run.store[string(buf)] = r
+		results[c] = r
+		fresh[c] = true
 		solve = append(solve, c)
+	}
+	if exact {
+		if len(solve) > 0 {
+			return nil, nil, fmt.Errorf("cluster %d misses the result store", solve[0])
+		}
+		if len(run.store) != len(prev) {
+			return nil, nil, fmt.Errorf("%d of %d result store entries are taken by no cluster", len(prev)-len(run.store), len(prev))
+		}
 	}
 
 	err := fanout.Run(ctx, len(solve), opt.Workers, func(ctx context.Context, k int) error {
@@ -268,17 +259,14 @@ func detect(ctx context.Context, cg *ConflictGraph, cross func() [][2]int, cache
 		if err != nil {
 			return shardErr(c, err)
 		}
-		run.results[c] = r
+		*results[c] = *r
 		return nil
 	})
 	if err != nil {
 		return nil, nil, err
 	}
-	for _, t := range taken {
-		run.results[t[0]] = run.results[t[1]]
-	}
 
-	if err := mergeShards(det, cg, parts, run.results, run.solved); err != nil {
+	if err := mergeShards(det, cg, parts, results, fresh); err != nil {
 		return nil, nil, err
 	}
 	det.Stats.TotalTime = time.Since(start)
@@ -330,6 +318,17 @@ func clusterSignature(buf []byte, d *planar.Drawing, p graph.Part, localOf []int
 		buf = binary.AppendVarint(buf, int64(pr[1]))
 	}
 	return buf
+}
+
+// signatureEdges reads the edge count a clusterSignature encodes, reporting
+// false for bytes that do not start with the node and edge counts.
+func signatureEdges(sig []byte) (int64, bool) {
+	_, k := binary.Varint(sig)
+	if k <= 0 {
+		return 0, false
+	}
+	n, k2 := binary.Varint(sig[k:])
+	return n, k2 > 0
 }
 
 // ErrPanic marks a panic recovered inside a shard solver. A poisoned cluster
@@ -386,7 +385,7 @@ func shardErr(cluster int, err error) error {
 // mergeShards folds per-cluster results into det through the partition, in
 // cluster order: parts[i].Edges maps cluster i's local edge indices to
 // global ones. Size counters are summed over every result; stage durations
-// are summed only over clusters marked in fresh, so a run reusing cached or
+// are summed only over clusters marked in fresh, so a run reusing stored or
 // shared results reports only the work it performed.
 // It finishes with the bipartiteness self-check on the merged conflict set.
 func mergeShards(det *Detection, cg *ConflictGraph, parts []graph.Part, results []*shardResult, fresh []bool) error {

@@ -80,23 +80,23 @@ func unsharedDetect(t *testing.T, cg *ConflictGraph, opt Options) *Detection {
 	det := &Detection{Graph: cg}
 	det.Stats.GraphNodes = cg.Nodes()
 	det.Stats.GraphEdges = cg.Edges()
-	run := &clusterRun{crossPairs: cg.Drawing.Crossings()}
-	det.Stats.CrossingPairs = len(run.crossPairs)
-	run.partition(cg.Drawing.G)
-	parts, localOf := cg.Drawing.G.Partition(run.labels, run.nShards)
+	crossPairs := cg.Drawing.Crossings()
+	det.Stats.CrossingPairs = len(crossPairs)
+	labels, nShards := conflictClusters(cg.Drawing.G, crossPairs)
+	parts, localOf := cg.Drawing.G.Partition(labels, nShards)
 	localEdge := make([]int, cg.Edges())
 	for _, p := range parts {
 		for le, ge := range p.Edges {
 			localEdge[ge] = le
 		}
 	}
-	pairs := make([][][2]int, run.nShards)
-	for _, p := range run.crossPairs {
-		c := run.edgeCluster[p[0]]
+	pairs := make([][][2]int, nShards)
+	for _, p := range crossPairs {
+		c := labels[cg.Drawing.G.Edge(p[0]).U]
 		pairs[c] = append(pairs[c], [2]int{localEdge[p[0]], localEdge[p[1]]})
 	}
-	all := make([]bool, run.nShards)
-	results := make([]*shardResult, run.nShards)
+	all := make([]bool, nShards)
+	results := make([]*shardResult, nShards)
 	for c, p := range parts {
 		if len(p.Edges) == 0 {
 			continue

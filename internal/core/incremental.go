@@ -15,29 +15,33 @@ import (
 
 // Incremental is a stateful edit-and-re-detect engine: it owns a working
 // copy of a layout, accepts feature mutations (add / move / delete), and
-// re-runs the detection flow after each batch of edits while reusing every
-// cached per-cluster result whose inputs the edits provably did not touch.
+// re-runs the detection flow after each batch of edits, taking every
+// cluster's result from the previous generation's store when that store
+// holds the cluster's content.
 //
 // Exactness is the design invariant: an Incremental Detect returns a
 // Detection bit-identical to BuildGraph + DetectContext on the current
-// layout. It achieves that with one identity space: every feature has a
-// stable uid, and every conflict-graph edge is named by the features it
-// constrains (edgeKey), so an edge survives an edit exactly when none of its
-// features was edited. The engine patches the overlap set and the
-// crossing-pair set from the geometric neighborhood of each edit (a
+// layout. A cluster's result depends only on the cluster's content, so
+// results are reused by content alone: every Detect signs each cluster
+// (clusterSignature) and looks the signature bytes up in the store the
+// previous Detect left, which maps every signature of that run to its
+// result. Only clusters whose content the previous generation never saw are
+// solved.
+//
+// The engine patches what feeds the clusters instead of rebuilding it from
+// scratch where it can. Every feature has a stable uid, and every
+// conflict-graph edge is named by the features it constrains (edgeKey), so
+// an edge survives an edit exactly when none of its features was edited. The
+// overlap set is patched from the geometric neighborhood of each edit (a
 // persistent geom.Grid over feature rectangles prunes the candidates), and
-// re-runs the expensive planarize → bipartize → recheck pipeline only on
-// conflict clusters that contain a changed edge or inherit taint from a
-// changed previous cluster. Clean clusters keep their previous shard
-// results, which are re-merged through freshly computed edge index maps.
+// the crossing-pair set around the edges that are new or moved.
 //
 // There is one detection routine: DetectContext, an engine's first Detect,
-// every re-detect and a restore all run the same cluster partition, solve
-// and merge. A full Detect (the first, or a fallback after a broken reuse
-// invariant) passes it nothing cached; a re-detect passes the patched
-// crossing pairs and the cached result of every clean cluster, and only the
-// remaining clusters are solved; a restore passes a snapshot's crossing
-// pairs and every cluster's result, and solves nothing.
+// every re-detect and a restore all run the same cluster partition, decide
+// rule, solve and merge. A first Detect has no store to read; a re-detect
+// reads the previous generation's; a restore reads a snapshot's store with
+// its crossing pairs, and fails unless the store holds exactly the rebuilt
+// partition's signatures, so it solves nothing.
 //
 // An Incremental is not safe for concurrent use; the Session layer
 // serializes access.
@@ -91,7 +95,9 @@ type edgeKey struct {
 	half         int8
 }
 
-// incSnapshot captures everything a later Detect needs to decide reuse.
+// incSnapshot captures everything a later Detect reads of this one: the
+// crossing pairs and result store, the Detection, and the edge identities
+// that survivor matching aligns.
 type incSnapshot struct {
 	clusterRun
 	det      *Detection
@@ -103,16 +109,20 @@ type incSnapshot struct {
 type IncStats struct {
 	// Edits counts accepted mutations (add/move/delete).
 	Edits int `json:"edits"`
-	// Detects counts successful Detect calls, FullDetects those that could
-	// reuse nothing (the first run, or a run after state loss).
+	// Detects counts successful Detect calls, FullDetects those with no
+	// previous generation to read (the first run, or a run after state
+	// loss).
 	Detects     int `json:"detects"`
 	FullDetects int `json:"full_detects"`
-	// ShardsReused / ShardsSolved tally conflict clusters whose result was
-	// taken from cache vs recomputed, across all Detects.
+	// ShardsReused counts conflict clusters that took the result the
+	// previous generation stored under their signature (Stats.ReusedShards
+	// summed), ShardsSolved the clusters solved, across all Detects.
 	ShardsReused int `json:"shards_reused"`
 	ShardsSolved int `json:"shards_solved"`
-	// FallbackDirty counts clusters conservatively re-solved because a reuse
-	// invariant check failed; it should stay 0.
+	// FallbackDirty counts broken reuse invariants: re-detects whose
+	// survivor matching failed and so swept every crossing, and incremental
+	// DRC runs whose cached pair no longer violated and so checked in full.
+	// Results stay exact either way; it should stay 0.
 	FallbackDirty int `json:"fallback_dirty"`
 
 	// Solve-sharing tallies, cumulative over Detects: HierClustersReused
@@ -259,13 +269,13 @@ func (inc *Incremental) DeleteFeature(i int) error {
 }
 
 // Detect re-runs the detection flow on the current layout, reusing every
-// cluster result the pending edits did not invalidate. It patches the
-// overlap pairs, rebuilds the shifter set and the conflict graph, matches
-// surviving edges against the previous generation, and hands the
-// cluster solve and merge to the routine behind DetectContext, so the
-// returned Detection is bit-identical to a from-scratch BuildGraph +
-// DetectContext on the same layout. With no pending edits the previous
-// Detection is returned unchanged.
+// cluster result the previous generation stored under the same content. It
+// patches the overlap pairs, rebuilds the shifter set and the conflict graph,
+// matches surviving edges against the previous generation to patch the
+// crossing pairs, and hands the cluster solve and merge to the routine
+// behind DetectContext, so the returned Detection is bit-identical to a
+// from-scratch BuildGraph + DetectContext on the same layout. With no
+// pending edits the previous Detection is returned unchanged.
 func (inc *Incremental) Detect(ctx context.Context) (*Detection, error) {
 	if inc.prev != nil && len(inc.dirty) == 0 && len(inc.deleted) == 0 {
 		return inc.prev.det, nil
@@ -274,9 +284,10 @@ func (inc *Incremental) Detect(ctx context.Context) (*Detection, error) {
 }
 
 // runDetect is the body of Detect. A non-nil seed is the state a fresh
-// engine is restored from: its crossing pairs and cluster results stand in
-// for the sweep and the solves of the engine's first detection.
-func (inc *Incremental) runDetect(ctx context.Context, seed *IncrementalState) (*Detection, error) {
+// engine is restored from: its crossing pairs stand in for the sweep, and its
+// store for the previous generation's, which must then hold every cluster's
+// result and nothing else.
+func (inc *Incremental) runDetect(ctx context.Context, seed *clusterRun) (*Detection, error) {
 	start := time.Now() //aapsmvet:allow determinism stage-timing telemetry only; durations land in Stats, never in results
 	if err := ctx.Err(); err != nil {
 		return nil, err
@@ -302,46 +313,34 @@ func (inc *Incremental) runDetect(ctx context.Context, seed *IncrementalState) (
 	}
 	g := cg.Drawing.G
 
-	// --- 4. Survivor matching against the previous generation. Edges are
-	// the only identities: an edge named by its features dies when one of
-	// them was edited or deleted and is new when one was edited. ---
+	// --- 4. The crossing pairs: a seed's, or patched from the previous
+	// generation's around the dirty edges, or a full sweep. Survivor
+	// matching names the dirty edges: an edge named by its features dies
+	// when one of them was edited or deleted and is new when one was
+	// edited, and a surviving edge is dirty when its endpoints moved. ---
 	keys := inc.edgeKeys(set)
-	isDead := func(k edgeKey) bool { return inc.touched(k.uidA) || inc.touched(k.uidB) }
-	isNew := func(k edgeKey) bool { return inc.dirty[k.uidA] || inc.dirty[k.uidB] }
-
-	var oldToNewEdge, newToOldEdge []int
-	full := inc.prev == nil
-	if !full {
-		oldToNewEdge, newToOldEdge, err = matchSurvivors(inc.prev.edgeKeys, keys, isDead, isNew)
-		if err != nil {
-			// A survivor-matching inconsistency means a reuse invariant is
-			// broken; fall back to a full recompute rather than risk a wrong
-			// result. The differential test suite treats this as a bug
-			// signal via FallbackDirty.
-			inc.stats.FallbackDirty++
-			full = true
-		}
-	}
-
-	// --- 5. Detect: a full run sweeps and solves every cluster; a reuse run
-	// patches the crossing pairs around the dirty edges and takes every
-	// clean cluster's result from the previous generation. ---
-	var det *Detection
-	var run *clusterRun
-	if full {
-		var cross func() [][2]int
-		var cached func([]int32, int) ([]*shardResult, error)
-		if seed != nil {
-			pairs, err := seed.crossPairs(g.M())
-			if err != nil {
-				return nil, err
+	var cross func() [][2]int
+	var prevStore map[string]*shardResult
+	switch {
+	case seed != nil:
+		for i, p := range seed.crossPairs {
+			if p[0] < 0 || p[0] >= g.M() || p[1] < 0 || p[1] >= g.M() {
+				return nil, fmt.Errorf("crossing pair %d references edge outside [0,%d)", i, g.M())
 			}
-			cross, cached = func() [][2]int { return pairs }, seed.results
 		}
-		det, run, err = detect(ctx, cg, cross, cached, inc.opt)
-	} else {
-		// A new edge is dirty, and so is a surviving one whose endpoints
-		// (surviving nodes) moved in the drawing.
+		cross, prevStore = func() [][2]int { return seed.crossPairs }, seed.store
+	case inc.prev != nil:
+		prevStore = inc.prev.store
+		isDead := func(k edgeKey) bool { return inc.touched(k.uidA) || inc.touched(k.uidB) }
+		isNew := func(k edgeKey) bool { return inc.dirty[k.uidA] || inc.dirty[k.uidB] }
+		oldToNewEdge, newToOldEdge, err := matchSurvivors(inc.prev.edgeKeys, keys, isDead, isNew)
+		if err != nil {
+			// A broken survivor invariant costs a full crossing sweep; the
+			// store still applies. The differential suites treat this as a
+			// bug signal via FallbackDirty.
+			inc.stats.FallbackDirty++
+			break
+		}
 		oldD := inc.prev.det.Graph.Drawing
 		dirtyEdge := make([]bool, g.M())
 		for e, oe := range newToOldEdge {
@@ -352,110 +351,33 @@ func (inc *Incremental) runDetect(ctx context.Context, seed *IncrementalState) (
 			ed, od := g.Edge(e), oldD.G.Edge(oe)
 			dirtyEdge[e] = oldD.Pos[od.U] != cg.Drawing.Pos[ed.U] || oldD.Pos[od.V] != cg.Drawing.Pos[ed.V]
 		}
-		det, run, err = detect(ctx, cg,
-			func() [][2]int { return inc.patchCrossings(cg, dirtyEdge, oldToNewEdge) },
-			func(edgeCluster []int32, nShards int) ([]*shardResult, error) {
-				return inc.reusable(edgeCluster, nShards, dirtyEdge, oldToNewEdge, newToOldEdge), nil
-			},
-			inc.opt)
+		cross = func() [][2]int { return inc.patchCrossings(cg, dirtyEdge, oldToNewEdge) }
 	}
+
+	// --- 5. Detect: every cluster takes its stored result, or an identical
+	// cluster's, or is solved. ---
+	det, run, err := detect(ctx, cg, cross, prevStore, seed != nil, inc.opt)
 	if err != nil {
 		return nil, err
 	}
 	det.Stats.TotalTime = time.Since(start)
 	// ShardsSolved counts the solves this run performed; a cluster that took
 	// an identical cluster's result is tallied in HierClustersReused.
-	for _, solved := range run.solved {
-		if solved {
-			inc.stats.ShardsSolved++
-		}
-	}
+	inc.stats.ShardsSolved += det.Stats.Shards - det.Stats.ReusedShards - det.Stats.HierReusedShards
 	inc.stats.ShardsReused += det.Stats.ReusedShards
 	inc.stats.HierClustersReused += det.Stats.HierReusedShards
 	inc.stats.HierClustersSolved += det.Stats.HierSolvedShards
 
 	// --- 6. Commit the new state. ---
+	if inc.prev == nil {
+		inc.stats.FullDetects++
+	}
 	inc.pairs = records
 	inc.prev = &incSnapshot{clusterRun: *run, det: det, edgeKeys: keys}
 	inc.dirty = make(map[int32]bool)
 	inc.deleted = make(map[int32]bool)
 	inc.stats.Detects++
-	if full {
-		inc.stats.FullDetects++
-	}
 	return det, nil
-}
-
-// reusable decides, for the cluster partition of a reuse-mode Detect, which
-// clusters keep their previous result: it returns that cached result per
-// clean cluster and nil for every cluster that must be re-solved. A cluster
-// is clean when it owns no dirty edge, inherits no taint from a changed old
-// cluster, and coincides exactly with one old cluster; any other
-// disagreement breaks a reuse invariant and is counted in FallbackDirty.
-func (inc *Incremental) reusable(edgeCluster []int32, nShards int, dirtyEdge []bool, oldToNewEdge, newToOldEdge []int) []*shardResult {
-	m := len(edgeCluster)
-	dirtyCluster := make([]bool, nShards)
-	reuseFrom := make([]int32, nShards)
-	for i := range reuseFrom {
-		reuseFrom[i] = -1
-	}
-	// Old clusters touched by a death or a dirty survivor taint every
-	// edge they still own.
-	tainted := make([]bool, inc.prev.nShards)
-	for oe, ne := range oldToNewEdge {
-		if ne < 0 {
-			tainted[inc.prev.edgeCluster[oe]] = true
-		}
-	}
-	for e := 0; e < m; e++ {
-		if dirtyEdge[e] && newToOldEdge[e] >= 0 {
-			tainted[inc.prev.edgeCluster[newToOldEdge[e]]] = true
-		}
-	}
-	oldSize := make([]int32, inc.prev.nShards)
-	for _, c := range inc.prev.edgeCluster {
-		oldSize[c]++
-	}
-	// Pass 1: a cluster owning any dirty edge, or any survivor of a
-	// tainted old cluster, must be re-solved.
-	newSize := make([]int32, nShards)
-	for e := 0; e < m; e++ {
-		c := edgeCluster[e]
-		newSize[c]++
-		if dirtyEdge[e] || tainted[inc.prev.edgeCluster[newToOldEdge[e]]] {
-			dirtyCluster[c] = true
-		}
-	}
-	// Pass 2: every remaining cluster must coincide exactly with one
-	// untainted old cluster; any disagreement means a reuse invariant
-	// broke, and the cluster is conservatively re-solved.
-	for e := 0; e < m; e++ {
-		c := edgeCluster[e]
-		if dirtyCluster[c] {
-			continue
-		}
-		oc := inc.prev.edgeCluster[newToOldEdge[e]]
-		if reuseFrom[c] < 0 {
-			reuseFrom[c] = oc
-		} else if reuseFrom[c] != oc {
-			// Two untainted old clusters cannot merge without a dirty
-			// link.
-			dirtyCluster[c] = true
-			inc.stats.FallbackDirty++
-		}
-	}
-	cached := make([]*shardResult, nShards)
-	for c := 0; c < nShards; c++ {
-		if dirtyCluster[c] || reuseFrom[c] < 0 {
-			continue
-		}
-		if newSize[c] != oldSize[reuseFrom[c]] {
-			inc.stats.FallbackDirty++
-			continue
-		}
-		cached[c] = inc.prev.results[reuseFrom[c]]
-	}
-	return cached
 }
 
 // touched reports whether feature uid was edited or deleted since the last

@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"math/rand"
 	"reflect"
@@ -251,4 +252,107 @@ func TestShifterSlotIsGraphNode(t *testing.T) {
 	for seed := int64(0); seed < 6; seed++ {
 		mixedEditSteps(t, seed, func(tag string, _ *Incremental, det *Detection) { check(tag, det) })
 	}
+}
+
+// TestPanickingSolveStoresNothing: a re-detect whose solve panics fails with
+// ErrPanic and commits nothing, so the result store keeps no half-built
+// entry. The next Detect on the same engine re-solves the edited cluster and
+// equals DetectContext on a scratch build of the edited layout.
+func TestPanickingSolveStoresNothing(t *testing.T) {
+	ctx := context.Background()
+	d := shardGrid()[0]
+	inc, err := NewIncremental(bench.Generate(d.Name, d.Params), rules(), PCG, Options{Workers: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := inc.Detect(ctx); err != nil {
+		t.Fatal(err)
+	}
+	mid := len(inc.Layout().Features) / 2
+	if err := inc.MoveFeature(mid, inc.Layout().Features[mid].Rect.Translate(geom.Point{X: 10})); err != nil {
+		t.Fatal(err)
+	}
+
+	hook := func() { panic("poisoned cluster") }
+	FaultHook.Store(&hook)
+	_, err = inc.Detect(ctx)
+	FaultHook.Store(nil)
+	if !errors.Is(err, ErrPanic) {
+		t.Fatalf("detect under a panicking solve: got %v, want ErrPanic", err)
+	}
+
+	before := inc.Stats()
+	got, err := inc.Detect(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if solved := inc.Stats().ShardsSolved - before.ShardsSolved; solved < 1 {
+		t.Fatalf("re-detect after the panic solved %d clusters, want the edited one", solved)
+	}
+	cg, err := BuildGraph(inc.Layout(), rules(), PCG)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := DetectContext(ctx, cg, Options{Workers: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The scratch run shares solves where the re-detect reads the store, so
+	// the reuse tallies differ; every conflict set and size counter agrees.
+	got.Stats.ReusedShards, got.Stats.HierReusedShards, got.Stats.HierSolvedShards = 0, 0, 0
+	want.Stats.HierReusedShards, want.Stats.HierSolvedShards = 0, 0
+	detectionsEqual(t, "after the panic", want, got)
+	if !slices.Equal(got.CrossingsRemoved, want.CrossingsRemoved) || !slices.Equal(got.FinalConflicts, want.FinalConflicts) {
+		t.Fatal("after the panic: removal order or conflict metadata differs from a scratch detect")
+	}
+	if st := inc.Stats(); st.FallbackDirty != 0 {
+		t.Fatalf("fallback invariants fired: %+v", st)
+	}
+}
+
+// TestSurvivorMismatchSweepsAndReadsStore: when survivor matching fails, a
+// re-detect sweeps every crossing pair instead of patching them, counts one
+// FallbackDirty, and still takes every unchanged cluster from the store, so
+// only the edited cluster is solved and the result equals a scratch detect.
+func TestSurvivorMismatchSweepsAndReadsStore(t *testing.T) {
+	ctx := context.Background()
+	d := shardGrid()[0]
+	inc, err := NewIncremental(bench.Generate(d.Name, d.Params), rules(), PCG, Options{Workers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := inc.Detect(ctx); err != nil {
+		t.Fatal(err)
+	}
+	mid := len(inc.Layout().Features) / 2
+	if err := inc.MoveFeature(mid, inc.Layout().Features[mid].Rect.Translate(geom.Point{X: 10})); err != nil {
+		t.Fatal(err)
+	}
+	// Rename the previous generation's last edge so no edge of the edited
+	// layout matches it.
+	keys := inc.prev.edgeKeys
+	keys[len(keys)-1].uidA = inc.nextUID
+	before := inc.Stats()
+	got, err := inc.Detect(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	st := inc.Stats()
+	if st.FallbackDirty != before.FallbackDirty+1 {
+		t.Fatalf("FallbackDirty %d -> %d, want one fallback", before.FallbackDirty, st.FallbackDirty)
+	}
+	if solved := st.ShardsSolved - before.ShardsSolved; solved != 1 || got.Stats.ReusedShards != got.Stats.Shards-1 {
+		t.Fatalf("solved %d and reused %d of %d clusters, want only the edited one solved", solved, got.Stats.ReusedShards, got.Stats.Shards)
+	}
+	cg, err := BuildGraph(inc.Layout(), rules(), PCG)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := DetectContext(ctx, cg, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	got.Stats.ReusedShards, got.Stats.HierReusedShards, got.Stats.HierSolvedShards = 0, 0, 0
+	want.Stats.HierReusedShards, want.Stats.HierSolvedShards = 0, 0
+	detectionsEqual(t, "after the fallback", want, got)
 }

@@ -14,11 +14,12 @@ import (
 // This file defines the exported, serialization-stable view of an
 // Incremental engine's state — the contract of the persistence subsystem
 // (internal/persist). It names features by layout index, never by engine
-// uid, and holds the layout, overlap pairs, crossing pairs, cluster results
-// and DRC cache. Restore re-enters the engine's own Detect body with the
-// serialized crossing pairs and cluster results in place of the sweep and
-// the solves, so everything else is rebuilt by the code a live Detect runs,
-// and a snapshot that disagrees with that rebuild is rejected.
+// uid, and holds the layout, overlap pairs, crossing pairs, result store and
+// DRC cache. Restore re-enters the engine's own Detect body with the
+// serialized crossing pairs in place of the sweep and the serialized store
+// as the previous generation's, so everything else is rebuilt by the code a
+// live Detect runs, and a snapshot that disagrees with that rebuild is
+// rejected.
 
 // PairState is one shifter-overlap constraint in wire form: the two
 // flanking shifters, named by (feature index, side), and the spacing
@@ -31,12 +32,14 @@ type PairState struct {
 	Deficit int64
 }
 
-// ShardState is one conflict cluster's cached detection outcome in
-// shard-local edge indices. Stage durations are intentionally not part of
-// the state: a reused cluster's durations are never summed into a
+// ShardState is one entry of the result store: a cluster's signature bytes
+// (clusterSignature) and the detection outcome every cluster with those bytes
+// takes, in cluster-local edge indices. Stage durations are intentionally not
+// part of the state: a reused cluster's durations are never summed into a
 // Detection's stats (only freshly solved clusters report time), so they are
 // dead weight in a snapshot.
 type ShardState struct {
+	Sig     []byte
 	Removed []int32
 	Bipart  []int32
 	Final   []int32
@@ -59,13 +62,13 @@ type IncrementalState struct {
 	HierFeatureInstance []int32
 
 	// Last committed detection, present when HasPrev: the overlap pairs it
-	// was built from (in engine order), its crossing pairs, and one result
-	// per conflict cluster.
+	// was built from (in engine order), its crossing pairs, and its result
+	// store, one entry per distinct cluster signature in ascending byte
+	// order.
 	HasPrev    bool
 	Pairs      []PairState
 	CrossPairs [][2]int32
-	NShards    int
-	Shards     []*ShardState // nil entries for edge-less clusters
+	Shards     []ShardState
 	DetStats   Stats
 
 	// Incremental DRC cache, by feature index.
@@ -133,13 +136,16 @@ func (inc *Incremental) ExportState() *IncrementalState {
 	for i, p := range snap.crossPairs {
 		st.CrossPairs[i] = [2]int32{int32(p[0]), int32(p[1])}
 	}
-	st.NShards = snap.nShards
-	st.Shards = make([]*ShardState, len(snap.results))
-	for c, r := range snap.results {
-		if r == nil {
-			continue
-		}
-		st.Shards[c] = &ShardState{
+	sigs := make([]string, 0, len(snap.store))
+	for sig := range snap.store {
+		sigs = append(sigs, sig)
+	}
+	slices.Sort(sigs)
+	st.Shards = make([]ShardState, len(sigs))
+	for i, sig := range sigs {
+		r := snap.store[sig]
+		st.Shards[i] = ShardState{
+			Sig:       []byte(sig),
 			Removed:   toInt32(r.removed),
 			Bipart:    toInt32(r.bipart),
 			Final:     toInt32(r.final),
@@ -162,9 +168,11 @@ func (inc *Incremental) RestoreStats(s IncStats) { inc.stats = s }
 // layout, a range-checked DRC cache, overlap pairs checked against the
 // layout's own shifters (each must overlap with the stored deficit, and
 // appear once), and, when the state carries a committed detection, the
-// Detect body seeded with it, which cross-checks the serialized clusters
-// against the partition it derives and ends with the bipartiteness
-// self-check. ctx bounds that rebuild.
+// Detect body seeded with it. That run signs the partition it derives and
+// takes every cluster's result from the serialized store; it fails before
+// any solve when a cluster misses the store or an entry is taken by no
+// cluster, and ends with the bipartiteness self-check. ctx bounds that
+// rebuild.
 func RestoreIncremental(ctx context.Context, st *IncrementalState, r layout.Rules, kind GraphKind, opt Options) (*Incremental, error) {
 	l := &layout.Layout{Name: st.LayoutName, Features: st.Features}
 	if len(st.HierCells) > 0 || len(st.HierPlacementCell) > 0 || len(st.HierFeatureInstance) > 0 {
@@ -240,7 +248,11 @@ func RestoreIncremental(ctx context.Context, st *IncrementalState, r layout.Rule
 	}
 
 	if st.HasPrev {
-		det, err := inc.runDetect(ctx, st)
+		seed, err := st.seed()
+		if err != nil {
+			return nil, fmt.Errorf("core: restore: %w", err)
+		}
+		det, err := inc.runDetect(ctx, seed)
 		if err != nil {
 			return nil, fmt.Errorf("core: restore: %w", err)
 		}
@@ -252,39 +264,25 @@ func RestoreIncremental(ctx context.Context, st *IncrementalState, r layout.Rule
 	return inc, nil
 }
 
-// crossPairs returns the serialized crossing pairs of a restore seed,
-// rejecting any that names an edge outside the rebuilt graph's m edges.
-func (st *IncrementalState) crossPairs(m int) ([][2]int, error) {
-	out := make([][2]int, len(st.CrossPairs))
+// seed converts a state's crossing pairs and result store into the run a
+// restore's Detect reads. It rejects a repeated signature, and a result
+// naming a local edge outside [0, n) where n is the edge count its
+// signature encodes.
+func (st *IncrementalState) seed() (*clusterRun, error) {
+	run := &clusterRun{
+		crossPairs: make([][2]int, len(st.CrossPairs)),
+		store:      make(map[string]*shardResult, len(st.Shards)),
+	}
 	for i, p := range st.CrossPairs {
-		if p[0] < 0 || int(p[0]) >= m || p[1] < 0 || int(p[1]) >= m {
-			return nil, fmt.Errorf("crossing pair %d references edge outside [0,%d)", i, m)
+		run.crossPairs[i] = [2]int{int(p[0]), int(p[1])}
+	}
+	for i, sh := range st.Shards {
+		if _, dup := run.store[string(sh.Sig)]; dup {
+			return nil, fmt.Errorf("result store entry %d repeats an earlier signature", i)
 		}
-		out[i] = [2]int{int(p[0]), int(p[1])}
-	}
-	return out, nil
-}
-
-// results is a restore seed's cached callback: it hands the seeded detect
-// the serialized result of every cluster of the partition it derived, and
-// rejects a snapshot whose cluster count disagrees with that partition,
-// which lacks the result of a cluster with edges, or whose local edge
-// indices fall outside their cluster.
-func (st *IncrementalState) results(edgeCluster []int32, nShards int) ([]*shardResult, error) {
-	if nShards != st.NShards || len(st.Shards) != nShards {
-		return nil, fmt.Errorf("rebuilt %d conflict clusters, snapshot has %d with %d results", nShards, st.NShards, len(st.Shards))
-	}
-	size := make([]int32, nShards)
-	for _, c := range edgeCluster {
-		size[c]++
-	}
-	out := make([]*shardResult, nShards)
-	for c, sh := range st.Shards {
-		if sh == nil {
-			if size[c] > 0 {
-				return nil, fmt.Errorf("cluster %d has %d edges but no result", c, size[c])
-			}
-			continue
+		edges, ok := signatureEdges(sh.Sig)
+		if !ok {
+			return nil, fmt.Errorf("result store entry %d has a malformed signature", i)
 		}
 		r := &shardResult{
 			dualNodes: sh.DualNodes, dualEdges: sh.DualEdges, oddFaces: sh.OddFaces,
@@ -295,17 +293,17 @@ func (st *IncrementalState) results(edgeCluster []int32, nShards int) ([]*shardR
 			dst *[]int
 		}{{sh.Removed, &r.removed}, {sh.Bipart, &r.bipart}, {sh.Final, &r.final}} {
 			local := make([]int, len(field.src))
-			for i, le := range field.src {
-				if le < 0 || le >= size[c] {
-					return nil, fmt.Errorf("cluster %d local edge %d outside [0,%d)", c, le, size[c])
+			for j, le := range field.src {
+				if le < 0 || int64(le) >= edges {
+					return nil, fmt.Errorf("result store entry %d names local edge %d outside [0,%d)", i, le, edges)
 				}
-				local[i] = int(le)
+				local[j] = int(le)
 			}
 			*field.dst = local
 		}
-		out[c] = r
+		run.store[string(sh.Sig)] = r
 	}
-	return out, nil
+	return run, nil
 }
 
 func toInt32(xs []int) []int32 {

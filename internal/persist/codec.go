@@ -15,7 +15,7 @@ import (
 // Snapshot wire format (all integers little-endian, fixed width):
 //
 //	magic   [8]byte  "AAPSMSNP"
-//	version uint16   (currently 4)
+//	version uint16   (Version)
 //	payload          sections in SessionState field order
 //	crc32   uint32   IEEE checksum of everything before it
 //
@@ -48,7 +48,12 @@ var snapMagic = [8]byte{'A', 'A', 'P', 'S', 'M', 'S', 'N', 'P'}
 // Version 5 drops the hierarchy-fallback counter from both stats blocks:
 // identical clusters share a solve by content alone, so no cluster falls
 // back, and the two reuse counters keep their slots with the new meaning.
-const Version uint16 = 5
+//
+// Version 6 stores the committed detection's cluster results by content:
+// the cluster count and the per-cluster results, nil markers included, give
+// way to the result store, one (signature bytes, result) entry per distinct
+// cluster signature in ascending byte order.
+const Version uint16 = 6
 
 var (
 	// ErrCorrupt marks a snapshot that failed structural or checksum
@@ -209,14 +214,9 @@ func (w *writer) incState(inc *core.IncrementalState) {
 			w.i32(p[0])
 			w.i32(p[1])
 		}
-		w.i32(int32(inc.NShards))
 		w.u32(uint32(len(inc.Shards)))
 		for _, sh := range inc.Shards {
-			if sh == nil {
-				w.u8(0)
-				continue
-			}
-			w.u8(1)
+			w.str(string(sh.Sig))
 			w.i32s(sh.Removed)
 			w.i32s(sh.Bipart)
 			w.i32s(sh.Final)
@@ -404,15 +404,11 @@ func (r *reader) incState(inc *core.IncrementalState) {
 		for i := 0; i < nc; i++ {
 			inc.CrossPairs = append(inc.CrossPairs, [2]int32{r.i32(), r.i32()})
 		}
-		inc.NShards = int(r.i32())
-		ns := r.sliceLen(1)
-		inc.Shards = sliceCap[*core.ShardState](ns)
+		ns := r.sliceLen(4*4 + 5*8)
+		inc.Shards = sliceCap[core.ShardState](ns)
 		for i := 0; i < ns; i++ {
-			if !r.bool() {
-				inc.Shards = append(inc.Shards, nil)
-				continue
-			}
-			sh := &core.ShardState{}
+			var sh core.ShardState
+			sh.Sig = []byte(r.str())
 			sh.Removed = r.i32s()
 			sh.Bipart = r.i32s()
 			sh.Final = r.i32s()

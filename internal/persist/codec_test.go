@@ -2,12 +2,14 @@ package persist
 
 import (
 	"bytes"
+	"context"
 	"encoding/binary"
 	"errors"
 	"hash/crc32"
 	"reflect"
 	"testing"
 
+	"repro/internal/bench"
 	"repro/internal/core"
 	"repro/internal/geom"
 	"repro/internal/layout"
@@ -42,10 +44,9 @@ func sampleState(withPrev bool) *SessionState {
 		st.Inc.HasPrev = true
 		st.Inc.Pairs = []core.PairState{{FeatA: 0, SideA: 1, FeatB: 1, SideB: 0, Deficit: 40}}
 		st.Inc.CrossPairs = [][2]int32{{0, 2}, {1, 3}}
-		st.Inc.NShards = 2
-		st.Inc.Shards = []*core.ShardState{
-			nil,
-			{Removed: []int32{0}, Bipart: []int32{1, 2}, Final: []int32{2},
+		st.Inc.Shards = []core.ShardState{
+			{Sig: []byte{4, 2, 0, 0, 2, 0}, Final: []int32{0}, DualNodes: 1},
+			{Sig: []byte{8, 6, 0, 0, 200, 1}, Removed: []int32{0}, Bipart: []int32{1, 2}, Final: []int32{2},
 				DualNodes: 5, DualEdges: 9, OddFaces: 2, GadgetNodes: 4, GadgetEdges: 7},
 		}
 		st.Inc.DetStats = core.Stats{GraphNodes: 4, GraphEdges: 3, Shards: 2, TotalTime: 12345}
@@ -95,7 +96,8 @@ func TestCodecRejectsCorruption(t *testing.T) {
 	}
 
 	// Version skew with a valid checksum must be ErrVersion, so callers can
-	// distinguish a snapshot from an older or newer build from damage.
+	// distinguish a snapshot from an older or newer build from damage; a v5
+	// snapshot, which stored results per cluster index, is one of them.
 	for _, v := range []uint16{Version - 1, Version + 1} {
 		skew := append([]byte(nil), data...)
 		binary.LittleEndian.PutUint16(skew[len(snapMagic):], v)
@@ -112,11 +114,30 @@ func TestCodecRejectsCorruption(t *testing.T) {
 	}
 }
 
+// detectedState is the state of an engine that detected Figure 5, so its
+// result store holds real cluster signatures.
+func detectedState(f *testing.F) *SessionState {
+	r := layout.Default90nm()
+	inc, err := core.NewIncremental(bench.Figure5Layout(), r, core.PCG, core.Options{})
+	if err != nil {
+		f.Fatal(err)
+	}
+	if _, err := inc.Detect(context.Background()); err != nil {
+		f.Fatal(err)
+	}
+	st := &SessionState{Rules: r, Kind: core.PCG, DetectRuns: 1, Memo: MemoDetect, Inc: *inc.ExportState()}
+	if len(st.Inc.Shards) == 0 {
+		f.Fatal("figure 5 detection stored no cluster result")
+	}
+	return st
+}
+
 func FuzzSnapshotDecode(f *testing.F) {
 	f.Add(Encode(sampleState(false)))
 	f.Add(Encode(sampleState(true)))
 	f.Add(append([]byte(nil), snapMagic[:]...))
 	f.Add([]byte{})
+	f.Add(Encode(detectedState(f)))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		st, err := Decode(data)
 		if err != nil {

@@ -34,9 +34,9 @@ import (
 // session onto a private copy of the layout (the caller's layout is never
 // mutated). A Session also supports in-place layout edits: AddFeature,
 // MoveFeature, DeleteFeature, and the batched Edit. Every edit invalidates
-// the memoized stages, and the next Detect re-solves only the conflict
-// clusters whose geometric neighborhood the edits touched, reusing cached
-// per-cluster results for the rest. Results are bit-identical to a
+// the memoized stages, and the next Detect solves only the conflict
+// clusters whose content the previous detection did not have, taking every
+// other cluster's result from its store. Results are bit-identical to a
 // from-scratch detection of the edited layout. Edits also clear memoized
 // stage errors, so a layout that was ErrNotAssignable can be fixed and
 // re-checked on the same session.

@@ -3,6 +3,7 @@ package aapsm
 import (
 	"bytes"
 	"context"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"maps"
@@ -334,8 +335,9 @@ func TestRestoreRejectsCorruptSnapshot(t *testing.T) {
 }
 
 // TestRestoreRejectsInconsistentSnapshot: a snapshot that passes its checksum
-// but names a feature, edge or cluster its own layout does not have, or an
-// overlap pair its layout's shifters do not form, restores to a StagePersist
+// but names a feature or edge its own layout does not have, an overlap pair
+// its layout's shifters do not form, or a result store that disagrees with
+// the clusters its layout forms, restores to a StagePersist
 // *FlowError matching persist.ErrCorrupt — never a panic, a bare error or a
 // half-restored session — and the rejection allocates no more than a few
 // clean restores would.
@@ -384,7 +386,7 @@ func TestRestoreRejectsInconsistentSnapshot(t *testing.T) {
 		t.Fatal(err)
 	}
 	nf := int32(len(base.Inc.Features))
-	shard := slices.IndexFunc(base.Inc.Shards, func(sh *core.ShardState) bool { return sh != nil && len(sh.Final) > 0 })
+	shard := slices.IndexFunc(base.Inc.Shards, func(sh core.ShardState) bool { return len(sh.Final) > 0 })
 	if len(base.Inc.Pairs) == 0 || len(base.Inc.CrossPairs) == 0 || shard < 0 {
 		t.Fatalf("fixture lacks pairs, crossings or conflicts: %d pairs, %d crossings, shard %d",
 			len(base.Inc.Pairs), len(base.Inc.CrossPairs), shard)
@@ -411,9 +413,23 @@ func TestRestoreRejectsInconsistentSnapshot(t *testing.T) {
 			st.Pairs = append(st.Pairs, core.PairState{FeatA: p.FeatB, SideA: p.SideB, FeatB: p.FeatA, SideB: p.SideA, Deficit: p.Deficit})
 		}},
 		{"crossing pair outside the graph", func(st *core.IncrementalState) { st.CrossPairs[0][1] = 1 << 30 }},
-		{"one cluster too many", func(st *core.IncrementalState) { st.NShards++ }},
-		{"one cluster too few", func(st *core.IncrementalState) { st.NShards-- }},
-		{"cluster-local edge out of range", func(st *core.IncrementalState) { st.Shards[shard].Final[0] = 1 << 20 }},
+		{"store entry dropped", func(st *core.IncrementalState) { st.Shards = slices.Delete(st.Shards, shard, shard+1) }},
+		{"store entry no cluster takes", func(st *core.IncrementalState) {
+			extra := st.Shards[shard]
+			extra.Sig = append(slices.Clone(extra.Sig), 0)
+			st.Shards = append(st.Shards, extra)
+		}},
+		{"store key byte flipped", func(st *core.IncrementalState) {
+			sig := st.Shards[shard].Sig
+			sig[len(sig)-1] ^= 0x10
+		}},
+		{"local edge at the key's edge count", func(st *core.IncrementalState) {
+			// A signature opens with the cluster's node and edge counts.
+			sig := st.Shards[shard].Sig
+			_, k := binary.Varint(sig)
+			edges, _ := binary.Varint(sig[k:])
+			st.Shards[shard].Final[0] = int32(edges)
+		}},
 		{"drc pair out of range", func(st *core.IncrementalState) { st.DRCPairs = append(st.DRCPairs, [2]int32{0, nf}) }},
 		{"drc dirty mark out of range", func(st *core.IncrementalState) { st.DRCDirty = append(st.DRCDirty, nf) }},
 		{"hierarchy length mismatch", func(st *core.IncrementalState) { st.HierFeatureInstance = make([]int32, nf+1) }},
