@@ -50,7 +50,11 @@ func WithGraph(k GraphKind) EngineOption {
 }
 
 // WithTJoinMethod selects the reduction used by the optimal bipartization
-// step (default: GeneralizedGadgets).
+// step (default: GeneralizedGadgets, the paper's). The method changes only
+// the detection time and the gadget counts in the stats; the conflicts and
+// every other count are the same. LawlerReduction is the fastest: 1.2–1.4×
+// faster than either gadget reduction on d5 and 2–3× on designs with large
+// dense clusters (one CPU of a 2-vCPU VM).
 func WithTJoinMethod(m TJoinMethod) EngineOption {
 	return func(e *Engine) { e.opts.Method = m }
 }

@@ -103,7 +103,7 @@ func BuildGraph(l *layout.Layout, r layout.Rules, kind GraphKind) (*ConflictGrap
 func BuildGraphFromSet(l *layout.Layout, r layout.Rules, set *shifter.Set, kind GraphKind) (*ConflictGraph, error) {
 	g := graph.New(0)
 	cg := &ConflictGraph{Kind: kind, Set: set, Rules: r}
-	reg := newPosRegistry()
+	reg := newPosRegistry(len(set.Shifters) + len(set.Overlaps))
 	pos := make([]geom.Point, 0, len(set.Shifters)*2)
 
 	for _, sh := range set.Shifters {
@@ -174,8 +174,10 @@ type posRegistry struct {
 	used map[geom.Point]bool
 }
 
-func newPosRegistry() *posRegistry {
-	return &posRegistry{used: make(map[geom.Point]bool)}
+// newPosRegistry sizes the registry for n claims, one per node of the graph
+// being built, so claiming never grows the map.
+func newPosRegistry(n int) *posRegistry {
+	return &posRegistry{used: make(map[geom.Point]bool, n)}
 }
 
 var nudges = []geom.Point{

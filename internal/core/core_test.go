@@ -313,7 +313,7 @@ func TestOverlapRegionCenterFallsInsideGap(t *testing.T) {
 }
 
 func TestPosRegistryNudges(t *testing.T) {
-	pr := newPosRegistry()
+	pr := newPosRegistry(3)
 	p := geom.Pt(10, 10)
 	p1 := pr.claim(p)
 	p2 := pr.claim(p)

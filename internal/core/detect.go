@@ -120,7 +120,9 @@ type Options struct {
 //
 //  1. planarize the drawing, collecting removed crossing edges P;
 //  2. optimally bipartize the embedded planar remainder via the dual
-//     T-join, solved by gadget reduction to minimum-weight perfect matching;
+//     T-join, solved by gadget reduction to minimum-weight perfect matching
+//     (a remainder that already two-colors has an empty join and skips the
+//     embedding, see detectShard);
 //  3. re-check P against a two-coloring and add violators to the final
 //     conflict set.
 //
@@ -223,7 +225,7 @@ func detect(ctx context.Context, cg *ConflictGraph, cross func() [][2]int, prev 
 		det.Stats.LargestShardEdges = max(det.Stats.LargestShardEdges, len(p.Edges))
 		buf = clusterSignature(buf[:0], cg.Drawing, p, localOf, pairs[c])
 		if r, ok := prev[string(buf)]; ok {
-			run.store[string(buf)] = r
+			run.store[r.sig] = r
 			results[c] = r
 			det.Stats.ReusedShards++
 			continue
@@ -237,8 +239,8 @@ func detect(ctx context.Context, cg *ConflictGraph, cross func() [][2]int, prev 
 			}
 			continue
 		}
-		r := new(shardResult)
-		run.store[string(buf)] = r
+		r := &shardResult{sig: string(buf)}
+		run.store[r.sig] = r
 		results[c] = r
 		fresh[c] = true
 		solve = append(solve, c)
@@ -259,6 +261,7 @@ func detect(ctx context.Context, cg *ConflictGraph, cross func() [][2]int, prev 
 		if err != nil {
 			return shardErr(c, err)
 		}
+		r.sig = results[c].sig
 		*results[c] = *r
 		return nil
 	})
@@ -369,7 +372,7 @@ func detectShardSafe(ctx context.Context, cluster int, build func() *planar.Draw
 	if f := FaultHook.Load(); f != nil {
 		(*f)()
 	}
-	return detectShard(ctx, build(), pairs, opt)
+	return detectShard(ctx, build(), pairs, opt, true)
 }
 
 // shardErr tags a shard failure with its cluster index; a *PanicError
@@ -508,6 +511,11 @@ func conflictClusters(g *graph.Graph, crossPairs [][2]int) ([]int, int) {
 // shardResult is one cluster's detection outcome in shard-local edge
 // indices.
 type shardResult struct {
+	// sig is the result's key in a result store: the clusterSignature bytes
+	// it was solved or restored under, kept so a later run's store takes the
+	// same string instead of copying the bytes again.
+	sig string
+
 	removed []int // planarization-removed edges, removal order
 	bipart  []int // optimal bipartization edges, ascending
 	final   []int // final conflict edges (bipart + flagged removed), ascending
@@ -527,7 +535,15 @@ type shardResult struct {
 const lexScaleLimit = int64(1) << 41
 
 // detectShard runs flow steps 1b..3 on one conflict cluster.
-func detectShard(ctx context.Context, d *planar.Drawing, pairs [][2]int, opt Options) (*shardResult, error) {
+//
+// Step 2 has a fast path: a plane graph is bipartite iff it has no odd face
+// (Hadlock), so when the planarized remainder two-colors, the dual has no
+// terminals and its minimum T-join is empty. The embedding, the dual and the
+// T-join solve are then skipped, and the dual's size is read off Euler's
+// formula (bipartiteFaces), so the result, dual statistics included, is the
+// one the full path gives; the gadget statistics are 0, as for a solve with
+// no terminals. fast=false forces the full path (tests compare the two).
+func detectShard(ctx context.Context, d *planar.Drawing, pairs [][2]int, opt Options, fast bool) (*shardResult, error) {
 	r := &shardResult{}
 
 	// Step 1b: greedy crossing removal on the precomputed pair list.
@@ -539,20 +555,49 @@ func detectShard(ctx context.Context, d *planar.Drawing, pairs [][2]int, opt Opt
 	for _, e := range r.removed {
 		removedSet[e] = true
 	}
-	planarDrawing, oldIdx := d.WithoutEdgeSet(removedSet)
 
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
 
 	// Step 2: optimal bipartization of the embedded planar remainder =
-	// minimum T-join on its geometric dual with T = odd faces. The drawing
-	// was planarized two lines up, so the defensive crossing re-scan of
-	// BuildEmbedding is skipped.
+	// minimum T-join on its geometric dual with T = odd faces.
+	bipartSet := make([]bool, m)
 	t1 := time.Now() //aapsmvet:allow determinism stage-timing telemetry only; durations land in Stats, never in results
+	if faces, ok := bipartiteFaces(d.G, removedSet); fast && ok {
+		r.dualNodes, r.dualEdges = faces, m-len(r.removed)
+		r.embedTime = time.Since(t1)
+	} else if err := bipartizeDual(ctx, d, removedSet, bipartSet, r, opt); err != nil {
+		return nil, err
+	}
+
+	if err := ctx.Err(); err != nil {
+		return nil, err
+	}
+
+	// Step 3: the edges removed for planarity (P) may themselves close odd
+	// cycles against the bipartized remainder.
+	t3 := time.Now() //aapsmvet:allow determinism stage-timing telemetry only; durations land in Stats, never in results
+	var err error
+	r.final, err = recheck(d.G, r.removed, removedSet, bipartSet, opt.Recheck)
+	if err != nil {
+		return nil, err
+	}
+	r.recheckTime = time.Since(t3)
+	return r, nil
+}
+
+// bipartizeDual is step 2's full path: embed d without the edges marked in
+// removedSet, build the geometric dual and solve its minimum T-join, marking
+// the chosen primal edges in bipartSet and recording them, the dual and
+// gadget sizes and the stage times in r. The drawing was just planarized, so
+// the defensive crossing re-scan of BuildEmbedding is skipped.
+func bipartizeDual(ctx context.Context, d *planar.Drawing, removedSet, bipartSet []bool, r *shardResult, opt Options) error {
+	t1 := time.Now() //aapsmvet:allow determinism stage-timing telemetry only; durations land in Stats, never in results
+	planarDrawing, oldIdx := d.WithoutEdgeSet(removedSet)
 	em, err := planar.BuildEmbeddingUnchecked(planarDrawing)
 	if err != nil {
-		return nil, fmt.Errorf("embedding after planarization: %w", err)
+		return fmt.Errorf("embedding after planarization: %w", err)
 	}
 	dual, primalOf, T := em.Dual()
 	r.embedTime = time.Since(t1)
@@ -579,33 +624,54 @@ func detectShard(ctx context.Context, d *planar.Drawing, pairs [][2]int, opt Opt
 	t2 := time.Now() //aapsmvet:allow determinism stage-timing telemetry only; durations land in Stats, never in results
 	join, err := tjoin.SolveContext(ctx, dual, T, opt.TJoin)
 	if err != nil {
-		return nil, fmt.Errorf("dual T-join: %w", err)
+		return fmt.Errorf("dual T-join: %w", err)
 	}
 	r.matchTime = time.Since(t2)
 	r.gadgetNodes = join.GadgetNodes
 	r.gadgetEdges = join.GadgetEdges
 
-	bipartSet := make([]bool, m)
 	for _, de := range join.Edges {
 		orig := oldIdx[primalOf[de]]
 		r.bipart = append(r.bipart, orig)
 		bipartSet[orig] = true
 	}
 	sort.Ints(r.bipart)
+	return nil
+}
 
-	if err := ctx.Err(); err != nil {
-		return nil, err
+// bipartiteFaces reports whether g without the edges marked in skip is
+// bipartite and, when it is, the number of faces
+// planar.BuildEmbeddingUnchecked traces on its plane drawing. That count is
+// Euler's formula as the tracer applies it: every connected component with
+// an edge has its own outer face, even one drawn inside another's face, and
+// an isolated node has none. So F = E - V + 2C, counting only the nodes and
+// components that keep an edge. One parity union-find pass over the kept
+// edges decides both.
+func bipartiteFaces(g *graph.Graph, skip []bool) (int, bool) {
+	uf := graph.NewParityUF(g.N())
+	touched := make([]bool, g.N())
+	edges := 0
+	for ei, e := range g.Edges() {
+		if skip[ei] {
+			continue
+		}
+		if e.U == e.V || !uf.UnionDiffer(e.U, e.V) {
+			return 0, false
+		}
+		edges++
+		touched[e.U], touched[e.V] = true, true
 	}
-
-	// Step 3: the edges removed for planarity (P) may themselves close odd
-	// cycles against the bipartized remainder.
-	t3 := time.Now() //aapsmvet:allow determinism stage-timing telemetry only; durations land in Stats, never in results
-	r.final, err = recheck(d.G, r.removed, removedSet, bipartSet, opt.Recheck)
-	if err != nil {
-		return nil, err
+	nodes, comps := 0, 0
+	for v, t := range touched {
+		if !t {
+			continue
+		}
+		nodes++
+		if root, _ := uf.Find(v); root == v {
+			comps++
+		}
 	}
-	r.recheckTime = time.Since(t3)
-	return r, nil
+	return edges - nodes + 2*comps, true
 }
 
 // recheck implements flow step 3 on one cluster's graph: decide which

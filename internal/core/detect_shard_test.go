@@ -104,7 +104,7 @@ func unsharedDetect(t *testing.T, cg *ConflictGraph, opt Options) *Detection {
 		all[c] = true
 		det.Stats.Shards++
 		det.Stats.LargestShardEdges = max(det.Stats.LargestShardEdges, len(p.Edges))
-		r, err := detectShard(context.Background(), cg.Drawing.Induce(p, localOf), pairs[c], opt)
+		r, err := detectShard(context.Background(), cg.Drawing.Induce(p, localOf), pairs[c], opt, true)
 		if err != nil {
 			t.Fatalf("cluster %d: %v", c, err)
 		}

@@ -202,7 +202,7 @@ func TestShifterSlotIsGraphNode(t *testing.T) {
 		t.Helper()
 		cg := det.Graph
 		sh := cg.Set.Shifters
-		reg := newPosRegistry()
+		reg := newPosRegistry(len(sh))
 		for i, s := range sh {
 			if want := reg.claim(s.Center()); cg.Drawing.Pos[i] != want {
 				t.Fatalf("%s: node %d at %v, shifter %d claims %v", tag, i, cg.Drawing.Pos[i], i, want)

@@ -277,7 +277,8 @@ func (st *IncrementalState) seed() (*clusterRun, error) {
 		run.crossPairs[i] = [2]int{int(p[0]), int(p[1])}
 	}
 	for i, sh := range st.Shards {
-		if _, dup := run.store[string(sh.Sig)]; dup {
+		sig := string(sh.Sig)
+		if _, dup := run.store[sig]; dup {
 			return nil, fmt.Errorf("result store entry %d repeats an earlier signature", i)
 		}
 		edges, ok := signatureEdges(sh.Sig)
@@ -285,6 +286,7 @@ func (st *IncrementalState) seed() (*clusterRun, error) {
 			return nil, fmt.Errorf("result store entry %d has a malformed signature", i)
 		}
 		r := &shardResult{
+			sig:       sig,
 			dualNodes: sh.DualNodes, dualEdges: sh.DualEdges, oddFaces: sh.OddFaces,
 			gadgetNodes: sh.GadgetNodes, gadgetEdges: sh.GadgetEdges,
 		}
@@ -301,7 +303,7 @@ func (st *IncrementalState) seed() (*clusterRun, error) {
 			}
 			*field.dst = local
 		}
-		run.store[string(sh.Sig)] = r
+		run.store[sig] = r
 	}
 	return run, nil
 }

@@ -87,9 +87,14 @@ func (g *Graph) build() {
 		deg[e.U]++
 		deg[e.V]++
 	}
+	// One backing array for every list: a cluster graph is built once per
+	// two-coloring, and a slice per node dominated that cost.
+	back := make([]Arc, 2*len(g.edges))
 	g.adj = make([][]Arc, g.n)
+	off := 0
 	for u := range g.adj {
-		g.adj[u] = make([]Arc, 0, deg[u])
+		g.adj[u] = back[off : off : off+deg[u]]
+		off += deg[u]
 	}
 	for i, e := range g.edges {
 		g.adj[e.U] = append(g.adj[e.U], Arc{e.V, i})

@@ -53,7 +53,13 @@ var snapMagic = [8]byte{'A', 'A', 'P', 'S', 'M', 'S', 'N', 'P'}
 // the cluster count and the per-cluster results, nil markers included, give
 // way to the result store, one (signature bytes, result) entry per distinct
 // cluster signature in ascending byte order.
-const Version uint16 = 6
+//
+// Version 7 keeps the wire layout of version 6, but its stored results come
+// from a T-join solved without parallel dual edges: of an overlap's two
+// equal-weight half-edges the lower-indexed one is now the pick, and the
+// gadget counts describe the smaller instance. A version 6 store would hand
+// a restore results that differ from a fresh solve.
+const Version uint16 = 7
 
 var (
 	// ErrCorrupt marks a snapshot that failed structural or checksum

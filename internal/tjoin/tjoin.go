@@ -10,14 +10,15 @@
 //     via node gadgets. The group-size cap selects the gadget family: cap 3
 //     reproduces the "optimized gadgets" of Berman et al. (TCAD'99); an
 //     unbounded cap is this paper's "generalized gadget", which materializes
-//     fewer nodes and is measurably faster (the Table 1 runtime columns).
+//     fewer nodes (Table 1's runtime columns compare the two).
 //   - solveLawler (MethodLawler in SolveContext): the classical reduction
 //     via shortest-path metric closure over T — the correctness reference.
 //   - SolveExhaustiveContext: brute force over edge subsets for tiny graphs
 //     (tests).
 //
 // All solvers require non-negative weights and return the selected edge
-// indices of G.
+// indices of G. SolveContext, the entry point of the detection flow, hands
+// every method the same instance with parallel edges and self-loops removed.
 package tjoin
 
 import (

@@ -431,3 +431,73 @@ func TestLawlerSparsificationStress(t *testing.T) {
 		}
 	}
 }
+
+// TestSolveContextPicksCanonicalParallelEdge checks SolveContext's parallel
+// collapse on random multigraphs with many parallel classes and tied
+// weights: every method reaches the exhaustive optimum, and every edge it
+// picks is the canonical one of its class (the cheapest, lowest index on
+// ties), never a self-loop.
+func TestSolveContextPicksCanonicalParallelEdge(t *testing.T) {
+	rng := rand.New(rand.NewSource(4242))
+	methods := []Method{MethodGeneralizedGadget, MethodOptimizedGadget, MethodLawler}
+	for trial := 0; trial < 300; trial++ {
+		n := rng.Intn(4) + 2
+		g := graph.New(n)
+		for i := rng.Intn(18) + 1; i > 0; i-- {
+			g.AddEdge(rng.Intn(n), rng.Intn(n), int64(rng.Intn(4)))
+		}
+		var T []int
+		for v := 0; v < n; v++ {
+			if rng.Intn(2) == 0 {
+				T = append(T, v)
+			}
+		}
+		T = T[:len(T)&^1]
+		want, errW := SolveExhaustiveContext(context.Background(), g, T)
+		for _, m := range methods {
+			got, err := SolveContext(context.Background(), g, T, Options{Method: m})
+			if errW != nil {
+				if err == nil {
+					t.Fatalf("trial %d m=%d: expected error", trial, m)
+				}
+				continue
+			}
+			if err != nil {
+				t.Fatalf("trial %d m=%d: %v", trial, m, err)
+			}
+			if got.Weight != want.Weight {
+				t.Fatalf("trial %d m=%d: weight %d, want %d (edges %v, T %v)", trial, m, got.Weight, want.Weight, g.Edges(), T)
+			}
+			if err := CheckJoin(g, T, got.Edges); err != nil {
+				t.Fatalf("trial %d m=%d: %v", trial, m, err)
+			}
+			for _, ei := range got.Edges {
+				e := g.Edge(ei)
+				if e.U == e.V {
+					t.Fatalf("trial %d m=%d: self-loop %d picked", trial, m, ei)
+				}
+				for oi, o := range g.Edges() {
+					same := (o.U == e.U && o.V == e.V) || (o.U == e.V && o.V == e.U)
+					if same && (o.Weight < e.Weight || (o.Weight == e.Weight && oi < ei)) {
+						t.Fatalf("trial %d m=%d: picked edge %d %+v over canonical %d %+v", trial, m, ei, e, oi, o)
+					}
+				}
+			}
+		}
+	}
+	// A tied class picks its lowest index whichever way the pair is written.
+	g := graph.New(2)
+	g.AddEdge(0, 1, 5)
+	g.AddEdge(1, 0, 2)
+	g.AddEdge(0, 1, 2)
+	g.AddEdge(1, 1, 0)
+	for _, m := range methods {
+		r, err := SolveContext(context.Background(), g, []int{0, 1}, Options{Method: m})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(r.Edges) != 1 || r.Edges[0] != 1 || r.Weight != 2 {
+			t.Fatalf("m=%d: %+v, want edge 1 of weight 2", m, r)
+		}
+	}
+}
