@@ -150,6 +150,17 @@ func FuzzReadGDS(f *testing.F) {
 	corrupt[2] = 0x42 // unknown record type up front
 	f.Add(corrupt)
 	f.Add([]byte{0, 4, 0x04, 0}) // lone ENDLIB (missing HEADER)
+	// The records before LIBNAME (HEADER, BGNLIB), then a cut two bytes
+	// into the LIBNAME header, and the stream with LIBNAME replaced by a
+	// maximum-length (0xFFFF-byte) record.
+	recLen := func(b []byte) int { return int(b[0])<<8 | int(b[1]) }
+	head := recLen(ref.Bytes())
+	head += recLen(ref.Bytes()[head:])
+	f.Add(ref.Bytes()[:head+2])
+	longName := append([]byte{0xFF, 0xFF, 0x02, 0x06}, bytes.Repeat([]byte{'L'}, 0xFFFF-4)...)
+	maxRecord := append(append(append([]byte(nil), ref.Bytes()[:head]...), longName...),
+		ref.Bytes()[head+recLen(ref.Bytes()[head:]):]...)
+	f.Add(maxRecord)
 	// Hierarchical seeds: SREF/AREF placements, a rectilinear polygon, and
 	// a reference cycle (the reader must reject it, not loop).
 	cross := gds.Poly{Layer: 0, Pts: []geom.Point{

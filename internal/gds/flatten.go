@@ -83,6 +83,13 @@ func (x xform) apply(p geom.Point) geom.Point {
 	return geom.Pt(x.a*px+x.b*py+x.tx, x.c*px+x.d*py+x.ty)
 }
 
+// rect maps a rectangle: a rectilinear transform of a rectangle is the
+// rectangle spanned by the images of two opposite corners.
+func (x xform) rect(r geom.Rect) geom.Rect {
+	p, q := x.apply(geom.Pt(r.X0, r.Y0)), x.apply(geom.Pt(r.X1, r.Y1))
+	return geom.R(p.X, p.Y, q.X, q.Y)
+}
+
 // compose returns x∘y: the transform applying y first, then x.
 func (x xform) compose(y xform) xform {
 	return xform{
@@ -130,6 +137,8 @@ type flattener struct {
 	placeCell []int32 // cell index per top-level placement
 	featInst  []int32 // placement index per emitted feature
 	onPath    []bool  // cells on the current DFS path (cycle check)
+
+	pts []geom.Point // transformed ring of the polygon being decomposed
 }
 
 // Flatten expands the library into the flat layout model. Cells referenced
@@ -253,15 +262,20 @@ func (st *flattener) cell(ci int, xf xform, depth int, inst int32, top bool) err
 }
 
 // poly transforms one boundary polygon and decomposes it into feature
-// rectangles. Polygons that decompose into a single rectangle stay group 0
-// (a plain rectangle); multi-rectangle decompositions share a fresh group
-// id so downstream attribution can address the drawn polygon.
+// rectangles. A plain rectangle ring (geom.AxisRect) is transformed as a
+// rectangle; any other ring goes through geom.DecomposeRectilinear.
+// Polygons that decompose into a single rectangle stay group 0 (a plain
+// rectangle); multi-rectangle decompositions share a fresh group id so
+// downstream attribution can address the drawn polygon.
 func (st *flattener) poly(cellName string, p Poly, xf xform, inst int32) error {
-	pts := make([]geom.Point, len(p.Pts))
-	for i, pt := range p.Pts {
-		pts[i] = xf.apply(pt)
+	if r, ok := geom.AxisRect(p.Pts); ok {
+		return st.emit(xf.rect(r), p.Layer, 0, inst)
 	}
-	rects, err := geom.DecomposeRectilinear(pts)
+	st.pts = st.pts[:0]
+	for _, pt := range p.Pts {
+		st.pts = append(st.pts, xf.apply(pt))
+	}
+	rects, err := geom.DecomposeRectilinear(st.pts)
 	if err != nil {
 		return fmt.Errorf("%w: cell %q: %v", ErrNotRectangle, cellName, err)
 	}
@@ -271,11 +285,19 @@ func (st *flattener) poly(cellName string, p Poly, xf xform, inst int32) error {
 		group = st.nextGroup
 	}
 	for _, r := range rects {
-		if len(st.l.Features) >= st.maxFeat {
-			return fmt.Errorf("%w (%d)", ErrTooLarge, st.maxFeat)
+		if err := st.emit(r, p.Layer, group, inst); err != nil {
+			return err
 		}
-		st.l.Features = append(st.l.Features, layout.Feature{Rect: r, Layer: p.Layer, Group: group})
-		st.featInst = append(st.featInst, inst)
 	}
+	return nil
+}
+
+// emit appends one feature tagged with its top-level placement.
+func (st *flattener) emit(r geom.Rect, layer, group int, inst int32) error {
+	if len(st.l.Features) >= st.maxFeat {
+		return fmt.Errorf("%w (%d)", ErrTooLarge, st.maxFeat)
+	}
+	st.l.Features = append(st.l.Features, layout.Feature{Rect: r, Layer: layer, Group: group})
+	st.featInst = append(st.featInst, inst)
 	return nil
 }

@@ -11,6 +11,18 @@
 // layout.Hierarchy sidecar that tags each feature with the top-level
 // placement it came from.
 //
+// Ingest allocates per library, not per record. The reader frames each
+// record in place in a read buffer sized for the longest legal record
+// (64 KiB), so a record's payload is a view that is valid only until the
+// next record is read: strings are copied out, and numeric records decode
+// into storage the pending element reuses. BOUNDARY points are carved from
+// shared chunks, one allocation per chunk. Flatten decomposes nothing that
+// is already a rectangle: a BOUNDARY ring of four corners (or five, the
+// first repeated) with axis-parallel edges and nonzero area
+// (geom.AxisRect) is transformed as a rectangle. Every other ring,
+// including those with duplicate or collinear vertices, goes through
+// geom.DecomposeRectilinear, with its groups and errors.
+//
 // The record framing, data types and the excess-64 floating point encoding
 // follow the Calma GDSII Stream Format Manual, release 6.0.
 package gds

@@ -71,32 +71,42 @@ func (lib *Library) CellIndex(name string) int {
 	return -1
 }
 
-// record is one framed GDSII record.
+// maxRecord is the longest legal record: the 16-bit length field counts
+// the 4-byte header too.
+const maxRecord = 0xFFFF
+
+// record is one framed GDSII record. Its payload is a view into the
+// reader's buffer and stays valid only until the next readRecord, so
+// nothing may keep it: str copies, and the numeric decoders copy into
+// caller-owned storage.
 type record struct {
 	rt, dt  byte
 	payload []byte
 }
 
-func (rec record) i16s() ([]int16, error) {
+// i16n returns the value count of an int16 record, or -1 if it is
+// malformed.
+func (rec record) i16n() int {
 	if rec.dt != dtInt16 || len(rec.payload)%2 != 0 {
-		return nil, fmt.Errorf("gds: malformed int16 record 0x%02x", rec.rt)
+		return -1
 	}
-	out := make([]int16, len(rec.payload)/2)
-	for i := range out {
-		out[i] = int16(binary.BigEndian.Uint16(rec.payload[2*i:]))
-	}
-	return out, nil
+	return len(rec.payload) / 2
 }
 
-func (rec record) i32s() ([]int32, error) {
+// i16 returns value i of an int16 record.
+func (rec record) i16(i int) int16 {
+	return int16(binary.BigEndian.Uint16(rec.payload[2*i:]))
+}
+
+// i32s appends the record's int32 values to dst.
+func (rec record) i32s(dst []int32) ([]int32, error) {
 	if rec.dt != dtInt32 || len(rec.payload)%4 != 0 {
-		return nil, fmt.Errorf("gds: malformed int32 record 0x%02x", rec.rt)
+		return dst, fmt.Errorf("gds: malformed int32 record 0x%02x", rec.rt)
 	}
-	out := make([]int32, len(rec.payload)/4)
-	for i := range out {
-		out[i] = int32(binary.BigEndian.Uint32(rec.payload[4*i:]))
+	for i := 0; i < len(rec.payload); i += 4 {
+		dst = append(dst, int32(binary.BigEndian.Uint32(rec.payload[i:])))
 	}
-	return out, nil
+	return dst, nil
 }
 
 func (rec record) str() string { return string(trimPad(rec.payload)) }
@@ -108,12 +118,17 @@ func (rec record) real8() (float64, error) {
 	return decodeReal8(rec.payload), nil
 }
 
-// readRecord reads one framed record.
+// readRecord frames one record in place: br must buffer at least maxRecord
+// bytes, so the whole record can be peeked and then discarded without a
+// copy.
 func readRecord(br *bufio.Reader) (record, error) {
-	var hdr [4]byte
-	if _, err := io.ReadFull(br, hdr[:]); err != nil {
+	hdr, err := br.Peek(4)
+	if err != nil {
 		if err == io.EOF {
-			return record{}, fmt.Errorf("gds: missing ENDLIB")
+			if len(hdr) == 0 {
+				return record{}, fmt.Errorf("gds: missing ENDLIB")
+			}
+			err = io.ErrUnexpectedEOF
 		}
 		return record{}, err
 	}
@@ -121,14 +136,21 @@ func readRecord(br *bufio.Reader) (record, error) {
 	if length < 4 {
 		return record{}, fmt.Errorf("gds: record length %d < 4", length)
 	}
-	rec := record{rt: hdr[2], dt: hdr[3], payload: make([]byte, length-4)}
-	if _, err := io.ReadFull(br, rec.payload); err != nil {
-		return record{}, fmt.Errorf("gds: truncated record 0x%02x: %w", rec.rt, err)
+	rt, dt := hdr[2], hdr[3]
+	buf, err := br.Peek(length)
+	if err != nil {
+		if err == io.EOF {
+			err = io.ErrUnexpectedEOF
+		}
+		return record{}, fmt.Errorf("gds: truncated record 0x%02x: %w", rt, err)
 	}
-	return rec, nil
+	br.Discard(length) // cannot fail: the record is buffered
+	return record{rt: rt, dt: dt, payload: buf[4:length:length]}, nil
 }
 
-// pendingElem accumulates the records of one element until its ENDEL.
+// pendingElem accumulates the records of one element until its ENDEL. One
+// value serves a whole library: LAYER and COLROW decode into its fields,
+// XY into a buffer that reset keeps.
 type pendingElem struct {
 	kind     byte // recBOUNDARY, recSREF or recAREF
 	layer    int16
@@ -144,14 +166,46 @@ type pendingElem struct {
 	haveGrid bool
 }
 
+// reset starts a new element of the given kind, keeping the XY buffer.
+func (el *pendingElem) reset(kind byte) {
+	*el = pendingElem{kind: kind, mag: 1, xy: el.xy[:0]}
+}
+
+// Point slab chunk sizes: chunks double from slabMin up to slabMax points.
+const (
+	slabMin = 64
+	slabMax = 1 << 13
+)
+
+// pointSlab carves BOUNDARY point slices out of shared chunks, so a
+// library's polygons cost one allocation per chunk rather than one each.
+type pointSlab struct {
+	free  []geom.Point
+	chunk int
+}
+
+// take returns n points of fresh storage, capped so an append cannot run
+// into a neighbour.
+func (s *pointSlab) take(n int) []geom.Point {
+	if len(s.free) < n {
+		s.chunk = min(max(2*s.chunk, slabMin), slabMax)
+		s.free = make([]geom.Point, max(n, s.chunk))
+	}
+	pts := s.free[:n:n]
+	s.free = s.free[n:]
+	return pts
+}
+
 // ReadLibrary parses a GDSII stream into its structure view. Unsupported
 // record types yield ErrUnknownRecord; transforms outside the rectilinear
 // subgroup yield ErrUnsupportedTransform.
 func ReadLibrary(r io.Reader) (*Library, error) {
-	br := bufio.NewReader(r)
+	br := bufio.NewReaderSize(r, maxRecord)
 	lib := &Library{}
-	var cur *Cell       // inside BGNSTR..ENDSTR
-	var el *pendingElem // inside an element
+	var cur *Cell // inside BGNSTR..ENDSTR
+	var el pendingElem
+	inElem := false
+	var slab pointSlab
 	sawHeader := false
 	for {
 		rec, err := readRecord(br)
@@ -161,16 +215,16 @@ func ReadLibrary(r io.Reader) (*Library, error) {
 		if !sawHeader && rec.rt != recHEADER {
 			return nil, fmt.Errorf("gds: stream does not start with HEADER")
 		}
-		if el != nil {
+		if inElem {
 			done, err := el.consume(rec)
 			if err != nil {
 				return nil, err
 			}
 			if done {
-				if err := el.finish(cur); err != nil {
+				if err := el.finish(cur, &slab); err != nil {
 					return nil, err
 				}
-				el = nil
+				inElem = false
 			}
 			continue
 		}
@@ -216,7 +270,8 @@ func ReadLibrary(r io.Reader) (*Library, error) {
 			if cur == nil {
 				return nil, fmt.Errorf("gds: element 0x%02x outside structure", rec.rt)
 			}
-			el = &pendingElem{kind: rec.rt, mag: 1}
+			el.reset(rec.rt)
+			inElem = true
 		case recENDLIB:
 			if cur != nil {
 				return nil, fmt.Errorf("gds: ENDLIB inside structure")
@@ -238,24 +293,23 @@ func (el *pendingElem) consume(rec record) (bool, error) {
 		if el.kind != recBOUNDARY {
 			return false, fmt.Errorf("gds: LAYER inside reference")
 		}
-		vals, err := rec.i16s()
-		if err != nil || len(vals) < 1 {
+		if rec.i16n() < 1 {
 			return false, fmt.Errorf("gds: malformed LAYER")
 		}
-		el.layer = vals[0]
+		el.layer = rec.i16(0)
 	case recDATATYPE:
 		if el.kind != recBOUNDARY {
 			return false, fmt.Errorf("gds: DATATYPE inside reference")
 		}
 	case recXY:
-		xy, err := rec.i32s()
+		xy, err := rec.i32s(el.xy[:0])
+		el.xy = xy
 		if err != nil {
 			return false, err
 		}
 		if len(xy)%2 != 0 {
 			return false, fmt.Errorf("gds: malformed XY")
 		}
-		el.xy = xy
 		el.haveXY = true
 	case recSNAME:
 		if el.kind == recBOUNDARY {
@@ -291,11 +345,10 @@ func (el *pendingElem) consume(rec record) (bool, error) {
 		if el.kind != recAREF {
 			return false, fmt.Errorf("gds: COLROW outside AREF")
 		}
-		vals, err := rec.i16s()
-		if err != nil || len(vals) != 2 {
+		if rec.i16n() != 2 {
 			return false, fmt.Errorf("gds: malformed COLROW")
 		}
-		el.cols, el.rows = vals[0], vals[1]
+		el.cols, el.rows = rec.i16(0), rec.i16(1)
 		el.haveGrid = true
 	default:
 		return false, fmt.Errorf("%w 0x%02x inside element", ErrUnknownRecord, rec.rt)
@@ -303,8 +356,9 @@ func (el *pendingElem) consume(rec record) (bool, error) {
 	return false, nil
 }
 
-// finish validates the accumulated element and appends it to the cell.
-func (el *pendingElem) finish(cur *Cell) error {
+// finish validates the accumulated element and appends it to the cell,
+// carving BOUNDARY points from slab.
+func (el *pendingElem) finish(cur *Cell, slab *pointSlab) error {
 	if !el.haveXY {
 		return fmt.Errorf("gds: element 0x%02x without XY", el.kind)
 	}
@@ -313,7 +367,7 @@ func (el *pendingElem) finish(cur *Cell) error {
 		if n < 4 {
 			return ErrNotRectangle
 		}
-		pts := make([]geom.Point, n)
+		pts := slab.take(n)
 		for i := range pts {
 			pts[i] = geom.Pt(int64(el.xy[2*i]), int64(el.xy[2*i+1]))
 		}

@@ -85,6 +85,29 @@ func DecomposeRectilinear(pts []Point) ([]Rect, error) {
 	return mergeVertical(out), nil
 }
 
+// AxisRect recognizes the common case of DecomposeRectilinear without its
+// normalization and sorting: a closed axis-aligned rectangle ring of exactly
+// four distinct corners in either winding, optionally followed by a repeat
+// of the first, with nonzero area. For such a ring it returns the one
+// rectangle DecomposeRectilinear returns; any other ring (duplicate or
+// collinear vertices, zero area, more corners) is declined, so the caller
+// falls back to DecomposeRectilinear and its result or error.
+func AxisRect(pts []Point) (Rect, bool) {
+	if len(pts) == 5 && pts[4] == pts[0] {
+		pts = pts[:4]
+	}
+	if len(pts) != 4 {
+		return Rect{}, false
+	}
+	a, b, c, d := pts[0], pts[1], pts[2], pts[3]
+	vertFirst := a.X == b.X && b.Y == c.Y && c.X == d.X && d.Y == a.Y
+	horizFirst := a.Y == b.Y && b.X == c.X && c.Y == d.Y && d.X == a.X
+	if !vertFirst && !horizFirst || a.X == c.X || a.Y == c.Y {
+		return Rect{}, false
+	}
+	return R(a.X, a.Y, c.X, c.Y), true
+}
+
 // normalizePolygon removes an explicit closing vertex, consecutive
 // duplicates and collinear middle vertices.
 func normalizePolygon(pts []Point) []Point {

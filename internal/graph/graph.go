@@ -10,6 +10,7 @@ package graph
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 )
 
@@ -62,6 +63,12 @@ func (g *Graph) AddEdge(u, v int, w int64) int {
 	g.edges = append(g.edges, Edge{u, v, w})
 	g.dirty = true
 	return len(g.edges) - 1
+}
+
+// Grow reserves room for m more edges, so that many AddEdge calls do not
+// reallocate the edge list.
+func (g *Graph) Grow(m int) {
+	g.edges = slices.Grow(g.edges, m)
 }
 
 // Edges returns the backing edge slice. Callers must not append; mutating

@@ -179,17 +179,21 @@ func (em *Embedding) OddFaces() []int {
 // Bridges become self-loops in the dual and are kept (T-join solvers skip
 // them; they can never repair face parity).
 func (em *Embedding) Dual() (dg *graph.Graph, primalOf []int, T []int) {
-	dg = graph.New(em.NumFaces)
 	// One dual edge per logical edge: use its first segment's twin pair.
 	firstSeg := make([]int, em.d.G.M())
 	for i := range firstSeg {
 		firstSeg[i] = -1
 	}
+	m := 0
 	for s, e := range em.segEdge {
 		if firstSeg[e] == -1 {
 			firstSeg[e] = s
+			m++
 		}
 	}
+	dg = graph.New(em.NumFaces)
+	dg.Grow(m)
+	primalOf = make([]int, 0, m)
 	for e := 0; e < em.d.G.M(); e++ {
 		s := firstSeg[e]
 		if s == -1 {
