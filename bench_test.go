@@ -114,7 +114,7 @@ func benchmarkGadget(b *testing.B, method tjoin.Method) {
 	// Pre-planarize once; time only the dual T-join (the paper's matching
 	// runtime columns).
 	removedSet := make([]bool, cg.Edges())
-	for _, e := range cg.Drawing.PlanarizeGiven(cg.Drawing.Crossings()) {
+	for _, e := range cg.Drawing.PlanarizeGiven(cg.Drawing.Crossings(1)) {
 		removedSet[e] = true
 	}
 	pd, _ := cg.Drawing.WithoutEdgeSet(removedSet)
@@ -369,20 +369,41 @@ func BenchmarkShifterGenerate_d5(b *testing.B) {
 	}
 }
 
-// BenchmarkCrossings_d5 times the full crossing sweep over d5's drawn
-// phase conflict graph; the graph is built once outside the timer.
-func BenchmarkCrossings_d5(b *testing.B) {
-	cg, err := core.BuildGraph(suiteLayout(b, 4), benchRules(), core.PCG)
+// BenchmarkBuildGraph_d5 times conflict-graph construction over d5's
+// shifter set, which is synthesized once outside the timer.
+func BenchmarkBuildGraph_d5(b *testing.B) {
+	l := suiteLayout(b, 4)
+	set, err := shifter.Generate(l, benchRules())
 	if err != nil {
 		b.Fatal(err)
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
-	var pairs int
 	for i := 0; i < b.N; i++ {
-		pairs = len(cg.Drawing.Crossings())
+		if _, err := core.BuildGraphFromSet(l, benchRules(), set, core.PCG); err != nil {
+			b.Fatal(err)
+		}
 	}
-	b.ReportMetric(float64(pairs), "crossings")
+}
+
+// BenchmarkCrossings_d5 times the full crossing sweep over d5's drawn
+// phase conflict graph at one and two workers; the graph is built once
+// outside the timer.
+func BenchmarkCrossings_d5(b *testing.B) {
+	cg, err := core.BuildGraph(suiteLayout(b, 4), benchRules(), core.PCG)
+	if err != nil {
+		b.Fatal(err)
+	}
+	for _, workers := range []int{1, 2} {
+		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
+			b.ReportAllocs()
+			var pairs int
+			for i := 0; i < b.N; i++ {
+				pairs = len(cg.Drawing.Crossings(workers))
+			}
+			b.ReportMetric(float64(pairs), "crossings")
+		})
+	}
 }
 
 // --- incremental edit-and-re-detect ---
@@ -587,7 +608,7 @@ func BenchmarkGadgetGroupCapSweep(b *testing.B) {
 		b.Fatal(err)
 	}
 	removedSet := make([]bool, cg.Edges())
-	for _, e := range cg.Drawing.PlanarizeGiven(cg.Drawing.Crossings()) {
+	for _, e := range cg.Drawing.PlanarizeGiven(cg.Drawing.Crossings(1)) {
 		removedSet[e] = true
 	}
 	pd, _ := cg.Drawing.WithoutEdgeSet(removedSet)

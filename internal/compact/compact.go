@@ -176,18 +176,18 @@ func expandAxis(l *layout.Layout, rules layout.Rules, reqs []Requirement, axis A
 	for i := range boxes {
 		boxes[i] = l.Features[i].Rect.Expand(reach)
 	}
-	geom.ForEachPair(boxes, reach*2, func(a, b int32) {
-		i, j := int(a), int(b)
-		pi, pj := perp(i), perp(j)
-		if !pi.Intersects(geom.Interval{Lo: pj.Lo - reach, Hi: pj.Hi + reach}) {
-			return
-		}
+	near, _ := geom.Pairs(boxes, reach*2, 1, func(a, b int32) bool {
+		pi, pj := perp(int(a)), perp(int(b))
+		return pi.Intersects(geom.Interval{Lo: pj.Lo - reach, Hi: pj.Hi + reach})
+	})
+	for _, p := range near {
+		i, j := int(p[0]), int(p[1])
 		// Touching features (junctions, merged shapes) must move as one:
 		// preserve their exact relative offset in both directions. Others
 		// get an ordered minimum-distance edge preserving the current gap.
 		if l.Features[i].Rect.Intersects(l.Features[j].Rect) {
 			edges = append(edges, edge{i, j, lo(j) - lo(i)}, edge{j, i, lo(i) - lo(j)})
-			return
+			continue
 		}
 		switch {
 		case hi(i) <= lo(j):
@@ -202,7 +202,7 @@ func expandAxis(l *layout.Layout, rules layout.Rules, reqs []Requirement, axis A
 			// would weld whole rows together and contradict separation
 			// requirements.
 		}
-	})
+	}
 	// Requirement edges.
 	for _, q := range reqs {
 		a, b := q.A, q.B

@@ -103,8 +103,13 @@ func BuildGraph(l *layout.Layout, r layout.Rules, kind GraphKind) (*ConflictGrap
 func BuildGraphFromSet(l *layout.Layout, r layout.Rules, set *shifter.Set, kind GraphKind) (*ConflictGraph, error) {
 	g := graph.New(0)
 	cg := &ConflictGraph{Kind: kind, Set: set, Rules: r}
-	reg := newPosRegistry(len(set.Shifters) + len(set.Overlaps))
-	pos := make([]geom.Point, 0, len(set.Shifters)*2)
+	nodes, edges := len(set.Shifters)+len(set.Overlaps), 2*len(set.Overlaps)+len(set.Shifters)/2
+	reg := newPosRegistry(nodes)
+	pos := make([]geom.Point, 0, nodes)
+	if edges > 0 {
+		g.Grow(edges)
+		cg.Meta = make([]EdgeMeta, 0, edges)
+	}
 
 	for _, sh := range set.Shifters {
 		g.AddNode()
@@ -169,15 +174,17 @@ func overlapRegionCenter(a, b geom.Rect, r layout.Rules) geom.Point {
 
 // posRegistry hands out distinct node positions: a drawing with coincident
 // nodes has degenerate geometry, so claimed duplicates are nudged by 1 nm
-// steps in a small spiral until free.
+// steps in a small spiral until free. A position whose coordinates both fit
+// an int32 is keyed by one packed uint64; any other by the point itself.
 type posRegistry struct {
-	used map[geom.Point]bool
+	used map[uint64]struct{}
+	wide map[geom.Point]struct{}
 }
 
 // newPosRegistry sizes the registry for n claims, one per node of the graph
 // being built, so claiming never grows the map.
 func newPosRegistry(n int) *posRegistry {
-	return &posRegistry{used: make(map[geom.Point]bool, n)}
+	return &posRegistry{used: make(map[uint64]struct{}, n)}
 }
 
 var nudges = []geom.Point{
@@ -185,16 +192,29 @@ var nudges = []geom.Point{
 	{X: 1, Y: 1}, {X: -1, Y: 1}, {X: 1, Y: -1}, {X: -1, Y: -1},
 }
 
+// take marks p used and reports whether it was free, with one map insert.
+func (pr *posRegistry) take(p geom.Point) bool {
+	if int64(int32(p.X)) == p.X && int64(int32(p.Y)) == p.Y {
+		n := len(pr.used)
+		pr.used[uint64(uint32(p.X))<<32|uint64(uint32(p.Y))] = struct{}{}
+		return len(pr.used) > n
+	}
+	if pr.wide == nil {
+		pr.wide = make(map[geom.Point]struct{})
+	}
+	n := len(pr.wide)
+	pr.wide[p] = struct{}{}
+	return len(pr.wide) > n
+}
+
 func (pr *posRegistry) claim(p geom.Point) geom.Point {
-	if !pr.used[p] {
-		pr.used[p] = true
+	if pr.take(p) {
 		return p
 	}
 	for radius := int64(1); ; radius++ {
 		for _, d := range nudges {
 			q := geom.Pt(p.X+d.X*radius, p.Y+d.Y*radius)
-			if !pr.used[q] {
-				pr.used[q] = true
+			if pr.take(q) {
 				return q
 			}
 		}

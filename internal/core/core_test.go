@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 
+	"math"
 	"math/rand"
 	"testing"
 
@@ -326,5 +327,42 @@ func TestPosRegistryNudges(t *testing.T) {
 	}
 	if geom.Abs(p2.X-p.X)+geom.Abs(p2.Y-p.Y) > 2 {
 		t.Error("nudge should be small")
+	}
+}
+
+// TestPosRegistryMatchesPointSet checks claims against a registry keyed by
+// the point itself, on clustered duplicates placed both inside the int32
+// range and straddling its edges, where nudges cross between the packed and
+// the point-keyed maps.
+func TestPosRegistryMatchesPointSet(t *testing.T) {
+	used := map[geom.Point]bool{}
+	ref := func(p geom.Point) geom.Point {
+		if !used[p] {
+			used[p] = true
+			return p
+		}
+		for radius := int64(1); ; radius++ {
+			for _, d := range nudges {
+				q := geom.Pt(p.X+d.X*radius, p.Y+d.Y*radius)
+				if !used[q] {
+					used[q] = true
+					return q
+				}
+			}
+		}
+	}
+	pr := newPosRegistry(16)
+	rng := rand.New(rand.NewSource(3))
+	centers := []geom.Point{
+		geom.Pt(0, 0), geom.Pt(-5, 7),
+		geom.Pt(math.MaxInt32, 0), geom.Pt(math.MinInt32, math.MaxInt32),
+		geom.Pt(1<<40, -(1 << 40)),
+	}
+	for k := 0; k < 5000; k++ {
+		c := centers[rng.Intn(len(centers))]
+		p := geom.Pt(c.X+rng.Int63n(5)-2, c.Y+rng.Int63n(5)-2)
+		if got, want := pr.claim(p), ref(p); got != want {
+			t.Fatalf("claim %d of %v = %v, want %v", k, p, got, want)
+		}
 	}
 }

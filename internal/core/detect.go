@@ -179,7 +179,7 @@ func detect(ctx context.Context, cg *ConflictGraph, cross func() [][2]int, prev 
 	// Step 1a: one crossing-pair list for the whole drawing; the greedy
 	// removal itself happens per shard on it.
 	if cross == nil {
-		cross = cg.Drawing.Crossings
+		cross = func() [][2]int { return cg.Drawing.Crossings(opt.Workers) }
 	}
 	tCross := time.Now() //aapsmvet:allow determinism stage-timing telemetry only; durations land in Stats, never in results
 	run := &clusterRun{crossPairs: cross()}

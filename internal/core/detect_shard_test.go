@@ -80,7 +80,7 @@ func unsharedDetect(t *testing.T, cg *ConflictGraph, opt Options) *Detection {
 	det := &Detection{Graph: cg}
 	det.Stats.GraphNodes = cg.Nodes()
 	det.Stats.GraphEdges = cg.Edges()
-	crossPairs := cg.Drawing.Crossings()
+	crossPairs := cg.Drawing.Crossings(1)
 	det.Stats.CrossingPairs = len(crossPairs)
 	labels, nShards := conflictClusters(cg.Drawing.G, crossPairs)
 	parts, localOf := cg.Drawing.G.Partition(labels, nShards)
@@ -235,7 +235,7 @@ func TestShardedDetectionWorkerEquivalence(t *testing.T) {
 // dual T-join, one global recheck — as an independent oracle for the merge.
 func unshardedReference(t *testing.T, cg *ConflictGraph, mode RecheckMode) (removed, bipart, final []int) {
 	t.Helper()
-	removed = cg.Drawing.PlanarizeGiven(cg.Drawing.Crossings())
+	removed = cg.Drawing.PlanarizeGiven(cg.Drawing.Crossings(1))
 	removedSet := make([]bool, cg.Drawing.G.M())
 	for _, e := range removed {
 		removedSet[e] = true

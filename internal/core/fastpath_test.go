@@ -108,7 +108,7 @@ func shardResultsEqual(t *testing.T, tag string, full, fast *shardResult) {
 func fastPathOracle(t *testing.T, tag string, cg *ConflictGraph, opt Options) int {
 	t.Helper()
 	ctx := context.Background()
-	crossPairs := cg.Drawing.Crossings()
+	crossPairs := cg.Drawing.Crossings(1)
 	g := cg.Drawing.G
 	labels, n := conflictClusters(g, crossPairs)
 	parts, localOf := g.Partition(labels, n)
@@ -205,7 +205,7 @@ func TestFastPathDisconnectedRemainder(t *testing.T) {
 	}
 	g.AddEdge(8, 9, 1)
 	d := planar.NewDrawing(g, pos)
-	pairs := d.Crossings()
+	pairs := d.Crossings(1)
 	for _, mode := range []RecheckMode{RecheckColoring, RecheckParity} {
 		opt := Options{Recheck: mode}
 		full, err := detectShard(context.Background(), d, pairs, opt, false)

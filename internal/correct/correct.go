@@ -7,7 +7,9 @@
 package correct
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"sort"
 
 	"repro/internal/core"
@@ -284,26 +286,45 @@ func Apply(l *layout.Layout, p *Plan) *layout.Layout {
 			hcuts = append(hcuts, c)
 		}
 	}
-	mapCoord := func(cuts []Cut, c int64) int64 {
-		var off int64
-		for _, cut := range cuts {
-			if cut.Pos <= c {
-				off += cut.Width
-			}
-		}
-		return c + off
-	}
+	xs, ys := newCutShift(vcuts), newCutShift(hcuts)
 	out := layout.New(l.Name + "+spaces")
+	if len(l.Features) > 0 {
+		out.Features = make([]layout.Feature, 0, len(l.Features))
+	}
 	for _, f := range l.Features {
 		nr := geom.Rect{
-			X0: mapCoord(vcuts, f.Rect.X0),
-			Y0: mapCoord(hcuts, f.Rect.Y0),
-			X1: mapCoord(vcuts, f.Rect.X1),
-			Y1: mapCoord(hcuts, f.Rect.Y1),
+			X0: xs.shift(f.Rect.X0),
+			Y0: ys.shift(f.Rect.Y0),
+			X1: xs.shift(f.Rect.X1),
+			Y1: ys.shift(f.Rect.Y1),
 		}
 		out.AddOnLayer(nr, f.Layer)
 	}
 	return out
+}
+
+// cutShift maps a coordinate across one axis's cuts: a coordinate c moves by
+// the summed width of every cut with Pos <= c. pos holds the cut positions
+// ascending and width[k] the summed width of the first k of them.
+type cutShift struct {
+	pos   []int64
+	width []int64
+}
+
+func newCutShift(cuts []Cut) cutShift {
+	sorted := slices.Clone(cuts)
+	slices.SortFunc(sorted, func(a, b Cut) int { return cmp.Compare(a.Pos, b.Pos) })
+	cs := cutShift{pos: make([]int64, len(sorted)), width: make([]int64, len(sorted)+1)}
+	for k, c := range sorted {
+		cs.pos[k] = c.Pos
+		cs.width[k+1] = cs.width[k] + c.Width
+	}
+	return cs
+}
+
+func (cs cutShift) shift(c int64) int64 {
+	n := sort.Search(len(cs.pos), func(k int) bool { return cs.pos[k] > c })
+	return c + cs.width[n]
 }
 
 // Stats summarizes a correction for Table 2.

@@ -91,13 +91,14 @@ func ForEachSpacingViolation(l *layout.Layout, r layout.Rules, fn func(i, j int3
 	for i, f := range l.Features {
 		boxes[i] = f.Rect.Expand(r.MinFeatureSpacing)
 	}
-	checked := 0
-	geom.ForEachPair(boxes, cell, func(i, j int32) {
-		checked++
-		if v, bad := SpacingViolation(int(i), int(j), l.Features[i].Rect, l.Features[j].Rect, r); bad {
-			fn(i, j, v)
-		}
+	kept, checked := geom.Pairs(boxes, cell, 1, func(i, j int32) bool {
+		_, bad := SpacingViolation(int(i), int(j), l.Features[i].Rect, l.Features[j].Rect, r)
+		return bad
 	})
+	for _, p := range kept {
+		v, _ := SpacingViolation(int(p[0]), int(p[1]), l.Features[p[0]].Rect, l.Features[p[1]].Rect, r)
+		fn(p[0], p[1], v)
+	}
 	return checked
 }
 

@@ -237,13 +237,13 @@ func RunFigure2(rules layout.Rules) (Figure2Stats, error) {
 		return st, err
 	}
 	st.PCGNodes, st.PCGEdges = cgP.Nodes(), cgP.Edges()
-	st.PCGCrossings = len(cgP.Drawing.Crossings())
+	st.PCGCrossings = len(cgP.Drawing.Crossings(1))
 	cgF, err := core.BuildGraph(l, rules, core.FG)
 	if err != nil {
 		return st, err
 	}
 	st.FGNodes, st.FGEdges = cgF.Nodes()+cgF.BendNodes, cgF.Edges()
-	st.FGCrossings = len(cgF.Drawing.Crossings())
+	st.FGCrossings = len(cgF.Drawing.Crossings(1))
 	st.FGBends = cgF.BendNodes
 	return st, nil
 }

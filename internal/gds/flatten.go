@@ -135,8 +135,12 @@ type flattener struct {
 	nextGroup int
 
 	placeCell []int32 // cell index per top-level placement
+	keepInst  bool    // whether featInst is filled: a sidecar may be kept
 	featInst  []int32 // placement index per emitted feature
 	onPath    []bool  // cells on the current DFS path (cycle check)
+
+	index map[string]int // cell name -> first index, built on first lookup
+	count []int          // memoized flattened polygon count per cell, -1 unknown
 
 	pts []geom.Point // transformed ring of the polygon being decomposed
 }
@@ -150,9 +154,15 @@ func (lib *Library) Flatten(opt ReadOptions) (*layout.Layout, error) {
 	if len(lib.Cells) == 0 {
 		return nil, ErrEmptyLibrary
 	}
+	st := &flattener{
+		lib:      lib,
+		maxDepth: opt.MaxDepth,
+		maxFeat:  opt.MaxFlattenedFeatures,
+		onPath:   make([]bool, len(lib.Cells)),
+	}
 	var roots []int
 	if opt.TopCell != "" {
-		ci := lib.CellIndex(opt.TopCell)
+		ci := st.cellIndex(opt.TopCell)
 		if ci < 0 {
 			return nil, fmt.Errorf("%w: %q", ErrUnknownTopCell, opt.TopCell)
 		}
@@ -173,12 +183,6 @@ func (lib *Library) Flatten(opt ReadOptions) (*layout.Layout, error) {
 			return nil, fmt.Errorf("%w: every cell is referenced", ErrReferenceCycle)
 		}
 	}
-	st := &flattener{
-		lib:      lib,
-		maxDepth: opt.MaxDepth,
-		maxFeat:  opt.MaxFlattenedFeatures,
-		onPath:   make([]bool, len(lib.Cells)),
-	}
 	if st.maxDepth == 0 {
 		st.maxDepth = DefaultMaxDepth
 	}
@@ -190,6 +194,25 @@ func (lib *Library) Flatten(opt ReadOptions) (*layout.Layout, error) {
 		name = lib.Cells[roots[0]].Name
 	}
 	st.l = layout.New(name)
+	// Size the outputs from the polygon count; decomposing a non-rectangle
+	// ring may add features beyond it, and a count over the limit fails the
+	// walk anyway. Placement tags are kept only when a root places cells
+	// and the sidecar is wanted.
+	total := 0
+	st.count = make([]int, len(lib.Cells))
+	for i := range st.count {
+		st.count[i] = -1
+	}
+	for _, root := range roots {
+		total = min(total+st.polyCount(root), st.maxFeat+1)
+		st.keepInst = st.keepInst || (!opt.Flatten && len(lib.Cells[root].Refs) > 0)
+	}
+	if total > 0 && total <= st.maxFeat {
+		st.l.Features = make([]layout.Feature, 0, total)
+		if st.keepInst {
+			st.featInst = make([]int32, 0, total)
+		}
+	}
 	for _, root := range roots {
 		if err := st.cell(root, identityXform(), 0, -1, true); err != nil {
 			return nil, err
@@ -229,7 +252,7 @@ func (st *flattener) cell(ci int, xf xform, depth int, inst int32, top bool) err
 		}
 	}
 	for _, rf := range c.Refs {
-		ti := st.lib.CellIndex(rf.Cell)
+		ti := st.cellIndex(rf.Cell)
 		if ti < 0 {
 			return fmt.Errorf("%w: %q from %q", ErrUnknownCell, rf.Cell, c.Name)
 		}
@@ -298,6 +321,56 @@ func (st *flattener) emit(r geom.Rect, layer, group int, inst int32) error {
 		return fmt.Errorf("%w (%d)", ErrTooLarge, st.maxFeat)
 	}
 	st.l.Features = append(st.l.Features, layout.Feature{Rect: r, Layer: layer, Group: group})
-	st.featInst = append(st.featInst, inst)
+	if st.keepInst {
+		st.featInst = append(st.featInst, inst)
+	}
 	return nil
+}
+
+// cellIndex is lib.CellIndex through a name index built on the first call.
+func (st *flattener) cellIndex(name string) int {
+	if st.index == nil {
+		st.index = make(map[string]int, len(st.lib.Cells))
+		for i := len(st.lib.Cells) - 1; i >= 0; i-- {
+			st.index[st.lib.Cells[i].Name] = i
+		}
+	}
+	if i, ok := st.index[name]; ok {
+		return i
+	}
+	return -1
+}
+
+// polyCount returns how many polygons flattening cell ci emits, at most
+// maxFeat+1. References to unknown cells and cycles count nothing here; the
+// walk reports them.
+func (st *flattener) polyCount(ci int) int {
+	if st.count[ci] >= 0 {
+		return st.count[ci]
+	}
+	st.count[ci] = 0 // a cycle back to ci counts nothing
+	c := st.lib.Cells[ci]
+	limit := st.maxFeat + 1
+	n := min(len(c.Polys), limit)
+	for _, rf := range c.Refs {
+		ti := st.cellIndex(rf.Cell)
+		if ti < 0 {
+			continue
+		}
+		each := st.polyCount(ti)
+		cols, rows := 1, 1
+		if rf.isArray() {
+			cols, rows = max(rf.Cols, 0), max(rf.Rows, 0)
+		}
+		if each == 0 || cols == 0 || rows == 0 {
+			continue
+		}
+		if room := (limit - n) / each; cols > room || rows > room/cols {
+			n = limit
+			break
+		}
+		n += cols * rows * each
+	}
+	st.count[ci] = n
+	return n
 }

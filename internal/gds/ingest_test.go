@@ -3,6 +3,7 @@ package gds
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"io"
 	"reflect"
 	"testing"
@@ -255,5 +256,106 @@ func BenchmarkReadArrayD3(b *testing.B) {
 		if _, err := ReadWith(bytes.NewReader(data), ReadOptions{}); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// manyCellsLibrary returns a library of n one-rectangle cells C0..C{n-1},
+// each placed once by a TOP cell that comes last, so every ENDSTR's
+// duplicate check and every placement's cell lookup meets a large library.
+func manyCellsLibrary(n int) *Library {
+	lib := &Library{Name: "MANY"}
+	top := &Cell{Name: "TOP"}
+	for i := range n {
+		name := fmt.Sprintf("C%d", i)
+		x := int64(i%100) * 1000
+		y := int64(i/100) * 1000
+		lib.Cells = append(lib.Cells, &Cell{Name: name, Polys: []Poly{{
+			Layer: 1,
+			Pts:   []geom.Point{{X: 0, Y: 0}, {X: 500, Y: 0}, {X: 500, Y: 100}, {X: 0, Y: 100}},
+		}}})
+		top.Refs = append(top.Refs, Ref{Cell: name, Origin: geom.Pt(x, y)})
+	}
+	lib.Cells = append(lib.Cells, top)
+	return lib
+}
+
+// TestManyCellsRoundTrip reads and flattens a library of 8 000 cells: each
+// placement lands its one rectangle at its own origin, tagged with its own
+// placement and cell, and a duplicated cell name is still rejected.
+func TestManyCellsRoundTrip(t *testing.T) {
+	const n = 8000
+	var buf bytes.Buffer
+	if err := WriteLibrary(&buf, manyCellsLibrary(n)); err != nil {
+		t.Fatal(err)
+	}
+	data := buf.Bytes()
+	lib, err := ReadLibrary(bytes.NewReader(data))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(lib.Cells) != n+1 || lib.CellIndex("TOP") != n || lib.CellIndex("C4321") != 4321 || lib.CellIndex("nope") != -1 {
+		t.Fatalf("library has %d cells, TOP at %d, C4321 at %d", len(lib.Cells), lib.CellIndex("TOP"), lib.CellIndex("C4321"))
+	}
+	l, err := lib.Flatten(ReadOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(l.Features) != n || l.Hier == nil || len(l.Hier.PlacementCell) != n {
+		t.Fatalf("%d features, hierarchy %v", len(l.Features), l.Hier != nil)
+	}
+	for i, f := range l.Features {
+		x, y := int64(i%100)*1000, int64(i/100)*1000
+		if f.Rect != geom.R(x, y, x+500, y+100) || f.Layer != 1 {
+			t.Fatalf("feature %d = %+v", i, f)
+		}
+		if l.Hier.FeatureInstance[i] != int32(i) || l.Hier.PlacementCell[i] != int32(i) {
+			t.Fatalf("feature %d: instance %d, cell %d", i, l.Hier.FeatureInstance[i], l.Hier.PlacementCell[i])
+		}
+	}
+	flat, err := lib.Flatten(ReadOptions{TopCell: "TOP", Flatten: true})
+	if err != nil || flat.Hier != nil || !reflect.DeepEqual(flat.Features, l.Features) {
+		t.Fatalf("TOP with Flatten: err %v, hierarchy %v", err, flat.Hier != nil)
+	}
+
+	dup := manyCellsLibrary(n)
+	dup.Cells[n-1].Name = "C17"
+	buf.Reset()
+	if err := WriteLibrary(&buf, dup); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := ReadLibrary(bytes.NewReader(buf.Bytes())); err == nil || err.Error() != `gds: duplicate structure "C17"` {
+		t.Fatalf("duplicate cell: err %v", err)
+	}
+}
+
+// BenchmarkReadManyCells times reading and flattening libraries of 2 000
+// and 8 000 one-rectangle cells.
+func BenchmarkReadManyCells(b *testing.B) {
+	for _, n := range []int{2000, 8000} {
+		var buf bytes.Buffer
+		if err := WriteLibrary(&buf, manyCellsLibrary(n)); err != nil {
+			b.Fatal(err)
+		}
+		data := buf.Bytes()
+		b.Run(fmt.Sprintf("read/n=%d", n), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := ReadLibrary(bytes.NewReader(data)); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+		lib, err := ReadLibrary(bytes.NewReader(data))
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.Run(fmt.Sprintf("flatten/n=%d", n), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := lib.Flatten(ReadOptions{}); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }

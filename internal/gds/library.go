@@ -61,7 +61,9 @@ type Library struct {
 	Cells []*Cell
 }
 
-// CellIndex returns the index of the named cell, or -1.
+// CellIndex returns the index of the first cell with the given name, or -1.
+// It scans the cells; Flatten resolves references through a name index
+// instead.
 func (lib *Library) CellIndex(name string) int {
 	for i, c := range lib.Cells {
 		if c.Name == name {
@@ -202,7 +204,8 @@ func (s *pointSlab) take(n int) []geom.Point {
 func ReadLibrary(r io.Reader) (*Library, error) {
 	br := bufio.NewReaderSize(r, maxRecord)
 	lib := &Library{}
-	var cur *Cell // inside BGNSTR..ENDSTR
+	names := make(map[string]bool) // cell names so far, for the duplicate check
+	var cur *Cell                  // inside BGNSTR..ENDSTR
 	var el pendingElem
 	inElem := false
 	var slab pointSlab
@@ -261,9 +264,10 @@ func ReadLibrary(r io.Reader) (*Library, error) {
 			if cur.Name == "" {
 				return nil, fmt.Errorf("gds: structure without STRNAME")
 			}
-			if lib.CellIndex(cur.Name) >= 0 {
+			if names[cur.Name] {
 				return nil, fmt.Errorf("gds: duplicate structure %q", cur.Name)
 			}
+			names[cur.Name] = true
 			lib.Cells = append(lib.Cells, cur)
 			cur = nil
 		case recBOUNDARY, recSREF, recAREF:

@@ -218,11 +218,10 @@ func TestGridPairsMatchBruteForce(t *testing.T) {
 		rects[i] = R(x, y, x+int64(rng.Intn(300)+1), y+int64(rng.Intn(300)+1))
 	}
 	got := map[[2]int32]bool{}
-	ForEachPair(rects, 128, func(i, j int32) {
-		if rects[i].Intersects(rects[j]) {
-			got[[2]int32{i, j}] = true
-		}
-	})
+	kept, _ := Pairs(rects, 128, 1, func(i, j int32) bool { return rects[i].Intersects(rects[j]) })
+	for _, p := range kept {
+		got[p] = true
+	}
 	want := map[[2]int32]bool{}
 	for i := range rects {
 		for j := i + 1; j < len(rects); j++ {

@@ -8,8 +8,8 @@ import (
 // Grid is a uniform spatial hash over int64 space that the incremental
 // detection engine keeps alive across edits to find the items near a changed
 // feature. Items are referenced by dense integer ids supplied by the caller.
-// One-shot sweeps that enumerate every candidate pair use ForEachPair
-// instead.
+// One-shot sweeps that enumerate every candidate pair use Pairs, the
+// column-strip kernel, instead.
 //
 // The entry set is kept as a sorted (cell, id) base array plus pending
 // insert/remove logs; the first query after a mutation sorts only the

@@ -1,6 +1,7 @@
 package geom_test
 
 import (
+	"fmt"
 	"testing"
 
 	"repro/internal/bench"
@@ -9,7 +10,7 @@ import (
 	"repro/internal/layout"
 )
 
-// sweepInput is the input of one production ForEachPair call.
+// sweepInput is the input of one production Pairs call.
 type sweepInput struct {
 	boxes []geom.Rect
 	cell  int64
@@ -42,23 +43,24 @@ func d5SweepInputs(tb testing.TB) (shifters, crossings sweepInput) {
 	return shifters, crossings
 }
 
-// BenchmarkForEachPair times the pair-sweep kernel alone on d5's shifter
-// and crossing boxes.
-func BenchmarkForEachPair(b *testing.B) {
+// BenchmarkPairs times the pair-sweep kernel alone on d5's shifter and
+// crossing boxes, keeping no pair, at one and two workers.
+func BenchmarkPairs(b *testing.B) {
 	sh, cr := d5SweepInputs(b)
 	for _, c := range []struct {
 		name string
 		in   sweepInput
 	}{{"shifters_d5", sh}, {"crossings_d5", cr}} {
-		b.Run(c.name, func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				n := 0
-				geom.ForEachPair(c.in.boxes, c.in.cell, func(_, _ int32) { n++ })
-				if n == 0 {
-					b.Fatal("no candidate pairs")
+		for _, workers := range []int{1, 2} {
+			b.Run(fmt.Sprintf("%s/workers=%d", c.name, workers), func(b *testing.B) {
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					_, n := geom.Pairs(c.in.boxes, c.in.cell, workers, func(_, _ int32) bool { return false })
+					if n == 0 {
+						b.Fatal("no candidate pairs")
+					}
 				}
-			}
-		})
+			})
+		}
 	}
 }

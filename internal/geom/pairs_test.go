@@ -4,10 +4,11 @@ import (
 	"encoding/binary"
 	"math/rand"
 	"slices"
+	"sync"
 	"testing"
 )
 
-// bruteForcePairs is ForEachPair's oracle: every pair i < j, in ascending
+// bruteForcePairs is Pairs' oracle: every pair i < j, in ascending
 // order, whose cell ranges intersect.
 func bruteForcePairs(boxes []Rect, cell int64) [][2]int32 {
 	type span struct{ x0, y0, x1, y1 int64 }
@@ -34,16 +35,43 @@ func bruteForcePairs(boxes []Rect, cell int64) [][2]int32 {
 	return out
 }
 
-// checkPairs asserts that ForEachPair reports exactly the oracle's pairs,
-// each once, in ascending order.
+// checkPairs asserts, at one, two and four workers, that Pairs offers keep
+// exactly the oracle's candidates, each once, counts them, and returns in
+// ascending order the ones keep accepts. keep accepts a fixed pseudo-random
+// half of the pairs, so the kept list is tested apart from the candidates.
 func checkPairs(t *testing.T, boxes []Rect, cell int64) {
 	t.Helper()
-	var got [][2]int32
-	ForEachPair(boxes, cell, func(i, j int32) { got = append(got, [2]int32{i, j}) })
+	accept := func(i, j int32) bool { return (uint32(i)*2654435761^uint32(j)*40503)&4 == 0 }
 	want := bruteForcePairs(boxes, cell)
-	if !slices.Equal(got, want) {
-		t.Fatalf("%d boxes, cell %d: got %d pairs, want %d\ngot  %v\nwant %v",
-			len(boxes), cell, len(got), len(want), head(got), head(want))
+	var wantKept [][2]int32
+	for _, p := range want {
+		if accept(p[0], p[1]) {
+			wantKept = append(wantKept, p)
+		}
+	}
+	for _, workers := range []int{1, 2, 4} {
+		var mu sync.Mutex
+		seen := make(map[[2]int32]int)
+		kept, candidates := Pairs(boxes, cell, workers, func(i, j int32) bool {
+			mu.Lock()
+			seen[[2]int32{i, j}]++
+			mu.Unlock()
+			return accept(i, j)
+		})
+		if !slices.Equal(kept, wantKept) {
+			t.Fatalf("%d boxes, cell %d, %d workers: kept %d pairs, want %d\ngot  %v\nwant %v",
+				len(boxes), cell, workers, len(kept), len(wantKept), head(kept), head(wantKept))
+		}
+		if candidates != len(want) || len(seen) != len(want) {
+			t.Fatalf("%d boxes, cell %d, %d workers: %d candidates, %d distinct offered, oracle %d",
+				len(boxes), cell, workers, candidates, len(seen), len(want))
+		}
+		for _, p := range want {
+			if seen[p] != 1 {
+				t.Fatalf("%d boxes, cell %d, %d workers: pair %v offered %d times, want once",
+					len(boxes), cell, workers, p, seen[p])
+			}
+		}
 	}
 }
 
@@ -73,11 +101,11 @@ func randomBoxes(rng *rand.Rand, n int, ox, oy, spread, maxExt int64) []Rect {
 	return boxes
 }
 
-// TestForEachPairMatchesOracle checks the exact pair set, each pair once and
-// ascending, on seeded random boxes that reach each bucketing strategy: a
-// dense grid (counting sort), a sparse one (radix-sorted packed keys), one
-// whose cell index needs more than 32 bits but still packs beside the id,
-// and one spanning ~2^64 cells, too wide to pack at all.
+// TestForEachPairMatchesOracle checks Pairs' candidates, each offered once,
+// and its kept pairs, ascending, on seeded random boxes that reach both
+// column gathers and both row orders: dense grids (counting sorts), sparse
+// ones (sorted gather; comparison sort of the rows), grids whose cell
+// indexes need more than 32 bits, and one spanning ~2^64 cells.
 func TestForEachPairMatchesOracle(t *testing.T) {
 	cases := []struct {
 		name                 string
@@ -129,10 +157,11 @@ func TestForEachPairEdgeCases(t *testing.T) {
 	}
 }
 
-// FuzzForEachPair checks ForEachPair against the brute-force oracle on boxes
+// FuzzForEachPair checks Pairs against the brute-force oracle on boxes
 // decoded from the fuzz input, 6 bytes per box: x and y as int16 scaled by
-// 2^shift (so large shifts reach the unpackable-grid fallback), and width
-// and height in quarter cells as int8 (negative values cover no cell).
+// 2^shift (so large shifts reach the sorted gather and the comparison sort
+// of the rows), and width and height in quarter cells as int8 (negative
+// values cover no cell).
 func FuzzForEachPair(f *testing.F) {
 	f.Add(uint8(4), uint8(0), []byte{0, 0, 0, 0, 40, 40, 5, 0, 5, 0, 40, 40, 200, 0, 0, 0, 4, 4})
 	f.Add(uint8(0), uint8(47), []byte{0, 128, 0, 128, 8, 8, 255, 127, 255, 127, 8, 8, 0, 128, 0, 128, 4, 4})

@@ -164,11 +164,11 @@ func (g *Graph) Partition(labels []int, count int) ([]Part, []int) {
 	if len(labels) != g.n {
 		panic(fmt.Sprintf("graph: %d labels for %d nodes", len(labels), g.n))
 	}
-	parts := make([]Part, count)
-	localOf := make([]int, g.n)
-	for v, c := range labels {
-		localOf[v] = len(parts[c].Nodes)
-		parts[c].Nodes = append(parts[c].Nodes, v)
+	// Count each part's nodes and edges first, so every list is a window of
+	// exactly its size into one backing array per kind.
+	nodes, edges := make([]int, count), make([]int, count)
+	for _, c := range labels {
+		nodes[c]++
 	}
 	for ei, e := range g.edges {
 		c := labels[e.U]
@@ -176,6 +176,28 @@ func (g *Graph) Partition(labels []int, count int) ([]Part, []int) {
 			panic(fmt.Sprintf("graph: edge %d (%d,%d) crosses partition labels %d/%d",
 				ei, e.U, e.V, c, labels[e.V]))
 		}
+		edges[c]++
+	}
+	parts := make([]Part, count)
+	nodeBack, edgeBack := make([]int, g.n), make([]int, len(g.edges))
+	nodeOff, edgeOff := 0, 0
+	for c := range parts {
+		if nodes[c] > 0 {
+			parts[c].Nodes = nodeBack[nodeOff : nodeOff : nodeOff+nodes[c]]
+			nodeOff += nodes[c]
+		}
+		if edges[c] > 0 {
+			parts[c].Edges = edgeBack[edgeOff : edgeOff : edgeOff+edges[c]]
+			edgeOff += edges[c]
+		}
+	}
+	localOf := make([]int, g.n)
+	for v, c := range labels {
+		localOf[v] = len(parts[c].Nodes)
+		parts[c].Nodes = append(parts[c].Nodes, v)
+	}
+	for ei, e := range g.edges {
+		c := labels[e.U]
 		parts[c].Edges = append(parts[c].Edges, ei)
 	}
 	return parts, localOf

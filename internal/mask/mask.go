@@ -48,6 +48,9 @@ func Build(l *layout.Layout, set *shifter.Set, phases []core.Phase, tone layout.
 		featureLayer = LayerOpening
 	}
 	out := layout.New(l.Name + ".mask")
+	if n := len(l.Features) + len(set.Shifters); n > 0 {
+		out.Features = make([]layout.Feature, 0, n)
+	}
 	for _, f := range l.Features {
 		ly := f.Layer
 		if ly == 0 {

@@ -166,20 +166,23 @@ func (d *Drawing) CrossingsAmong(edges []int, marked []bool) [][2]int {
 		return nil
 	}
 	segs, boxes, extent, nseg := d.sweepSegments(edges)
-	var out [][2]int
-	geom.ForEachPair(boxes, crossingCell(extent, nseg), func(i, j int32) {
+	kept, _ := geom.Pairs(boxes, crossingCell(extent, nseg), 1, func(i, j int32) bool {
 		e1, e2 := edges[i], edges[j]
 		if !marked[e1] && !marked[e2] {
-			return
+			return false
 		}
-		s1, s2 := segs[i], segs[j]
 		if e1 > e2 {
-			e1, e2, s1, s2 = e2, e1, s2, s1
+			return d.segmentsConflict(e2, e1, segs[j], segs[i])
 		}
-		if d.segmentsConflict(e1, e2, s1, s2) {
-			out = append(out, [2]int{e1, e2})
-		}
+		return d.segmentsConflict(e1, e2, segs[i], segs[j])
 	})
+	if len(kept) == 0 {
+		return nil
+	}
+	out := make([][2]int, len(kept))
+	for k, p := range kept {
+		out[k] = [2]int{min(edges[p[0]], edges[p[1]]), max(edges[p[0]], edges[p[1]])}
+	}
 	sort.Slice(out, func(a, b int) bool {
 		if out[a][0] != out[b][0] {
 			return out[a][0] < out[b][0]
@@ -191,8 +194,8 @@ func (d *Drawing) CrossingsAmong(edges []int, marked []bool) [][2]int {
 
 // Crossings returns all unordered pairs of edges that conflict in the
 // drawing, in ascending order, using a uniform-grid pair sweep over edge
-// bounding boxes to prune candidates.
-func (d *Drawing) Crossings() [][2]int {
+// bounding boxes, on up to workers goroutines, to prune candidates.
+func (d *Drawing) Crossings(workers int) [][2]int {
 	m := d.G.M()
 	if m == 0 {
 		return nil
@@ -202,12 +205,16 @@ func (d *Drawing) Crossings() [][2]int {
 		all[e] = e
 	}
 	segs, boxes, extent, _ := d.sweepSegments(all)
-	var out [][2]int
-	geom.ForEachPair(boxes, crossingCell(extent, m), func(i, j int32) {
-		if d.segmentsConflict(int(i), int(j), segs[i], segs[j]) {
-			out = append(out, [2]int{int(i), int(j)})
-		}
+	kept, _ := geom.Pairs(boxes, crossingCell(extent, m), workers, func(i, j int32) bool {
+		return d.segmentsConflict(int(i), int(j), segs[i], segs[j])
 	})
+	if len(kept) == 0 {
+		return nil
+	}
+	out := make([][2]int, len(kept))
+	for k, p := range kept {
+		out[k] = [2]int{int(p[0]), int(p[1])}
+	}
 	return out
 }
 

@@ -37,7 +37,7 @@ type Embedding struct {
 // BuildEmbedding traces the faces of a crossing-free drawing. It fails when
 // the drawing still has crossing edges (which would make faces meaningless).
 func BuildEmbedding(d *Drawing) (*Embedding, error) {
-	if pairs := d.Crossings(); len(pairs) > 0 {
+	if pairs := d.Crossings(1); len(pairs) > 0 {
 		return nil, fmt.Errorf("%w (%d crossing pairs, first %v)", ErrNotPlanarDrawing, len(pairs), pairs[0])
 	}
 	return BuildEmbeddingUnchecked(d)

@@ -37,7 +37,7 @@ func TestPolylineAndSegments(t *testing.T) {
 
 func TestCrossingsK4(t *testing.T) {
 	d := k4Crossing()
-	pairs := d.Crossings()
+	pairs := d.Crossings(1)
 	if len(pairs) != 1 || pairs[0] != [2]int{4, 5} {
 		t.Fatalf("crossings = %v, want [[4 5]]", pairs)
 	}
@@ -78,12 +78,12 @@ func TestEdgesCrossCoincidentDistinctNodes(t *testing.T) {
 
 func TestPlanarizeRemovesCheapDiagonal(t *testing.T) {
 	d := k4Crossing()
-	removed := d.PlanarizeGiven(d.Crossings())
+	removed := d.PlanarizeGiven(d.Crossings(1))
 	if len(removed) != 1 || removed[0] != 4 {
 		t.Fatalf("removed = %v, want [4] (the weight-3 diagonal)", removed)
 	}
 	nd, oldIdx := d.WithoutEdgeSet([]bool{4: true})
-	if len(nd.Crossings()) != 0 {
+	if len(nd.Crossings(1)) != 0 {
 		t.Error("drawing should be crossing-free after removal")
 	}
 	if nd.G.M() != 5 {
@@ -109,7 +109,7 @@ func TestPlanarizeTieBreaksByCrossingCount(t *testing.T) {
 	g.AddEdge(2, 3, 1)
 	g.AddEdge(4, 5, 1)
 	d := NewDrawing(g, pos)
-	removed := d.PlanarizeGiven(d.Crossings())
+	removed := d.PlanarizeGiven(d.Crossings(1))
 	if len(removed) != 1 || removed[0] != 2 {
 		t.Fatalf("removed = %v, want [2]", removed)
 	}

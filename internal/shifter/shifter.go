@@ -69,6 +69,15 @@ func Generate(l *layout.Layout, r layout.Rules) (*Set, error) {
 func Synthesize(l *layout.Layout, r layout.Rules) (s *Set, base []int32) {
 	s = &Set{}
 	base = make([]int32, len(l.Features))
+	critical := 0
+	for _, f := range l.Features {
+		if r.IsCritical(f) {
+			critical++
+		}
+	}
+	if critical > 0 {
+		s.Shifters = make([]Shifter, 0, 2*critical)
+	}
 	for fi, f := range l.Features {
 		base[fi] = -1
 		if !r.IsCritical(f) {
@@ -124,17 +133,22 @@ func (s *Set) findOverlaps(r layout.Rules) {
 	for i, sh := range s.Shifters {
 		boxes[i] = sh.Rect.Expand(r.MinShifterSpacing / 2)
 	}
-	geom.ForEachPair(boxes, r.MinShifterSpacing+r.ShifterWidth, func(i, j int32) {
+	kept, _ := geom.Pairs(boxes, r.MinShifterSpacing+r.ShifterWidth, 1, func(i, j int32) bool {
 		a, b := s.Shifters[i], s.Shifters[j]
 		if a.Feature == b.Feature {
-			return
+			return false
 		}
-		deficit, ok := OverlapDeficit(a.Rect, b.Rect, r)
-		if !ok {
-			return
-		}
-		s.Overlaps = append(s.Overlaps, Overlap{A: int(i), B: int(j), Deficit: deficit})
+		_, ok := OverlapDeficit(a.Rect, b.Rect, r)
+		return ok
 	})
+	if len(kept) == 0 {
+		return
+	}
+	s.Overlaps = make([]Overlap, len(kept))
+	for k, p := range kept {
+		deficit, _ := OverlapDeficit(s.Shifters[p[0]].Rect, s.Shifters[p[1]].Rect, r)
+		s.Overlaps[k] = Overlap{A: int(p[0]), B: int(p[1]), Deficit: deficit}
+	}
 }
 
 // String implements fmt.Stringer for diagnostics.

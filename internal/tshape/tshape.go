@@ -61,19 +61,19 @@ func Find(l *layout.Layout) []Junction {
 	if n < 2 {
 		return nil
 	}
-	// Grid prune on touching bounding boxes; pairs arrive in (A, B) order.
+	// Grid prune on touching bounding boxes; pairs come back in (A, B) order.
 	boxes := make([]geom.Rect, n)
 	for i, f := range l.Features {
 		boxes[i] = f.Rect
 	}
-	var out []Junction
-	geom.ForEachPair(boxes, 1024, func(i, j int32) {
-		a, b := boxes[i], boxes[j]
-		if !a.Intersects(b) {
-			return
-		}
-		out = append(out, classify(int(i), int(j), a, b))
-	})
+	kept, _ := geom.Pairs(boxes, 1024, 1, func(i, j int32) bool { return boxes[i].Intersects(boxes[j]) })
+	if len(kept) == 0 {
+		return nil
+	}
+	out := make([]Junction, len(kept))
+	for k, p := range kept {
+		out[k] = classify(int(p[0]), int(p[1]), boxes[p[0]], boxes[p[1]])
+	}
 	return out
 }
 
